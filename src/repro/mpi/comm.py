@@ -21,7 +21,7 @@ ULFM semantics implemented (the subset the paper's Fenix layer relies on):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.mpi.errors import ProcFailedError, RevokedError
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status, freeze_payload, payload_nbytes
@@ -247,7 +247,7 @@ class Communicator:
             tag=tag,
             payload=freeze_payload(payload),
             nbytes=size,
-            done=self.world.engine.event(name=f"{self.name}:send:{src}->{dst}"),
+            done=Event(self.world.engine, ("%s:send:%s->%s", self.name, src, dst)),
         )
         match = self._find_posted(entry)
         if match is not None:
@@ -270,7 +270,7 @@ class Communicator:
             src=src,
             dst=dst,
             tag=tag,
-            event=self.world.engine.event(name=f"{self.name}:recv:{dst}<-{src}"),
+            event=Event(self.world.engine, ("%s:recv:%s<-%s", self.name, dst, src)),
         )
         pending = self._find_unexpected(posted)
         if pending is not None:
@@ -332,22 +332,27 @@ class Communicator:
         return None
 
     def _deliver(self, send: PendingSend, recv: PostedRecv) -> None:
-        """Spawn the transfer process completing both sides."""
+        """Start the transfer completing both sides, one hop from now.
+
+        A chain of engine callbacks, not a process: a message costs the
+        engine its two completion events and nothing else.
+        """
+        self.world.engine.call_soon(self._transfer, (send, recv))
+
+    def _transfer(self, match: Tuple[PendingSend, PostedRecv]) -> None:
+        send = match[0]
         world = self.world
-
-        def delivery():
-            src_node = world.node_of_rank(self._world_of[send.src])
-            dst_node = world.node_of_rank(self._world_of[send.dst])
-            yield from world.network.transfer(src_node, dst_node, send.nbytes)
-            status = Status(source=send.src, tag=send.tag, nbytes=send.nbytes)
-            try_succeed(recv.event, (send.payload, status))
-            try_succeed(send.done, None)
-
-        world.engine.process(
-            delivery(),
-            name=f"{self.name}:xfer:{send.src}->{send.dst}",
-            daemon=True,
+        world.network.transfer_cb(
+            world.node_of_rank(self._world_of[send.src]),
+            world.node_of_rank(self._world_of[send.dst]),
+            send.nbytes, self._delivered, match,
         )
+
+    def _delivered(self, match: Tuple[PendingSend, PostedRecv]) -> None:
+        send, recv = match
+        status = Status(source=send.src, tag=send.tag, nbytes=send.nbytes)
+        try_succeed(recv.event, (send.payload, status))
+        try_succeed(send.done, None)
 
     # -- ULFM surface --------------------------------------------------------
 

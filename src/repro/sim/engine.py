@@ -9,7 +9,9 @@ the event's value into the generator (or throwing the event's exception).
 Determinism guarantees:
 
 - Events scheduled for the same simulated time fire in schedule order
-  (a monotonically increasing sequence number breaks ties).
+  (a monotonically increasing sequence number breaks ties); zero-delay
+  work takes a FIFO shortcut past the heap that keeps exactly that
+  order (see :class:`Engine`).
 - No wall-clock access anywhere; all randomness flows through seeded
   :class:`numpy.random.Generator` streams owned by components.
 
@@ -21,8 +23,9 @@ tracking, and deadlock detection that names the blocked processes.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.telemetry.collector import NULL_TELEMETRY
 from repro.util.errors import DeadlockError, SimulationError
@@ -54,12 +57,14 @@ class Event:
         "_scheduled",
         "_processed",
         "_pooled",
-        "name",
+        "_name",
     )
 
-    def __init__(self, engine: "Engine", name: str = "") -> None:
+    def __init__(self, engine: "Engine", name: Union[str, tuple] = "") -> None:
         self.engine = engine
-        self.name = name
+        #: a string, or a ``(fmt, *args)`` tuple formatted on first use:
+        #: hot paths name tens of thousands of events nobody ever prints
+        self._name = name
         self._value: Any = _UNSET
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["Event"], None]] = []
@@ -68,6 +73,13 @@ class Event:
         self._pooled = False
 
     # -- state ---------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if name.__class__ is tuple:
+            name = self._name = name[0] % name[1:]
+        return name
 
     @property
     def triggered(self) -> bool:
@@ -101,23 +113,26 @@ class Event:
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger successfully after ``delay`` simulated seconds."""
-        self._trigger(value, None, delay)
+        if self._scheduled:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._scheduled = True
+        self._value = value
+        if delay:
+            self.engine.call_later(delay, _dispatch, self)
+        else:
+            self.engine._ready.append((_dispatch, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Trigger with an exception after ``delay`` simulated seconds."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
-        self._trigger(_UNSET, exc, delay)
-        return self
-
-    def _trigger(self, value: Any, exc: Optional[BaseException], delay: float) -> None:
         if self._scheduled:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._scheduled = True
-        self._value = value
         self._exc = exc
-        self.engine._schedule(delay, self)
+        self.engine.call_later(delay, _dispatch, self)
+        return self
 
     # -- subscription ----------------------------------------------------
 
@@ -125,13 +140,11 @@ class Event:
         """Register ``fn`` to run when the event is processed.
 
         Subscribing to an event that was already processed schedules an
-        immediate (zero-delay) dispatch of just this callback, so late
+        immediate (zero-delay) call of just this callback, so late
         subscribers never hang.
         """
         if self._processed:
-            relay = Event(self.engine, name=f"late:{self.name}")
-            relay.add_callback(lambda _ev: fn(self))
-            relay.succeed(None)
+            self.engine._ready.append((fn, self))
             return
         self._callbacks.append(fn)
 
@@ -156,6 +169,20 @@ class Event:
         if self._scheduled:
             state = "ok" if self._exc is None else f"failed({self._exc!r})"
         return f"<Event {self.name!r} {state}>"
+
+
+#: what the engine queues hold for a triggered event: ``_dispatch(event)``
+_dispatch = Event._dispatch
+
+
+class _Start:
+    """What a new process is resumed with: ``send(None)``."""
+
+    __slots__ = ()
+    _exc = _value = None
+
+
+_START = _Start()
 
 
 class Timeout(Event):
@@ -273,9 +300,7 @@ class Process(Event):
         self.daemon = daemon
         engine._alive.add(self)
         # Kick off at the current time, after already-queued events.
-        start = Event(engine, name=f"start:{self.name}")
-        start.add_callback(self._resume_cb)
-        start.succeed(None)
+        engine._ready.append((self._resume_cb, _START))
 
     @property
     def alive(self) -> bool:
@@ -298,7 +323,7 @@ class Process(Event):
         if self._target is not None:
             self._target.remove_callback(self._resume_cb)
             self._target = None
-        wake = Event(self.engine, name=f"kill:{self.name}")
+        wake = Event(self.engine, name=("kill:%s", self.name))
         wake.add_callback(self._resume_cb)
         wake.fail(exc)
 
@@ -351,7 +376,16 @@ class Process(Event):
 
 
 class Engine:
-    """The event loop: owns the simulated clock and the pending-event heap."""
+    """The event loop: owns the simulated clock and the pending work.
+
+    Work is ``fn(arg)`` callbacks, run in ``(time, seq)`` order.  Future
+    work sits in a heap under that key.  Zero-delay work -- most of what
+    a message costs -- sits in a FIFO *ready queue* instead: every heap
+    entry of the current instant was scheduled before the clock got
+    there, hence before anything now ready, so "the instant's heap
+    entries, then the ready queue in schedule order, then advance" is
+    the same order without a heap push, a pop or a sequence number.
+    """
 
     #: recycled Timeout instances kept per engine (bounds memory pinned
     #: by bursts of simultaneous timers)
@@ -359,7 +393,8 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        self._ready: deque[tuple[Callable[[Any], None], Any]] = deque()
         self._seq = 0
         self._alive: set[Process] = set()
         self._failures: dict[Process, BaseException] = {}
@@ -390,8 +425,12 @@ class Engine:
             ev._scheduled = True
             ev._processed = False
             ev.delay = delay
-            self._seq += 1
-            heappush(self._heap, (self.now + delay, self._seq, ev))
+            when = self.now + delay
+            if when > self.now:  # call_later, inlined
+                self._seq += 1
+                heappush(self._heap, (when, self._seq, _dispatch, ev))
+            else:
+                self._ready.append((_dispatch, ev))
             return ev
         ev = Timeout(self, delay, value)
         ev._pooled = True
@@ -413,11 +452,25 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, delay: float, event: Event) -> None:
-        if delay < 0:
+    def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``fn(arg)`` at the current instant, after everything
+        already scheduled for it (the zero-delay hop, without an event)."""
+        self._ready.append((fn, arg))
+
+    def call_later(
+        self, delay: float, fn: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """Run ``fn(arg)`` after ``delay`` simulated seconds."""
+        when = self.now + delay
+        if when > self.now:
+            self._seq += 1
+            heappush(self._heap, (when, self._seq, fn, arg))
+        elif delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, event))
+        else:
+            # zero (or absorbed by float rounding): the ready queue, so the
+            # heap never gains an entry for an instant already reached
+            self._ready.append((fn, arg))
 
     def _recycle_timeout(self, ev: Timeout) -> None:
         if len(self._timeout_pool) < self._POOL_MAX:
@@ -442,7 +495,7 @@ class Engine:
     # -- execution -------------------------------------------------------
 
     def run(self, until: Optional[float] = None, check_deadlock: bool = True) -> float:
-        """Run until the heap drains (or simulated time passes ``until``).
+        """Run until no work is left (or simulated time passes ``until``).
 
         Returns the final simulated time.  Raises:
 
@@ -451,23 +504,37 @@ class Engine:
         - :class:`DeadlockError` when non-daemon processes remain blocked
           with nothing left to wake them.
         """
-        # hot loop: localize the heap and heappop; skip the head peek
-        # entirely on the common unbounded run
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}"
+            )
+        # hot loop: localize the queues; an unbounded run never stops early
         heap = self._heap
-        if until is None:
-            while heap:
-                when, _, event = heappop(heap)
-                self.now = when
-                event._dispatch()
-        else:
-            while heap:
-                when = heap[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                _, _, event = heappop(heap)
-                self.now = when
-                event._dispatch()
+        ready = self._ready
+        next_ready = ready.popleft
+        horizon = float("inf") if until is None else until
+        now = self.now
+        while True:
+            if ready:
+                # what the heap still holds of this instant was scheduled
+                # before the clock got here, so before anything now ready;
+                # neither loop can add to it (see call_later)
+                while heap and heap[0][0] <= now:
+                    _, _, fn, arg = heappop(heap)
+                    fn(arg)
+                while ready:
+                    fn, arg = next_ready()
+                    fn(arg)
+            if not heap:
+                break
+            entry = heappop(heap)
+            now = entry[0]
+            if now > horizon:
+                heappush(heap, entry)  # once per bounded run: not its turn
+                self.now = until
+                break
+            self.now = now
+            entry[2](entry[3])
         if self._failures:
             proc, exc = next(iter(self._failures.items()))
             raise SimulationError(

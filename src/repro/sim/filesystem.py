@@ -21,7 +21,7 @@ from typing import Any, Dict, Generator, Optional
 from repro.sim.engine import Engine, Event
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.resources import BandwidthPipe
+from repro.sim.resources import BandwidthPipe, hold_pipes
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.units import GiB, MiB
 
@@ -103,6 +103,21 @@ class ParallelFileSystem:
         self._rr += 1
         return server
 
+    def _move(
+        self, nic: BandwidthPipe, nbytes: float
+    ) -> Generator[Event, Any, None]:
+        """Move ``nbytes`` through the node's ``nic`` half in chunks,
+        each holding the NIC and one round-robin I/O server."""
+        remaining = float(nbytes)
+        while True:
+            piece = min(remaining, self.spec.chunk_bytes)
+            server = self._pick_server()
+            hold = server.latency + piece / min(server.bandwidth, nic.bandwidth)
+            yield from hold_pipes(nic, server, hold, piece)
+            remaining -= piece
+            if remaining <= 0:
+                break
+
     def write(
         self,
         key: Any,
@@ -119,29 +134,7 @@ class ParallelFileSystem:
         """
         if nbytes < 0:
             raise SimulationError(f"negative write size: {nbytes}")
-        remaining = float(nbytes)
-        while True:
-            piece = min(remaining, self.spec.chunk_bytes)
-            server = self._pick_server()
-            yield src_node.tx.request_lock()
-            try:
-                yield server.request_lock()
-                try:
-                    hold = server.latency + piece / min(
-                        server.bandwidth, src_node.tx.bandwidth
-                    )
-                    server.busy_time += hold
-                    server.bytes_moved += piece
-                    src_node.tx.busy_time += hold
-                    src_node.tx.bytes_moved += piece
-                    yield self.engine.timeout(hold)
-                finally:
-                    server.release_lock()
-            finally:
-                src_node.tx.release_lock()
-            remaining -= piece
-            if remaining <= 0:
-                break
+        yield from self._move(src_node.tx, nbytes)
         self.bytes_written += float(nbytes)
         self._objects[key] = payload
         self._sizes[key] = float(nbytes)
@@ -156,26 +149,7 @@ class ParallelFileSystem:
         if key not in self._objects:
             raise KeyError(key)
         size = float(nbytes) if nbytes is not None else self._sizes.get(key, 0.0)
-        remaining = size
-        while remaining > 0:
-            piece = min(remaining, self.spec.chunk_bytes)
-            server = self._pick_server()
-            yield dst_node.rx.request_lock()
-            try:
-                yield server.request_lock()
-                try:
-                    hold = server.latency + piece / min(
-                        server.bandwidth, dst_node.rx.bandwidth
-                    )
-                    server.busy_time += hold
-                    server.bytes_moved += piece
-                    dst_node.rx.busy_time += hold
-                    dst_node.rx.bytes_moved += piece
-                    yield self.engine.timeout(hold)
-                finally:
-                    server.release_lock()
-            finally:
-                dst_node.rx.release_lock()
-            remaining -= piece
+        if size > 0:
+            yield from self._move(dst_node.rx, size)
         self.bytes_read += size
         return self._objects[key]

@@ -14,10 +14,11 @@ multi-hundred-megabyte flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Sequence
+from typing import Any, Callable, Generator, Sequence, Tuple
 
 from repro.sim.engine import Engine, Event
 from repro.sim.node import Node
+from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.units import MiB
 
@@ -55,6 +56,38 @@ class Network:
         bw = min(src.tx.bandwidth, dst.rx.bandwidth)
         return src.tx.latency + self.spec.fabric_latency + float(nbytes) / bw
 
+    def _account(self, nbytes: float) -> None:
+        if nbytes < 0:
+            raise SimulationError(f"negative transfer: {nbytes}")
+        self.messages_sent += 1
+        self.bytes_sent += float(nbytes)
+
+    def _piece(
+        self, src: Node, dst: Node, nbytes: float
+    ) -> Tuple[BandwidthPipe, BandwidthPipe, float, float]:
+        """``PipeHold`` arguments for one inter-node piece: both NIC
+        halves, taken in a global order to avoid lock cycles."""
+        hold = self.estimate_time(src, dst, nbytes)  # nobody else on the NICs
+        if dst.index < src.index:
+            return dst.rx, src.tx, hold, nbytes
+        return src.tx, dst.rx, hold, nbytes
+
+    def transfer_cb(
+        self,
+        src: Node,
+        dst: Node,
+        nbytes: float,
+        done: Callable[[Any], None],
+        arg: Any = None,
+    ) -> None:
+        """Move one message of ``nbytes`` from ``src`` to ``dst``, then
+        call ``done(arg)``: the per-message path of the MPI layer."""
+        self._account(nbytes)
+        if src is dst:
+            self.engine.call_later(src.memcpy_time(nbytes), done, arg)
+        else:
+            PipeHold(*self._piece(src, dst, nbytes), done, arg)
+
     def transfer(
         self,
         src: Node,
@@ -62,47 +95,22 @@ class Network:
         nbytes: float,
         chunked: bool = False,
     ) -> Generator[Event, Any, None]:
-        """Move ``nbytes`` from ``src`` to ``dst``.
+        """Generator form of :meth:`transfer_cb` for callers that are
+        processes (the Fenix data stores).
 
         ``chunked=True`` splits the transfer at ``spec.chunk_bytes``
         boundaries, releasing the NICs between chunks; use it for background
         bulk traffic that must not head-of-line-block application messages.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer: {nbytes}")
-        self.messages_sent += 1
-        self.bytes_sent += float(nbytes)
+        self._account(nbytes)
         if src is dst:
             yield from src.memcpy(nbytes)
             return
-        if chunked and nbytes > self.spec.chunk_bytes:
-            remaining = float(nbytes)
-            while remaining > 0:
-                piece = min(remaining, self.spec.chunk_bytes)
-                yield from self._move_piece(src, dst, piece)
-                remaining -= piece
-            return
-        yield from self._move_piece(src, dst, nbytes)
-
-    def _move_piece(
-        self, src: Node, dst: Node, nbytes: float
-    ) -> Generator[Event, Any, None]:
-        # Acquire both NIC halves in a global order to avoid lock cycles.
-        first, second = (src.tx, dst.rx)
-        if dst.index < src.index:
-            first, second = (dst.rx, src.tx)
-        yield first.request_lock()
-        try:
-            yield second.request_lock()
-            try:
-                bw = min(src.tx.bandwidth, dst.rx.bandwidth)
-                hold = src.tx.latency + self.spec.fabric_latency + float(nbytes) / bw
-                src.tx.busy_time += hold
-                dst.rx.busy_time += hold
-                src.tx.bytes_moved += float(nbytes)
-                dst.rx.bytes_moved += float(nbytes)
-                yield self.engine.timeout(hold)
-            finally:
-                second.release_lock()
-        finally:
-            first.release_lock()
+        remaining = float(nbytes)
+        limit = self.spec.chunk_bytes if chunked else remaining
+        while True:
+            piece = min(remaining, limit)
+            yield from hold_pipes(*self._piece(src, dst, piece))
+            remaining -= piece
+            if remaining <= 0:
+                break

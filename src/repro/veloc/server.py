@@ -17,7 +17,7 @@ from typing import Any, Dict, Tuple
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Event
 from repro.sim.node import Node
-from repro.sim.resources import Store
+from repro.sim.resources import Store, hold_pipes
 
 
 @dataclass
@@ -173,14 +173,9 @@ class VeloCServer:
                 while remaining > 0:
                     piece = min(remaining, chunk_size)
                     server = pfs._pick_server()
-                    yield server.request_lock()
-                    try:
-                        hold = server.latency + piece / server.bandwidth
-                        server.busy_time += hold
-                        server.bytes_moved += piece
-                        yield cluster.engine.timeout(hold)
-                    finally:
-                        server.release_lock()
+                    yield from hold_pipes(
+                        server, None, server.transfer_time(piece), piece
+                    )
                     remaining -= piece
                 pfs._objects[job.key] = job.payload
                 pfs._sizes[job.key] = float(job.stored_nbytes or job.nbytes)

@@ -99,6 +99,30 @@ class TestMidCheckpointKill:
             )
 
 
+class TestRelaunchAfterKilledLockWaiter:
+    def test_exponential_seed_6_relaunches_to_completion(self):
+        """The MTBF campaign's 8-rank cell under failure-plan seed 6 kills
+        a process queued for a PFS server; the request it left behind used
+        to be granted the server after its death, and every rank of the
+        last relaunch deadlocked on ``pfs.ost0:lock:request``."""
+        from repro.experiments import fig5_heatdis
+        from repro.experiments.common import paper_env
+        from repro.sim import ExponentialFailures
+
+        cfg = HeatdisConfig(
+            local_rows=8, cols=16, modeled_bytes_per_rank=256e6,
+            n_iters=120, work_multiplier=fig5_heatdis.WORK_MULTIPLIER)
+        ideal = run_heatdis_job(
+            paper_env(9, pfs_servers=1), "none", 8, cfg, 9)
+        plan = ExponentialFailures(
+            ideal.wall_time * 8 / 3, seed=6, max_failures=3)
+        rep = run_heatdis_job(
+            paper_env(12, n_spares=4, pfs_servers=1), "kr_veloc", 8, cfg, 9,
+            plan=plan)
+        assert rep.failures == 3
+        assert rep.attempts == rep.failures + 1
+
+
 class TestHeatdis2DJobs:
     def test_2d_runs_under_full_stack(self):
         from repro.apps import Heatdis2DConfig

@@ -156,3 +156,82 @@ class TestRunLoop:
         assert ticks == [1.0, 2.0] and eng.now == 2.5
         eng.run()
         assert ticks == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestCallbackChainedDelivery:
+    """A delivered message costs the engine its two completion events --
+    no transfer ``Process``, no ``start:``/``lock:request``/finished
+    event -- and mixes safely with pooled timeouts."""
+
+    @staticmethod
+    def _world(n_nodes=2):
+        from repro.mpi import World
+        from repro.sim import Cluster, ClusterSpec
+
+        cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
+        return cluster, World(cluster, n_nodes)
+
+    @staticmethod
+    def _count_events(monkeypatch):
+        from repro.sim import Event
+
+        made = []
+        init = Event.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting)
+        return made
+
+    @pytest.mark.parametrize("same_node", [False, True])
+    def test_at_most_three_events_per_message(self, monkeypatch, same_node):
+        cluster, world = self._world()
+        comm = world.comm_world
+        dst = 0 if same_node else 1
+        made = self._count_events(monkeypatch)
+        n = 50
+        recvs = []
+        for tag in range(n):
+            recvs.append(comm.recv_op(dst, 0, tag))
+            comm.send_op(0, dst, tag, payload=tag)
+        cluster.engine.run()
+        assert [ev.value[0] for ev in recvs] == list(range(n))
+        assert cluster.network.messages_sent == n
+        # send + recv completion (the old path: 7, with a Process each)
+        assert len(made) <= 3 * n
+        assert set(made) <= {"Event", "Timeout"}
+        assert not cluster.engine._alive
+
+    def test_pooled_timeouts_survive_interleaved_deliveries(self):
+        """Recycled timeouts keep their own values while holds and
+        deliveries come and go between them at the same instants."""
+        cluster, world = self._world()
+        eng = cluster.engine
+        comm = world.comm_world
+        hold = cluster.network.estimate_time(
+            cluster.node(0), cluster.node(1), 8.0)
+        woke, got = [], []
+
+        def sleeper():
+            for i in range(40):
+                # same duration as a message: timer and transfer completions
+                # collide, recycled timeouts are reused straight away
+                woke.append((yield eng.timeout(hold, ("tick", i))))
+
+        def receiver():
+            for tag in range(40):
+                payload, _status = yield comm.recv_op(1, 0, tag)
+                got.append(payload)
+
+        def sender():
+            for tag in range(40):
+                yield comm.send_op(0, 1, tag, payload=tag, nbytes=8.0)
+
+        for body in (sleeper, receiver, sender):
+            eng.process(body())
+        eng.run()
+        assert woke == [("tick", i) for i in range(40)]
+        assert got == list(range(40))
+        assert 0 < len(eng._timeout_pool) <= Engine._POOL_MAX
