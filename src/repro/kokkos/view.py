@@ -37,7 +37,7 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class View:
         self._dirty: set = set()
         self._all_dirty = True
         self._raw_exposed = False
-        self._hash_cache: Dict[int, bytes] = {}
         self._data: np.ndarray = arr
         self.registry = registry
         if registry is not None:
@@ -108,7 +107,6 @@ class View:
         dirty until :meth:`reset_dirty_tracking` asserts otherwise.
         """
         self._raw_exposed = True
-        self._hash_cache.clear()
         return self._data
 
     @data.setter
@@ -201,7 +199,6 @@ class View:
         conservatively dirties every chunk the covered rows overlap."""
         if index is None or self._data.ndim == 0:
             self._all_dirty = True
-            self._hash_cache.clear()
             return
         n_rows = self._data.shape[0]
         if isinstance(index, (int, np.integer)):
@@ -216,11 +213,8 @@ class View:
             chunks = self._chunks_for_rows(start, stop)
         else:
             self._all_dirty = True
-            self._hash_cache.clear()
             return
-        for c in chunks:
-            self._dirty.add(c)
-            self._hash_cache.pop(c, None)
+        self._dirty.update(chunks)
 
     def dirty_chunks(self) -> List[int]:
         """Chunk indices that may have changed since :meth:`clear_dirty`.
@@ -255,7 +249,6 @@ class View:
         self._raw_exposed = False
         self._dirty.clear()
         self._all_dirty = True
-        self._hash_cache.clear()
 
     # -- chunk access / hashing ---------------------------------------------
 
@@ -271,18 +264,15 @@ class View:
     def chunk_hash(self, index: int) -> bytes:
         """Content hash of chunk ``index`` (blake2b-128 over the bytes).
 
-        Hashes of clean chunks are cached per chunk generation: a chunk's
-        cache entry is invalidated when it is marked dirty, so steady-state
-        verification/dedup only rehashes what changed.
+        A pure function of the current bytes: the view keeps no digest
+        state.  Digests that outlive a call belong to the snapshot they
+        were computed for (:func:`repro.veloc.snapshot.snapshot_view`),
+        so a write the view cannot see -- through a kept ``.data``
+        reference or an aliasing subview -- can never leave one stale.
         """
-        cached = self._hash_cache.get(index)
-        if cached is not None:
-            return cached
-        digest = hashlib.blake2b(
+        return hashlib.blake2b(
             self.chunk_array(index).tobytes(), digest_size=16
         ).digest()
-        self._hash_cache[index] = digest
-        return digest
 
     # -- subviews ------------------------------------------------------------
 
@@ -296,7 +286,6 @@ class View:
         if not isinstance(sliced, np.ndarray):
             sliced = np.asarray(sliced)
         self._raw_exposed = True
-        self._hash_cache.clear()
         child = View(
             label or f"{self.label}[sub]",
             data=sliced,
@@ -316,7 +305,6 @@ class View:
             return self._data.copy()
         # the raw buffer escapes: conservative tracking from here on
         self._raw_exposed = True
-        self._hash_cache.clear()
         return self._data
 
     def __getitem__(self, index):
@@ -324,7 +312,6 @@ class View:
         if isinstance(result, np.ndarray) and result.base is not None:
             # a writable alias of the buffer escaped
             self._raw_exposed = True
-            self._hash_cache.clear()
         return result
 
     def __setitem__(self, index, value):

@@ -184,12 +184,15 @@ class TestChunkHashing:
         assert v.chunk_hash(0) != h0
         assert len(h0) == 16  # blake2b-128
 
-    def test_hash_cached_until_dirtied(self, rt):
+    def test_hash_is_a_pure_function_of_the_bytes(self, rt):
+        # the view keeps no digest state: a write it cannot see (through
+        # a kept raw reference) still changes the next hash
         v = chunked_view(rt)
-        assert v.chunk_hash(2) is v.chunk_hash(2)  # cache hit
-        v[8] = 1.0  # chunk 2
+        raw = v.data
         h = v.chunk_hash(2)
         assert h == v.chunk_hash(2)
+        raw[8] = 1.0  # chunk 2, untracked
+        assert v.chunk_hash(2) != h
 
     def test_equal_content_equal_hash_across_views(self, rt):
         a = chunked_view(rt, label="a")

@@ -8,6 +8,8 @@ equivalence between ``incremental=True`` and ``incremental=False`` as
 the correctness bar.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,14 @@ def rt():
 def small_view(rt, label="v"):
     # 64x16 float64, 512-byte chunks -> 16 chunks of 4 rows
     return rt.view(label, shape=(64, 16), chunk_bytes=512)
+
+
+def blake(chunk):
+    return hashlib.blake2b(chunk.tobytes(), digest_size=16).digest()
+
+
+def assert_digests_match_chunks(snap):
+    assert snap.digests == [blake(c) for c in snap.chunks]
 
 
 class TestSnapshotView:
@@ -76,6 +86,34 @@ class TestSnapshotView:
         assert fresh == [0]
         assert snap.digests[0] != prev.digests[0]
         assert all(snap.digests[i] is prev.digests[i] for i in range(1, 16))
+
+    def test_raw_write_after_snapshot_gets_a_fresh_digest(self, rt):
+        # a kept .data reference writes behind the view's back: the view
+        # is raw-exposed (all chunks fresh), and every digest must follow
+        # the bytes, not the previous version
+        v = small_view(rt)
+        raw = v.data
+        raw[:] = 1.0
+        prev, _ = snapshot_view(v, hash_chunks=True)
+        v.clear_dirty()
+        raw[:] = 2.0
+        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        assert fresh == list(range(16))
+        assert_digests_match_chunks(snap)
+        assert snap.digests[0] != prev.digests[0]
+
+    def test_write_through_parent_reaches_subview_digests(self, rt):
+        # MiniMD's duplicate captures: the checkpointed view is a subview
+        # and the writes go through the parent
+        parent = small_view(rt)
+        child = parent.subview(slice(None), label="capture")
+        prev, _ = snapshot_view(child, hash_chunks=True)
+        child.clear_dirty()
+        parent[5] = 7.0
+        snap, _ = snapshot_view(child, prev=prev, hash_chunks=True)
+        assert_digests_match_chunks(snap)
+        assert snap.digests[1] != prev.digests[1]
+        assert np.array_equal(snap.materialize(), parent.copy_data())
 
     def test_non_chunkable_single_chunk(self):
         from repro.kokkos.view import View
