@@ -29,6 +29,10 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
   reference will write;
 - creating a :meth:`subview` aliases storage both ways, so parent and
   child both become raw-exposed;
+- a view holds dirty bits, never content digests: it cannot see writes
+  through a raw reference or an alias, so any hash it kept could go
+  stale.  :meth:`chunk_hash` is a pure function; digests that persist
+  live in the snapshot that holds the bytes (``repro.veloc.snapshot``);
 - constructing a view with ``data=`` transfers ownership of the array to
   the view (the Kokkos unmanaged-view convention): the caller must not
   keep writing through its own reference.
@@ -257,22 +261,20 @@ class View:
         ce = self.chunk_elems
         return slice(index * ce, min(self._data.size, (index + 1) * ce))
 
+    def flat_array(self) -> np.ndarray:
+        """The whole buffer as one flat array (no copy for a chunkable
+        view).  Like :meth:`chunk_array` this is for reading -- snapshot
+        and hashing code -- and does not count as raw exposure."""
+        return self._data.reshape(-1)
+
     def chunk_array(self, index: int) -> np.ndarray:
         """Chunk ``index`` as a flat array view (no copy)."""
-        return self._data.reshape(-1)[self.chunk_slice(index)]
+        return self.flat_array()[self.chunk_slice(index)]
 
     def chunk_hash(self, index: int) -> bytes:
-        """Content hash of chunk ``index`` (blake2b-128 over the bytes).
-
-        A pure function of the current bytes: the view keeps no digest
-        state.  Digests that outlive a call belong to the snapshot they
-        were computed for (:func:`repro.veloc.snapshot.snapshot_view`),
-        so a write the view cannot see -- through a kept ``.data``
-        reference or an aliasing subview -- can never leave one stale.
-        """
-        return hashlib.blake2b(
-            self.chunk_array(index).tobytes(), digest_size=16
-        ).digest()
+        """Content hash of chunk ``index`` (see :func:`chunk_digest`): a
+        pure function of the current bytes, nothing is cached."""
+        return chunk_digest(self.chunk_array(index))
 
     # -- subviews ------------------------------------------------------------
 
@@ -348,6 +350,12 @@ class View:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<View {self.label!r} shape={self.shape} dtype={self.dtype}>"
+
+
+def chunk_digest(chunk: np.ndarray) -> bytes:
+    """blake2b-128 over a flat contiguous chunk's bytes, read in place
+    (the ``uint8`` view exports any fixed-size dtype as plain bytes)."""
+    return hashlib.blake2b(chunk.view(np.uint8), digest_size=16).digest()
 
 
 def deep_copy(dst: "View | np.ndarray", src: "View | np.ndarray | float") -> None:

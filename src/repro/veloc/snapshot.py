@@ -5,7 +5,9 @@ stored as a list of fixed-size flat chunks.  Building version *v+1* from
 version *v* copies only the chunks the view reports dirty; clean chunks
 are shared **by reference** with the previous snapshot's chunk objects, so
 steady-state host cost scales with the dirty fraction, not the region
-size (the ReStore-style incremental store).  Every snapshot is still
+size (the ReStore-style incremental store).  Content digests live in
+the snapshot, next to the chunks they describe (see
+:func:`snapshot_view` for how one is obtained).  Every snapshot is still
 self-contained -- :meth:`ChunkedSnapshot.materialize` reassembles the full
 array from whatever mix of fresh and shared chunks it holds -- so restore
 correctness never depends on which chunks were deduplicated or shared.
@@ -16,12 +18,11 @@ accepts both forms, which keeps old scratch/PFS payloads restorable.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.kokkos.view import View
+from repro.kokkos.view import View, chunk_digest
 
 
 class ChunkedSnapshot:
@@ -72,50 +73,61 @@ def snapshot_view(
     prev: Optional[ChunkedSnapshot] = None,
     hash_chunks: bool = False,
 ) -> Tuple[ChunkedSnapshot, List[int]]:
-    """Snapshot ``view``, sharing clean chunks with ``prev`` when possible.
+    """Snapshot ``view``, sharing unchanged chunks with ``prev``.
 
-    Chunks listed dirty by the view (or every chunk, when ``prev`` is
-    absent/incompatible or the view is conservative) are copied fresh;
-    the rest alias ``prev``'s chunk objects.  With ``hash_chunks`` each
-    chunk also carries its blake2b-128 content digest (clean chunks reuse
-    the previous digest) for the server's content-addressed store.
+    Chunks the view lists dirty (every chunk, when ``prev`` is absent or
+    incompatible or the view is conservative) are candidates for a fresh
+    copy; the rest alias ``prev``'s chunk objects.  With ``hash_chunks``
+    each chunk also carries its blake2b-128 content digest for the
+    server's content-addressed store, and the snapshot owns it: a digest
+    is either inherited from ``prev`` together with the chunk object --
+    for a clean chunk, or a dirty one whose bytes compare equal to
+    ``prev``'s copy -- or computed once from the fresh copy.  It is never
+    asked of the view, so it cannot be stale.  The compare is over bytes,
+    not values (``-0.0`` is not ``0.0``; equal NaN payloads are equal):
+    sharing must keep the restore bit-identical.  Without hashing nothing
+    is compared: a compare costs what the copy costs.
 
     Returns ``(snapshot, fresh)`` where ``fresh`` lists the chunk indices
-    that were actually copied -- what the incremental memcpy cost model
-    charges for.
+    the view reported dirty, whether or not their bytes turned out to
+    have changed -- what the incremental memcpy cost model charges for
+    and what the client offers the server's chunk index.
     """
     if not view.chunkable:
         # non-chunk-addressable buffer: single full chunk, flattened copy
         flat = view.copy_data().reshape(-1)
-        digests = None
-        if hash_chunks:
-            digests = [hashlib.blake2b(flat.tobytes(), digest_size=16).digest()]
         snap = ChunkedSnapshot(
             view.shape, view.dtype, max(1, flat.size), [flat],
-            digests, view.nbytes,
+            [chunk_digest(flat)] if hash_chunks else None, view.nbytes,
         )
         return snap, [0]
-    n = view.n_chunks
-    cow = prev is not None and prev.compatible_with(view) and prev.n_chunks == n
-    fresh = sorted(view.dirty_chunks()) if cow else list(range(n))
-    fresh_set = set(fresh)
-    chunks: List[np.ndarray] = []
-    digests: Optional[List[Optional[bytes]]] = [] if hash_chunks else None
-    for i in range(n):
-        if i in fresh_set:
-            chunks.append(view.chunk_array(i).copy())
-            if digests is not None:
-                digests.append(view.chunk_hash(i))
-        else:
-            chunks.append(prev.chunks[i])
-            if digests is not None:
-                digests.append(
-                    prev.digests[i]
-                    if prev.digests is not None
-                    else view.chunk_hash(i)
-                )
+    # a base recorded without digests cannot lend any
+    cow = (
+        prev is not None
+        and prev.compatible_with(view)
+        and not (hash_chunks and prev.digests is None)
+    )
+    if cow:
+        fresh = view.dirty_chunks()
+        chunks = list(prev.chunks)
+        digests = list(prev.digests) if hash_chunks else None
+    else:
+        n = view.n_chunks
+        fresh = list(range(n))
+        chunks = [None] * n
+        digests = [None] * n if hash_chunks else None
+    compare = cow and hash_chunks
+    flat = view.flat_array()
+    ce = view.chunk_elems
+    for i in fresh:
+        current = flat[i * ce:(i + 1) * ce]  # the last chunk may be short
+        if compare and current.tobytes() == chunks[i].tobytes():
+            continue  # same bytes: keep prev's chunk object and digest
+        chunks[i] = current.copy()
+        if hash_chunks:
+            digests[i] = chunk_digest(chunks[i])
     snap = ChunkedSnapshot(
-        view.shape, view.dtype, view.chunk_elems, chunks, digests, view.nbytes
+        view.shape, view.dtype, ce, chunks, digests, view.nbytes
     )
     return snap, fresh
 

@@ -47,6 +47,16 @@ class TestFig6Claims:
 
         assert rel_overhead("communicator") > rel_overhead("force_compute")
 
+    def test_checkpoint_flushes_never_shorten_the_communicator(self, cells):
+        """What claim 12 rests on: x/v/f change every step, so every
+        version is flushed and the congestion lands on the communicator
+        (stale chunk digests once deduplicated those flushes away)."""
+        for n in RANKS:
+            base = cells[("none", n)].clean.category("communicator")
+            for strategy in ("kr_veloc", "fenix_kr_veloc"):
+                ckpt = cells[(strategy, n)].clean.category("communicator")
+                assert ckpt > base * 1.02, (strategy, n)
+
     def test_fenix_saves_more_with_expensive_init(self, cells):
         """Claim 7: MiniMD's large init -> large Fenix 'Other' savings."""
         for n in RANKS:

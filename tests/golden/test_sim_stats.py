@@ -1,16 +1,19 @@
 """Golden simulated statistics: bit-identity as a tier-1 gate.
 
 Host-side optimizations of the engine / MPI / data path must leave every
-simulated number untouched.  The JSON files beside this module were
+simulated number untouched.  The Heatdis files beside this module were
 recorded on the commit *before* the zero-delay ready queue and the
-callback-chained message delivery landed; each job below must keep
-reproducing its file byte for byte.
+callback-chained message delivery landed, the MiniMD one on the commit
+that stopped handing the server stale chunk digests (a model fix: x/v/f
+are flushed every version); each job below must keep reproducing its
+file byte for byte.  A failure names the statistics that moved.
 
 Regenerate (only for a change that is *meant* to move simulated time)::
 
     PYTHONPATH=src python tests/golden/test_sim_stats.py
 """
 
+import json
 import os
 
 import pytest
@@ -62,18 +65,72 @@ for _name in STRATEGIES:
         lambda s=_name: _heatdis(s, _kill()))
 
 
-def _render(name):
-    return reports_to_json([JOBS[name]()]) + "\n"
+def _render(report):
+    return reports_to_json([report]) + "\n"
+
+
+def _flatten(doc, prefix=""):
+    """``{"buckets": {"app_mpi": 1.0}}`` -> ``{"buckets.app_mpi": 1.0}``."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {prefix: doc}
+    flat = {}
+    for key, value in items:
+        flat.update(_flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def moved_statistics(expected: str, got: str):
+    """One line per statistic that differs between two rendered reports:
+    what a reviewer of an intentional model change needs from the CI log."""
+    old, new = (_flatten(json.loads(text)[0]) for text in (expected, got))
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, "<absent>"), new.get(key, "<absent>")
+        if a == b:
+            continue
+        rel = ""
+        if isinstance(a, float) and isinstance(b, float) and a:
+            rel = f"  ({(b - a) / a:+.3%})"
+        lines.append(f"{key}: {a!r} -> {b!r}{rel}")
+    return lines
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_simulated_statistics_are_byte_identical(name):
     with open(os.path.join(HERE, f"{name}.json")) as fh:
-        assert _render(name) == fh.read()
+        expected = fh.read()
+    report = JOBS[name]()
+    got = _render(report)
+    if got != expected:
+        lines = moved_statistics(expected, got) or ["(formatting only)"]
+        # not in the golden file, but where a data-path change shows first
+        lines.append(f"data_path of this run: {report.data_path}")
+        pytest.fail(
+            f"{name}: simulated statistics moved\n  " + "\n  ".join(lines)
+            + "\nregenerate only for a change meant to move simulated "
+            "time: PYTHONPATH=src python tests/golden/test_sim_stats.py",
+            pytrace=False,
+        )
+
+
+def test_failure_names_the_statistics_that_moved():
+    with open(os.path.join(HERE, "heatdis_kill_veloc.json")) as fh:
+        expected = fh.read()
+    doc = json.loads(expected)
+    doc[0]["wall_time"] *= 1.01
+    doc[0]["buckets"]["app_mpi"] += 0.5
+    lines = moved_statistics(expected, json.dumps(doc))
+    assert [line.split(":")[0] for line in lines] == [
+        "buckets.app_mpi", "wall_time"]
+    assert "+1.000%" in lines[1]
 
 
 if __name__ == "__main__":
     for job in sorted(JOBS):
         with open(os.path.join(HERE, f"{job}.json"), "w") as out:
-            out.write(_render(job))
+            out.write(_render(JOBS[job]()))
         print("wrote", job)

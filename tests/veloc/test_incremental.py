@@ -8,8 +8,6 @@ equivalence between ``incremental=True`` and ``incremental=False`` as
 the correctness bar.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from repro.util.errors import ConfigError
 from repro.veloc import VeloCConfig
 from repro.veloc.snapshot import ChunkedSnapshot, payload_array, snapshot_view
 from tests.veloc.conftest import run_veloc_ranks
+from tests.veloc.reference_snapshot import blake
 
 
 @pytest.fixture
@@ -28,10 +27,6 @@ def rt():
 def small_view(rt, label="v"):
     # 64x16 float64, 512-byte chunks -> 16 chunks of 4 rows
     return rt.view(label, shape=(64, 16), chunk_bytes=512)
-
-
-def blake(chunk):
-    return hashlib.blake2b(chunk.tobytes(), digest_size=16).digest()
 
 
 def assert_digests_match_chunks(snap):
@@ -132,6 +127,90 @@ class TestSnapshotView:
         assert isinstance(snap, ChunkedSnapshot)
         assert np.array_equal(payload_array(snap), v.copy_data())
         assert np.array_equal(payload_array(v.copy_data()), v.copy_data())
+
+
+class TestBitwiseSharing:
+    """A dirty chunk shares the previous copy and digest iff its *bytes*
+    are equal -- numeric equality would break the bit-identical restore."""
+
+    NAN_A, NAN_B = 0x7FF8000000000000, 0x7FF8000000000001
+
+    @staticmethod
+    def rewrite(v, first_bits, then_bits, uint):
+        """Version 0 holds ``first_bits`` everywhere; version 1 rewrites
+        chunk 1 (rows 4..7) with ``then_bits``.  Returns both snapshots."""
+        rows, cols = v.shape
+        v[0:rows] = np.full((rows, cols), first_bits, uint).view(v.dtype)
+        prev, _ = snapshot_view(v, hash_chunks=True)
+        v.clear_dirty()
+        v[4:8] = np.full((4, cols), then_bits, uint).view(v.dtype)
+        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        assert fresh == [1]  # listed dirty whether or not it changed
+        assert payload_array(snap).tobytes() == v.copy_data().tobytes()
+        assert_digests_match_chunks(snap)
+        return prev, snap
+
+    @pytest.mark.parametrize("first, then, shared", [
+        (0x0, 0x8000000000000000, False),  # -0.0 over 0.0
+        (0x0, 0x0, True),
+        (NAN_A, NAN_A, True),              # the same NaN
+        (NAN_A, NAN_B, False),             # another payload
+    ])
+    def test_float64_bit_patterns(self, rt, first, then, shared):
+        # 30 rows: the last of the 8 chunks is short
+        v = rt.view("f8", shape=(30, 16), chunk_bytes=512)
+        prev, snap = self.rewrite(v, first, then, np.uint64)
+        assert (snap.chunks[1] is prev.chunks[1]) == shared
+        assert (snap.digests[1] is prev.digests[1]) == shared
+        assert snap.chunks[7].size == 2 * 16
+
+    def test_short_last_chunk_is_compared_whole(self, rt):
+        v = rt.view("tail", shape=(30, 16), chunk_bytes=512)
+        v.fill(1.0)
+        prev, _ = snapshot_view(v, hash_chunks=True)
+        v.clear_dirty()
+        v[28:30] = 1.0  # the short chunk, same bytes
+        same, _ = snapshot_view(v, prev=prev, hash_chunks=True)
+        assert same.chunks[7] is prev.chunks[7]
+        v[29] = -1.0    # its very last row
+        snap, _ = snapshot_view(v, prev=same, hash_chunks=True)
+        assert snap.chunks[7] is not prev.chunks[7]
+        assert snap.materialize().tobytes() == v.copy_data().tobytes()
+        assert_digests_match_chunks(snap)
+
+    @pytest.mark.parametrize("dtype, uint, first, then, shared", [
+        (np.float32, np.uint32, 0x0, 0x80000000, False),
+        (np.float32, np.uint32, 0x7FC00000, 0x7FC00000, True),
+        (np.float32, np.uint32, 0x7FC00000, 0x7FC00001, False),
+        (np.int64, np.uint64, 7, 7, True),
+        (np.int64, np.uint64, 7, 8, False),
+        (np.int16, np.uint16, 7, 7, True),
+    ])
+    def test_other_dtypes(self, rt, dtype, uint, first, then, shared):
+        # 512-byte chunks over 16-column rows of any item size; 30 rows
+        # never divide evenly
+        itemsize = np.dtype(dtype).itemsize
+        v = rt.view("t", shape=(30, 16), dtype=dtype,
+                    chunk_bytes=4 * 16 * itemsize)
+        prev, snap = self.rewrite(v, first, then, uint)
+        assert (snap.chunks[1] is prev.chunks[1]) == shared
+
+    def test_pure_cow_copies_without_comparing(self, rt):
+        v = small_view(rt)
+        prev, _ = snapshot_view(v)
+        v.clear_dirty()
+        v[5] = 0.0  # the bytes already there
+        snap, fresh = snapshot_view(v, prev=prev)
+        assert fresh == [1]
+        assert snap.chunks[1] is not prev.chunks[1]
+
+    def test_base_without_digests_is_no_base(self, rt):
+        v = small_view(rt)
+        prev, _ = snapshot_view(v)  # recorded without hashing
+        v.clear_dirty()
+        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        assert fresh == list(range(16))
+        assert_digests_match_chunks(snap)
 
 
 class TestConfig:
