@@ -135,6 +135,10 @@ class MiniMDState:
         self.box_z = self.box_xy  # global z extent
         self.slab_lo = self.box_z * comm_rank / comm_size
         self.slab_hi = self.box_z * (comm_rank + 1) / comm_size
+        #: box extents per axis, as a row for ``(n, 3)`` positions and as a
+        #: column for the force kernel's ``(3, n, m)`` pair separations
+        self.box = np.array([self.box_xy, self.box_xy, self.box_z])
+        self.box_col = self.box.reshape(3, 1, 1)
         self.views: Dict[str, View] = {}
         self.checkpoint_views: List[View] = []
         self.build_views()
@@ -239,37 +243,53 @@ class MiniMDState:
         self.initialize_atoms()
 
     def wrap_positions(self) -> None:
-        """Periodic wrap in x/y; clamp z drift softly back into the global
-        box (atoms do not migrate between slabs in this reduced model --
-        exchange is modelled in cost, not in ownership)."""
-        self.x.data[:, 0] %= self.box_xy
-        self.x.data[:, 1] %= self.box_xy
-        self.x.data[:, 2] %= self.box_z
+        """Wrap owned positions back into the global periodic box on all
+        three axes.  Atoms do not migrate between slabs in this reduced
+        model (exchange is modelled in cost, not in ownership), so an atom
+        that drifts out of its slab stays with its rank."""
+        x = self.x.data
+        np.mod(x, self.box, out=x)
 
     def compute_forces(self) -> float:
-        """All-pairs LJ forces (vectorized, minimum-image in x/y, direct in
-        z with ghosts).  Returns the potential energy."""
-        cfg = self.cfg
+        """All-pairs Lennard-Jones forces on the owned atoms from the owned
+        atoms and the ghosts; returns this rank's share of the potential
+        energy (every pair term halved, the other half is the partner's).
+
+        Minimum image on all three axes, ghosts at their true positions:
+        each ``(owned, other)`` pair interacts through its nearest periodic
+        image only, which is why ``ghosts`` must hold every neighbour atom
+        once (:func:`exchange_ghosts` de-duplicates the 2-rank ring).  What
+        the reduced model leaves out: only the two *adjacent* slabs
+        contribute ghosts, although ``cutoff`` spans several slabs at 8
+        ranks, and nothing stops ``cutoff`` exceeding half the box at 2.
+
+        Component-major: ``delta`` is ``(3, n, m)``, so every ufunc's inner
+        loop runs over the ``m`` partners, not over the three components.
+        """
         x = self.x.data
-        others = np.concatenate([x, self.ghosts]) if len(self.ghosts) else x
-        delta = x[:, None, :] - others[None, :, :]
-        # minimum image in periodic x/y
-        for axis, box in ((0, self.box_xy), (1, self.box_xy), (2, self.box_z)):
-            d = delta[:, :, axis]
-            d -= box * np.round(d / box)
-        r2 = np.einsum("ijk,ijk->ij", delta, delta)
         n = x.shape[0]
-        np.fill_diagonal(r2[:, :n], np.inf)
-        mask = r2 < cfg.cutoff**2
-        r2 = np.where(mask, r2, np.inf)
+        own = np.ascontiguousarray(x.T)
+        others = np.concatenate((own, self.ghosts.T), axis=1)
+        delta = own[:, :, None] - others[:, None, :]
+        image = delta / self.box_col
+        np.rint(image, out=image)
+        image *= self.box_col
+        delta -= image
+        np.multiply(delta, delta, out=image)
+        r2 = image[0] + image[1]
+        r2 += image[2]
+        np.fill_diagonal(r2[:, :n], np.inf)  # no self-interaction
         inv_r2 = 1.0 / r2
-        inv_r6 = inv_r2**3
+        inv_r2[r2 >= self.cfg.cutoff**2] = 0.0
+        inv_r6 = inv_r2 * inv_r2 * inv_r2
+        inv_r12 = inv_r6 * inv_r6
+        well = inv_r12 - inv_r6
         # LJ: F = 24 eps (2 (s/r)^12 - (s/r)^6) / r^2 * dr
-        coef = 24.0 * (2.0 * inv_r6**2 - inv_r6) * inv_r2
-        force = np.einsum("ij,ijk->ik", coef, delta)
-        self.f.data[:] = force
-        pe = float(np.sum(np.where(mask, 4.0 * (inv_r6**2 - inv_r6), 0.0))) / 2.0
-        return pe
+        coef = (well + inv_r12) * inv_r2
+        coef *= 24.0
+        self.f.data[:] = np.einsum("kij,ij->ik", delta, coef)
+        # U = 4 eps ((s/r)^12 - (s/r)^6), halved per pair
+        return 2.0 * float(well.sum())
 
     def border_atoms(self) -> np.ndarray:
         """Atoms within ``cutoff`` of the slab faces (sent to neighbours)."""
@@ -324,7 +344,13 @@ def exchange_ghosts(
     h: CommHandle, state: MiniMDState, cfg: MiniMDConfig
 ) -> Generator[Event, Any, None]:
     """Ghost-atom exchange with both z-neighbours (periodic ring), charged
-    at the modelled border size (the "Communicator" phase)."""
+    at the modelled border size (the "Communicator" phase).
+
+    Both faces are always exchanged -- that is the modelled communication
+    -- but on a 2-rank ring ``up`` and ``down`` are the same neighbour, so
+    its border atoms are kept once: the force kernel takes the minimum
+    image of every ghost and would otherwise count each cross-slab pair
+    twice."""
     if h.size == 1:
         state.ghosts = np.empty((0, 3))
         return
@@ -338,8 +364,9 @@ def exchange_ghosts(
     from_up = yield from h.sendrecv(
         border, dest=down, source=up, sendtag=22, nbytes=nbytes
     )
-    parts = [p for p in (from_down, from_up) if len(p)]
-    state.ghosts = np.concatenate(parts) if parts else np.empty((0, 3))
+    state.ghosts = (
+        from_down if up == down else np.concatenate((from_down, from_up))
+    )
 
 
 def minimd_step(

@@ -238,6 +238,7 @@ class JobRunner:
             (telemetry is not None and telemetry.enabled)
             or self.monitor is not None
             or self.rules is not None
+            or trace_sink is not None
             or capture_trace
         ) else None
         self.trace = trace
@@ -256,7 +257,7 @@ class JobRunner:
             self.live.attach(trace)
         # streaming flight recorder (e.g. monitor.trace_io.JsonlTraceSink):
         # records hit disk as they are emitted; the caller closes it
-        if trace_sink is not None and trace is not None:
+        if trace_sink is not None:
             trace_sink.attach(trace)
         self.service = VeloCService(
             self.cluster, use_burst_buffer=env.use_burst_buffer

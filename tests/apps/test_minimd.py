@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.apps import MiniMDConfig, make_minimd_main
+from repro.apps import MiniMDConfig, make_minimd_main, minimd
 from repro.apps.minimd import MiniMDState
+from repro.harness import run_minimd_job
 from repro.kokkos import KokkosRuntime
 from repro.sim import IterationFailure
 from repro.util.errors import ConfigError
 from tests.apps.conftest import run_app
+from tests.harness.conftest import small_env
 
 
 def small_cfg(**kw):
@@ -58,38 +60,39 @@ class TestViewCensus:
         assert len(state.checkpoint_views) == 39
 
 
+def run_clean(n_ranks=2, **cfg_kw):
+    cfg = small_cfg(**cfg_kw)
+
+    def factory(make_kr, results, plan):
+        return make_minimd_main(cfg, make_kr, failure_plan=plan,
+                                results=results)
+
+    results, _ = run_app(factory, n_ranks, ckpt_interval=8)
+    return results, cfg
+
+
 class TestPhysics:
-    def run_clean(self, n_ranks=2, **cfg_kw):
-        cfg = small_cfg(**cfg_kw)
-
-        def factory(make_kr, results, plan):
-            return make_minimd_main(cfg, make_kr, failure_plan=plan,
-                                    results=results)
-
-        results, _ = run_app(factory, n_ranks, ckpt_interval=8)
-        return results, cfg
-
     def test_runs_and_stays_finite(self):
-        results, _ = self.run_clean()
+        results, _ = run_clean()
         for r, out in results.items():
             assert np.all(np.isfinite(out["x"]))
             assert np.all(np.isfinite(out["v"]))
 
     def test_deterministic(self):
-        a, _ = self.run_clean()
-        b, _ = self.run_clean()
+        a, _ = run_clean()
+        b, _ = run_clean()
         for r in a:
             np.testing.assert_array_equal(a[r]["x"], b[r]["x"])
             np.testing.assert_array_equal(a[r]["v"], b[r]["v"])
 
     def test_momentum_approximately_conserved(self):
-        results, _ = self.run_clean()
+        results, _ = run_clean()
         total_p = sum(out["v"].sum(axis=0) for out in results.values())
         # initial net momentum is zero per rank; pairwise forces cancel
         assert np.abs(total_p).max() < 1e-6
 
     def test_atoms_stay_in_box(self):
-        results, cfg = self.run_clean()
+        results, cfg = run_clean()
         rt = KokkosRuntime()
         probe = MiniMDState(rt, cfg, comm_rank=0, comm_size=2)
         for out in results.values():
@@ -98,13 +101,21 @@ class TestPhysics:
             assert np.all(out["x"][:, 2] <= probe.box_z + 1e-9)
 
     def test_energy_reasonably_stable(self):
-        # NVE velocity Verlet: total energy should not blow up
-        results, _ = self.run_clean(dt=0.001, n_steps=30)
-        total_e = sum(out["pe"] + out["ke"] for out in results.values())
-        assert np.isfinite(total_e)
+        """NVE velocity Verlet on 3 ranks: total energy after 10, 20 and
+        30 steps stays within 2e-3 of the first step's.  The bound is
+        twice what the atom-major kernel this one replaced shows on the
+        same run (9.6e-4, the LJ tail cut at 2.5 is not shifted), so the
+        component-major kernel is held to the old kernel's physics."""
+        def total_energy(n_steps):
+            results, _ = run_clean(n_ranks=3, dt=0.001, n_steps=n_steps)
+            return sum(out["pe"] + out["ke"] for out in results.values())
+
+        first = total_energy(1)
+        for n_steps in (10, 20, 30):
+            assert abs(total_energy(n_steps) - first) < 2e-3 * abs(first)
 
     def test_thermo_observables(self):
-        results, cfg = self.run_clean()
+        results, cfg = run_clean()
         for out in results.values():
             obs = out["state"].thermo(out["pe"])
             assert obs["temperature"] > 0
@@ -114,6 +125,61 @@ class TestPhysics:
             assert out["state"].views["thermo_temp"].data.flat[0] == (
                 pytest.approx(obs["temperature"])
             )
+
+
+class TestGhostExchange:
+    def exchanged(self, n_ranks):
+        """Every rank's state after the first step's ghost exchange."""
+        results, _ = run_clean(n_ranks=n_ranks, n_steps=1)
+        return [results[r]["state"] for r in range(n_ranks)]
+
+    def test_two_rank_ring_keeps_each_ghost_once(self):
+        """On 2 ranks ``up`` and ``down`` are the same neighbour: both
+        faces are exchanged, its border atoms are kept once."""
+        states = self.exchanged(2)
+        for rank, state in enumerate(states):
+            border = states[1 - rank].border_atoms()
+            assert len(border) > 0
+            np.testing.assert_array_equal(state.ghosts, border)
+            assert len(np.unique(state.ghosts, axis=0)) == len(state.ghosts)
+
+    @pytest.mark.parametrize("n_ranks", [3, 4])
+    def test_wider_rings_concatenate_both_neighbours(self, n_ranks):
+        states = self.exchanged(n_ranks)
+        for rank, state in enumerate(states):
+            down = states[(rank - 1) % n_ranks].border_atoms()
+            up = states[(rank + 1) % n_ranks].border_atoms()
+            np.testing.assert_array_equal(state.ghosts,
+                                          np.concatenate([down, up]))
+
+    def test_single_rank_has_no_ghosts(self):
+        (state,) = self.exchanged(1)
+        assert state.ghosts.shape == (0, 3)
+
+    def test_modelled_communication_does_not_depend_on_the_ghosts_kept(
+            self, monkeypatch):
+        """Keeping one copy changes the physics of a 2-rank run and no
+        simulated statistic: same messages, same time in every bucket as
+        a run that keeps the neighbour's atoms twice (the old behaviour)."""
+        cfg = small_cfg(n_steps=12)
+
+        def job():
+            return run_minimd_job(small_env(), "fenix_kr_veloc", 2, cfg, 6)
+
+        once = job()
+        exchange_once = minimd.exchange_ghosts
+
+        def exchange_twice(h, state, cfg):
+            yield from exchange_once(h, state, cfg)
+            state.ghosts = np.concatenate([state.ghosts, state.ghosts])
+
+        monkeypatch.setattr(minimd, "exchange_ghosts", exchange_twice)
+        twice = job()
+        assert once.platform == twice.platform
+        assert once.platform["network_messages"] > 0
+        assert once.buckets == twice.buckets
+        assert once.wall_time == twice.wall_time
+        assert not np.array_equal(once.results[0]["v"], twice.results[0]["v"])
 
 
 class TestResilientMiniMD:

@@ -10,6 +10,8 @@ from repro.harness.report import (
     format_report_table,
     summarize_categories,
 )
+from repro.monitor import MonitorSuite
+from repro.monitor.trace_io import JsonlTraceSink, read_trace
 from repro.sim import IterationFailure
 from repro.util.errors import ConfigError
 from tests.harness.conftest import small_env
@@ -144,6 +146,35 @@ class TestMiniMDJobs:
     def test_manual_strategy_rejected(self, md_cfg):
         with pytest.raises(ConfigError):
             run_minimd_job(small_env(), "veloc", 4, md_cfg, 6)
+
+
+class TestTraceSink:
+    """A flight recorder is a reason to record, with or without another
+    observer asking for the trace."""
+
+    def record(self, path, heat_cfg, **observers):
+        with JsonlTraceSink(str(path)) as sink:
+            report = run_heatdis_job(
+                small_env(), "fenix_kr_veloc", 4, heat_cfg, CKPT,
+                plan=fail_plan(), trace_sink=sink, **observers)
+        return report, sink.records_written
+
+    def test_sink_alone_records_the_run(self, tmp_path, heat_cfg):
+        alone, n_alone = self.record(tmp_path / "alone.jsonl", heat_cfg)
+        monitored, n_monitored = self.record(
+            tmp_path / "monitored.jsonl", heat_cfg, monitor=MonitorSuite())
+        assert n_alone > 0
+        assert n_alone == n_monitored
+        records, meta = read_trace(str(tmp_path / "alone.jsonl"))
+        assert len(records) == n_alone
+        assert meta["dropped"] == 0
+        assert {"rank_killed", "revoke"} <= {r.kind for r in records}
+        assert not monitored.violations
+        # observers never alter the run
+        bare = run_heatdis_job(small_env(), "fenix_kr_veloc", 4, heat_cfg,
+                               CKPT, plan=fail_plan())
+        assert alone.wall_time == monitored.wall_time == bare.wall_time
+        assert alone.buckets == bare.buckets
 
 
 class TestReporting:
