@@ -1,7 +1,24 @@
 """The alignment engine: merge two keyed streams, classify, root-cause.
 
 Given two record streams (plus their drop-accounting metas), the engine
-keys both (:mod:`repro.align.keying`), then classifies every record:
+first asks whether they are equal and only then spells out how they
+differ.  **Compare first:** after the sampling filter below, the streams
+are walked pairwise with a *sufficient* identity test -- same ``kind``,
+same ``source``, same field names in the same order, and every
+non-volatile value equal under a type-strict rule (``int``/``str``/
+``bool``/``None`` by ``type is`` and ``==``; ``float`` also by sign of
+zero and never when NaN; ``tuple``/``list`` element-wise and
+interchangeably, as the canonical JSON collapses them; any other type:
+"cannot tell").  Records that pass get the same logical key and the same
+canonical value, so if every pair passes and the lengths match, all of
+them are matched, in order, and the answer is ``Alignment(matched=n)``
+with the notes the keyed path would have added -- which is what the
+determinism audit of a deterministic simulator gets, at a tenth of the
+cost of keying both traces.  Simulated ``time`` is not part of a record's
+identity here any more than it is part of its key.
+
+Otherwise the engine keys both streams (:mod:`repro.align.keying`, one
+``json.dumps`` per record per side), and classifies every record:
 
 - **matched** -- same key, same canonical value, same relative order
   among the protocol-critical anchors;
@@ -34,11 +51,13 @@ critical-path stages.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.align.keying import (
     ANCHOR_KINDS,
+    VOLATILE_FIELDS,
     KeyedRecord,
     key_records,
     layer_of,
@@ -180,6 +199,49 @@ def _lis_membership(positions: Sequence[int]) -> List[bool]:
     return member
 
 
+def _same_value(a: Any, b: Any) -> bool:
+    """Do two field values certainly canonicalise to the same JSON?
+
+    Type-strict, because ``1``, ``1.0`` and ``True`` compare equal but
+    serialise differently; floats also by sign of zero (``0.0 == -0.0``)
+    and never when NaN; tuples and lists element-wise and
+    interchangeably, as :func:`~repro.align.keying.canonical_fields`
+    collapses them.  Any other type answers False -- "cannot tell".
+    """
+    kind = type(a)
+    if kind is tuple or kind is list:
+        other = type(b)
+        return ((other is tuple or other is list) and len(a) == len(b)
+                and all(map(_same_value, a, b)))
+    if kind is not type(b):
+        return False
+    if kind is float:
+        return a == b and (a != 0.0
+                           or math.copysign(1.0, a) == math.copysign(1.0, b))
+    if kind is int or kind is str or kind is bool or a is None:
+        return a == b
+    return False
+
+
+def _identical(a: TraceRecord, b: TraceRecord) -> bool:
+    """Sufficient test that two records get the same logical key and the
+    same canonical value: same kind, source and field names in the same
+    order, every non-volatile value equal under :func:`_same_value`.
+    False means "differ or cannot tell" and sends the pair of streams to
+    the keyed alignment, which decides."""
+    if a.kind != b.kind or a.source != b.source:
+        return False
+    fields_a, fields_b = a.fields, b.fields
+    if len(fields_a) != len(fields_b):
+        return False
+    for (name, va), (name_b, vb) in zip(fields_a.items(), fields_b.items()):
+        if name != name_b:
+            return False
+        if name not in VOLATILE_FIELDS and not _same_value(va, vb):
+            return False
+    return True
+
+
 def align(
     records_a: Sequence[TraceRecord],
     records_b: Sequence[TraceRecord],
@@ -216,13 +278,22 @@ def align(
 
     dropped = bool(_meta_int(meta_a, "dropped")) \
         or bool(_meta_int(meta_b, "dropped"))
-    keyed_a = key_records(records_a, reverse_occurrence=dropped)
-    keyed_b = key_records(records_b, reverse_occurrence=dropped)
     if dropped:
         result.notes.append(
             "ring-buffer evictions present; per-key occurrence indices "
             "counted from the stream end so surviving suffixes align"
         )
+
+    # compare first: pairwise-identical streams key, canonicalise and
+    # order identically, so every record is matched and nothing below
+    # could find a divergence
+    if len(records_a) == len(records_b) \
+            and all(map(_identical, records_a, records_b)):
+        result.matched = len(records_a)
+        return result
+
+    keyed_a = key_records(records_a, reverse_occurrence=dropped)
+    keyed_b = key_records(records_b, reverse_occurrence=dropped)
 
     by_key_a = {kr.key: kr for kr in keyed_a}
     by_key_b = {kr.key: kr for kr in keyed_b}
@@ -308,8 +379,6 @@ def align(
 
 
 def _drifted_fields(a: TraceRecord, b: TraceRecord) -> List[str]:
-    from repro.align.keying import VOLATILE_FIELDS
-
     names: List[str] = []
     if a.source != b.source:
         names.append("source")

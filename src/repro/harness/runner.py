@@ -20,6 +20,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+import numpy as np
+
 from repro.apps.heatdis import HeatdisConfig, make_heatdis_main
 from repro.apps.heatdis2d import Heatdis2DConfig, make_heatdis2d_main
 from repro.apps.heatdis_manual import make_manual_heatdis_main
@@ -133,8 +135,9 @@ class RunReport:
     #: trace listener that raised and was isolated)
     warnings: List[str] = field(default_factory=list)
     #: determinism-audit findings (repro.align divergence dicts between
-    #: the run and its seeded replay); empty when the audit was off or
-    #: the replay aligned record-for-record
+    #: the run and its seeded replay, plus one ``run_report`` entry when
+    #: the two reports disagree); empty when the audit was off or the
+    #: replay aligned record-for-record and reported the same run
     divergences: List[Dict] = field(default_factory=list)
 
     @property
@@ -482,12 +485,36 @@ class JobRunner:
             raise exc
 
 
+#: RunReport fields a seeded replay must reproduce bit for bit
+_REPLAYED_FIELDS = ("wall_time", "attempts", "buckets", "platform",
+                    "data_path")
+
+
+def _report_drift(report: RunReport, replayed: RunReport) -> List[str]:
+    """Names of the report fields a run and its replay disagree on:
+    the simulated statistics, and ``results`` when any rank's result
+    arrays differ (``np.array_equal``; other result entries are live
+    objects and are not compared)."""
+    names = [name for name in _REPLAYED_FIELDS
+             if getattr(report, name) != getattr(replayed, name)]
+    ours, theirs = report.results, replayed.results
+    if ours.keys() != theirs.keys() or any(
+        isinstance(value, np.ndarray)
+        and not np.array_equal(value, theirs[rank].get(key))
+        for rank, outcome in ours.items()
+        for key, value in outcome.items()
+    ):
+        names.append("results")
+    return names
+
+
 def _run_with_replay_audit(
     make_runner: Callable[[FailurePlan, bool, bool], JobRunner],
     plan: FailurePlan,
     determinism_audit: bool,
 ) -> RunReport:
-    """Run a job; with the audit on, replay it and align the traces.
+    """Run a job; with the audit on, replay it, align the traces and
+    compare the two reports.
 
     ``make_runner(plan, observed, capture)`` builds a fresh runner:
     ``observed`` carries the caller's telemetry/monitor/rules/sinks
@@ -504,12 +531,29 @@ def _run_with_replay_audit(
     primary = make_runner(plan, True, True)
     report = primary.run()
     replay = make_runner(replay_plan, False, True)
-    replay.run()
+    replayed = replay.run()
     # lazy import: repro.align consumes traces, the harness only hands
     # them over, so the package import graph stays acyclic
-    from repro.align.engine import audit_traces
+    from repro.align.engine import Divergence, audit_traces
 
     report.divergences = audit_traces(primary.trace, replay.trace)
+    # the alignment compares record structure and non-volatile fields,
+    # neither simulated times nor what the job computed: the two reports
+    # carry those
+    drifted = _report_drift(report, replayed)
+    if drifted:
+        report.divergences.append(Divergence(
+            category="value",
+            layer="app",
+            key=(None, "run_report", None, 0),
+            time=min(report.wall_time, replayed.wall_time),
+            summary=(f"run_report value drift on {', '.join(drifted)} "
+                     f"between the run and its seeded replay"),
+            briefs=[f"{run}: wall_time={r.wall_time!r} "
+                    f"attempts={r.attempts}"
+                    for run, r in (("A", report), ("B", replayed))],
+            fields=drifted,
+        ).to_dict())
     if report.divergences:
         report.warnings.append(
             f"determinism audit: {len(report.divergences)} divergence(s) "
@@ -567,7 +611,8 @@ def run_heatdis_job(
     """Run one Heatdis job under a strategy; returns the report.
 
     ``determinism_audit=True`` records the run's trace, replays the
-    identical spec, aligns both traces (:mod:`repro.align`), and
+    identical spec, aligns both traces (:mod:`repro.align`), compares
+    the two reports (simulated statistics and result arrays), and
     attaches the divergences to ``RunReport.divergences``.
     """
     strategy = STRATEGIES[strategy_name]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.trace import Trace, TraceRecord
@@ -204,8 +205,14 @@ def _record_rank(rec: TraceRecord) -> Optional[int]:
             return int(r)
         except (TypeError, ValueError):
             return None
-    src = rec.source
-    tail = src.rsplit("rank", 1)
+    return _source_rank(rec.source)
+
+
+@lru_cache(maxsize=4096)
+def _source_rank(source: str) -> Optional[int]:
+    """The ``N`` of a ``...rankN`` source (memoised: the aggregator asks
+    for every record, and a run has a few dozen distinct sources)."""
+    tail = source.rsplit("rank", 1)
     if len(tail) == 2 and tail[1].isdigit():
         return int(tail[1])
     return None

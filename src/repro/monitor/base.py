@@ -12,7 +12,16 @@ after the engine drains and fails the run there when strict.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.monitor.violations import InvariantViolation
 from repro.sim.trace import Trace, TraceRecord
@@ -36,6 +45,10 @@ def layer_rank(source: str) -> Optional[Tuple[str, int]]:
 
 class ProtocolMonitor:
     """Base class: one invariant family, one state machine."""
+
+    #: the record kinds :meth:`feed` acts on -- the suite hands a monitor
+    #: no other record; None (the default) asks for every record
+    KINDS: Optional[FrozenSet[str]] = None
 
     def __init__(self) -> None:
         self.violations: List[InvariantViolation] = []
@@ -67,11 +80,22 @@ class MonitorSuite:
     complete, then read :attr:`violations`.
     """
 
-    def __init__(self, monitors: Optional[List[ProtocolMonitor]] = None) -> None:
+    def __init__(self, monitors: Optional[Iterable[ProtocolMonitor]] = None) -> None:
         if monitors is None:
             from repro.monitor.monitors import standard_monitors
             monitors = standard_monitors()
-        self.monitors = monitors
+        #: a tuple: the dispatch table below is built from it once
+        self.monitors = monitors = tuple(monitors)
+        #: kind -> the feeds consuming it, in suite order, built once;
+        #: kinds nobody declared go to the monitors that want everything
+        declared = set().union(*(m.KINDS or () for m in monitors))
+        self._feeds_of: Dict[str, Tuple[Callable, ...]] = {
+            kind: tuple(m.feed for m in monitors
+                        if m.KINDS is None or kind in m.KINDS)
+            for kind in declared
+        }
+        self._feeds_of_any = tuple(
+            m.feed for m in monitors if m.KINDS is None)
         self._trace: Optional[Trace] = None
         self._finished = False
         #: ``(count, (first, last))`` of ring-buffer evictions, recorded at
@@ -82,8 +106,8 @@ class MonitorSuite:
     # -- streaming ---------------------------------------------------------
 
     def feed(self, rec: TraceRecord) -> None:
-        for mon in self.monitors:
-            mon.feed(rec)
+        for feed in self._feeds_of.get(rec.kind, self._feeds_of_any):
+            feed(rec)
 
     def attach(self, trace: Trace) -> None:
         """Subscribe to a live trace (records already held are fed first,

@@ -41,6 +41,9 @@ def _as_key(value) -> Tuple:
 class ULFMOrderMonitor(ProtocolMonitor):
     """Revoke-before-shrink/agree ordering on failed communicators."""
 
+    KINDS = frozenset({"comm_create", "rank_dead", "revoke", "agree", "shrink",
+                       "repair"})
+
     def __init__(self) -> None:
         super().__init__()
         #: comm name -> world-rank membership (from comm_create)
@@ -135,6 +138,8 @@ _ROLE_EDGES: Dict[Optional[str], Set[str]] = {
 class RoleTransitionMonitor(ProtocolMonitor):
     """Per-rank Fenix role state machine legality."""
 
+    KINDS = frozenset({"rank_dead", "spare_activated", "role"})
+
     def __init__(self) -> None:
         super().__init__()
         self._role: Dict[int, TraceRecord] = {}
@@ -182,6 +187,9 @@ class RoleTransitionMonitor(ProtocolMonitor):
 
 class RepairGateMonitor(ProtocolMonitor):
     """Repair-gate rendezvous completeness and generation sequencing."""
+
+    KINDS = frozenset({"rank_dead", "rank_exit", "finalize_arrive", "role",
+                       "shrink", "repair", "abort"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -267,6 +275,8 @@ class RepairGateMonitor(ProtocolMonitor):
 class VersionMonitor(ProtocolMonitor):
     """VeloC checkpoint-version monotonicity and no ghost restores."""
 
+    KINDS = frozenset({"rank_dead", "checkpoint", "recover"})
+
     def __init__(self) -> None:
         super().__init__()
         #: source -> last checkpoint/recover record (monotonicity anchor)
@@ -312,6 +322,8 @@ class VersionMonitor(ProtocolMonitor):
 
 class FlushMonitor(ProtocolMonitor):
     """Flush-before-restore across the VeloC persistent tiers."""
+
+    KINDS = frozenset({"checkpoint", "flush_done", "recover"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -359,6 +371,9 @@ class FlushMonitor(ProtocolMonitor):
 
 class BuddyMonitor(ProtocolMonitor):
     """IMR buddy consistency: restores must match advertised copies."""
+
+    KINDS = frozenset({"imr_store", "imr_buddy_send", "imr_buddy_recv",
+                       "imr_restore"})
 
     def __init__(self) -> None:
         super().__init__()

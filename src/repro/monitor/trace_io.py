@@ -45,6 +45,11 @@ def _json_default(value: Any) -> Any:
     return repr(value)
 
 
+#: one encoder for every line written (``json.dumps(..., default=...)``
+#: builds a new one per call); same output, byte for byte
+_encode = json.JSONEncoder(default=_json_default).encode
+
+
 def trace_meta(trace: Trace) -> Dict[str, Any]:
     """The meta-header payload: schema/version stamp + drop accounting
     (also the meta :mod:`repro.align` reads to excuse accounted gaps)."""
@@ -63,11 +68,9 @@ def write_trace(path: str, trace: Trace) -> int:
     """Write every held record (plus the drop header); returns the count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": trace_meta(trace)},
-                            default=_json_default) + "\n")
+        fh.write(_encode({"meta": trace_meta(trace)}) + "\n")
         for rec in trace:
-            fh.write(json.dumps(_record_to_obj(rec), default=_json_default)
-                     + "\n")
+            fh.write(_encode(_record_to_obj(rec)) + "\n")
             n += 1
     return n
 
@@ -151,10 +154,9 @@ class JsonlTraceSink:
         self.records_written = 0
         self._trace: Optional[Trace] = None
         self._fh: Optional[Any] = open(path, "w", encoding="utf-8")
-        self._fh.write(json.dumps(
+        self._fh.write(_encode(
             {"meta": stamp({"version": FORMAT_VERSION, "streaming": True},
-                           FORMAT_VERSION)},
-            default=_json_default) + "\n")
+                           FORMAT_VERSION)}) + "\n")
         self._fh.flush()
         if trace is not None:
             self.attach(trace)
@@ -169,8 +171,7 @@ class JsonlTraceSink:
     def __call__(self, rec: TraceRecord) -> None:
         if self._fh is None:
             return
-        self._fh.write(json.dumps(_record_to_obj(rec),
-                                  default=_json_default) + "\n")
+        self._fh.write(_encode(_record_to_obj(rec)) + "\n")
         self._fh.flush()  # the whole point: no block buffering
         self.records_written += 1
 
@@ -179,8 +180,7 @@ class JsonlTraceSink:
             return
         if self._trace is not None:
             self._trace.unsubscribe(self)
-            self._fh.write(json.dumps({"meta": trace_meta(self._trace)},
-                                      default=_json_default) + "\n")
+            self._fh.write(_encode({"meta": trace_meta(self._trace)}) + "\n")
             self._trace = None
         self._fh.close()
         self._fh = None

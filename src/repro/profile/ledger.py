@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.profile.categories import (
@@ -163,15 +165,26 @@ class ProfileLedger:
         }
 
 
-def _world_rank_of(source: str, fields: Dict[str, Any]) -> Optional[int]:
+@lru_cache(maxsize=4096)
+def _track_rank(source: str) -> Tuple[Optional[int], bool]:
+    """``(N, is_layer_track)`` of a ``rankN`` / ``<layer>.rankN`` source
+    (memoised: a run has a few dozen distinct sources)."""
     m = _RANK_TRACK.match(source)
     if m:
-        return int(m.group(1))
+        return int(m.group(1)), False
     m = _LAYER_RANK_TRACK.match(source)
     if m:
+        return int(m.group(1)), True
+    return None, False
+
+
+def _world_rank_of(source: str, fields: Dict[str, Any]) -> Optional[int]:
+    rank, is_layer_track = _track_rank(source)
+    if is_layer_track:
         wrank = fields.get("wrank")
-        return int(wrank) if wrank is not None else int(m.group(1))
-    return None
+        if wrank is not None:
+            return int(wrank)
+    return rank
 
 
 def _collect(telemetry: Any) -> Tuple[
@@ -253,20 +266,25 @@ def _sweep(rank: int, items: List[_Interval],
         bounds.add(min(end, iv.end))
     cuts = sorted(bounds)
     opens = sorted(items, key=lambda iv: iv.start)
-    active: List[_Interval] = []
+    # a heap of the intervals open at ``lo``, the winner (priority, then
+    # depth, then first in ``opens``) on top; an expired interval is
+    # dropped when it surfaces, not searched for at every cut
+    active: List[Tuple[int, int, int, _Interval]] = []
     next_open = 0
     for lo, hi in zip(cuts, cuts[1:]):
         if hi <= lo:
             continue
         while next_open < len(opens) and opens[next_open].start <= lo:
-            active.append(opens[next_open])
+            iv = opens[next_open]
+            heappush(active, (-iv.priority, -iv.order, next_open, iv))
             next_open += 1
-        active = [iv for iv in active if iv.end > lo]
+        while active and active[0][3].end <= lo:
+            heappop(active)
         seg = hi - lo
         if not active:
             categories[IDLE] = categories.get(IDLE, 0.0) + seg
             continue
-        winner = max(active, key=lambda iv: (iv.priority, iv.order))
+        winner = active[0][3]
         categories[winner.category] = (
             categories.get(winner.category, 0.0) + seg
         )

@@ -84,7 +84,9 @@ class Trace:
         #: per-kind index kept in lockstep with the ring (deques so ring
         #: eviction pops the oldest entry of the evicted record's kind)
         self._by_kind: Dict[str, Deque[TraceRecord]] = {}
-        self._listeners: List[Callable[[TraceRecord], None]] = []
+        #: a tuple, replaced on (un)subscribe, so emit() iterates a
+        #: stable snapshot without copying per record
+        self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
         #: overhead-bounded sampler (:class:`repro.telemetry.sampling
         #: .SpanSampler`); protocol-critical kinds are exempt inside the
         #: sampler itself, so monitors never miss a record they consume
@@ -112,11 +114,13 @@ class Trace:
         raise is isolated -- the exception is swallowed, counted in
         :attr:`listener_errors`, and surfaced as a harness warning --
         so a broken observer can never alter the run it observes."""
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+        listeners = list(self._listeners)
+        if listener in listeners:
+            listeners.remove(listener)
+            self._listeners = tuple(listeners)
 
     # -- recording -------------------------------------------------------
 
@@ -148,7 +152,7 @@ class Trace:
         # process that happened to emit the record -- observers observe,
         # they never alter the run.  Failures are counted and surfaced
         # as a RunReport warning by the harness.
-        for listener in tuple(self._listeners):
+        for listener in self._listeners:
             try:
                 listener(rec)
             except Exception as exc:  # noqa: BLE001 - isolation by design

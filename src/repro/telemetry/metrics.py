@@ -165,27 +165,28 @@ class MetricsRegistry:
     # -- accessors ------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        self._check_free(name, self._counters)
         metric = self._counters.get(name)
         if metric is None:
+            self._check_free(name, self._counters)
             metric = self._counters[name] = Counter(name)
         return metric
 
     def gauge(self, name: str) -> Gauge:
-        self._check_free(name, self._gauges)
         metric = self._gauges.get(name)
         if metric is None:
+            self._check_free(name, self._gauges)
             metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str, base: float = 2.0) -> Histogram:
-        self._check_free(name, self._histograms)
         metric = self._histograms.get(name)
         if metric is None:
+            self._check_free(name, self._histograms)
             metric = self._histograms[name] = Histogram(name, base=base)
         return metric
 
     def _check_free(self, name: str, own: Dict) -> None:
+        """A name can only clash with another type when it is created."""
         for family in (self._counters, self._gauges, self._histograms):
             if family is not own and name in family:
                 raise ConfigError(f"metric {name!r} already registered "

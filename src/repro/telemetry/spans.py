@@ -9,6 +9,18 @@ processes close at the simulated time the block exits -- including
 unwinding through a failure (``FenixLongJump``, ``RankKilledError``),
 in which case the span records the exception type as its ``error``.
 
+A span's record *is* its context manager: ``tracer.span(...)`` builds one
+slotted :class:`SpanRecord` and nothing else, ``__enter__`` gives it an
+id, a start and a parent and pushes it on its source's stack, and
+``__exit__`` pops and stamps it -- directly when it is the innermost open
+span of its source and no exception is in flight (the case of all but a
+handful of spans in a run), through :meth:`Tracer._close` otherwise,
+which also closes every descendant a killed process never unwound.  A
+span an ancestor closed *with an error* stays closed: when its own block
+finally exits, its ``end`` and inherited ``error`` stand.  (A span that a
+clean, out-of-order exit on a shared track closed early is still live: its
+own exit re-stamps its ``end``.)
+
 The tracer reads time from a bound *clock* (any object with a ``now``
 attribute -- in practice :class:`repro.sim.engine.Engine`); nothing here
 imports the simulator, so the lowest layers can import this package
@@ -17,22 +29,56 @@ without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
-@dataclass
 class SpanRecord:
-    """One closed-over interval (or instant, when ``end == start``)."""
+    """One interval (or instant, when ``end == start``) -- and, for a
+    span, the context manager that opens and closes it.
 
-    sid: int
-    source: str
-    name: str
-    start: float
-    end: Optional[float] = None
-    parent: Optional[int] = None
-    fields: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
+    :meth:`Tracer.span` hands back an inert record; entering it allocates
+    its id, reads the clock and pushes it on its source's stack, leaving
+    pops it and stamps ``end``.  Re-entrant use is not supported.
+    """
+
+    __slots__ = ("sid", "source", "name", "start", "end", "parent",
+                 "fields", "error", "_tracer")
+
+    def __init__(self, tracer: "Tracer", source: str, name: str,
+                 fields: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self.source = source
+        self.name = name
+        self.fields = fields
+        self.sid = 0
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self.parent: Optional[int] = None
+        self.error: Optional[str] = None
+
+    def __enter__(self) -> "SpanRecord":
+        tracer = self._tracer
+        tracer._next_id = self.sid = tracer._next_id + 1
+        self.start = tracer.now
+        stack = tracer._stacks.get(self.source)
+        if stack is None:
+            stack = tracer._stacks[self.source] = []
+        elif stack:
+            self.parent = stack[-1].sid
+        stack.append(self)
+        tracer.spans.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self._tracer
+        stack = tracer._stacks.get(self.source)
+        if exc_type is None and stack and stack[-1] is self:
+            # the common case: innermost open span of its source
+            stack.pop()
+            self.end = tracer.now
+        else:
+            tracer._close(self, exc_type)
+        return None  # never swallow
 
     @property
     def duration(self) -> Optional[float]:
@@ -45,27 +91,10 @@ class SpanRecord:
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
-
-class _SpanHandle:
-    """Context manager for one span; re-entrant use is not supported."""
-
-    __slots__ = ("_tracer", "_source", "_name", "_fields", "record")
-
-    def __init__(self, tracer: "Tracer", source: str, name: str,
-                 fields: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._source = source
-        self._name = name
-        self._fields = fields
-        self.record: Optional[SpanRecord] = None
-
-    def __enter__(self) -> SpanRecord:
-        self.record = self._tracer._open(self._source, self._name, self._fields)
-        return self.record
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._close(self.record, exc_type)
-        return None  # never swallow
+    def __repr__(self) -> str:
+        return (f"SpanRecord(sid={self.sid}, source={self.source!r}, "
+                f"name={self.name!r}, start={self.start}, end={self.end}, "
+                f"parent={self.parent}, error={self.error!r})")
 
 
 class _NullSpan:
@@ -103,48 +132,26 @@ class Tracer:
 
     # -- recording ------------------------------------------------------
 
-    def span(self, source: str, name: str, **fields: Any) -> _SpanHandle:
+    def span(self, source: str, name: str, **fields: Any) -> SpanRecord:
         """Open a span on ``source`` for the duration of a ``with`` block."""
-        return _SpanHandle(self, source, name, fields)
+        return SpanRecord(self, source, name, fields)
 
     def instant(self, source: str, name: str, **fields: Any) -> SpanRecord:
         """Record a zero-duration marker, parented to the open span."""
-        now = self.now
-        rec = SpanRecord(
-            sid=self._alloc_id(),
-            source=source,
-            name=name,
-            start=now,
-            end=now,
-            parent=self._parent_id(source),
-            fields=fields,
-        )
+        rec = SpanRecord(self, source, name, fields)
+        self._next_id = rec.sid = self._next_id + 1
+        rec.start = rec.end = self.now
+        stack = self._stacks.get(source)
+        if stack:
+            rec.parent = stack[-1].sid
         self.instants.append(rec)
         return rec
 
-    def _alloc_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def _parent_id(self, source: str) -> Optional[int]:
-        stack = self._stacks.get(source)
-        return stack[-1].sid if stack else None
-
-    def _open(self, source: str, name: str, fields: Dict[str, Any]) -> SpanRecord:
-        rec = SpanRecord(
-            sid=self._alloc_id(),
-            source=source,
-            name=name,
-            start=self.now,
-            parent=self._parent_id(source),
-            fields=fields,
-        )
-        self.spans.append(rec)
-        self._stacks.setdefault(source, []).append(rec)
-        return rec
-
-    def _close(self, rec: Optional[SpanRecord], exc_type: Optional[type]) -> None:
-        if rec is None:  # pragma: no cover - enter never ran
+    def _close(self, rec: SpanRecord, exc_type: Optional[type]) -> None:
+        """The general close: stamp, record the error, unwind the stack."""
+        if rec.end is not None and rec.error is not None:
+            # an ancestor's failure already closed it, at the ancestor's
+            # end: that end and the inherited error stand
             return
         rec.end = self.now
         if exc_type is not None:

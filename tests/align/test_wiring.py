@@ -65,6 +65,75 @@ def test_audit_off_leaves_report_empty():
     assert report.divergences == []
 
 
+def test_audit_flags_a_replay_that_only_differs_in_its_report(monkeypatch):
+    """The same records at other simulated seconds: the alignment sees
+    nothing (it compares neither times nor ``seconds``), the reports do."""
+    from repro.align.engine import align
+    from repro.harness import runner
+
+    audit = runner._run_with_replay_audit
+    runners = []
+
+    def skewed_audit(make_runner, plan, determinism_audit):
+        def make(plan_, observed, capture):
+            built = make_runner(plan_, observed, capture)
+            if not observed:
+                # the replay, on a platform that launches half a second
+                # slower: every record shifts, none changes
+                slow = dataclasses.replace(
+                    built.env, costs=runner.JobCosts(mpirun_launch=2.5))
+                built = runner.JobRunner(
+                    slow, built.strategy, built.n_ranks, plan_,
+                    built.build_main, built.app_name, capture_trace=True)
+            runners.append(built)
+            return built
+        return audit(make, plan, determinism_audit)
+
+    monkeypatch.setattr(runner, "_run_with_replay_audit", skewed_audit)
+    report = run_heatdis_job(
+        paper_env(RANKS + 1, n_spares=1, pfs_servers=2), "fenix_kr_veloc",
+        RANKS, HeatdisConfig(n_iters=N_ITERS, modeled_bytes_per_rank=16e6),
+        INTERVAL, plan=IterationFailure.between_checkpoints(2, INTERVAL, 1),
+        determinism_audit=True,
+    )
+    primary, replay = runners
+    assert not align(list(primary.trace), list(replay.trace)).divergent
+    assert len(report.divergences) == 1
+    drift = report.divergences[0]
+    assert (drift["category"], drift["layer"], drift["key"]["kind"]) \
+        == ("value", "app", "run_report")
+    assert "wall_time" in drift["fields"]
+    assert "results" not in drift["fields"]  # the same grid, later
+    assert any("determinism audit: 1 divergence" in w
+               for w in report.warnings)
+
+
+def test_report_drift_compares_result_arrays_not_live_objects():
+    import numpy as np
+
+    from repro.harness.runner import RunReport, _report_drift
+
+    def report(grid, **overrides):
+        fields = dict(
+            strategy="fenix_kr_veloc", app="heatdis", n_ranks=1,
+            wall_time=9.5, attempts=1, failures=1,
+            buckets={"compute": 4.0},
+            results={0: {"grid": grid, "kr": object()}})
+        fields.update(overrides)
+        return RunReport(**fields)
+
+    grid = np.arange(6.0).reshape(2, 3)
+    assert _report_drift(report(grid), report(grid.copy())) == []
+    other = grid.copy()
+    other[1, 2] = np.nextafter(other[1, 2], np.inf)
+    assert _report_drift(report(grid), report(other)) == ["results"]
+    assert _report_drift(report(grid), report(grid, results={})) \
+        == ["results"]
+    assert _report_drift(
+        report(grid), report(grid, attempts=2, data_path={"novel_bytes": 1.0})
+    ) == ["attempts", "data_path"]
+
+
 # -- executor + cache ----------------------------------------------------
 
 

@@ -10,12 +10,37 @@ from repro.apps.heatdis import HeatdisConfig
 from repro.apps.minimd import MiniMDConfig
 from repro.experiments.common import paper_env
 from repro.harness.runner import run_heatdis_job, run_minimd_job
-from repro.monitor import MonitorSuite
+from repro.monitor import MonitorSuite, standard_monitors
 from repro.sim.failures import IterationFailure
 
 RANKS = 4
 INTERVAL = 10
 N_ITERS = 30
+
+
+def feed_every_monitor_every_record(records):
+    """The suite before it dispatched by kind: the oracle for ``check``."""
+    monitors = standard_monitors()
+    for rec in records:
+        for mon in monitors:
+            mon.feed(rec)
+    violations = []
+    for mon in monitors:
+        mon.finish()
+        violations.extend(mon.violations)
+    violations.sort(key=lambda v: (v.time, v.monitor, v.rule))
+    return violations
+
+
+def check(records):
+    suite = MonitorSuite(standard_monitors())
+    suite.replay(records)
+    suite.finish()
+    # a monitor is only handed the kinds it declares: on every stream
+    # checked here, clean or corrupted, that must change no finding
+    assert [v.to_dict() for v in suite.violations] == [
+        v.to_dict() for v in feed_every_monitor_every_record(records)]
+    return suite.violations
 
 
 def run_monitored(strategy, kill_rank=2, app="heatdis"):

@@ -9,14 +9,8 @@ these prove the monitors check the protocol rather than the workload.
 
 import dataclasses
 
-from repro.monitor import MonitorSuite, layer_rank, standard_monitors
-
-
-def check(records):
-    suite = MonitorSuite(standard_monitors())
-    suite.replay(records)
-    suite.finish()
-    return suite.violations
+from repro.monitor import layer_rank
+from tests.monitor.conftest import check
 
 
 def rules_of(violations):

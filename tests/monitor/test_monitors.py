@@ -8,7 +8,11 @@ arriving during the repair-gate wait.
 
 from repro.monitor import MonitorSuite, standard_monitors
 from repro.sim import IterationFailure
-from tests.monitor.conftest import run_elastic_monitored, run_monitored
+from tests.monitor.conftest import (
+    check,
+    run_elastic_monitored,
+    run_monitored,
+)
 
 
 class TestCleanRuns:
@@ -90,3 +94,82 @@ class TestSuiteMechanics:
         assert suite.dropped == 3
         assert suite.dropped_window == (0.0, 2.0)
         assert "dropped 3" in suite.report()
+
+
+class TestKindDispatch:
+    """The suite hands a monitor only the kinds it declares."""
+
+    def test_clean_streams_read_the_same_as_feeding_everything(
+            self, veloc_run, imr_run, shrink_run):
+        kr_run = run_monitored("fenix_kr_veloc")  # 2/3 kr_region_* records
+        for run in (veloc_run, imr_run, shrink_run, kr_run):
+            assert check(run[2]) == []  # also compares with the oracle
+
+    def test_declared_kinds_cover_what_each_feed_acts_on(self, veloc_run,
+                                                         imr_run):
+        """A record of an undeclared kind must leave a monitor's state
+        alone -- otherwise its KINDS hides input from it."""
+        import copy
+        for _, _, records in (veloc_run, imr_run):
+            for mon in standard_monitors():
+                assert mon.KINDS, type(mon).__name__
+                for rec in records:
+                    if rec.kind in mon.KINDS:
+                        mon.feed(rec)
+                        continue
+                    snapshot = {k: copy.copy(v)
+                                for k, v in vars(mon).items()}
+                    mon.feed(rec)
+                    assert vars(mon) == snapshot, (type(mon).__name__,
+                                                   rec.kind)
+
+    def test_declared_kinds_are_the_kinds_each_feed_compares_against(self):
+        """KINDS restates ``feed``'s ``kind == ...`` chain; read the chain
+        so a kind no recorded stream happens to carry (``abort``,
+        ``agree``, ``finalize_arrive``, ``spare_activated``) cannot be
+        handled by a feed and missing from the declaration."""
+        import ast
+        import inspect
+        import textwrap
+
+        for mon in standard_monitors():
+            feed = ast.parse(textwrap.dedent(inspect.getsource(mon.feed)))
+            compared = set()
+            for node in ast.walk(feed):
+                if (isinstance(node, ast.Compare)
+                        and isinstance(node.left, ast.Name)
+                        and node.left.id == "kind"):
+                    for const in ast.walk(node.comparators[0]):
+                        if isinstance(const, ast.Constant):
+                            compared.add(const.value)
+            assert compared == mon.KINDS, type(mon).__name__
+
+    def test_the_suite_owns_its_monitor_list(self):
+        """The dispatch table is built once: the list it was built from
+        cannot be grown behind its back."""
+        mine = standard_monitors()
+        suite = MonitorSuite(mine)
+        mine.append(standard_monitors()[0])
+        assert isinstance(suite.monitors, tuple) and len(suite.monitors) == 6
+
+    def test_a_monitor_that_declares_nothing_sees_every_record(self):
+        from repro.monitor import ProtocolMonitor
+        from repro.sim.trace import Trace
+
+        class Recorder(ProtocolMonitor):
+            def __init__(self):
+                super().__init__()
+                self.kinds = []
+
+            def feed(self, rec):
+                self.kinds.append(rec.kind)
+
+        recorder = Recorder()
+        suite = MonitorSuite(standard_monitors() + [recorder])
+        tr = Trace()
+        suite.attach(tr)
+        # declared by several monitors, by one, and by none
+        for kind in ("rank_dead", "flush_done", "kr_region_begin", "made_up"):
+            tr.emit(0.0, "world", kind, rank=0, key=None)
+        assert recorder.kinds == ["rank_dead", "flush_done",
+                                  "kr_region_begin", "made_up"]

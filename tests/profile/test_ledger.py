@@ -42,11 +42,9 @@ def synthetic_tel():
 
 def span(tel, clock, source, start, end, name, **fields):
     clock.now = start
-    handle = tel.span(source, name, **fields)
-    handle.__enter__()
-    clock.now = end
-    handle.__exit__(None, None, None)
-    return handle.record
+    with tel.span(source, name, **fields) as rec:
+        clock.now = end
+    return rec
 
 
 def assert_conserved(ledger):

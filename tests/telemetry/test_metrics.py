@@ -137,6 +137,21 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             reg.histogram("x")
 
+    @pytest.mark.parametrize("first", ["counter", "gauge", "histogram"])
+    def test_clash_raised_when_second_type_first_registers(self, first):
+        # the check runs only when a name is created: every other family
+        # must still refuse it then, and go on refusing it afterwards
+        reg = MetricsRegistry()
+        metric = getattr(reg, first)("x")
+        for second in ("counter", "gauge", "histogram"):
+            if second == first:
+                continue
+            for _ in range(2):
+                with pytest.raises(ConfigError):
+                    getattr(reg, second)("x")
+        assert getattr(reg, first)("x") is metric
+        assert len(reg) == 1
+
     def test_convenience_helpers(self):
         reg = MetricsRegistry()
         reg.inc("c", 2)
