@@ -34,11 +34,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import __version__
 from repro.align import ALIGN_SCHEMA
 from repro.align.engine import align, first_divergence_report
+from repro.cli import add_job_args, job_from_args
+from repro.monitor import MonitorSuite
 from repro.monitor.trace_io import read_trace, write_trace
 from repro.report.compare import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
+from repro.sim.failures import ExponentialFailures
 from repro.util.errors import ReproError
-
-APPS = ("heatdis", "heatdis2d", "minimd")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,16 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--app", choices=APPS, default="heatdis")
-    sub.add_argument("--strategy", default="fenix_kr_veloc")
-    sub.add_argument("--ranks", type=int, default=4)
-    sub.add_argument("--iters", type=int, default=30)
-    sub.add_argument("--interval", type=int, default=10)
-    sub.add_argument("--spares", type=int, default=1)
-    sub.add_argument("--kill-rank", type=int, default=None)
-    sub.add_argument("--kill-after-checkpoint", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=20220906,
-                     help="cluster seed (the deterministic substrate)")
+    add_job_args(sub, default_strategy="fenix_kr_veloc")
     sub.add_argument("--failure-seed", type=int, default=None,
                      help="seeded exponential failure plan instead of "
                           "--kill-rank")
@@ -111,59 +103,14 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
 def _run_once(args: argparse.Namespace):
     """One monitored job; returns its live Trace (deterministic per
     args, so two calls record identical streams)."""
-    # harness/experiments imported lazily, like repro.monitor's CLI:
-    # pure trace-file subcommands must not pull the simulator in
-    from repro.experiments.common import paper_env
-    from repro.harness.runner import (
-        run_heatdis2d_job,
-        run_heatdis_job,
-        run_minimd_job,
-    )
-    from repro.harness.strategies import STRATEGIES
-    from repro.monitor import MonitorSuite
-    from repro.sim.failures import (
-        ExponentialFailures,
-        IterationFailure,
-        NoFailures,
-    )
-
-    if args.strategy not in STRATEGIES:
-        raise ReproError(
-            f"unknown strategy {args.strategy!r}; choose from: "
-            + ", ".join(sorted(STRATEGIES))
-        )
-    strategy = STRATEGIES[args.strategy]
-    n_spares = args.spares if strategy.fenix else 0
-    env = paper_env(args.ranks + max(n_spares, 1), n_spares=n_spares,
-                    seed=args.seed, pfs_servers=2)
+    suite = MonitorSuite()
+    observe = dict(strict_monitor=False, monitor=suite)
     if args.failure_seed is not None:
-        plan = ExponentialFailures(
+        observe["plan"] = ExponentialFailures(
             args.mtbf, seed=args.failure_seed,
             max_failures=args.max_failures,
         )
-    elif args.kill_rank is not None:
-        plan = IterationFailure.between_checkpoints(
-            args.kill_rank, args.interval, args.kill_after_checkpoint
-        )
-    else:
-        plan = NoFailures()
-    suite = MonitorSuite()
-    kwargs = dict(plan=plan, strict_monitor=False, monitor=suite)
-    if args.app == "heatdis":
-        from repro.apps.heatdis import HeatdisConfig
-        run_heatdis_job(env, args.strategy, args.ranks,
-                        HeatdisConfig(n_iters=args.iters), args.interval,
-                        **kwargs)
-    elif args.app == "heatdis2d":
-        from repro.apps.heatdis2d import Heatdis2DConfig
-        run_heatdis2d_job(env, args.strategy, args.ranks,
-                          Heatdis2DConfig(n_iters=args.iters),
-                          args.interval, **kwargs)
-    else:
-        from repro.apps.minimd import MiniMDConfig
-        run_minimd_job(env, args.strategy, args.ranks,
-                       MiniMDConfig(n_steps=args.iters), args.interval,
-                       **kwargs)
+    job_from_args(args)(**observe)
     return suite._trace
 
 

@@ -27,14 +27,18 @@ while the host-side win for in-place writers is measured by the
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.apps import MiniMDConfig
-from repro.experiments.common import paper_env
+from repro.experiments.common import (
+    PairedCell,
+    paired_specs,
+    paper_env,
+    run_paired_cells,
+    with_app_init,
+)
 from repro.experiments.fig5_heatdis import (
     CKPT_INTERVAL,
     FAIL_AFTER_CKPT,
@@ -45,12 +49,10 @@ from repro.harness import RunReport
 from repro.parallel import (
     CampaignProgress,
     CellSpec,
-    PlanSpec,
     RunCache,
     execute_cell,
-    run_cells,
 )
-from repro.util.units import parse_size
+from repro.util.units import format_table, parse_size
 
 #: the two data-path arms, by the env flag they set
 ARMS = ["full", "incremental"]
@@ -63,22 +65,16 @@ DEFAULT_DATA_SIZE = "64MB"
 
 
 @dataclass
-class AblationCell:
+class AblationCell(PairedCell):
     """One (app, arm) cell: clean + failing runs of the same scenario."""
 
     app: str
     arm: str
     n_ranks: int
-    clean: RunReport
-    failed: RunReport
 
     @property
     def checkpoint_seconds(self) -> float:
         return self.clean.category("checkpoint_function")
-
-    @property
-    def failure_cost(self) -> float:
-        return self.failed.wall_time - self.clean.wall_time
 
     @property
     def data_path(self) -> Dict[str, float]:
@@ -95,42 +91,16 @@ def _arm_env(app: str, arm: str, n_ranks: int, pfs_servers: int = 2):
     )
     if app == "minimd":
         # mirror fig6's larger application init (the point of miniMD)
-        costs = dataclasses.replace(
-            env.costs,
-            app_noncomm_init=MINIMD_APP_INIT / 2,
-            app_comm_init=MINIMD_APP_INIT / 2,
-        )
-        env = dataclasses.replace(env, costs=costs)
+        env = with_app_init(env, MINIMD_APP_INIT)
     return env
-
-
-def _fail_plan(victim: int = 1) -> PlanSpec:
-    return PlanSpec.between_checkpoints(
-        victim, CKPT_INTERVAL, FAIL_AFTER_CKPT, fraction=0.95
-    )
 
 
 def _arm_specs(app: str, arm: str, n_ranks: int,
                data_bytes: float) -> List[CellSpec]:
-    if app == "heatdis":
-        cfg = _heat_cfg(data_bytes)
-    else:
-        cfg: MiniMDConfig = _md_cfg(n_ranks, jitter=0.05)
-    env = _arm_env(app, arm, n_ranks)
-
-    def spec(plan: PlanSpec, tag: str) -> CellSpec:
-        return CellSpec(
-            app=app,
-            strategy=STRATEGY,
-            n_ranks=n_ranks,
-            config=cfg,
-            ckpt_interval=CKPT_INTERVAL,
-            env=env,
-            plan=plan,
-            label=tag,
-        )
-
-    return [spec(PlanSpec.none(), "clean"), spec(_fail_plan(), "failed")]
+    cfg = (_heat_cfg(data_bytes) if app == "heatdis"
+           else _md_cfg(n_ranks, jitter=0.05))
+    return paired_specs(app, STRATEGY, n_ranks, cfg, CKPT_INTERVAL,
+                        _arm_env(app, arm, n_ranks), FAIL_AFTER_CKPT)
 
 
 def run_checkpoint_ablation(
@@ -143,20 +113,12 @@ def run_checkpoint_ablation(
 ) -> List[AblationCell]:
     """Run the full-vs-incremental sweep; cells come back app-major."""
     data_bytes = parse_size(data_size)
-    keys, groups = [], []
-    for app in apps or ["heatdis", "minimd"]:
-        for arm in ARMS:
-            keys.append((app, arm))
-            groups.append(_arm_specs(app, arm, n_ranks, data_bytes))
-    flat = [s for group in groups for s in group]
-    executed = iter(run_cells(flat, jobs=jobs, cache=cache,
-                              progress=progress))
-    cells = []
-    for (app, arm), group in zip(keys, groups):
-        reports = {s.label: next(executed).report for s in group}
-        cells.append(AblationCell(app, arm, n_ranks,
-                                  reports["clean"], reports["failed"]))
-    return cells
+    keys = [(app, arm, n_ranks)
+            for app in apps or ["heatdis", "minimd"] for arm in ARMS]
+    return run_paired_cells(
+        AblationCell, keys,
+        lambda *key: _arm_specs(*key, data_bytes),
+        jobs=jobs, cache=cache, progress=progress)
 
 
 def _final_grids(report: RunReport) -> Dict[int, np.ndarray]:
@@ -212,7 +174,6 @@ def format_ablation(cells: List[AblationCell],
     def pct(dp: Dict[str, float], key: str) -> str:
         return f"{100.0 * dp[key]:.1f}" if key in dp else "--"
 
-    lines = [title]
     header = ["app", "arm", "ranks", "ckpt_s", "wall", "fail_cost",
               "dirty%", "dedup%"]
     rows = []
@@ -225,9 +186,4 @@ def format_ablation(cells: List[AblationCell],
             pct(cell.data_path, "dirty_fraction"),
             pct(cell.data_path, "dedup_ratio"),
         ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join([title] + format_table(header, rows))

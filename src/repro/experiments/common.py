@@ -9,7 +9,18 @@ the figures' shapes depend on.
 
 from __future__ import annotations
 
-from repro.harness import ExperimentEnv, JobCosts
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
+
+from repro.harness import ExperimentEnv, JobCosts, RunReport
+from repro.parallel import (
+    CampaignProgress,
+    CellSpec,
+    PlanSpec,
+    RunCache,
+    run_cells,
+)
 from repro.sim import ClusterSpec, NetworkSpec, NodeSpec, PFSSpec
 from repro.util.units import GiB, MiB
 
@@ -64,3 +75,79 @@ def paper_env(
         veloc_incremental=veloc_incremental,
         veloc_dedup=veloc_dedup and veloc_incremental,
     )
+
+
+def with_app_init(env: ExperimentEnv, seconds: float) -> ExperimentEnv:
+    """``env`` with the application's initialization cost set to
+    ``seconds``, split evenly between its non-communicative and
+    communicative halves (MiniMD's big init is the point of Figure 6)."""
+    costs = dataclasses.replace(env.costs, app_noncomm_init=seconds / 2,
+                                app_comm_init=seconds / 2)
+    return dataclasses.replace(env, costs=costs)
+
+
+# -- the clean/failed cell pair every figure sweeps ---------------------
+
+
+@dataclass(kw_only=True)
+class PairedCell:
+    """One figure cell: the failure-free run and, where the strategy can
+    survive one, the same job with the paper's kill.  Figures subclass
+    it with the coordinates they sweep."""
+
+    clean: RunReport
+    failed: Optional[RunReport] = None
+
+    @property
+    def failure_cost(self) -> Optional[float]:
+        """Extra wall time the failure added (the figures' top panel)."""
+        if self.failed is None:
+            return None
+        return self.failed.wall_time - self.clean.wall_time
+
+
+def paired_specs(
+    app: str,
+    strategy: str,
+    n_ranks: int,
+    config: Any,
+    ckpt_interval: int,
+    env: ExperimentEnv,
+    fail_after_ckpt: int,
+    victim: int = 1,
+    with_failure: bool = True,
+) -> List[CellSpec]:
+    """The ``clean`` spec of one figure cell and, unless the strategy is
+    ``none`` (nothing to recover with), its ``failed`` twin: the paper's
+    protocol, one rank killed 95% of the way from checkpoint
+    ``fail_after_ckpt`` to the next."""
+    clean = CellSpec(app=app, strategy=strategy, n_ranks=n_ranks,
+                     config=config, ckpt_interval=ckpt_interval, env=env,
+                     plan=PlanSpec.none(), label="clean")
+    if not with_failure or strategy == "none":
+        return [clean]
+    kill = PlanSpec.between_checkpoints(victim, ckpt_interval,
+                                        fail_after_ckpt, fraction=0.95)
+    return [clean, dataclasses.replace(clean, plan=kill, label="failed")]
+
+
+def run_paired_cells(
+    make_cell: Callable[..., PairedCell],
+    keys: Sequence[tuple],
+    specs_of: Callable[..., List[CellSpec]],
+    jobs: int = 1,
+    cache: Optional[RunCache] = None,
+    progress: Optional[CampaignProgress] = None,
+) -> list:
+    """Build ``specs_of(*key)`` for every key, execute all of them as one
+    flat sweep, and regroup by label into
+    ``make_cell(*key, clean=..., failed=...)``, in key order."""
+    groups = [specs_of(*key) for key in keys]
+    executed = iter(run_cells([s for group in groups for s in group],
+                              jobs=jobs, cache=cache, progress=progress))
+    cells = []
+    for key, group in zip(keys, groups):
+        reports = {s.label: next(executed).report for s in group}
+        cells.append(make_cell(*key, clean=reports["clean"],
+                               failed=reports.get("failed")))
+    return cells

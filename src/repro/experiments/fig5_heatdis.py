@@ -15,19 +15,17 @@ category accounting plus the ``time mpirun`` wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps import HeatdisConfig
-from repro.harness import RunReport
-from repro.experiments.common import paper_env
-from repro.parallel import (
-    CampaignProgress,
-    CellSpec,
-    PlanSpec,
-    RunCache,
-    run_cells,
+from repro.experiments.common import (
+    PairedCell,
+    paired_specs,
+    paper_env,
+    run_paired_cells,
 )
-from repro.util.units import parse_size
+from repro.parallel import CampaignProgress, CellSpec, RunCache
+from repro.util.units import format_table, parse_size
 
 #: the strategy columns of Figure 5
 FIG5_STRATEGIES = [
@@ -52,25 +50,16 @@ WEAK_SCALING_NODES = [4, 16, 64]
 
 
 @dataclass
-class Fig5Cell:
+class Fig5Cell(PairedCell):
     """One (strategy, size, nodes) cell: clean + failure runs."""
 
     strategy: str
     data_bytes: float
     n_ranks: int
-    clean: RunReport
-    failed: Optional[RunReport]
 
     @property
     def overhead_categories(self) -> Dict[str, float]:
         return self.clean.as_row()
-
-    @property
-    def failure_cost(self) -> Optional[float]:
-        """Extra wall time the failure added (the figure's top panel)."""
-        if self.failed is None:
-            return None
-        return self.failed.wall_time - self.clean.wall_time
 
 
 def _heat_cfg(data_bytes: float, jitter: float = 0.05) -> HeatdisConfig:
@@ -93,52 +82,11 @@ def _cell_specs(
     pfs_servers: int,
 ) -> List[CellSpec]:
     """The clean (and, when applicable, failing) specs of one figure cell."""
-    cfg = _heat_cfg(data_bytes)
-
-    def spec(plan: PlanSpec, tag: str) -> CellSpec:
-        return CellSpec(
-            app="heatdis",
-            strategy=strategy,
-            n_ranks=n_ranks,
-            config=cfg,
-            ckpt_interval=CKPT_INTERVAL,
-            env=paper_env(n_nodes=n_ranks + 1, pfs_servers=pfs_servers),
-            plan=plan,
-            label=tag,
-        )
-
-    specs = [spec(PlanSpec.none(), "clean")]
-    if with_failure and strategy != "none":
-        specs.append(
-            spec(
-                PlanSpec.between_checkpoints(
-                    victim, CKPT_INTERVAL, FAIL_AFTER_CKPT, fraction=0.95
-                ),
-                "failed",
-            )
-        )
-    return specs
-
-
-def _assemble_cells(
-    keys: List[Tuple[str, float, int]],
-    spec_groups: List[List[CellSpec]],
-    jobs: int,
-    cache: Optional[RunCache],
-    progress: Optional[CampaignProgress] = None,
-) -> List[Fig5Cell]:
-    """Flatten spec groups, execute once, regroup into figure cells."""
-    flat = [s for group in spec_groups for s in group]
-    executed = iter(run_cells(flat, jobs=jobs, cache=cache,
-                              progress=progress))
-    cells = []
-    for (strategy, data_bytes, n_ranks), group in zip(keys, spec_groups):
-        reports = {s.label: next(executed).report for s in group}
-        cells.append(
-            Fig5Cell(strategy, data_bytes, n_ranks,
-                     reports["clean"], reports.get("failed"))
-        )
-    return cells
+    return paired_specs(
+        "heatdis", strategy, n_ranks, _heat_cfg(data_bytes), CKPT_INTERVAL,
+        paper_env(n_nodes=n_ranks + 1, pfs_servers=pfs_servers),
+        FAIL_AFTER_CKPT, victim=victim, with_failure=with_failure,
+    )
 
 
 def run_fig5_cell(
@@ -151,10 +99,9 @@ def run_fig5_cell(
 ) -> Fig5Cell:
     """Run one Figure-5 cell (a clean run and optionally a failing run)."""
     data_bytes = parse_size(data_bytes)
-    specs = _cell_specs(strategy, data_bytes, n_ranks, with_failure, victim,
-                        pfs_servers)
-    return _assemble_cells(
-        [(strategy, data_bytes, n_ranks)], [specs], jobs=1, cache=None
+    return run_paired_cells(
+        Fig5Cell, [(strategy, data_bytes, n_ranks)],
+        lambda *key: _cell_specs(*key, with_failure, victim, pfs_servers),
     )[0]
 
 
@@ -168,17 +115,13 @@ def run_fig5_data_scaling(
     progress: Optional[CampaignProgress] = None,
 ) -> List[Fig5Cell]:
     """The left panel: data scaling at fixed node count."""
-    keys, groups = [], []
-    for size in sizes or DATA_SIZES:
-        for strategy in strategies or FIG5_STRATEGIES:
-            data_bytes = parse_size(size)
-            keys.append((strategy, data_bytes, n_ranks))
-            groups.append(
-                _cell_specs(strategy, data_bytes, n_ranks, with_failure,
-                            victim=1, pfs_servers=4)
-            )
-    return _assemble_cells(keys, groups, jobs=jobs, cache=cache,
-                           progress=progress)
+    keys = [(strategy, parse_size(size), n_ranks)
+            for size in sizes or DATA_SIZES
+            for strategy in strategies or FIG5_STRATEGIES]
+    return run_paired_cells(
+        Fig5Cell, keys,
+        lambda *key: _cell_specs(*key, with_failure, victim=1, pfs_servers=4),
+        jobs=jobs, cache=cache, progress=progress)
 
 
 def run_fig5_weak_scaling(
@@ -191,17 +134,13 @@ def run_fig5_weak_scaling(
     progress: Optional[CampaignProgress] = None,
 ) -> List[Fig5Cell]:
     """The right panel: node weak scaling at 1 GB per node."""
-    keys, groups = [], []
-    for n in nodes or WEAK_SCALING_NODES:
-        for strategy in strategies or FIG5_STRATEGIES:
-            data_bytes = parse_size(data_size)
-            keys.append((strategy, data_bytes, n))
-            groups.append(
-                _cell_specs(strategy, data_bytes, n, with_failure,
-                            victim=1, pfs_servers=4)
-            )
-    return _assemble_cells(keys, groups, jobs=jobs, cache=cache,
-                           progress=progress)
+    keys = [(strategy, parse_size(data_size), n)
+            for n in nodes or WEAK_SCALING_NODES
+            for strategy in strategies or FIG5_STRATEGIES]
+    return run_paired_cells(
+        Fig5Cell, keys,
+        lambda *key: _cell_specs(*key, with_failure, victim=1, pfs_servers=4),
+        jobs=jobs, cache=cache, progress=progress)
 
 
 def format_fig5(cells: List[Fig5Cell], title: str = "Figure 5") -> str:
@@ -209,7 +148,6 @@ def format_fig5(cells: List[Fig5Cell], title: str = "Figure 5") -> str:
     from repro.harness.report import HEATDIS_CATEGORIES, summarize_categories
     from repro.util.units import format_size
 
-    lines = [title]
     header = (
         ["strategy", "data", "ranks"]
         + HEATDIS_CATEGORIES
@@ -224,9 +162,4 @@ def format_fig5(cells: List[Fig5Cell], title: str = "Figure 5") -> str:
             + [f"{summary[c]:.2f}" for c in HEATDIS_CATEGORIES]
             + [f"{cell.clean.wall_time:.2f}", fail]
         )
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join([title] + format_table(header, rows))

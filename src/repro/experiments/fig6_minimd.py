@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.apps import MiniMDConfig
-from repro.experiments.common import paper_env
-from repro.harness import JobCosts, RunReport
-from repro.parallel import (
-    CampaignProgress,
-    CellSpec,
-    PlanSpec,
-    RunCache,
-    run_cells,
+from repro.experiments.common import (
+    PairedCell,
+    paired_specs,
+    paper_env,
+    run_paired_cells,
+    with_app_init,
 )
+from repro.parallel import CampaignProgress, CellSpec, RunCache
+from repro.util.units import format_table
 
 FIG6_STRATEGIES = ["none", "kr_veloc", "fenix_kr_veloc"]
 
@@ -36,17 +36,9 @@ MINIMD_APP_INIT = 4.0
 
 
 @dataclass
-class Fig6Cell:
+class Fig6Cell(PairedCell):
     strategy: str
     n_ranks: int
-    clean: RunReport
-    failed: Optional[RunReport]
-
-    @property
-    def failure_cost(self) -> Optional[float]:
-        if self.failed is None:
-            return None
-        return self.failed.wall_time - self.clean.wall_time
 
 
 def _md_cfg(n_ranks: int, jitter: float) -> MiniMDConfig:
@@ -66,18 +58,9 @@ def _md_cfg(n_ranks: int, jitter: float) -> MiniMDConfig:
 
 
 def _md_env(n_ranks: int, pfs_servers: int = 4):
-    env = paper_env(n_nodes=n_ranks + 1, pfs_servers=pfs_servers)
-    costs = JobCosts(
-        mpirun_launch=env.costs.mpirun_launch,
-        per_node_launch=env.costs.per_node_launch,
-        mpi_init=env.costs.mpi_init,
-        mpi_finalize=env.costs.mpi_finalize,
-        teardown=env.costs.teardown,
-        app_noncomm_init=MINIMD_APP_INIT / 2,
-        app_comm_init=MINIMD_APP_INIT / 2,
-    )
-    return type(env)(cluster_spec=env.cluster_spec, costs=costs,
-                     n_spares=env.n_spares)
+    return with_app_init(
+        paper_env(n_nodes=n_ranks + 1, pfs_servers=pfs_servers),
+        MINIMD_APP_INIT)
 
 
 def _cell_specs(
@@ -88,31 +71,11 @@ def _cell_specs(
     victim: int,
     pfs_servers: int,
 ) -> List[CellSpec]:
-    cfg = _md_cfg(n_ranks, jitter)
-
-    def spec(plan: PlanSpec, tag: str) -> CellSpec:
-        return CellSpec(
-            app="minimd",
-            strategy=strategy,
-            n_ranks=n_ranks,
-            config=cfg,
-            ckpt_interval=CKPT_INTERVAL,
-            env=_md_env(n_ranks, pfs_servers),
-            plan=plan,
-            label=tag,
-        )
-
-    specs = [spec(PlanSpec.none(), "clean")]
-    if with_failure and strategy != "none":
-        specs.append(
-            spec(
-                PlanSpec.between_checkpoints(
-                    victim, CKPT_INTERVAL, FAIL_AFTER_CKPT, fraction=0.95
-                ),
-                "failed",
-            )
-        )
-    return specs
+    return paired_specs(
+        "minimd", strategy, n_ranks, _md_cfg(n_ranks, jitter), CKPT_INTERVAL,
+        _md_env(n_ranks, pfs_servers), FAIL_AFTER_CKPT, victim=victim,
+        with_failure=with_failure,
+    )
 
 
 def run_fig6_cell(
@@ -129,12 +92,11 @@ def run_fig6_cell(
     counts, hides part of the asynchronous-checkpoint latency inside the
     compute phases (Section VI-D1).
     """
-    specs = _cell_specs(strategy, n_ranks, with_failure, jitter, victim,
-                        pfs_servers)
-    executed = run_cells(specs, jobs=1)
-    reports = {res.spec.label: res.report for res in executed}
-    return Fig6Cell(strategy, n_ranks, reports["clean"],
-                    reports.get("failed"))
+    return run_paired_cells(
+        Fig6Cell, [(strategy, n_ranks)],
+        lambda *key: _cell_specs(*key, with_failure, jitter, victim,
+                                 pfs_servers),
+    )[0]
 
 
 def run_fig6_weak_scaling(
@@ -146,30 +108,19 @@ def run_fig6_weak_scaling(
     cache: Optional[RunCache] = None,
     progress: Optional[CampaignProgress] = None,
 ) -> List[Fig6Cell]:
-    keys, groups = [], []
-    for n in ranks or RANK_COUNTS:
-        for strategy in strategies or FIG6_STRATEGIES:
-            keys.append((strategy, n))
-            groups.append(
-                _cell_specs(strategy, n, with_failure, jitter,
-                            victim=1, pfs_servers=4)
-            )
-    flat = [s for group in groups for s in group]
-    executed = iter(run_cells(flat, jobs=jobs, cache=cache,
-                              progress=progress))
-    cells = []
-    for (strategy, n), group in zip(keys, groups):
-        reports = {s.label: next(executed).report for s in group}
-        cells.append(
-            Fig6Cell(strategy, n, reports["clean"], reports.get("failed"))
-        )
-    return cells
+    keys = [(strategy, n)
+            for n in ranks or RANK_COUNTS
+            for strategy in strategies or FIG6_STRATEGIES]
+    return run_paired_cells(
+        Fig6Cell, keys,
+        lambda *key: _cell_specs(*key, with_failure, jitter, victim=1,
+                                 pfs_servers=4),
+        jobs=jobs, cache=cache, progress=progress)
 
 
 def format_fig6(cells: List[Fig6Cell], title: str = "Figure 6") -> str:
     from repro.harness.report import MINIMD_CATEGORIES, summarize_categories
 
-    lines = [title]
     header = ["strategy", "ranks"] + MINIMD_CATEGORIES + ["wall", "fail_cost"]
     rows = []
     for cell in cells:
@@ -180,9 +131,4 @@ def format_fig6(cells: List[Fig6Cell], title: str = "Figure 6") -> str:
             + [f"{summary[c]:.2f}" for c in MINIMD_CATEGORIES]
             + [f"{cell.clean.wall_time:.2f}", fail]
         )
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join([title] + format_table(header, rows))

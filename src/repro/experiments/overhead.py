@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.heatdis import HeatdisConfig
-from repro.experiments.common import paper_env
-from repro.harness.runner import run_heatdis_job
+from repro.cli import build_job
 from repro.harness.strategies import STRATEGIES
 from repro.profile.categories import CATEGORIES
-from repro.sim.failures import IterationFailure, NoFailures
 from repro.telemetry import Telemetry
+from repro.util.units import format_table
 
 #: strategies rows appear in (the Figure-5 order)
 DEFAULT_STRATEGIES = (
@@ -61,23 +59,11 @@ def run_overhead_attribution(
     """
     rows: List[OverheadRow] = []
     for name in strategies:
-        spec = STRATEGIES[name]
-        n_spares = 1 if spec.fenix else 0
-        env = paper_env(n_ranks + max(n_spares, 1), n_spares=n_spares,
-                        seed=seed, pfs_servers=2)
-        if kill_rank is not None and spec.checkpointing:
-            plan = IterationFailure.between_checkpoints(
-                kill_rank, ckpt_interval, 1
-            )
-        else:
-            plan = NoFailures()
-        tel = Telemetry(enabled=True)
-        report = run_heatdis_job(
-            env, name, n_ranks,
-            HeatdisConfig(n_iters=n_iters,
-                          modeled_bytes_per_rank=modeled_bytes),
-            ckpt_interval, plan=plan, telemetry=tel, profile=True,
-        )
+        kill = kill_rank if STRATEGIES[name].checkpointing else None
+        job = build_job(
+            "heatdis", name, n_ranks, n_iters, ckpt_interval,
+            kill_rank=kill, seed=seed, modeled_bytes_per_rank=modeled_bytes)
+        report = job(telemetry=Telemetry(enabled=True), profile=True)
         prof = report.profile
         rows.append(OverheadRow(
             strategy=name,
@@ -101,13 +87,7 @@ def format_overhead_table(rows: Sequence[OverheadRow],
         table.append([r.strategy]
                      + [f"{r.mean.get(c, 0.0):.4f}" for c in cats]
                      + [f"{r.mean_makespan:.4f}", f"{r.wall_time:.4f}"])
-    widths = [max(len(header[i]), *(len(row[i]) for row in table))
-              for i in range(len(header))]
-    lines = [title,
-             "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-             "  ".join("-" * w for w in widths)]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths))
-              for row in table]
+    lines = [title] + format_table(header, table, rule=True)
     dropped = sum(r.dropped for r in rows)
     if dropped:
         lines.append(f"WARNING: {dropped} trace records dropped across "

@@ -5,7 +5,9 @@ This package is the measurement methodology of Section VI-C in code:
 - :mod:`repro.harness.strategies` -- the resilience configurations of
   Figure 5 (VeloC alone, KR+VeloC, Fenix+KR+VeloC, Fenix-IMR,
   partial-rollback, and the manual Fenix+VeloC reference);
-- :mod:`repro.harness.runner` -- runs one job to completion, including
+- :mod:`repro.harness.runner` -- :func:`run_job`, the one front door
+  (any application registered in :data:`repro.apps.APPS`, any strategy,
+  any observers), runs one job to completion, including
   the relaunch loop for non-Fenix strategies (teardown + new world on the
   same cluster, PFS contents surviving) and the ``time mpirun``-equivalent
   wall-clock measurement;
@@ -22,6 +24,7 @@ from repro.harness.runner import (
     ExperimentEnv,
     JobCosts,
     RunReport,
+    run_job,
     run_heatdis2d_job,
     run_heatdis_job,
     run_minimd_job,
@@ -35,6 +38,7 @@ __all__ = [
     "ExperimentEnv",
     "JobCosts",
     "RunReport",
+    "run_job",
     "run_heatdis_job",
     "run_heatdis2d_job",
     "run_minimd_job",

@@ -7,6 +7,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.harness.runner import RunReport
+from repro.util.units import format_table
 
 #: display order of Figure 5's categories
 HEATDIS_CATEGORIES = [
@@ -132,14 +133,5 @@ def format_report_table(
             + [f"{summary.get(c, 0.0):.3f}" for c in cats]
             + [f"{rep.wall_time:.3f}"]
         )
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    lines = [title] if title else []
+    return "\n".join(lines + format_table(header, rows, rule=True))

@@ -1,5 +1,11 @@
 """Job runner: executes one experiment configuration to completion.
 
+One way in, one way out: :func:`run_job` runs any application registered
+in :data:`repro.apps.APPS` under any strategy with any observers (the
+per-application names are bindings of it), and the :class:`RunReport` it
+returns serialises itself -- ``to_dict`` / ``from_dict`` are derived from
+the dataclass's fields, and are what the run cache stores.
+
 Reproduces the paper's measurement methodology (Section VI-C):
 
 - the reported time is the ``time mpirun`` equivalent: everything from job
@@ -17,30 +23,31 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.apps.heatdis import HeatdisConfig, make_heatdis_main
-from repro.apps.heatdis2d import Heatdis2DConfig, make_heatdis2d_main
-from repro.apps.heatdis_manual import make_manual_heatdis_main
-from repro.apps.minimd import MiniMDConfig, make_minimd_main
-from repro.core import KRConfig, every_nth, make_context, never
+from repro.apps import resolve_app
 from repro.fenix import FenixSystem, IMRStore
 from repro.fenix.roles import Role
 from repro.harness.recompute import RecomputeTracker
-from repro.harness.strategies import STRATEGIES, StrategySpec
+from repro.harness.strategies import StrategySpec, resolve_strategy
 from repro.live.rules import (
+    Alert,
     LiveSession,
     RuleSet,
     SLOViolationError,
     load_rules,
 )
-from repro.monitor import InvariantViolationError, MonitorSuite
+from repro.monitor import (
+    InvariantViolation,
+    InvariantViolationError,
+    MonitorSuite,
+)
 from repro.mpi import World
 from repro.mpi.errors import MPIError
-from repro.mpi.handle import CommHandle
 from repro.sim import Cluster, ClusterSpec, FailurePlan, NoFailures
 from repro.sim.failures import RankKilledError
 from repro.sim.trace import Trace
@@ -159,6 +166,31 @@ class RunReport:
         row["wall_time"] = self.wall_time
         return row
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field but ``results`` (live per-rank objects), in
+        declaration order and JSON-ready.  Derived from the dataclass, so
+        a new field is stored, cached and reloaded without naming it
+        anywhere else; nested dicts keep their order, which is what lets
+        a cache hit re-serialize byte for byte."""
+        doc = {f.name: getattr(self, f.name)
+               for f in fields(self) if f.name != "results"}
+        doc["violations"] = [v.to_dict() for v in self.violations]
+        doc["alerts"] = [a.to_dict() for a in self.alerts]
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, Any]) -> "RunReport":
+        """Inverse of :meth:`to_dict` (``results`` comes back empty).
+        Strict: a missing field raises ``KeyError``, so a stale or
+        foreign document is rejected rather than half-filled."""
+        doc = dict(
+            doc, results={},
+            violations=[InvariantViolation.from_dict(v)
+                        for v in doc["violations"]],
+            alerts=[Alert.from_dict(a) for a in doc["alerts"]],
+        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
 
 def _all_settled(engine, procs) -> "Any":
     """Event that fires when every process has finished (ok or failed)."""
@@ -219,10 +251,6 @@ class JobRunner:
         if profile and (telemetry is None or not telemetry.enabled):
             raise ConfigError("profile=True requires enabled telemetry")
         self.profile = profile
-        # a telemetered run also records the legacy event trace so the
-        # exporters can interleave both record kinds on one timeline;
-        # ``trace_max_records`` switches it to ring-buffer mode so long
-        # campaigns cannot grow the record list without bound
         self.strict_monitor = (
             strict_monitor_default() if strict_monitor is None
             else strict_monitor
@@ -234,34 +262,39 @@ class JobRunner:
         self.strict_slo = (
             strict_slo_default() if strict_slo is None else strict_slo
         )
+        # the live layer: windowed series + SLO rules evaluated in-run
+        self.live: Optional[LiveSession] = (
+            LiveSession(rules=self.rules, monitor=self.monitor)
+            if self.rules is not None else None
+        )
+        # everything that subscribes to the run's trace, in attach order:
+        # the live layer after the monitor, so invariant_violations rules
+        # see the suite's findings the moment they exist; then the
+        # streaming flight recorder (e.g. monitor.trace_io.JsonlTraceSink:
+        # records hit disk as they are emitted; the caller closes it)
+        subscribers = [s for s in (self.monitor, self.live, trace_sink)
+                       if s is not None]
+        # a subscriber is a reason to record -- asked of the very list
+        # attached below, so a new observer cannot be left out of it --
+        # and so is an explicit capture.  A telemetered run also records
+        # the legacy event trace so the exporters can interleave both
+        # record kinds on one timeline; ``trace_max_records`` switches it
+        # to ring-buffer mode so long campaigns cannot grow the record
+        # list without bound
         trace = Trace(
             enabled=True, max_records=trace_max_records,
             sampler=telemetry.sampler if telemetry is not None else None,
         ) if (
-            (telemetry is not None and telemetry.enabled)
-            or self.monitor is not None
-            or self.rules is not None
-            or trace_sink is not None
-            or capture_trace
+            subscribers or capture_trace
+            or (telemetry is not None and telemetry.enabled)
         ) else None
         self.trace = trace
         self.cluster = Cluster(env.cluster_spec, trace=trace,
                                telemetry=telemetry)
         if trace is not None and telemetry is not None:
             telemetry.trace = trace
-        if self.monitor is not None and trace is not None:
-            self.monitor.attach(trace)
-        # the live layer: windowed series + SLO rules evaluated in-run,
-        # attached after the monitor so invariant_violations rules see
-        # the suite's findings the moment they exist
-        self.live: Optional[LiveSession] = None
-        if trace is not None and self.rules is not None:
-            self.live = LiveSession(rules=self.rules, monitor=self.monitor)
-            self.live.attach(trace)
-        # streaming flight recorder (e.g. monitor.trace_io.JsonlTraceSink):
-        # records hit disk as they are emitted; the caller closes it
-        if trace_sink is not None:
-            trace_sink.attach(trace)
+        for subscriber in subscribers:
+            subscriber.attach(trace)
         self.service = VeloCService(
             self.cluster, use_burst_buffer=env.use_burst_buffer
         )
@@ -374,7 +407,6 @@ class JobRunner:
             )
             main = self.build_main(
                 runner=self,
-                world=world,
                 imr=imr,
                 plan=self.plan,
                 results=self.results,
@@ -508,35 +540,15 @@ def _report_drift(report: RunReport, replayed: RunReport) -> List[str]:
     return names
 
 
-def _run_with_replay_audit(
-    make_runner: Callable[[FailurePlan, bool, bool], JobRunner],
-    plan: FailurePlan,
-    determinism_audit: bool,
-) -> RunReport:
-    """Run a job; with the audit on, replay it, align the traces and
-    compare the two reports.
-
-    ``make_runner(plan, observed, capture)`` builds a fresh runner:
-    ``observed`` carries the caller's telemetry/monitor/rules/sinks
-    (True for the primary run only -- the replay must not double-feed
-    the caller's observers), ``capture`` forces trace recording.  The
-    failure plan is deep-copied *before* the primary run because live
-    plans are stateful; both executions therefore see identical
-    injection schedules, which is what makes zero divergences the
-    correct expectation for a deterministic simulator.
-    """
-    if not determinism_audit:
-        return make_runner(plan, True, False).run()
-    replay_plan = copy.deepcopy(plan)
-    primary = make_runner(plan, True, True)
-    report = primary.run()
-    replay = make_runner(replay_plan, False, True)
-    replayed = replay.run()
+def _audit_replay(report: RunReport, trace: Trace, replayed: RunReport,
+                  replay_trace: Trace) -> None:
+    """Align a run with its seeded replay, compare the two reports, and
+    attach what differs to ``report.divergences``."""
     # lazy import: repro.align consumes traces, the harness only hands
     # them over, so the package import graph stays acyclic
     from repro.align.engine import Divergence, audit_traces
 
-    report.divergences = audit_traces(primary.trace, replay.trace)
+    report.divergences = audit_traces(trace, replay_trace)
     # the alignment compares record structure and non-volatile fields,
     # neither simulated times nor what the job computed: the two reports
     # carry those
@@ -560,204 +572,66 @@ def _run_with_replay_audit(
             f"between the run and its seeded replay (first: "
             f"{report.divergences[0]['summary']}); see repro.align"
         )
-    return report
 
 
-# -- application-specific front doors ---------------------------------------------
+# -- the front door -----------------------------------------------------------
 
 
-def _kr_factory(strategy: StrategySpec, cluster, service, imr, ckpt_interval,
-                env: Optional[ExperimentEnv] = None):
-    """Build the make_kr callable for one attempt."""
-    incremental = env.veloc_incremental if env is not None else True
-    dedup = incremental and (env.veloc_dedup if env is not None else True)
-    if strategy.checkpointing:
-        config = KRConfig(
-            backend=strategy.backend,
-            filter=every_nth(ckpt_interval),
-            recovery_scope=strategy.scope,
-            veloc_incremental=incremental,
-            veloc_dedup=dedup,
-        )
-    else:
-        config = KRConfig(backend="stdfile", filter=never,
-                          veloc_incremental=incremental, veloc_dedup=dedup)
-
-    def make_kr(handle: CommHandle):
-        return make_context(
-            handle, config, cluster, veloc_service=service, imr_store=imr
-        )
-
-    return make_kr
-
-
-def run_heatdis_job(
+def run_job(
+    app: str,
     env: ExperimentEnv,
     strategy_name: str,
     n_ranks: int,
-    cfg: HeatdisConfig,
+    cfg: Any,
     ckpt_interval: int,
     plan: Optional[FailurePlan] = None,
-    telemetry: Optional[Telemetry] = None,
-    trace_max_records: Optional[int] = None,
-    strict_monitor: Optional[bool] = None,
-    monitor: Optional[MonitorSuite] = None,
-    profile: bool = False,
-    rules: "Optional[RuleSet | str]" = None,
-    strict_slo: Optional[bool] = None,
-    trace_sink: Optional[Any] = None,
+    *,
     determinism_audit: bool = False,
+    **observe: Any,
 ) -> RunReport:
-    """Run one Heatdis job under a strategy; returns the report.
+    """Run one job of a registered application (:data:`repro.apps.APPS`)
+    under a strategy; returns the report.
+
+    ``observe`` is :class:`JobRunner`'s observer keywords (``telemetry``,
+    ``trace_max_records``, ``strict_monitor``, ``monitor``, ``profile``,
+    ``rules``, ``strict_slo``, ``trace_sink``), passed through untouched.
 
     ``determinism_audit=True`` records the run's trace, replays the
     identical spec, aligns both traces (:mod:`repro.align`), compares
     the two reports (simulated statistics and result arrays), and
     attaches the divergences to ``RunReport.divergences``.
     """
-    strategy = STRATEGIES[strategy_name]
-    plan = plan if plan is not None else NoFailures()
-
-    def build_main(runner, world, imr, plan, results, tracker):
-        if strategy.kr or not strategy.checkpointing:
-            make_kr = _kr_factory(
-                strategy, runner.cluster, runner.service, imr, ckpt_interval,
-                env=runner.env,
-            )
-            return make_heatdis_main(
-                cfg,
-                make_kr,
-                failure_plan=plan,
-                partial_rollback=(strategy.scope == "recovered_only"),
-                results=results,
-                tracker=tracker,
-            )
-        # manual integrations (VeloC alone / Fenix+VeloC without KR)
-        return make_manual_heatdis_main(
-            cfg,
-            runner.cluster,
-            runner.service,
-            ckpt_interval,
-            use_fenix=strategy.fenix,
-            failure_plan=plan,
-            results=results,
-            tracker=tracker,
-            incremental=env.veloc_incremental,
-            dedup=env.veloc_dedup,
-        )
-
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "heatdis",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
-
-
-def run_heatdis2d_job(
-    env: ExperimentEnv,
-    strategy_name: str,
-    n_ranks: int,
-    cfg: Heatdis2DConfig,
-    ckpt_interval: int,
-    plan: Optional[FailurePlan] = None,
-    telemetry: Optional[Telemetry] = None,
-    trace_max_records: Optional[int] = None,
-    strict_monitor: Optional[bool] = None,
-    monitor: Optional[MonitorSuite] = None,
-    profile: bool = False,
-    rules: "Optional[RuleSet | str]" = None,
-    strict_slo: Optional[bool] = None,
-    trace_sink: Optional[Any] = None,
-    determinism_audit: bool = False,
-) -> RunReport:
-    """Run one 2-D-decomposed Heatdis job under a strategy."""
-    strategy = STRATEGIES[strategy_name]
-    if strategy.checkpointing and not strategy.kr:
+    row = resolve_app(app)
+    strategy = resolve_strategy(strategy_name)
+    if row.kr_only and strategy.checkpointing and not strategy.kr:
         raise ConfigError(
-            "the 2-D Heatdis is only integrated through Kokkos Resilience"
+            f"{app} is only integrated through Kokkos Resilience"
         )
     plan = plan if plan is not None else NoFailures()
-
-    def build_main(runner, world, imr, plan, results, tracker):
-        make_kr = _kr_factory(
-            strategy, runner.cluster, runner.service, imr, ckpt_interval,
-            env=runner.env,
-        )
-        return make_heatdis2d_main(
-            cfg, make_kr, failure_plan=plan, results=results, tracker=tracker
-        )
-
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "heatdis2d",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
+    job = (env, strategy, n_ranks)
+    build_main = partial(row.build_main, cfg, strategy, ckpt_interval)
+    if not determinism_audit:
+        return JobRunner(*job, plan, build_main, app, **observe).run()
+    # the failure plan is deep-copied *before* the primary run because
+    # live plans are stateful; both executions therefore see identical
+    # injection schedules, which is what makes zero divergences the
+    # correct expectation for a deterministic simulator
+    replay_plan = copy.deepcopy(plan)
+    primary = JobRunner(*job, plan, build_main, app,
+                        capture_trace=True, **observe)
+    report = primary.run()
+    # the replay is the same construction with no observers: it must not
+    # double-feed the caller's telemetry, monitor, rules or sinks
+    replay = JobRunner(*job, replay_plan, build_main, app,
+                       trace_max_records=observe.get("trace_max_records"),
+                       strict_monitor=False, strict_slo=False,
+                       capture_trace=True)
+    _audit_replay(report, primary.trace, replay.run(), replay.trace)
+    return report
 
 
-def run_minimd_job(
-    env: ExperimentEnv,
-    strategy_name: str,
-    n_ranks: int,
-    cfg: MiniMDConfig,
-    ckpt_interval: int,
-    plan: Optional[FailurePlan] = None,
-    telemetry: Optional[Telemetry] = None,
-    trace_max_records: Optional[int] = None,
-    strict_monitor: Optional[bool] = None,
-    monitor: Optional[MonitorSuite] = None,
-    profile: bool = False,
-    rules: "Optional[RuleSet | str]" = None,
-    strict_slo: Optional[bool] = None,
-    trace_sink: Optional[Any] = None,
-    determinism_audit: bool = False,
-) -> RunReport:
-    """Run one MiniMD job under a strategy; returns the report."""
-    strategy = STRATEGIES[strategy_name]
-    if strategy.checkpointing and not strategy.kr:
-        raise ConfigError("MiniMD is only integrated through Kokkos Resilience")
-    plan = plan if plan is not None else NoFailures()
-
-    def build_main(runner, world, imr, plan, results, tracker):
-        make_kr = _kr_factory(
-            strategy, runner.cluster, runner.service, imr, ckpt_interval,
-            env=runner.env,
-        )
-        return make_minimd_main(
-            cfg, make_kr, failure_plan=plan, results=results, tracker=tracker
-        )
-
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "minimd",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
+#: the per-application names the front door used to be written under,
+#: kept because ``benchmarks/e2e`` (frozen) and most tests call them
+run_heatdis_job = partial(run_job, "heatdis")
+run_heatdis2d_job = partial(run_job, "heatdis2d")
+run_minimd_job = partial(run_job, "minimd")

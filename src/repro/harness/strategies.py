@@ -87,3 +87,14 @@ STRATEGIES = {
         scope="recovered_only",
     ),
 }
+
+
+def resolve_strategy(name: str) -> StrategySpec:
+    """The named :data:`STRATEGIES` row; a typo is a typed error that
+    lists the names that exist (every front door and CLI asks here)."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}"
+        ) from None

@@ -94,16 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record_from_obj(obj: Dict[str, Any]) -> TraceRecord:
-    return TraceRecord(
-        time=float(obj["time"]),
-        source=str(obj["source"]),
-        kind=str(obj["kind"]),
-        fields=dict(obj.get("fields", {})),
-        seq=int(obj.get("seq", -1)),
-    )
-
-
 def _load_rules_or_none(path: Optional[str]) -> Optional[RuleSet]:
     return load_rules(path) if path else None
 
@@ -148,7 +138,7 @@ class _TailState:
             self.dirty = True
             return
         try:
-            rec = _record_from_obj(obj)
+            rec = TraceRecord.from_dict(obj)
         except (KeyError, TypeError, ValueError):
             return  # foreign line in the stream; a viewer keeps going
         self.session.feed(rec)

@@ -33,7 +33,7 @@ re-arms only when it evaluates true again.  Fired alerts land in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.live.series import AGGREGATIONS, STANDARD_SERIES, TimeSeriesAggregator
@@ -145,13 +145,7 @@ class Alert:
                 + (f" ({self.description})" if self.description else ""))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule, "metric": self.metric,
-            "severity": self.severity, "time": self.time,
-            "value": self.value, "threshold": self.threshold,
-            "op": self.op, "agg": self.agg, "since": self.since,
-            "description": self.description, "records": list(self.records),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Alert":

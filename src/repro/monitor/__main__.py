@@ -30,13 +30,12 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
+from repro.cli import add_job_args, build_job, job_from_args
 from repro.monitor.base import MonitorSuite
 from repro.monitor.explain import explain_failure
 from repro.monitor.state import ProtocolStateTracker, render_state
 from repro.monitor.trace_io import JsonlTraceSink, read_trace, write_trace
 from repro.util.errors import ReproError
-
-APPS = ("heatdis", "heatdis2d", "minimd")
 
 #: the smoke campaign: every Fenix strategy family under one rank kill,
 #: plus the spare-exhaustion shrink path via the elastic example scale
@@ -64,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="trace file (JSONL); omit to run live")
     check.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
-    _add_run_args(check)
+    add_job_args(check, default_strategy="fenix_veloc")
     check.add_argument("--save-trace", default=None,
                        help="live runs: write the recorded trace here")
 
@@ -94,73 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--app", choices=APPS, default="heatdis")
-    sub.add_argument("--strategy", default="fenix_veloc")
-    sub.add_argument("--ranks", type=int, default=4)
-    sub.add_argument("--iters", type=int, default=30)
-    sub.add_argument("--interval", type=int, default=10)
-    sub.add_argument("--spares", type=int, default=1)
-    sub.add_argument("--kill-rank", type=int, default=None)
-    sub.add_argument("--kill-after-checkpoint", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=20220906)
-
-
-def _run_live(app: str, strategy_name: str, n_ranks: int, iters: int,
-              interval: int, spares: int, kill_rank: Optional[int],
-              kill_after: int, seed: int,
-              sink: Optional[JsonlTraceSink] = None,
-              ) -> Tuple[MonitorSuite, object]:
-    """One monitored job; returns (suite, runner-trace)."""
-    # harness/experiments imported lazily: offline subcommands must work
-    # without them (and the package import graph stays acyclic)
-    from repro.experiments.common import paper_env
-    from repro.harness.runner import (
-        run_heatdis2d_job,
-        run_heatdis_job,
-        run_minimd_job,
-    )
-    from repro.harness.strategies import STRATEGIES
-    from repro.sim.failures import IterationFailure, NoFailures
-
-    if strategy_name not in STRATEGIES:
-        raise ReproError(
-            f"unknown strategy {strategy_name!r}; choose from: "
-            + ", ".join(sorted(STRATEGIES))
-        )
-    strategy = STRATEGIES[strategy_name]
-    n_spares = spares if strategy.fenix else 0
-    env = paper_env(n_ranks + max(n_spares, 1), n_spares=n_spares,
-                    seed=seed, pfs_servers=2)
-    plan = NoFailures()
-    if kill_rank is not None:
-        plan = IterationFailure.between_checkpoints(
-            kill_rank, interval, kill_after
-        )
-    suite = MonitorSuite()
-    # strict_monitor=False: the CLI reports violations itself (exit code)
-    # instead of letting the harness raise mid-run
-    kwargs = dict(plan=plan, strict_monitor=False, monitor=suite,
-                  trace_sink=sink)
-    if app == "heatdis":
-        from repro.apps.heatdis import HeatdisConfig
-        run_heatdis_job(env, strategy_name, n_ranks,
-                        HeatdisConfig(n_iters=iters), interval, **kwargs)
-    elif app == "heatdis2d":
-        from repro.apps.heatdis2d import Heatdis2DConfig
-        run_heatdis2d_job(env, strategy_name, n_ranks,
-                          Heatdis2DConfig(n_iters=iters), interval, **kwargs)
-    else:
-        from repro.apps.minimd import MiniMDConfig
-        run_minimd_job(env, strategy_name, n_ranks,
-                       MiniMDConfig(n_steps=iters), interval, **kwargs)
-    suite.finish()
-    return suite, suite._trace
-
-
 def _check(args: argparse.Namespace) -> int:
     suite = MonitorSuite()
-    trace = None
     if args.trace is not None:
         try:
             records, meta = read_trace(args.trace)
@@ -177,11 +111,10 @@ def _check(args: argparse.Namespace) -> int:
         # so a tailer (repro.live tail) can watch the run unfold
         sink = JsonlTraceSink(args.save_trace) if args.save_trace else None
         try:
-            suite, trace = _run_live(
-                args.app, args.strategy, args.ranks, args.iters,
-                args.interval, args.spares, args.kill_rank,
-                args.kill_after_checkpoint, args.seed, sink=sink,
-            )
+            # strict_monitor=False: the CLI reports violations itself
+            # (exit code) instead of letting the harness raise mid-run
+            job_from_args(args)(strict_monitor=False, monitor=suite,
+                                trace_sink=sink)
         except ReproError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -225,18 +158,17 @@ def _smoke(args: argparse.Namespace) -> int:
     failures: List[str] = []
     for app, strategy, kill_rank in SMOKE_SCENARIOS:
         label = f"{app}-{strategy}-kill{kill_rank}"
+        suite = MonitorSuite()
         try:
-            suite, trace = _run_live(
-                app, strategy, args.ranks, args.iters, args.interval,
-                1, kill_rank, 1, 20220906,
-            )
+            job = build_job(app, strategy, args.ranks, args.iters,
+                            args.interval, kill_rank=kill_rank)
+            job(strict_monitor=False, monitor=suite)
         except ReproError as exc:
             print(f"{label}: RUN FAILED: {exc}")
             failures.append(label)
             continue
         path = os.path.join(args.out, f"{label}.trace.jsonl")
-        if trace is not None:
-            write_trace(path, trace)
+        write_trace(path, suite._trace)
         if suite.violations:
             print(f"{label}: {len(suite.violations)} violation(s) "
                   f"(trace: {path})")

@@ -29,16 +29,6 @@ from repro.util.schema import stamp, warn_on_mismatch
 FORMAT_VERSION = 1
 
 
-def _record_to_obj(rec: TraceRecord) -> Dict[str, Any]:
-    return {
-        "seq": rec.seq,
-        "time": rec.time,
-        "source": rec.source,
-        "kind": rec.kind,
-        "fields": rec.fields,
-    }
-
-
 def _json_default(value: Any) -> Any:
     if isinstance(value, (set, frozenset, tuple)):
         return list(value)
@@ -70,7 +60,7 @@ def write_trace(path: str, trace: Trace) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_encode({"meta": trace_meta(trace)}) + "\n")
         for rec in trace:
-            fh.write(_encode(_record_to_obj(rec)) + "\n")
+            fh.write(_encode(rec.to_dict()) + "\n")
             n += 1
     return n
 
@@ -101,13 +91,7 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
                 meta.update(obj["meta"])
                 continue
             try:
-                records.append(TraceRecord(
-                    time=float(obj["time"]),
-                    source=str(obj["source"]),
-                    kind=str(obj["kind"]),
-                    fields=dict(obj.get("fields", {})),
-                    seq=int(obj.get("seq", -1)),
-                ))
+                records.append(TraceRecord.from_dict(obj))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: malformed trace record ({exc})"
@@ -171,7 +155,7 @@ class JsonlTraceSink:
     def __call__(self, rec: TraceRecord) -> None:
         if self._fh is None:
             return
-        self._fh.write(_encode(_record_to_obj(rec)) + "\n")
+        self._fh.write(_encode(rec.to_dict()) + "\n")
         self._fh.flush()  # the whole point: no block buffering
         self.records_written += 1
 

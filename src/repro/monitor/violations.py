@@ -50,17 +50,16 @@ class InvariantViolation:
             "rule": self.rule,
             "message": self.message,
             "time": self.time,
-            "chain": [
-                {
-                    "seq": r.seq,
-                    "time": r.time,
-                    "source": r.source,
-                    "kind": r.kind,
-                    "fields": dict(r.fields),
-                }
-                for r in self.chain
-            ],
+            "chain": [r.to_dict() for r in self.chain],
         }
+
+    @classmethod
+    def from_dict(cls, doc: Dict) -> "InvariantViolation":
+        return cls(
+            monitor=doc["monitor"], rule=doc["rule"],
+            message=doc["message"], time=doc["time"],
+            chain=tuple(TraceRecord.from_dict(r) for r in doc["chain"]),
+        )
 
 
 class InvariantViolationError(ReproError):

@@ -17,10 +17,19 @@ Entries live as ``results/cache/<key>.json`` by default.  Invalidation
 is therefore: touch any ``repro`` source file, pass ``--no-cache``, or
 simply delete the directory -- entries are self-contained files.
 
-Only the aggregate :class:`~repro.harness.RunReport` fields are stored
-(per-rank application payloads are stripped by the executor); floats
-round-trip exactly through JSON (``repr``-based), which is what makes a
-cache hit byte-identical to the simulation it replaced.
+Entry layout (schema 2)
+----------------------
+
+``{"schema": 2, "report": RunReport.to_dict(), "failures": n}`` -- the
+report document is the one :class:`~repro.harness.RunReport` derives from
+its own fields (everything but the per-rank ``results`` payload, which
+holds live objects), so a hit carries the alerts, violations, data-path
+volumes, profile and warnings of the run it replaces, and a field added
+to the report is cached without an edit here.  Floats round-trip exactly
+through JSON (``repr``-based) and dict order is kept, which is what
+makes a cache hit byte-identical to the simulation it replaced.  An
+entry that cannot be read back -- torn text, or well-formed JSON of
+another shape -- is a miss: the cell re-simulates and overwrites it.
 """
 
 from __future__ import annotations
@@ -33,8 +42,9 @@ from typing import Optional
 from repro.harness.runner import RunReport
 from repro.parallel.spec import CellResult, CellSpec, spec_to_dict
 
-#: bump when the on-disk entry layout changes
-CACHE_SCHEMA = 1
+#: bump when the on-disk entry layout changes; part of the key, so
+#: entries of an older layout are orphaned, never misread
+CACHE_SCHEMA = 2
 
 DEFAULT_CACHE_DIR = pathlib.Path("results") / "cache"
 
@@ -71,37 +81,6 @@ def cache_key(spec: CellSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _report_to_entry(report: RunReport) -> dict:
-    return {
-        "strategy": report.strategy,
-        "app": report.app,
-        "n_ranks": report.n_ranks,
-        "wall_time": report.wall_time,
-        "attempts": report.attempts,
-        "failures": report.failures,
-        "buckets": dict(report.buckets),
-        "platform": dict(report.platform),
-        "telemetry": report.telemetry,
-        "divergences": list(report.divergences),
-    }
-
-
-def _report_from_entry(entry: dict) -> RunReport:
-    return RunReport(
-        strategy=entry["strategy"],
-        app=entry["app"],
-        n_ranks=entry["n_ranks"],
-        wall_time=entry["wall_time"],
-        attempts=entry["attempts"],
-        failures=entry["failures"],
-        buckets=dict(entry["buckets"]),
-        results={},
-        platform=dict(entry["platform"]),
-        telemetry=entry["telemetry"],
-        divergences=list(entry.get("divergences", [])),
-    )
-
-
 class RunCache:
     """Directory of completed cell results, keyed by content address."""
 
@@ -126,17 +105,20 @@ class RunCache:
             return None
         try:
             entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            result = CellResult(
+                spec=spec,
+                report=RunReport.from_dict(entry["report"]),
+                failures=entry["failures"],
+                cached=True,
+            )
+        except (OSError, KeyError, TypeError, ValueError):
+            # unreadable, torn (JSONDecodeError is a ValueError) or of
+            # another shape: never a crash, the cell re-simulates
             self.misses += 1
             self.skipped += 1
             return None
         self.hits += 1
-        return CellResult(
-            spec=spec,
-            report=_report_from_entry(entry["report"]),
-            failures=entry["failures"],
-            cached=True,
-        )
+        return result
 
     def put(self, spec: CellSpec, result: CellResult) -> None:
         """Persist one completed cell (atomic rename, so a crashed run
@@ -148,7 +130,7 @@ class RunCache:
         payload = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
-                "report": _report_to_entry(result.report),
+                "report": result.report.to_dict(),
                 "failures": result.failures,
             }
         )

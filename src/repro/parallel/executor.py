@@ -21,7 +21,17 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
+from contextlib import nullcontext
+from functools import partial
+from typing import (
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.parallel.cache import RunCache
 from repro.parallel.progress import CampaignProgress
@@ -45,11 +55,47 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _alerts_of(result: Optional[CellResult]) -> int:
-    """SLO alerts the cell's run fired (0 when the run carried no rules)."""
-    if result is None:
-        return 0
-    return len(getattr(result.report, "alerts", []) or [])
+def _run_each(
+    fn: Callable[[T], R],
+    work: Sequence[Tuple[int, str, T]],
+    n_workers: int,
+    progress: CampaignProgress,
+    done: Callable[[int, R, float], dict],
+) -> None:
+    """The one execution loop: ``fn(item)`` for every ``(index, label,
+    item)`` of ``work``, inline or on ``n_workers`` processes.
+
+    ``done(index, value, seconds)`` is called as each item completes
+    (completion order under a pool) and returns the keyword arguments of
+    the item's ``fresh`` progress event; ``seconds`` is the host time
+    spent waiting on the item here -- the call itself inline, next to
+    nothing for a pooled item that had already finished.  An item that
+    raises is reported as ``failed`` before the raise propagates.
+    """
+    def pending(pool: Optional[ProcessPoolExecutor]):
+        if pool is None:
+            for i, label, item in work:
+                progress.cell_submitted()
+                yield i, label, partial(fn, item)
+            return
+        futures = {}
+        for i, label, item in work:
+            futures[pool.submit(fn, item)] = (i, label)
+            progress.cell_submitted()
+        for fut in as_completed(futures):
+            yield (*futures[fut], fut.result)
+
+    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        for i, label, get in pending(pool):
+            t0 = time.perf_counter()
+            try:
+                value = get()
+            except BaseException:
+                progress.cell_done(i, label, "failed")
+                raise
+            progress.cell_done(
+                i, label, "fresh", **done(i, value, time.perf_counter() - t0))
 
 
 def run_cells(
@@ -63,6 +109,9 @@ def run_cells(
     Cache hits never reach a worker; only misses are simulated.  With
     ``jobs`` <= 1 (or a single miss) everything runs inline, which is
     also the degenerate case the determinism tests compare against.
+    Each fresh result is stored the moment it completes, so a sweep that
+    is interrupted -- or crashed by one bad cell -- keeps what it
+    finished.
 
     ``progress`` receives one ``cell_done`` event per cell -- cached
     cells immediately, simulated cells as each finishes (completion
@@ -71,60 +120,30 @@ def run_cells(
     """
     specs = list(specs)
     results: List[Optional[CellResult]] = [None] * len(specs)
-    if progress is not None:
-        progress.add_cells(len(specs))
+    if progress is None:
+        progress = CampaignProgress()  # no sinks: counts, emits nothing
+    progress.add_cells(len(specs))
     misses: List[int] = []
     for i, spec in enumerate(specs):
+        hit = cache.get(spec) if cache is not None else None
+        if hit is None:
+            misses.append(i)
+            continue
+        results[i] = hit
+        progress.cell_done(i, spec.label, "cached",
+                           alerts=len(hit.report.alerts))
+
+    def store(i: int, result: CellResult, _seconds: float) -> dict:
+        results[i] = result
         if cache is not None:
-            hit = cache.get(spec)
-            if hit is not None:
-                results[i] = hit
-                if progress is not None:
-                    progress.cell_done(i, spec.label, "cached",
-                                       alerts=_alerts_of(hit))
-                continue
-        misses.append(i)
+            cache.put(specs[i], result)
+        return {"host_seconds": result.host_seconds,
+                "alerts": len(result.report.alerts)}
 
     n_workers = min(resolve_jobs(jobs), len(misses)) if misses else 0
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {}
-            for i in misses:
-                futures[pool.submit(execute_cell_stripped, specs[i])] = i
-                if progress is not None:
-                    progress.cell_submitted()
-            for fut in as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except BaseException:
-                    if progress is not None:
-                        progress.cell_done(i, specs[i].label, "failed")
-                    raise
-                if progress is not None:
-                    progress.cell_done(
-                        i, specs[i].label, "fresh",
-                        host_seconds=results[i].host_seconds,
-                        alerts=_alerts_of(results[i]),
-                    )
-    else:
-        for i in misses:
-            if progress is not None:
-                progress.cell_submitted()
-            try:
-                results[i] = execute_cell(specs[i])
-            except BaseException:
-                if progress is not None:
-                    progress.cell_done(i, specs[i].label, "failed")
-                raise
-            if progress is not None:
-                progress.cell_done(i, specs[i].label, "fresh",
-                                   host_seconds=results[i].host_seconds,
-                                   alerts=_alerts_of(results[i]))
-
-    if cache is not None:
-        for i in misses:
-            cache.put(specs[i], results[i])
+    _run_each(execute_cell_stripped if n_workers > 1 else execute_cell,
+              [(i, specs[i].label, specs[i]) for i in misses],
+              n_workers, progress, store)
     return results  # type: ignore[return-value]
 
 
@@ -142,42 +161,19 @@ def parallel_map(
     ``cell_done`` event per item (labelled by repr).
     """
     items = list(items)
-    if progress is not None:
-        progress.add_cells(len(items))
+    if progress is None:
+        progress = CampaignProgress()
+    progress.add_cells(len(items))
     results: List[Optional[R]] = [None] * len(items)
+
+    def keep(i: int, value: R, seconds: float) -> dict:
+        results[i] = value
+        # plain-function items carry no duration of their own: inline
+        # this is the call; pooled it is ~0 and the ETA falls back to
+        # other fresh cells
+        return {"host_seconds": seconds}
+
     n_workers = min(resolve_jobs(jobs), len(items)) if items else 0
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {}
-            for i, item in enumerate(items):
-                futures[pool.submit(fn, item)] = i
-                if progress is not None:
-                    progress.cell_submitted()
-            for fut in as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except BaseException:
-                    if progress is not None:
-                        progress.cell_done(i, repr(items[i]), "failed")
-                    raise
-                if progress is not None:
-                    # plain-function items carry no duration of their
-                    # own; ETA falls back to other fresh cells
-                    progress.cell_done(i, repr(items[i]), "fresh")
-        return results  # type: ignore[return-value]
-    out: List[R] = []
-    for i, item in enumerate(items):
-        if progress is not None:
-            progress.cell_submitted()
-        t0 = time.perf_counter()
-        try:
-            out.append(fn(item))
-        except BaseException:
-            if progress is not None:
-                progress.cell_done(i, repr(item), "failed")
-            raise
-        if progress is not None:
-            progress.cell_done(i, repr(item), "fresh",
-                               host_seconds=time.perf_counter() - t0)
-    return out
+    _run_each(fn, [(i, repr(item), item) for i, item in enumerate(items)],
+              n_workers, progress, keep)
+    return results  # type: ignore[return-value]

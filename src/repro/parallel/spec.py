@@ -21,12 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.harness import ExperimentEnv, RunReport
-from repro.harness.runner import (
-    run_heatdis2d_job,
-    run_heatdis_job,
-    run_minimd_job,
-)
+from repro.apps import resolve_app
+from repro.harness import ExperimentEnv, RunReport, run_job
 from repro.sim import (
     ExponentialFailures,
     FailurePlan,
@@ -85,12 +81,9 @@ class PlanSpec:
         after_checkpoint: int,
         fraction: float = 0.95,
     ) -> "PlanSpec":
-        """The paper's rule, mirrored from IterationFailure."""
-        offset = min(
-            checkpoint_interval - 1, int(fraction * checkpoint_interval)
-        )
-        iteration = int(checkpoint_interval * after_checkpoint + offset)
-        return cls.iteration([(rank, iteration)])
+        """The paper's rule, as IterationFailure spells it."""
+        return cls.iteration(IterationFailure.between_checkpoints(
+            rank, checkpoint_interval, after_checkpoint, fraction).pending)
 
     @classmethod
     def exponential(
@@ -133,14 +126,6 @@ class PlanSpec:
         raise ConfigError(f"unknown failure-plan kind {self.kind!r}")
 
 
-#: job-runner entry point per application name
-_APP_RUNNERS = {
-    "heatdis": run_heatdis_job,
-    "heatdis2d": run_heatdis2d_job,
-    "minimd": run_minimd_job,
-}
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """One independent sweep cell: everything a worker needs, by value."""
@@ -171,10 +156,7 @@ class CellSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.app not in _APP_RUNNERS:
-            raise ConfigError(
-                f"unknown app {self.app!r}; known: {sorted(_APP_RUNNERS)}"
-            )
+        resolve_app(self.app)
 
 
 @dataclass
@@ -221,9 +203,9 @@ def execute_cell(spec: CellSpec) -> CellResult:
                    if spec.sampling is not None else None)
         telemetry = Telemetry(sampler=sampler)
     plan = spec.plan.build()
-    runner = _APP_RUNNERS[spec.app]
     t0 = time.perf_counter()
-    report = runner(
+    report = run_job(
+        spec.app,
         spec.env,
         spec.strategy,
         spec.n_ranks,

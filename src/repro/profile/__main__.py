@@ -26,6 +26,7 @@ import os
 import sys
 from typing import Optional
 
+from repro.cli import add_job_args, job_from_args
 from repro.profile.categories import CATEGORIES
 from repro.profile.critical_path import (
     extract_critical_path,
@@ -41,29 +42,15 @@ from repro.report.compare import (
     format_deltas,
     over_budget,
 )
-
-APPS = ("heatdis", "heatdis2d", "minimd")
+from repro.util.errors import ConfigError
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """Run-construction flags shared by report/critical-path/flamegraph
-    (mirrors ``python -m repro.telemetry run``)."""
-    parser.add_argument("--app", choices=APPS, default="heatdis")
-    parser.add_argument("--strategy", default="fenix_kr_veloc",
-                        help="a strategy name from repro.harness.strategies")
-    parser.add_argument("--ranks", type=int, default=4)
-    parser.add_argument("--iters", type=int, default=30,
-                        help="iterations / MD steps")
-    parser.add_argument("--interval", type=int, default=10,
-                        help="checkpoint interval (iterations)")
+    (the job scaffold's, plus this CLI's own two)."""
+    add_job_args(parser, default_strategy="fenix_kr_veloc")
     parser.add_argument("--bytes", type=float, default=16e6,
                         help="modelled checkpoint bytes per rank")
-    parser.add_argument("--spares", type=int, default=1)
-    parser.add_argument("--kill-rank", type=int, default=None,
-                        help="inject one failure on this rank")
-    parser.add_argument("--kill-after-checkpoint", type=int, default=1,
-                        help="die ~95%% of the way past this checkpoint")
-    parser.add_argument("--seed", type=int, default=20220906)
     parser.add_argument("--max-records", type=int, default=None,
                         help="legacy-trace ring-buffer size (drops are "
                              "surfaced in the report)")
@@ -115,65 +102,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _execute_run(args: argparse.Namespace):
-    """Run one instrumented experiment; returns (telemetry, report) or an
-    exit code on bad arguments."""
-    from repro.experiments.common import paper_env
-    from repro.harness.runner import (
-        run_heatdis2d_job,
-        run_heatdis_job,
-        run_minimd_job,
-    )
-    from repro.harness.strategies import STRATEGIES
-    from repro.sim.failures import IterationFailure, NoFailures
+    """Run one instrumented experiment; returns (telemetry, report).
+    Bad arguments raise ``ConfigError`` (``main`` turns it into exit 2)."""
     from repro.telemetry.collector import Telemetry
 
-    if args.strategy not in STRATEGIES:
-        print(f"unknown strategy {args.strategy!r}; choose from: "
-              + ", ".join(sorted(STRATEGIES)), file=sys.stderr)
-        return 2
-    strategy = STRATEGIES[args.strategy]
-    n_spares = args.spares if strategy.fenix else 0
-    env = paper_env(args.ranks + max(n_spares, 1), n_spares=n_spares,
-                    seed=args.seed, pfs_servers=2)
-
-    plan = NoFailures()
-    if args.kill_rank is not None:
-        if not 0 <= args.kill_rank < args.ranks:
-            print(f"--kill-rank {args.kill_rank} out of range for "
-                  f"{args.ranks} ranks", file=sys.stderr)
-            return 2
-        plan = IterationFailure.between_checkpoints(
-            args.kill_rank, args.interval, args.kill_after_checkpoint
-        )
-
     tel = Telemetry(enabled=True)
-    common = dict(plan=plan, telemetry=tel, profile=True,
-                  trace_max_records=args.max_records)
-    if args.app == "heatdis":
-        from repro.apps.heatdis import HeatdisConfig
-        cfg = HeatdisConfig(n_iters=args.iters,
-                            modeled_bytes_per_rank=args.bytes)
-        report = run_heatdis_job(env, args.strategy, args.ranks, cfg,
-                                 args.interval, **common)
-    elif args.app == "heatdis2d":
-        from repro.apps.heatdis2d import Heatdis2DConfig
-        cfg = Heatdis2DConfig(n_iters=args.iters,
-                              modeled_bytes_per_rank=args.bytes)
-        report = run_heatdis2d_job(env, args.strategy, args.ranks, cfg,
-                                   args.interval, **common)
-    else:
-        from repro.apps.minimd import MiniMDConfig
-        cfg = MiniMDConfig(n_steps=args.iters)
-        report = run_minimd_job(env, args.strategy, args.ranks, cfg,
-                                args.interval, **common)
+    job = job_from_args(args, modeled_bytes_per_rank=args.bytes)
+    report = job(telemetry=tel, profile=True,
+                 trace_max_records=args.max_records)
     return tel, report
 
 
 def _report(args: argparse.Namespace) -> int:
-    run = _execute_run(args)
-    if isinstance(run, int):
-        return run
-    tel, report = run
+    tel, report = _execute_run(args)
     try:
         ledger = build_ledger(tel, wall_time=report.wall_time)
     except ConservationError as exc:
@@ -197,10 +138,7 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _critical_path(args: argparse.Namespace) -> int:
-    run = _execute_run(args)
-    if isinstance(run, int):
-        return run
-    tel, _report_obj = run
+    tel, _report_obj = _execute_run(args)
     try:
         cp = extract_critical_path(tel, rank=args.path_rank,
                                    occurrence=args.occurrence)
@@ -217,10 +155,7 @@ def _critical_path(args: argparse.Namespace) -> int:
 
 
 def _flamegraph(args: argparse.Namespace) -> int:
-    run = _execute_run(args)
-    if isinstance(run, int):
-        return run
-    tel, report = run
+    tel, report = _execute_run(args)
     n = write_folded(args.out, tel)
     print(f"wrote {args.out}: {n} stacks over {report.wall_time:.3f}s "
           f"simulated ({report.app}/{report.strategy}) -- load it at "
@@ -264,13 +199,13 @@ def _diff(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "report":
-        return _report(args)
-    if args.command == "critical-path":
-        return _critical_path(args)
-    if args.command == "flamegraph":
-        return _flamegraph(args)
-    return _diff(args)
+    command = {"report": _report, "critical-path": _critical_path,
+               "flamegraph": _flamegraph, "diff": _diff}[args.command]
+    try:
+        return command(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

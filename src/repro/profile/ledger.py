@@ -44,6 +44,7 @@ from repro.profile.categories import (
     IDLE,
     categorize,
 )
+from repro.util.units import format_table
 
 _RANK_TRACK = re.compile(r"^rank(\d+)$")
 _LAYER_RANK_TRACK = re.compile(r"^[\w.]+\.rank(\d+)$")
@@ -383,12 +384,7 @@ def format_ledger(ledger: ProfileLedger, per_rank: bool = True) -> str:
     rows.append(["mean"]
                 + [f"{mean.get(c, 0.0):.4f}" for c in cats]
                 + [f"{ledger.mean_makespan():.4f}"])
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths)),
-             "  ".join("-" * w for w in widths)]
-    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths))
-              for row in rows]
+    lines = format_table(header, rows, rule=True, align=str.rjust)
     if ledger.wall_time is not None:
         lines.append(f"wall time: {ledger.wall_time:.4f} s")
     if ledger.dropped:

@@ -30,32 +30,23 @@ def collect_exemplars(
     """``{strategy: {"timeline": text, "folded": text}}`` for each
     strategy that can recover from a mid-run kill (``none`` is skipped:
     a job with no resilience has no recovery story to show)."""
-    from repro.apps.heatdis import HeatdisConfig
-    from repro.experiments.common import paper_env
-    from repro.harness.runner import run_heatdis_job
+    from repro.cli import build_job
     from repro.harness.strategies import STRATEGIES
     from repro.profile.flamegraph import folded_stacks, format_folded
-    from repro.sim.failures import IterationFailure
     from repro.telemetry import Telemetry
     from repro.telemetry.timeline import failure_timeline
 
     out: Dict[str, Dict[str, str]] = {}
     for strategy in strategies:
-        spec = STRATEGIES.get(strategy)
-        if spec is None or strategy == "none":
+        if strategy not in STRATEGIES or strategy == "none":
             continue
         tel = Telemetry(enabled=True)
-        env = paper_env(
-            n_ranks + max(n_spares if spec.fenix else 0, 1),
-            n_spares=n_spares if spec.fenix else 0,
-            seed=seed, pfs_servers=2,
-        )
-        cfg = HeatdisConfig(n_iters=n_iters, modeled_bytes_per_rank=16e6)
-        plan = IterationFailure.between_checkpoints(
-            kill_rank, ckpt_interval, 1
-        )
-        run_heatdis_job(env, strategy, n_ranks, cfg, ckpt_interval,
-                        plan=plan, telemetry=tel)
+        # clamped: a campaign at 2 ranks still gets a kill that can fire
+        job = build_job(
+            "heatdis", strategy, n_ranks, n_iters, ckpt_interval, n_spares,
+            min(kill_rank, n_ranks - 1), seed=seed,
+            modeled_bytes_per_rank=16e6)
+        job(telemetry=tel)
         out[strategy] = {
             "timeline": failure_timeline(tel, trace=tel.trace,
                                          limit=timeline_limit),

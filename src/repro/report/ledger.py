@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.report import stats
@@ -108,7 +108,7 @@ class RunRecord:
     cached: bool = False
     host_seconds: float = 0.0
     #: iterations/steps the cell simulated (for host-cost normalization;
-    #: 0 when the app config does not expose it)
+    #: the app's registry row names the config field)
     n_iters: int = 0
     #: checkpoint data-path volume summary (RunReport.data_path; empty
     #: for strategies that never touch VeloC)
@@ -136,52 +136,23 @@ class RunRecord:
         return self.buckets.get(name, 0.0) / self.wall_time
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "strategy": self.strategy,
-            "app": self.app,
-            "n_ranks": self.n_ranks,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-            "attempts": self.attempts,
-            "failures": self.failures,
-            "buckets": dict(self.buckets),
-            "violations": self.violations,
-            "alerts": self.alerts,
-            "divergences": self.divergences,
-            "cached": self.cached,
-            "host_seconds": self.host_seconds,
-            "n_iters": self.n_iters,
-            "data_path": dict(self.data_path),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "RunRecord":
-        return cls(
-            label=doc["label"],
-            strategy=doc["strategy"],
-            app=doc["app"],
-            n_ranks=doc["n_ranks"],
-            seed=doc["seed"],
-            wall_time=doc["wall_time"],
-            attempts=doc["attempts"],
-            failures=doc["failures"],
-            buckets=dict(doc.get("buckets", {})),
-            violations=doc.get("violations", 0),
-            alerts=doc.get("alerts", 0),
-            divergences=doc.get("divergences", 0),
-            cached=doc.get("cached", False),
-            host_seconds=doc.get("host_seconds", 0.0),
-            n_iters=doc.get("n_iters", 0),
-            data_path=dict(doc.get("data_path", {})),
-        )
+        """Version-skew tolerant: keys this build does not know are
+        ignored, fields the document lacks take their defaults."""
+        return cls(**{f.name: doc[f.name]
+                      for f in fields(cls) if f.name in doc})
 
     @classmethod
     def from_cell_result(cls, result: Any, seed: int) -> "RunRecord":
         """Build a record from a :class:`~repro.parallel.CellResult`."""
+        # local import: only a campaign that ran cells has the apps
+        # loaded; reading a ledger file back must not pull them in
+        from repro.apps import APPS
+
         spec, report = result.spec, result.report
-        cfg = spec.config
-        n_iters = int(getattr(cfg, "n_iters", getattr(cfg, "n_steps", 0)))
         return cls(
             label=spec.label or spec.strategy,
             strategy=spec.strategy,
@@ -193,12 +164,12 @@ class RunRecord:
             failures=result.failures,
             buckets=dict(report.buckets),
             violations=len(report.violations),
-            alerts=len(getattr(report, "alerts", []) or []),
-            divergences=len(getattr(report, "divergences", []) or []),
+            alerts=len(report.alerts),
+            divergences=len(report.divergences),
             cached=result.cached,
             host_seconds=result.host_seconds,
-            n_iters=n_iters,
-            data_path=dict(getattr(report, "data_path", {}) or {}),
+            n_iters=int(getattr(spec.config, APPS[spec.app].steps_field)),
+            data_path=dict(report.data_path),
         )
 
 

@@ -47,6 +47,20 @@ class TraceRecord:
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The record's JSON object (trace files, violation chains);
+        ``fields`` is shared, not copied -- sinks encode it at once."""
+        return {"seq": self.seq, "time": self.time, "source": self.source,
+                "kind": self.kind, "fields": self.fields}
+
+    @classmethod
+    def from_dict(cls, obj: Dict[str, Any]) -> "TraceRecord":
+        """Inverse of :meth:`to_dict`; raises ``KeyError`` /
+        ``TypeError`` / ``ValueError`` on a malformed object."""
+        return cls(time=float(obj["time"]), source=str(obj["source"]),
+                   kind=str(obj["kind"]), fields=dict(obj.get("fields", {})),
+                   seq=int(obj.get("seq", -1)))
+
     def brief(self) -> str:
         """Compact one-line rendering, used in violation causal chains."""
         parts = [f"{k}={v}" for k, v in self.fields.items()]

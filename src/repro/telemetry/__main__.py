@@ -22,6 +22,7 @@ import os
 import sys
 from typing import Optional
 
+from repro.cli import add_job_args, job_from_args
 from repro.report.compare import (
     EXIT_BAD_INPUT,
     Delta,
@@ -38,8 +39,7 @@ from repro.telemetry.export import (
     write_metrics,
 )
 from repro.telemetry.timeline import failure_timeline
-
-APPS = ("heatdis", "heatdis2d", "minimd")
+from repro.util.errors import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,22 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment with telemetry on")
-    run.add_argument("--app", choices=APPS, default="heatdis")
-    run.add_argument("--strategy", default="fenix_veloc",
-                     help="a strategy name from repro.harness.strategies")
-    run.add_argument("--ranks", type=int, default=4)
-    run.add_argument("--iters", type=int, default=30,
-                     help="iterations / MD steps")
-    run.add_argument("--interval", type=int, default=10,
-                     help="checkpoint interval (iterations)")
+    add_job_args(run, default_strategy="fenix_veloc")
     run.add_argument("--bytes", type=float, default=16e6,
                      help="modelled checkpoint bytes per rank")
-    run.add_argument("--spares", type=int, default=1)
-    run.add_argument("--kill-rank", type=int, default=None,
-                     help="inject one failure on this rank")
-    run.add_argument("--kill-after-checkpoint", type=int, default=1,
-                     help="die ~95%% of the way past this checkpoint number")
-    run.add_argument("--seed", type=int, default=20220906)
     run.add_argument("--out", default="telemetry-out",
                      help="output directory for trace.json / metrics.json")
     run.add_argument("--timeline", action="store_true",
@@ -87,55 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    # imported here so `validate`/`diff` stay importable without the
-    # harness (and to keep package import acyclic)
-    from repro.experiments.common import paper_env
-    from repro.harness.runner import (
-        run_heatdis2d_job,
-        run_heatdis_job,
-        run_minimd_job,
-    )
-    from repro.harness.strategies import STRATEGIES
-    from repro.sim.failures import IterationFailure, NoFailures
-
-    if args.strategy not in STRATEGIES:
-        print(f"unknown strategy {args.strategy!r}; choose from: "
-              + ", ".join(sorted(STRATEGIES)), file=sys.stderr)
-        return 2
-    strategy = STRATEGIES[args.strategy]
-    n_spares = args.spares if strategy.fenix else 0
-    n_nodes = args.ranks + max(n_spares, 1)
-    env = paper_env(n_nodes, n_spares=n_spares, seed=args.seed,
-                    pfs_servers=2)
-
-    plan = NoFailures()
-    if args.kill_rank is not None:
-        if not 0 <= args.kill_rank < args.ranks:
-            print(f"--kill-rank {args.kill_rank} out of range for "
-                  f"{args.ranks} ranks", file=sys.stderr)
-            return 2
-        plan = IterationFailure.between_checkpoints(
-            args.kill_rank, args.interval, args.kill_after_checkpoint
-        )
-
     tel = Telemetry(enabled=True)
-    if args.app == "heatdis":
-        from repro.apps.heatdis import HeatdisConfig
-        cfg = HeatdisConfig(n_iters=args.iters,
-                            modeled_bytes_per_rank=args.bytes)
-        report = run_heatdis_job(env, args.strategy, args.ranks, cfg,
-                                 args.interval, plan=plan, telemetry=tel)
-    elif args.app == "heatdis2d":
-        from repro.apps.heatdis2d import Heatdis2DConfig
-        cfg = Heatdis2DConfig(n_iters=args.iters,
-                              modeled_bytes_per_rank=args.bytes)
-        report = run_heatdis2d_job(env, args.strategy, args.ranks, cfg,
-                                   args.interval, plan=plan, telemetry=tel)
-    else:
-        from repro.apps.minimd import MiniMDConfig
-        cfg = MiniMDConfig(n_steps=args.iters)
-        report = run_minimd_job(env, args.strategy, args.ranks, cfg,
-                                args.interval, plan=plan, telemetry=tel)
+    try:
+        job = job_from_args(args, modeled_bytes_per_rank=args.bytes)
+        report = job(telemetry=tel)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     # the runner recorded a legacy Trace alongside the spans and handed
     # it back on the telemetry object

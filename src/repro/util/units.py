@@ -1,4 +1,4 @@
-"""Byte-size and time formatting helpers.
+"""Byte-size, time and text-table formatting helpers.
 
 Experiment configs express per-node data sizes the way the paper does
 ("16 MB" .. "1 GB"); these helpers convert between human strings and the
@@ -6,6 +6,8 @@ float byte counts used throughout the simulator.
 """
 
 from __future__ import annotations
+
+from typing import Callable, List, Sequence
 
 from repro.util.errors import ConfigError
 
@@ -83,3 +85,22 @@ def format_time(seconds: float) -> str:
     if abs(seconds) < 1.0:
         return f"{seconds * 1e3:.1f}ms"
     return f"{seconds:.2f}s"
+
+
+def format_table(
+    header: Sequence[str],
+    rows: Sequence[Sequence[str]],
+    rule: bool = False,
+    align: Callable[[str, int], str] = str.ljust,
+) -> List[str]:
+    """Lines of an aligned text table: each column as wide as its widest
+    cell, two spaces apart.  ``rule`` draws a dashed line under the
+    header; ``align=str.rjust`` right-aligns (columns of numbers)."""
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
+              for i in range(len(header))]
+    lines = ["  ".join(align(h, w) for h, w in zip(header, widths))]
+    if rule:
+        lines.append("  ".join("-" * w for w in widths))
+    lines += ["  ".join(align(c, w) for c, w in zip(row, widths))
+              for row in rows]
+    return lines

@@ -71,25 +71,20 @@ def test_audit_flags_a_replay_that_only_differs_in_its_report(monkeypatch):
     from repro.align.engine import align
     from repro.harness import runner
 
-    audit = runner._run_with_replay_audit
     runners = []
 
-    def skewed_audit(make_runner, plan, determinism_audit):
-        def make(plan_, observed, capture):
-            built = make_runner(plan_, observed, capture)
-            if not observed:
-                # the replay, on a platform that launches half a second
-                # slower: every record shifts, none changes
-                slow = dataclasses.replace(
-                    built.env, costs=runner.JobCosts(mpirun_launch=2.5))
-                built = runner.JobRunner(
-                    slow, built.strategy, built.n_ranks, plan_,
-                    built.build_main, built.app_name, capture_trace=True)
-            runners.append(built)
-            return built
-        return audit(make, plan, determinism_audit)
+    def skewed_runner(env, *args, **kwargs):
+        if runners:
+            # the second construction is the replay: put it on a platform
+            # that launches half a second slower, so every record shifts
+            # and none changes
+            env = dataclasses.replace(
+                env, costs=runner.JobCosts(mpirun_launch=2.5))
+        runners.append(JobRunner(env, *args, **kwargs))
+        return runners[-1]
 
-    monkeypatch.setattr(runner, "_run_with_replay_audit", skewed_audit)
+    JobRunner = runner.JobRunner
+    monkeypatch.setattr(runner, "JobRunner", skewed_runner)
     report = run_heatdis_job(
         paper_env(RANKS + 1, n_spares=1, pfs_servers=2), "fenix_kr_veloc",
         RANKS, HeatdisConfig(n_iters=N_ITERS, modeled_bytes_per_rank=16e6),

@@ -56,3 +56,18 @@ class TestAblationSweep:
         assert 0.0 <= incr.data_path.get("dedup_ratio", 0.0) <= 1.0
         table = format_ablation(cells)
         assert "dirty%" in table and "incremental" in table
+
+    def test_warm_cache_prints_the_cold_table(self, tmp_path):
+        """dirty% / dedup% are the ablation's result columns: a sweep
+        served from the run cache must not print them as ``--``."""
+        from repro.parallel import RunCache
+
+        kwargs = dict(n_ranks=2, data_size="16MB", apps=["heatdis"])
+        cold = format_ablation(run_checkpoint_ablation(
+            **kwargs, cache=RunCache(tmp_path)))
+        warm_cache = RunCache(tmp_path)
+        warm = format_ablation(run_checkpoint_ablation(
+            **kwargs, cache=warm_cache))
+        assert (warm_cache.hits, warm_cache.misses) == (4, 0)
+        assert warm == cold
+        assert "--" not in cold

@@ -13,7 +13,6 @@ from repro.harness.report import (
 from repro.monitor import MonitorSuite
 from repro.monitor.trace_io import JsonlTraceSink, read_trace
 from repro.sim import IterationFailure
-from repro.util.errors import ConfigError
 from tests.harness.conftest import small_env
 
 CKPT = 10
@@ -142,10 +141,6 @@ class TestMiniMDJobs:
             np.testing.assert_array_equal(
                 clean.results[r]["x"], failed.results[r]["x"]
             )
-
-    def test_manual_strategy_rejected(self, md_cfg):
-        with pytest.raises(ConfigError):
-            run_minimd_job(small_env(), "veloc", 4, md_cfg, 6)
 
 
 class TestTraceSink:

@@ -2,7 +2,6 @@
 CLI smoke."""
 
 import numpy as np
-import pytest
 
 from repro.apps import HeatdisConfig
 from repro.harness import run_heatdis_job
@@ -148,16 +147,6 @@ class TestHeatdis2DJobs:
         np.testing.assert_array_equal(
             gather_blocks(clean.results, 4), gather_blocks(failed.results, 4)
         )
-
-    def test_manual_strategy_rejected_for_2d(self):
-        from repro.apps import Heatdis2DConfig
-        from repro.harness import run_heatdis2d_job
-
-        with pytest.raises(ConfigError):
-            run_heatdis2d_job(
-                small_env(), "veloc", 4,
-                Heatdis2DConfig(local_rows=6, local_cols=6, n_iters=6), 3,
-            )
 
 
 class TestCLI:
