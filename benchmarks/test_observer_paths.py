@@ -92,9 +92,7 @@ def test_jsonl_sink_per_record_write(benchmark, recorded, tmp_path):
 
     def write_all():
         with JsonlTraceSink(path) as sink:
-            for rec in records:
-                sink(rec)
-            return sink.records_written
+            return sink.replay(records).records_written
 
     written = benchmark.pedantic(write_all, rounds=30, iterations=1,
                                  warmup_rounds=1)

@@ -36,12 +36,10 @@ from repro.align.engine import (
     first_divergence_report,
 )
 from repro.align.keying import (
-    ANCHOR_KINDS,
     VOLATILE_FIELDS,
     KeyedRecord,
     canonical_fields,
     key_records,
-    layer_of,
     protocol_critical,
     record_epoch,
     record_wrank,
@@ -52,7 +50,6 @@ ALIGN_SCHEMA = 1
 
 __all__ = [
     "ALIGN_SCHEMA",
-    "ANCHOR_KINDS",
     "Alignment",
     "Divergence",
     "KeyedRecord",
@@ -62,7 +59,6 @@ __all__ = [
     "canonical_fields",
     "first_divergence_report",
     "key_records",
-    "layer_of",
     "protocol_critical",
     "record_epoch",
     "record_wrank",

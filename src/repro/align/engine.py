@@ -44,8 +44,8 @@ layer, renders the causal record briefs around it (reusing
 :meth:`~repro.sim.trace.TraceRecord.brief`, the monitor's rendering),
 and reports the downstream deltas: wall time, recovery latency
 (kill -> first re-entry, the measurement :mod:`repro.monitor.explain`
-uses), and the per-layer recovery path mirroring the profile
-critical-path stages.
+uses), and the per-layer recovery path timed along
+:data:`repro.vocabulary.RECOVERY_SPINE`.
 """
 
 from __future__ import annotations
@@ -56,25 +56,22 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.align.keying import (
-    ANCHOR_KINDS,
     VOLATILE_FIELDS,
     KeyedRecord,
     key_records,
-    layer_of,
     protocol_critical,
 )
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import (
+    ANCHOR_KINDS,
+    KILL_KINDS,
+    LAYERS,
+    RECOVERY_SPINE,
+)
 
 #: divergence categories, in blame order (a missing anchor is reported
 #: ahead of a value drift at the same simulated time)
 CATEGORIES = ("missing", "extra", "value", "reorder")
-
-#: layer precedence for same-instant divergences: a kill and its
-#: downstream echoes (the victim's lost region entry, the survivors'
-#: detect/gate records) all surface at the same simulated time, and the
-#: root cause is the lowest layer of the stack that moved
-_LAYER_ORDER = ("process", "ulfm", "fenix", "veloc", "kr", "recompute",
-                "app")
 
 _EPS = 1e-12
 
@@ -369,9 +366,10 @@ def align(
             briefs=[f"A: {kr.record.brief()}", f"B: {other.record.brief()}"],
         ))
 
+    # same-instant divergences: the lowest layer of the stack first
     divergences.sort(key=lambda d: (
         d.time,
-        _LAYER_ORDER.index(d.layer) if d.layer in _LAYER_ORDER else 99,
+        LAYERS.index(d.layer) if d.layer in LAYERS else 99,
         CATEGORIES.index(d.category),
     ))
     result.divergences = divergences
@@ -398,20 +396,6 @@ def _drifted_fields(a: TraceRecord, b: TraceRecord) -> List[str]:
 # -- first-divergence root-causing ---------------------------------------
 
 
-#: kinds ending a recovery, mirrored from repro.monitor.explain
-_KILL_KINDS = ("rank_killed", "rank_crashed")
-_REENTRY_KINDS = ("kr_region_commit", "checkpoint", "imr_store")
-
-#: recovery-path stages in protocol order, each the trace-level
-#: equivalent of a repro.profile critical-path segment
-_RECOVERY_STAGES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("ulfm", ("detect", "revoke")),
-    ("fenix", ("repair", "shrink", "abort", "role")),
-    ("veloc", ("recover", "imr_restore")),
-    ("kr", _REENTRY_KINDS),
-)
-
-
 def recovery_breakdown(records: Sequence[TraceRecord]) -> Dict[str, float]:
     """Per-layer recovery time after the first kill (empty = no kill).
 
@@ -419,13 +403,13 @@ def recovery_breakdown(records: Sequence[TraceRecord]) -> Dict[str, float]:
     recover -> re-entry and charges each inter-stage gap to the stage's
     layer, plus ``total`` (the recovery latency the live layer tracks).
     """
-    kill = next((r for r in records if r.kind in _KILL_KINDS), None)
+    kill = next((r for r in records if r.kind in KILL_KINDS), None)
     if kill is None:
         return {}
     out: Dict[str, float] = {}
     cursor = kill.time
     tail = [r for r in records if r.time >= kill.time]
-    for layer, kinds in _RECOVERY_STAGES:
+    for layer, kinds in RECOVERY_SPINE:
         hit = next(
             (r for r in tail if r.kind in kinds and r.time >= cursor), None
         )

@@ -7,10 +7,13 @@ record is named by a *logical key*::
 
     (wrank, kind, epoch, occurrence)
 
-- ``wrank`` -- the world rank the record belongs to: an explicit
-  ``rank`` field when the record carries one, else the ``rankN`` suffix
-  of per-rank sources (``veloc.rank3``, ``kr.rank0``, ``imr.rank2``),
-  else the ``spare``/``member`` field, else None for global records
+- ``wrank`` -- the rank the record is keyed under: an explicit ``rank``
+  field when the record carries one, else the ``rankN`` suffix of layer
+  sources (``veloc.rank3``, ``kr.rank0``, ``imr.rank2``) taken as
+  written -- a name both runs agree on, not an attribution: under
+  ``veloc.``/``imr.`` it is a communicator slot, and who held it is
+  :func:`repro.vocabulary.world_rank`'s question -- else the
+  ``spare``/``member`` field, else None for global records
   (communicator events, server-side flushes);
 - ``epoch`` -- the protocol epoch: Fenix ``generation``, else checkpoint
   ``version``, else application ``iteration``; None when the record has
@@ -33,12 +36,12 @@ records that survive any sampling policy.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.sampling import record_sampleable
+from repro.vocabulary import layer_of, parse_source
 
 #: record fields excluded from value comparison: host-ish measurements
 #: and queue depths that may differ between structurally identical runs
@@ -46,76 +49,6 @@ from repro.telemetry.sampling import record_sampleable
 #: divergence changes contention, which the alignment reports through
 #: the diverging record itself, not through every downstream timing)
 VOLATILE_FIELDS = frozenset({"seconds", "backlog", "eta_s"})
-
-#: protocol-critical kinds the alignment engine anchors on for order
-#: checks: the failure/recovery protocol spine (kills, ULFM collectives,
-#: Fenix repair steps, data-path restore points)
-ANCHOR_KINDS = frozenset({
-    "rank_killed",
-    "rank_crashed",
-    "rank_dead",
-    "detect",
-    "revoke",
-    "shrink",
-    "agree",
-    "repair",
-    "abort",
-    "gate_arrive",
-    "role",
-    "spare_activated",
-    "checkpoint",
-    "recover",
-    "imr_restore",
-})
-
-#: process layer: rank lifecycle (kills, crashes, exits) -- what the
-#: failure plan injects and mpirun/Fenix observe
-_PROCESS_KINDS = frozenset({
-    "rank_exit", "rank_killed", "rank_crashed", "rank_dead",
-})
-
-#: ULFM layer: communicator-level fault-tolerance collectives (detect is
-#: charged to ULFM like the profile critical path does)
-_ULFM_KINDS = frozenset({"comm_create", "revoke", "agree", "shrink", "detect"})
-
-#: Fenix layer kinds (when emitted by the "fenix" source; ``agree`` and
-#: ``shrink`` exist at both the MPI-comm and Fenix levels)
-_FENIX_KINDS = frozenset({
-    "gate_arrive", "spare_activated", "abort", "repair", "role",
-    "finalize_arrive", "agree", "shrink",
-})
-
-#: VeloC / data layer: checkpoint clients, flush servers, IMR buddies
-_VELOC_KINDS = frozenset({
-    "checkpoint", "recover", "flush_submit", "flush_done", "drain_done",
-})
-
-_RANK_SOURCE = re.compile(r"\.rank(\d+)$")
-
-
-def layer_of(rec: TraceRecord) -> str:
-    """Resiliency-layer attribution of one record.
-
-    The vocabulary matches :mod:`repro.profile`'s critical-path edges:
-    ``process`` (rank lifecycle), ``ulfm``, ``fenix``, ``kr``,
-    ``veloc``, ``recompute``, ``app``.
-    """
-    kind = rec.kind
-    if kind in _PROCESS_KINDS:
-        return "process"
-    if kind == "detect":
-        return "ulfm"
-    if rec.source == "fenix":
-        return "fenix"
-    if kind in _ULFM_KINDS:
-        return "ulfm"
-    if kind.startswith("kr_"):
-        return "kr"
-    if kind in _VELOC_KINDS or kind.startswith("imr_"):
-        return "veloc"
-    if kind == "recompute" or kind.startswith("recompute"):
-        return "recompute"
-    return "app"
 
 
 def protocol_critical(kind: str) -> bool:
@@ -131,13 +64,13 @@ def protocol_critical(kind: str) -> bool:
 
 
 def record_wrank(rec: TraceRecord) -> Optional[int]:
-    """World rank a record belongs to, or None for global records."""
+    """The rank a record is keyed under, or None for global records."""
     value = rec.fields.get("rank")
     if isinstance(value, int):
         return value
-    match = _RANK_SOURCE.search(rec.source)
-    if match:
-        return int(match.group(1))
+    track, n = parse_source(rec.source)
+    if track and n is not None:
+        return n
     for name in ("spare", "member"):
         value = rec.fields.get(name)
         if isinstance(value, int):

@@ -19,20 +19,20 @@ bit-identical to a sequential in-process run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import HeatdisConfig
 from repro.experiments.common import paper_env
 from repro.harness import RunReport
 from repro.parallel import (
-    DEFAULT_TRACE_MAX_RECORDS,
     CampaignProgress,
+    CellResult,
     CellSpec,
     PlanSpec,
     RunCache,
     run_cells,
 )
-from repro.telemetry.sampling import SamplingPolicy
 
 CKPT_INTERVAL = 9
 
@@ -75,6 +75,76 @@ class CampaignStudy:
         return self._lookup(strategy)
 
 
+def _baselines_then_grid(
+    scales: Sequence[int],
+    strategies: Sequence[str],
+    seeds: Sequence[int],
+    label: Callable[[str, int, Optional[int]], str],
+    *,
+    n_iters: int,
+    ckpt_interval: int,
+    mtbf_per_rank: Optional[float],
+    max_failures: int,
+    n_spares: int,
+    jobs: int,
+    cache: Optional[RunCache],
+    progress: Optional[CampaignProgress],
+    **observe: Any,
+) -> Tuple[Dict[int, CellResult], Dict[int, float],
+           List[Tuple[int, CellResult]]]:
+    """The pass under both drivers: per scale the failure-free ``none``
+    cell first -- the efficiency baseline and, when ``mtbf_per_rank`` is
+    None, the calibrator that makes about ``max_failures`` failures
+    strike during the job -- then the (scale x strategy x seed) failure
+    grid in one parallel batch.  Returns the ideal result and the MTBF
+    per scale, and the grid as ``(seed, result)`` pairs.
+
+    Every cell, baselines included, goes through
+    :func:`~repro.parallel.run_cells` with the shared ``cache`` and
+    ``progress``, so a progress stream's cell count reconciles with what
+    the caller folds.  ``observe`` is handed to :class:`~repro.parallel
+    .CellSpec` as given: an observer field added there needs no edit here.
+    """
+    cfg = HeatdisConfig(
+        local_rows=8, cols=16, modeled_bytes_per_rank=256e6,
+        n_iters=n_iters, work_multiplier=2000.0,
+    )
+
+    def cell(strategy: str, n_ranks: int, plan: PlanSpec, spares: int,
+             seed: Optional[int] = None) -> CellSpec:
+        return CellSpec(
+            app="heatdis",
+            strategy=strategy,
+            n_ranks=n_ranks,
+            config=cfg,
+            ckpt_interval=ckpt_interval,
+            env=paper_env(n_ranks + n_spares, n_spares=spares,
+                          pfs_servers=1),
+            plan=plan,
+            label=label(strategy, n_ranks, seed),
+            **observe,
+        )
+
+    run = partial(run_cells, jobs=jobs, cache=cache, progress=progress)
+    ideals = dict(zip(scales, run(
+        [cell("none", n_ranks, PlanSpec.none(), 1) for n_ranks in scales])))
+    mtbf = {
+        n_ranks: (mtbf_per_rank if mtbf_per_rank is not None
+                  else res.report.wall_time * n_ranks / max_failures)
+        for n_ranks, res in ideals.items()
+    }
+    grid = [
+        (seed, cell(strategy, n_ranks,
+                    PlanSpec.exponential(mtbf[n_ranks], seed=seed,
+                                         max_failures=max_failures),
+                    n_spares, seed))
+        for n_ranks in scales for strategy in strategies for seed in seeds
+    ]
+    executed = run([spec for _, spec in grid])
+    return ideals, mtbf, [(seed, res)
+                          for (seed, _), res in zip(grid, executed)]
+
+
 def run_campaign(
     n_ranks: int = 8,
     mtbf_per_rank: Optional[float] = None,
@@ -85,12 +155,8 @@ def run_campaign(
     max_failures: int = 3,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
-    telemetry: bool = False,
-    trace_max_records: Optional[int] = DEFAULT_TRACE_MAX_RECORDS,
     progress: Optional[CampaignProgress] = None,
-    rules: Optional[str] = None,
-    sampling: Optional["SamplingPolicy"] = None,
-    determinism_audit: bool = False,
+    **observe: Any,
 ) -> CampaignStudy:
     """Run the campaign; by default the MTBF is chosen so a handful of
     failures strike during the job.
@@ -98,57 +164,28 @@ def run_campaign(
     ``jobs`` fans the strategy cells out across worker processes;
     ``cache`` (a :class:`~repro.parallel.RunCache`) skips cells whose
     (config, seed, code) content address already has a stored report.
-    Telemetered campaign runs default to Trace ring-buffer mode
-    (``trace_max_records``) so long sweeps keep bounded memory.
+    ``observe`` is any observer field of :class:`~repro.parallel
+    .CellSpec` (``telemetry``, ``rules``, ``sampling``,
+    ``determinism_audit``, ``trace_max_records`` -- telemetered cells
+    default to Trace ring-buffer mode so long sweeps keep bounded
+    memory).
     """
-    cfg = HeatdisConfig(
-        local_rows=8, cols=16, modeled_bytes_per_rank=256e6,
-        n_iters=n_iters, work_multiplier=2000.0,
+    ideals, _mtbf, grid = _baselines_then_grid(
+        (n_ranks,), strategies or DEFAULT_STRATEGIES, (seed,),
+        lambda strategy, _n_ranks, _seed: strategy,
+        n_iters=n_iters, ckpt_interval=CKPT_INTERVAL,
+        mtbf_per_rank=mtbf_per_rank, max_failures=max_failures,
+        n_spares=n_spares, jobs=jobs, cache=cache, progress=progress,
+        **observe,
     )
-
-    def cell(strategy: str, plan: PlanSpec, spares: int) -> CellSpec:
-        return CellSpec(
-            app="heatdis",
-            strategy=strategy,
-            n_ranks=n_ranks,
-            config=cfg,
-            ckpt_interval=CKPT_INTERVAL,
-            env=paper_env(n_ranks + n_spares, n_spares=spares, pfs_servers=1),
-            plan=plan,
-            telemetry=telemetry,
-            trace_max_records=trace_max_records,
-            sampling=sampling,
-            rules=rules,
-            determinism_audit=determinism_audit,
-            label=strategy,
-        )
-
-    # the ideal run calibrates the MTBF, so it must complete first; it is
-    # itself one (cacheable) cell
-    ideal = run_cells(
-        [cell("none", PlanSpec.none(), spares=1)], jobs=1, cache=cache,
-        progress=progress,
-    )[0].report
-    if mtbf_per_rank is None:
-        # target ~max_failures failures over the ideal runtime
-        mtbf_per_rank = ideal.wall_time * n_ranks / max_failures
-
-    specs = [
-        cell(
-            strategy,
-            PlanSpec.exponential(mtbf_per_rank, seed=seed,
-                                 max_failures=max_failures),
-            spares=n_spares,
-        )
-        for strategy in strategies or DEFAULT_STRATEGIES
-    ]
-    executed = run_cells(specs, jobs=jobs, cache=cache, progress=progress)
-    results = [
-        CampaignResult(strategy=res.spec.strategy, report=res.report,
-                       failures=res.failures)
-        for res in executed
-    ]
-    return CampaignStudy(ideal_wall=ideal.wall_time, results=results)
+    return CampaignStudy(
+        ideal_wall=ideals[n_ranks].report.wall_time,
+        results=[
+            CampaignResult(strategy=res.spec.strategy, report=res.report,
+                           failures=res.failures)
+            for _seed, res in grid
+        ],
+    )
 
 
 def run_campaign_grid(
@@ -163,48 +200,18 @@ def run_campaign_grid(
     jobs: int = 1,
     cache: Optional[RunCache] = None,
     progress: Optional[CampaignProgress] = None,
-    trace_max_records: Optional[int] = DEFAULT_TRACE_MAX_RECORDS,
-    rules: Optional[str] = None,
-    sampling: Optional["SamplingPolicy"] = None,
-    determinism_audit: bool = False,
+    **observe: Any,
 ):
     """The cross-run campaign: (strategy x scale x seed) under random
-    failures, folded into a :class:`~repro.report.CampaignLedger`.
-
-    Per scale, the failure-free ``none`` cell runs first -- it is both
-    the efficiency baseline and (as in :func:`run_campaign`) the MTBF
-    calibrator when ``mtbf_per_rank`` is None.  Every cell, baselines
-    included, flows through :func:`~repro.parallel.run_cells` with the
-    shared ``cache``/``progress``, so the progress stream's cell count
-    reconciles exactly with the ledger.
+    failures, folded into a :class:`~repro.report.CampaignLedger`
+    (baselines included, as seed 0).  ``observe`` as in
+    :func:`run_campaign`.
     """
     from repro.report.ledger import CampaignLedger, RunRecord
 
     strategies = list(strategies or DEFAULT_STRATEGIES)
     scales = list(scales)
     seeds = list(seeds)
-
-    def cell(strategy: str, n_ranks: int, plan: PlanSpec, spares: int,
-             label: str) -> CellSpec:
-        cfg = HeatdisConfig(
-            local_rows=8, cols=16, modeled_bytes_per_rank=256e6,
-            n_iters=n_iters, work_multiplier=2000.0,
-        )
-        return CellSpec(
-            app="heatdis",
-            strategy=strategy,
-            n_ranks=n_ranks,
-            config=cfg,
-            ckpt_interval=ckpt_interval,
-            env=paper_env(n_ranks + n_spares, n_spares=spares,
-                          pfs_servers=1),
-            plan=plan,
-            trace_max_records=trace_max_records,
-            sampling=sampling,
-            rules=rules,
-            determinism_audit=determinism_audit,
-            label=label,
-        )
 
     ledger = CampaignLedger(meta={
         "app": "heatdis",
@@ -215,41 +222,19 @@ def run_campaign_grid(
         "seeds": seeds,
         "max_failures": max_failures,
     })
-
-    # baselines first (sequential per scale: the MTBF calibration reads
-    # them), then the full failure grid in one parallel batch
-    ideal_specs = [
-        cell("none", n_ranks, PlanSpec.none(), spares=1,
-             label=f"none/r{n_ranks}")
-        for n_ranks in scales
-    ]
-    mtbf: dict = {}
-    for spec, res in zip(
-        ideal_specs,
-        run_cells(ideal_specs, jobs=jobs, cache=cache, progress=progress),
-    ):
-        ledger.add_ideal(spec.n_ranks, res.report.wall_time)
+    ideals, mtbf, grid = _baselines_then_grid(
+        scales, strategies, seeds,
+        lambda strategy, n_ranks, seed: f"{strategy}/r{n_ranks}" + (
+            "" if seed is None else f"/s{seed}"),
+        n_iters=n_iters, ckpt_interval=ckpt_interval,
+        mtbf_per_rank=mtbf_per_rank, max_failures=max_failures,
+        n_spares=n_spares, jobs=jobs, cache=cache, progress=progress,
+        **observe,
+    )
+    for n_ranks, res in ideals.items():
+        ledger.add_ideal(n_ranks, res.report.wall_time)
         ledger.add_run(RunRecord.from_cell_result(res, seed=0))
-        mtbf[spec.n_ranks] = (
-            mtbf_per_rank if mtbf_per_rank is not None
-            else res.report.wall_time * spec.n_ranks / max_failures
-        )
-
-    grid = []
-    grid_seeds = []
-    for n_ranks in scales:
-        for strategy in strategies:
-            for seed in seeds:
-                grid.append(cell(
-                    strategy, n_ranks,
-                    PlanSpec.exponential(mtbf[n_ranks], seed=seed,
-                                         max_failures=max_failures),
-                    spares=n_spares,
-                    label=f"{strategy}/r{n_ranks}/s{seed}",
-                ))
-                grid_seeds.append(seed)
-    executed = run_cells(grid, jobs=jobs, cache=cache, progress=progress)
-    for res, seed in zip(executed, grid_seeds):
+    for seed, res in grid:
         ledger.add_run(RunRecord.from_cell_result(res, seed=seed))
 
     ledger.meta["mtbf_per_rank"] = mtbf[scales[0]]

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.live.series import AGGREGATIONS, STANDARD_SERIES, TimeSeriesAggregator
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError, ReproError
 
 #: rules-file schema version
@@ -300,13 +300,15 @@ class AlertEngine:
         return fired_now
 
 
-class LiveSession:
+class LiveSession(TraceListener):
     """Aggregator + alert engine bundled behind one trace listener.
 
     The harness creates one per run when rules (or live series) are
     wanted: ``session.attach(trace)`` during the run, then
     ``session.finish()`` after the engine drains returns the fired
-    alerts (and raises :class:`SLOViolationError` when ``strict``).
+    alerts.  What a fired alert *costs* is the caller's policy: the
+    harness raises :class:`SLOViolationError` under ``strict_slo``, the
+    CLI exits 1.
     """
 
     def __init__(
@@ -314,7 +316,6 @@ class LiveSession:
         rules: Optional[RuleSet] = None,
         window_s: float = 1.0,
         monitor: Any = None,
-        strict: bool = False,
     ) -> None:
         self.aggregator = TimeSeriesAggregator(window_s=window_s)
         providers: Dict[str, Callable[[], float]] = {}
@@ -325,8 +326,6 @@ class LiveSession:
             AlertEngine(rules, self.aggregator, providers)
             if rules is not None and len(rules) else None
         )
-        self.strict = strict
-        self._trace: Optional[Trace] = None
         self._last_window: Optional[int] = None
         self._finished = False
 
@@ -347,24 +346,13 @@ class LiveSession:
         if self._last_window is None or widx > self._last_window:
             self._last_window = widx
 
-    def attach(self, trace: Trace) -> None:
-        self._trace = trace
+    def attach(self, trace: Trace) -> "LiveSession":
+        # the drop series reads the trace's counters, held records included
         self.aggregator._trace = trace
-        for rec in trace:
-            self.feed(rec)
-        trace.subscribe(self.feed)
-
-    def detach(self) -> None:
-        if self._trace is not None:
-            self._trace.unsubscribe(self.feed)
-
-    def replay(self, records: Iterable[TraceRecord]) -> "LiveSession":
-        for rec in records:
-            self.feed(rec)
-        return self
+        return super().attach(trace)
 
     def finish(self, t: Optional[float] = None) -> List[Alert]:
-        """End of stream: final evaluation, detach, strict enforcement."""
+        """End of stream: final evaluation, then detach."""
         if self._finished:
             return self.alerts
         self._finished = True
@@ -372,6 +360,4 @@ class LiveSession:
             self.engine.evaluate(max(self.aggregator.now,
                                      t if t is not None else 0.0))
         self.detach()
-        if self.strict and self.alerts:
-            raise SLOViolationError(self.alerts)
         return self.alerts

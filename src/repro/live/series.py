@@ -33,17 +33,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
-
-#: record kinds that open a recovery episode
-KILL_KINDS = frozenset({"rank_killed", "rank_crashed"})
-
-#: record kinds whose arrival proves data recovery completed
-RECOVERY_DONE_KINDS = frozenset({"recover", "imr_restore"})
+from repro.vocabulary import (
+    ATTEMPT_WORLD,
+    KILL_KINDS,
+    RECOVERY_DONE_KINDS,
+    RESILIENT_COMM,
+    world_rank,
+)
 
 #: the aggregator's standard global series
 STANDARD_SERIES = (
@@ -195,35 +195,13 @@ class RankLane:
         }
 
 
-def _record_rank(rec: TraceRecord) -> Optional[int]:
-    """Best-effort rank attribution of one record."""
-    r = rec.fields.get("rank")
-    if r is None:
-        r = rec.fields.get("wrank")
-    if r is not None:
-        try:
-            return int(r)
-        except (TypeError, ValueError):
-            return None
-    return _source_rank(rec.source)
-
-
-@lru_cache(maxsize=4096)
-def _source_rank(source: str) -> Optional[int]:
-    """The ``N`` of a ``...rankN`` source (memoised: the aggregator asks
-    for every record, and a run has a few dozen distinct sources)."""
-    tail = source.rsplit("rank", 1)
-    if len(tail) == 2 and tail[1].isdigit():
-        return int(tail[1])
-    return None
-
-
-class TimeSeriesAggregator:
+class TimeSeriesAggregator(TraceListener):
     """Trace listener maintaining the standard live series + rank lanes.
 
-    Subscribe with ``trace.subscribe(agg.feed)`` (or use
-    :meth:`attach`, which also replays already-held records) for live
-    runs, or push a recorded stream through :meth:`replay`.
+    A lane is a *world* rank: a layer record (``veloc.rank1``) lands on
+    the process holding that slot when it was emitted, so a substituted
+    spare's checkpoints are the spare's and the rank it replaced stays
+    dead (:func:`repro.vocabulary.world_rank`).
     """
 
     def __init__(self, window_s: float = 1.0, max_windows: int = 256,
@@ -242,26 +220,11 @@ class TimeSeriesAggregator:
         self._world_size = 0
         self._dead: set = set()
         self._spares = 0
+        #: slot -> world rank map of the current resilient communicator
+        self._members: Sequence[int] = ()
         #: open recovery episodes: kill time per (attempt-scoped) kill
         self._open_kills: List[Tuple[float, Optional[int]]] = []
         self._last_ckpt_t: Dict[str, float] = {}
-
-    # -- wiring -----------------------------------------------------------
-
-    def attach(self, trace: Trace) -> None:
-        for rec in trace:
-            self.feed(rec)
-        trace.subscribe(self.feed)
-        self._trace = trace
-
-    def detach(self) -> None:
-        if self._trace is not None:
-            self._trace.unsubscribe(self.feed)
-
-    def replay(self, records: Any) -> "TimeSeriesAggregator":
-        for rec in records:
-            self.feed(rec)
-        return self
 
     # -- the listener -------------------------------------------------------
 
@@ -271,7 +234,12 @@ class TimeSeriesAggregator:
         if t > self.now:
             self.now = t
         kind = rec.kind
-        rank = _record_rank(rec)
+        try:  # best-effort world-rank attribution (files come from outside)
+            rank = rec.fields.get("rank")
+            rank = (world_rank(rec.source, rec.fields, self._members)
+                    if rank is None else int(rank))
+        except (TypeError, ValueError):
+            rank = None
         lane = None
         if rank is not None:
             lane = self.lanes.get(rank)
@@ -322,10 +290,12 @@ class TimeSeriesAggregator:
             self._open_kills.clear()
         elif kind == "comm_create":
             members = rec.fields.get("members") or []
+            if rec.source.startswith(RESILIENT_COMM):
+                self._members = members
             if len(members) > self._world_size:
                 self._world_size = len(members)
                 self._observe_alive(t, rec)
-            if ".attempt" in rec.source and members:
+            if ATTEMPT_WORLD in rec.source and members:
                 # a relaunch: every rank of the new attempt is alive again
                 self._dead.clear()
                 for m in members:

@@ -16,7 +16,7 @@ so the harness (and the CLI's offline subcommands) can use it without
 pulling in applications or experiments.
 """
 
-from repro.monitor.base import MonitorSuite, ProtocolMonitor, layer_rank
+from repro.monitor.base import MonitorSuite, ProtocolMonitor
 from repro.monitor.monitors import (
     BuddyMonitor,
     FlushMonitor,
@@ -39,6 +39,5 @@ __all__ = [
     "RoleTransitionMonitor",
     "ULFMOrderMonitor",
     "VersionMonitor",
-    "layer_rank",
     "standard_monitors",
 ]

@@ -11,7 +11,6 @@ after the engine drains and fails the run there when strict.
 
 from __future__ import annotations
 
-import re
 from typing import (
     Any,
     Callable,
@@ -24,23 +23,7 @@ from typing import (
 )
 
 from repro.monitor.violations import InvariantViolation
-from repro.sim.trace import Trace, TraceRecord
-
-#: per-layer rank sources: ``veloc.rank3``, ``imr.rank3``, ``kr.rank3``
-_LAYER_RANK = re.compile(r"^(veloc|imr|kr)\.rank(\d+)$")
-
-#: world-level liveness events (source is the world name, which varies)
-LIFECYCLE_KINDS = frozenset({
-    "rank_killed", "rank_crashed", "rank_dead", "rank_exit",
-})
-
-
-def layer_rank(source: str) -> Optional[Tuple[str, int]]:
-    """``("veloc", 3)`` for ``veloc.rank3``; None for other sources."""
-    m = _LAYER_RANK.match(source)
-    if m:
-        return (m.group(1), int(m.group(2)))
-    return None
+from repro.sim.trace import TraceListener, TraceRecord
 
 
 class ProtocolMonitor:
@@ -71,7 +54,7 @@ class ProtocolMonitor:
         ))
 
 
-class MonitorSuite:
+class MonitorSuite(TraceListener):
     """A set of monitors sharing one record stream.
 
     Attach to a live :class:`Trace` with :meth:`attach` (online checking
@@ -96,7 +79,6 @@ class MonitorSuite:
         }
         self._feeds_of_any = tuple(
             m.feed for m in monitors if m.KINDS is None)
-        self._trace: Optional[Trace] = None
         self._finished = False
         #: ``(count, (first, last))`` of ring-buffer evictions, recorded at
         #: finish() so reports can say what the monitors never saw
@@ -108,23 +90,6 @@ class MonitorSuite:
     def feed(self, rec: TraceRecord) -> None:
         for feed in self._feeds_of.get(rec.kind, self._feeds_of_any):
             feed(rec)
-
-    def attach(self, trace: Trace) -> None:
-        """Subscribe to a live trace (records already held are fed first,
-        so attaching mid-run does not blind the monitors)."""
-        for rec in trace:
-            self.feed(rec)
-        trace.subscribe(self.feed)
-        self._trace = trace
-
-    def detach(self) -> None:
-        if self._trace is not None:
-            self._trace.unsubscribe(self.feed)
-
-    def replay(self, records: Iterable[TraceRecord]) -> "MonitorSuite":
-        for rec in records:
-            self.feed(rec)
-        return self
 
     def finish(self) -> None:
         """End-of-stream: run final checks and capture drop accounting."""

@@ -1,7 +1,7 @@
 """Post-mortem recovery explainer: one failure, kill to re-entry.
 
-Walks the trace from a ``rank_killed``/``rank_crashed`` record through
-the protocol stages documented in docs/PROTOCOLS.md §1 --
+Walks the trace from a kill record through the protocol stages
+documented in docs/PROTOCOLS.md §1 --
 
 - **t0 failure** -- the kill and the world marking the rank dead;
 - **t1 detection & revoke** -- survivors hit the dead rank, revoke the
@@ -14,7 +14,8 @@ the protocol stages documented in docs/PROTOCOLS.md §1 --
   resumes at the first post-repair checkpoint region --
 
 and renders each stage's records through the shared timeline row
-formatter (:func:`repro.telemetry.timeline.format_rows`).
+formatter (:func:`repro.telemetry.timeline.format_rows`).  Which kinds
+make up a stage is :data:`repro.vocabulary.RECOVERY_STAGES`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.timeline import format_rows
-
-#: record kinds that mark a failed process (stage t0 anchors)
-KILL_KINDS = ("rank_killed", "rank_crashed")
-
-#: record kinds proving the first resumed protected step *completed*
-#: (restores happen inside that step, so the boundary must be its end)
-REENTRY_KINDS = ("kr_region_commit", "checkpoint", "imr_store")
+from repro.vocabulary import (
+    KILL_KINDS,
+    REPAIR_DONE_KINDS,
+    RECOVERY_STAGES as STAGES,
+)
 
 
 def find_failures(records: Sequence[TraceRecord],
@@ -82,21 +81,21 @@ def explain_failure(records: Sequence[TraceRecord],
 
     # the repair that resolves this failure: first repair/abort after it
     repair = next((r for r in after
-                   if r.source == "fenix" and r.kind in ("repair", "abort")),
+                   if r.source == "fenix" and r.kind in REPAIR_DONE_KINDS),
                   None)
     upto_repair = (after[:after.index(repair)] if repair is not None
                    else list(after))
 
     t0 = [kill] + [r for r in upto_repair
                    if r.kind == "rank_dead" and r.fields.get("rank") == dead_rank]
-    t1 = [r for r in upto_repair if r.kind in ("detect", "revoke")]
-    t2 = [r for r in upto_repair if r.kind == "gate_arrive"]
+    t1 = [r for r in upto_repair if r.kind in STAGES["detection"]]
+    t2 = [r for r in upto_repair if r.kind in STAGES["rendezvous"]]
     late_deaths = [r for r in upto_repair
-                   if r.kind in KILL_KINDS + ("rank_dead",)
+                   if r.kind in STAGES["failure"]
                    and r.fields.get("rank") != dead_rank]
+    # Fenix's own repair steps; an MPI-level shrink is not one of them
     t3 = [r for r in upto_repair
-          if r.kind in ("spare_activated",)
-          or (r.kind == "shrink" and r.source == "fenix")]
+          if r.kind in STAGES["repair"] and r.source == "fenix"]
     if repair is not None:
         t3.append(repair)
 
@@ -144,10 +143,10 @@ def explain_failure(records: Sequence[TraceRecord],
     next_kill = next((r for r in post if r.kind in KILL_KINDS), None)
     window = post[:post.index(next_kill)] if next_kill is not None else post
     t4 = [r for r in window
-          if r.source == "fenix" and r.kind in ("role", "agree")]
-    reentry = next((r for r in window if r.kind in REENTRY_KINDS), None)
+          if r.source == "fenix" and r.kind in STAGES["roles"]]
+    reentry = next((r for r in window if r.kind in STAGES["reentry"]), None)
     restores = [r for r in window
-                if r.kind in ("recover", "imr_restore", "imr_buddy_recv")
+                if r.kind in STAGES["restore"]
                 and (reentry is None or r.seq <= reentry.seq)]
 
     lines.extend(_section(

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.monitor.base import ProtocolMonitor, layer_rank
+from repro.monitor.base import ProtocolMonitor
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import parse_source
 
 
 def _as_key(value) -> Tuple:
@@ -291,8 +292,7 @@ class VersionMonitor(ProtocolMonitor):
             # legitimately replay version numbers after losing state
             self._last.clear()
             return
-        lr = layer_rank(rec.source)
-        if lr is None or lr[0] != "veloc":
+        if parse_source(rec.source)[0] != "veloc":
             return
         if kind == "checkpoint":
             version = int(rec["version"])
@@ -341,9 +341,9 @@ class FlushMonitor(ProtocolMonitor):
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        lr = layer_rank(rec.source)
-        if kind == "checkpoint" and lr is not None and lr[0] == "veloc":
-            self._ckpt[(lr[1], int(rec["version"]))] = rec
+        track, slot = parse_source(rec.source)
+        if kind == "checkpoint" and track == "veloc":
+            self._ckpt[(slot, int(rec["version"]))] = rec
         elif kind == "flush_done":
             pair = self._key_pair(rec.fields.get("key"))
             if pair is None:
@@ -356,9 +356,9 @@ class FlushMonitor(ProtocolMonitor):
                     [rec],
                 )
             self._flushed[pair] = rec
-        elif (kind == "recover" and lr is not None and lr[0] == "veloc"
+        elif (kind == "recover" and track == "veloc"
                 and rec.fields.get("tier") in ("pfs", "bb")):
-            pair = (lr[1], int(rec["version"]))
+            pair = (slot, int(rec["version"]))
             if pair not in self._flushed:
                 chain = ([self._ckpt[pair]] if pair in self._ckpt else []) + [rec]
                 self.violate(
@@ -395,10 +395,9 @@ class BuddyMonitor(ProtocolMonitor):
         return best
 
     def feed(self, rec: TraceRecord) -> None:
-        lr = layer_rank(rec.source)
-        if lr is None or lr[0] != "imr":
+        track, rank = parse_source(rec.source)
+        if track != "imr":
             return
-        rank = lr[1]
         kind = rec.kind
         if kind == "imr_store":
             self._stored[self._key(rank, rec)] = rec

@@ -10,10 +10,16 @@ repair-gate occupancy, last VeloC checkpoint/restore, last IMR store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
-from repro.monitor.base import layer_rank
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import (
+    ATTEMPT_WORLD,
+    REPAIR_DONE_KINDS,
+    RESILIENT_COMM,
+    parse_source,
+    world_rank,
+)
 
 
 @dataclass
@@ -49,23 +55,23 @@ class ProtocolStateTracker:
     def __init__(self) -> None:
         self.ranks: Dict[int, RankState] = {}
         self.generation = 0
-        #: comm-local -> world rank map of the current resilient comm
-        self._members: List[int] = []
-        self._comm_name: Optional[str] = None
+        #: slot -> world rank map of the current resilient communicator
+        self._members: Sequence[int] = ()
 
-    def _rank(self, world_rank: int) -> RankState:
-        return self.ranks.setdefault(world_rank, RankState(world_rank))
-
-    def _world_of(self, comm_rank: int) -> int:
-        if comm_rank < len(self._members):
-            return self._members[comm_rank]
-        return comm_rank
+    def _rank(self, rank: int) -> RankState:
+        return self.ranks.setdefault(rank, RankState(rank))
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        if kind == "comm_create" and rec.source.startswith("fenix.resilient."):
-            self._members = list(rec["members"])
-            self._comm_name = rec.source
+        if kind == "comm_create":
+            if rec.source.startswith(RESILIENT_COMM):
+                self._members = rec["members"]
+            elif ATTEMPT_WORLD in rec.source:
+                # a relaunch: the ranks seen before are new processes now
+                for rank in rec["members"]:
+                    if rank in self.ranks:
+                        st = self.ranks[rank]
+                        st.alive, st.exited = True, False
         elif kind == "rank_dead":
             self._rank(rec["rank"]).alive = False
         elif kind == "rank_exit":
@@ -77,20 +83,15 @@ class ProtocolStateTracker:
             st.role = rec["role"]
             st.generation = rec["generation"]
             st.at_gate = False
-        elif kind == "repair" and rec.source == "fenix":
-            self.generation = rec["generation"]
-            for st in self.ranks.values():
-                st.at_gate = False
-        elif kind == "abort" and rec.source == "fenix":
+        elif kind in REPAIR_DONE_KINDS and rec.source == "fenix":
             self.generation = rec["generation"]
             for st in self.ranks.values():
                 st.at_gate = False
         else:
-            lr = layer_rank(rec.source)
-            if lr is None:
+            layer, n = parse_source(rec.source)
+            if n is None or not layer:
                 return
-            layer, comm_rank = lr
-            st = self._rank(self._world_of(comm_rank))
+            st = self._rank(world_rank(rec.source, rec.fields, self._members))
             if layer == "veloc" and kind == "checkpoint":
                 st.last_checkpoint = int(rec["version"])
             elif layer == "veloc" and kind == "recover":

@@ -20,9 +20,9 @@ checks identically to a live one.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
 from repro.util.schema import stamp, warn_on_mismatch
 
@@ -121,7 +121,7 @@ def load_trace(path: str) -> Trace:
     return trace
 
 
-class JsonlTraceSink:
+class JsonlTraceSink(TraceListener):
     """Streaming flight recorder: records hit disk *as they are emitted*.
 
     :func:`write_trace` is post-hoc -- nothing lands until the run ends,
@@ -136,7 +136,6 @@ class JsonlTraceSink:
     def __init__(self, path: str, trace: Optional[Trace] = None) -> None:
         self.path = path
         self.records_written = 0
-        self._trace: Optional[Trace] = None
         self._fh: Optional[Any] = open(path, "w", encoding="utf-8")
         self._fh.write(_encode(
             {"meta": stamp({"version": FORMAT_VERSION, "streaming": True},
@@ -145,14 +144,7 @@ class JsonlTraceSink:
         if trace is not None:
             self.attach(trace)
 
-    def attach(self, trace: Trace) -> "JsonlTraceSink":
-        for rec in trace:  # records emitted before the sink existed
-            self(rec)
-        trace.subscribe(self)
-        self._trace = trace
-        return self
-
-    def __call__(self, rec: TraceRecord) -> None:
+    def feed(self, rec: TraceRecord) -> None:
         if self._fh is None:
             return
         self._fh.write(_encode(rec.to_dict()) + "\n")
@@ -163,7 +155,7 @@ class JsonlTraceSink:
         if self._fh is None:
             return
         if self._trace is not None:
-            self._trace.unsubscribe(self)
+            self.detach()
             self._fh.write(_encode({"meta": trace_meta(self._trace)}) + "\n")
             self._trace = None
         self._fh.close()
@@ -175,13 +167,3 @@ class JsonlTraceSink:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-
-def records_from(source: "Trace | Iterable[TraceRecord]") -> List[TraceRecord]:
-    return list(source)
-
-
-def dropped_of(source: "Trace | Any") -> Tuple[int, Optional[Tuple[float, float]]]:
-    """Drop accounting of a live Trace (duck-typed for loaded metas)."""
-    dropped = getattr(source, "dropped", 0)
-    window = getattr(source, "dropped_window", None)
-    return dropped, window

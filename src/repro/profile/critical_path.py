@@ -15,18 +15,16 @@ teardown/relaunch spans instead of the repair gate.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-_RANK = re.compile(r"^rank(\d+)$")
-
-#: span names whose completion proves the rank has resumed protected
-#: progress (mirrors repro.monitor.explain.REENTRY_KINDS)
-_REENTRY_SPANS = ("kr.commit", "veloc.checkpoint", "imr.store")
-
-#: span names of the data-recovery stage
-_RECOVER_SPANS = ("veloc.recover", "imr.restore")
+from repro.vocabulary import (
+    KILL_KINDS,
+    RECOVER_SPANS,
+    REENTRY_SPANS,
+    parse_source,
+    world_rank,
+)
 
 
 @dataclass
@@ -83,21 +81,14 @@ class CriticalPath:
 
 
 def _source_rank(source: str) -> Optional[int]:
-    m = _RANK.match(source)
-    return int(m.group(1)) if m else None
-
-
-def _span_world_rank(rec: Any) -> Optional[int]:
-    wrank = rec.fields.get("wrank")
-    if wrank is not None:
-        return int(wrank)
-    m = re.match(r"^(?:[\w.]+\.)?rank(\d+)$", rec.source)
-    return int(m.group(1)) if m else None
+    """The N of a process track ``rankN``; None for every other source."""
+    track, n = parse_source(source)
+    return None if track else n
 
 
 def find_kills(telemetry: Any, rank: Optional[int] = None) -> List[Any]:
     """All ``rank_killed`` instants, time-ordered (optionally one rank)."""
-    kills = [r for r in telemetry.tracer.instants if r.name == "rank_killed"]
+    kills = [r for r in telemetry.tracer.instants if r.name in KILL_KINDS]
     if rank is not None:
         kills = [r for r in kills if _source_rank(r.source) == rank]
     return sorted(kills, key=lambda r: (r.start, r.sid))
@@ -167,12 +158,12 @@ def extract_critical_path(
         ]
         participants = sorted({
             _source_rank(s.source) for s in spans
-            if s.name in _RECOVER_SPANS + _REENTRY_SPANS + ("recompute",)
+            if s.name in RECOVER_SPANS + REENTRY_SPANS + ("recompute",)
             and s.start >= t_repair and _source_rank(s.source) is not None
         } | {
-            _span_world_rank(s) for s in spans
-            if s.name in _RECOVER_SPANS and s.start >= t_repair
-            and _span_world_rank(s) is not None
+            world_rank(s.source, s.fields) for s in spans
+            if s.name in RECOVER_SPANS and s.start >= t_repair
+            and world_rank(s.source, s.fields) is not None
         })
         detect_of, arrival_of, t_revoke = {}, {}, t0
 
@@ -185,14 +176,14 @@ def extract_critical_path(
                       if s.name in ("kr.latest", "kr.restore")
                       and _source_rank(s.source) == r), default=t_repair)
         dr_end = max((s.end for s in mine
-                      if s.name in _RECOVER_SPANS
-                      and _span_world_rank(s) == r), default=kr_end)
+                      if s.name in RECOVER_SPANS
+                      and world_rank(s.source, s.fields) == r), default=kr_end)
         rc = [s for s in mine
               if s.name == "recompute" and _source_rank(s.source) == r]
         rc_end = max((s.end for s in rc), default=dr_end)
         reentry = min((s.end for s in mine
-                       if s.name in _REENTRY_SPANS
-                       and _span_world_rank(s) == r
+                       if s.name in REENTRY_SPANS
+                       and world_rank(s.source, s.fields) == r
                        and s.end >= rc_end - eps), default=rc_end)
         return {"kr": kr_end, "recover": dr_end,
                 "recompute": rc_end, "reentry": max(reentry, rc_end)}

@@ -7,32 +7,25 @@ import directly.  Each rank is a root frame; spans nest below their
 tracer parents, so a survivor's flame shows e.g.
 ``rank2;recompute;compute`` next to ``rank2;veloc.recover``.
 
-Layer tracks (``veloc.rank3``, ``imr.rank3``, ``kr.rank3``) are folded
-into the owning *world* rank's root frame using the spans' ``wrank``
-field, so a replacement spare's recovery work lands under its own rank
-even though it adopts the dead rank's checkpoint identity.
+Layer tracks (``veloc.rank3``, ``imr.rank3``) are folded into the
+owning *world* rank's root frame using the spans' ``wrank`` field, so a
+replacement spare's recovery work lands under its own rank even though
+it adopts the dead rank's checkpoint identity.
 """
 
 from __future__ import annotations
 
 import io
-import re
 from typing import Any, Dict, List, Optional, TextIO, Union
 
-_WORLD = re.compile(r"^rank(\d+)$")
-_LAYER = re.compile(r"^[\w.]+\.rank(\d+)$")
+from repro.vocabulary import world_rank
 
 
 def _root_frame(source: str, fields: Dict[str, Any]) -> str:
-    """Track name for a span: world-rank sources keep their name; layer
-    sources fold into ``rank<wrank>`` when the world rank is known."""
-    if _WORLD.match(source):
-        return source
-    m = _LAYER.match(source)
-    if m:
-        wrank = fields.get("wrank")
-        return f"rank{int(wrank)}" if wrank is not None else source
-    return source
+    """Track name for a span: ``rank<N>`` of the world rank it belongs
+    to, the source itself for a global one (``fenix``, ``job``)."""
+    rank = world_rank(source, fields)
+    return source if rank is None else f"rank{rank}"
 
 
 def folded_stacks(telemetry: Any) -> Dict[str, int]:

@@ -16,12 +16,12 @@ failed MPI wait into ``failure_detection``).
 
 Identity notes:
 
-- sources named ``rankN`` belong to world rank N;
-- sources named ``<layer>.rankN`` (``veloc.rank2``, ``imr.rank2``) use
-  the span's ``wrank`` field when present -- under Fenix's in-place
-  repair a replacement process adopts the dead rank's checkpoint id, so
-  the track number alone would attribute the replacement's recovery work
-  to the corpse;
+- a span belongs to the world rank :func:`repro.vocabulary
+  .world_rank` names: ``rankN`` is world rank N, and a layer track
+  (``veloc.rank2``, ``imr.rank2``) goes by the span's ``wrank`` -- under
+  Fenix's in-place repair a replacement process adopts the dead rank's
+  checkpoint id, so the track number alone would attribute the
+  replacement's recovery work to the corpse;
 - ring-buffer drops in the legacy :class:`~repro.sim.trace.Trace` are
   surfaced on the ledger (``dropped``/``dropped_window``) so consumers
   can refuse to trust an attribution built over an evicted window.
@@ -29,9 +29,7 @@ Identity notes:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,9 +43,7 @@ from repro.profile.categories import (
     categorize,
 )
 from repro.util.units import format_table
-
-_RANK_TRACK = re.compile(r"^rank(\d+)$")
-_LAYER_RANK_TRACK = re.compile(r"^[\w.]+\.rank(\d+)$")
+from repro.vocabulary import RECOVERY_STAGES, world_rank
 
 #: priority of the synthesized post-kill detection segment: above
 #: app-MPI and recompute (a rank hanging on a corpse is detecting, not
@@ -166,28 +162,6 @@ class ProfileLedger:
         }
 
 
-@lru_cache(maxsize=4096)
-def _track_rank(source: str) -> Tuple[Optional[int], bool]:
-    """``(N, is_layer_track)`` of a ``rankN`` / ``<layer>.rankN`` source
-    (memoised: a run has a few dozen distinct sources)."""
-    m = _RANK_TRACK.match(source)
-    if m:
-        return int(m.group(1)), False
-    m = _LAYER_RANK_TRACK.match(source)
-    if m:
-        return int(m.group(1)), True
-    return None, False
-
-
-def _world_rank_of(source: str, fields: Dict[str, Any]) -> Optional[int]:
-    rank, is_layer_track = _track_rank(source)
-    if is_layer_track:
-        wrank = fields.get("wrank")
-        if wrank is not None:
-            return int(wrank)
-    return rank
-
-
 def _collect(telemetry: Any) -> Tuple[
     Dict[int, List[_Interval]], Dict[int, List[float]], List[float]
 ]:
@@ -210,19 +184,19 @@ def _collect(telemetry: Any) -> Tuple[
     deaths: List[float] = []
 
     for rec in tracer.instants:
-        if rec.name in ("rank_dead", "rank_killed"):
+        if rec.name in RECOVERY_STAGES["failure"]:
             deaths.append(rec.start)
         if rec.name == "rank_spawn":
             rank = rec.fields.get("rank")
             if rank is not None:
                 marks.setdefault(int(rank), []).append(rec.start)
             continue
-        rank = _world_rank_of(rec.source, rec.fields)
+        rank = world_rank(rec.source, rec.fields)
         if rank is not None:
             marks.setdefault(rank, []).append(rec.start)
 
     for order, rec in enumerate(tracer.spans):
-        rank = _world_rank_of(rec.source, rec.fields)
+        rank = world_rank(rec.source, rec.fields)
         if rank is None:
             continue
         end = rec.end if rec.end is not None else end_of_time

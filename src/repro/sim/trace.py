@@ -13,7 +13,8 @@ Two consumers shaped this module's API:
 - **online monitors** (:mod:`repro.monitor`) subscribe with
   :meth:`Trace.subscribe` and see every record the moment it is emitted,
   which lets protocol invariants fail a run *while it executes* instead
-  of after the fact.
+  of after the fact; :class:`TraceListener` is the attach / detach /
+  replay scaffold every such observer shares.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -247,3 +249,36 @@ class Trace:
         self._sampled_last = None
         self.listener_errors = 0
         self.last_listener_error = None
+
+
+class TraceListener:
+    """The one way to put a ``feed(rec)`` on a record stream: a live
+    :class:`Trace` is joined with :meth:`attach` and left with
+    :meth:`detach`, a recorded stream goes through :meth:`replay`.
+    Monitors, live series, SLO sessions and the streaming sink are this
+    plus their own ``feed``."""
+
+    #: the trace attached to (subclasses read its drop accounting);
+    #: None while only replaying
+    _trace: Optional[Trace] = None
+
+    def feed(self, rec: TraceRecord) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def attach(self, trace: Trace) -> "TraceListener":
+        """Subscribe to a live trace; the records it already holds are
+        fed first, so attaching mid-run blinds nobody."""
+        self._trace = trace
+        for rec in trace:
+            self.feed(rec)
+        trace.subscribe(self.feed)
+        return self
+
+    def detach(self) -> None:
+        if self._trace is not None:
+            self._trace.unsubscribe(self.feed)
+
+    def replay(self, records: Iterable[TraceRecord]) -> "TraceListener":
+        for rec in records:
+            self.feed(rec)
+        return self

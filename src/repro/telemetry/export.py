@@ -4,9 +4,12 @@ metrics JSON, and a validator for the trace-event subset we emit.
 Track layout: pid 0 holds one tid per source, rank tracks first in
 numeric order (``rank0``, ``rank1``, ...), then protocol tracks
 (``fenix``, ``mpi``, ``engine``, ``job``), then per-node VeloC server
-tracks.  Sources named ``*.rankN`` (legacy :class:`~repro.sim.trace.Trace`
-records such as ``veloc.rank3``) are folded onto rank N's track so one
-row tells a rank's whole story across all three resilience layers.
+tracks.  Layer sources (``veloc.rank3`` spans and legacy
+:class:`~repro.sim.trace.Trace` records) are folded onto the track of
+the *world rank they belong to* (:func:`repro.vocabulary.world_rank`)
+so one row tells a process's whole story across all three resilience
+layers -- a substituted spare's restore sits on the spare's row, not on
+the row of the rank whose slot it adopted.
 
 Times are simulated seconds; the trace-event ``ts``/``dur`` fields are
 microseconds, matching what Perfetto expects.
@@ -15,28 +18,28 @@ microseconds, matching what Perfetto expects.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-_RANK_SUFFIX = re.compile(r"^(?:[\w.]+\.)?rank(\d+)$")
+from repro.vocabulary import RESILIENT_COMM, parse_source, world_rank
 
 #: event phases this exporter emits (the subset the validator accepts)
 PHASES = {"X", "i", "M"}
 
 
-def track_for_source(source: str) -> str:
+def track_for_source(source: str,
+                     fields: Optional[Mapping[str, Any]] = None,
+                     members: Sequence[int] = ()) -> str:
     """Fold per-layer rank sources (``veloc.rank3``, ``imr.rank3``) onto
-    the process-rank track (``rank3``)."""
-    m = _RANK_SUFFIX.match(source)
-    if m:
-        return f"rank{m.group(1)}"
-    return source
+    the track of the process they belong to (``rank3``, or the slot's
+    holder when ``fields``/``members`` say who that is)."""
+    rank = world_rank(source, fields or {}, members)
+    return source if rank is None else f"rank{rank}"
 
 
 def _track_sort_key(track: str) -> Tuple[int, int, str]:
-    m = re.match(r"^rank(\d+)$", track)
-    if m:
-        return (0, int(m.group(1)), track)
+    layer, n = parse_source(track)
+    if n is not None and not layer:
+        return (0, n, track)
     order = {"fenix": 1, "mpi": 2, "engine": 3, "job": 4}
     if track in order:
         return (order[track], 0, track)
@@ -71,7 +74,7 @@ def chrome_trace_events(telemetry: Any, trace: Any = None) -> List[Dict]:
             end_of_time = max(end_of_time, tr.time)
 
     for rec in tracer.spans:
-        track = track_for_source(rec.source)
+        track = track_for_source(rec.source, rec.fields)
         end = rec.end if rec.end is not None else end_of_time
         args = dict(_json_safe(rec.fields))
         if rec.error:
@@ -93,7 +96,7 @@ def chrome_trace_events(telemetry: Any, trace: Any = None) -> List[Dict]:
     for rec in tracer.instants:
         raw.append((
             rec.start,
-            track_for_source(rec.source),
+            track_for_source(rec.source, rec.fields),
             {
                 "name": rec.name,
                 "cat": rec.name.split(".", 1)[0],
@@ -104,10 +107,14 @@ def chrome_trace_events(telemetry: Any, trace: Any = None) -> List[Dict]:
             },
         ))
     if trace is not None:
+        members: Sequence[int] = ()  # slot -> world rank, as of ``tr``
         for tr in trace:
+            if (tr.kind == "comm_create"
+                    and tr.source.startswith(RESILIENT_COMM)):
+                members = tr.fields["members"]
             raw.append((
                 tr.time,
-                track_for_source(tr.source),
+                track_for_source(tr.source, tr.fields, members),
                 {
                     "name": tr.kind,
                     "cat": "trace",
@@ -268,25 +275,3 @@ def diff_metrics(a: Dict, b: Dict) -> List[Tuple[str, Optional[float], Optional[
         if va != vb:
             rows.append((key, va, vb))
     return rows
-
-
-def out_of_tolerance(
-    rows: List[Tuple[str, Optional[float], Optional[float]]],
-    tolerance: float,
-) -> List[Tuple[str, Optional[float], Optional[float]]]:
-    """Diff rows whose relative difference exceeds ``tolerance``.
-
-    A metric absent on one side is always out of tolerance (structural
-    difference, not noise).  ``tolerance`` is relative to the larger
-    magnitude, so 0.05 means "within 5%"; 0.0 means byte-for-byte."""
-    out = []
-    for key, va, vb in rows:
-        if va is None or vb is None:
-            out.append((key, va, vb))
-            continue
-        scale = max(abs(va), abs(vb))
-        if scale == 0.0:
-            continue
-        if abs(va - vb) / scale > tolerance:
-            out.append((key, va, vb))
-    return out

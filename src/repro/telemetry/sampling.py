@@ -11,8 +11,9 @@ functions of per-kind occurrence counts, never of wall time or
 randomness, so a sampled run is bit-reproducible.
 
 **Hard exemptions keep the analysis layers sound.**  Only names listed
-in :data:`SAMPLEABLE_SPANS` / :data:`SAMPLEABLE_SPAN_PREFIXES` /
-:data:`SAMPLEABLE_TRACE_KINDS` may ever be dropped; everything else --
+in :data:`SAMPLEABLE_SPANS` / :data:`SAMPLEABLE_SPAN_PREFIXES` / the
+vocabulary's :data:`~repro.vocabulary.SAMPLEABLE_TRACE_KINDS` may
+ever be dropped; everything else --
 in particular every trace kind a :mod:`repro.monitor` state machine
 consumes and every failure/recovery span :mod:`repro.profile` walks --
 is always kept, so monitors and the recovery critical path never see a
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.util.errors import ConfigError
+from repro.vocabulary import SAMPLEABLE_TRACE_KINDS
 
 #: span names that may be sampled: per-iteration application/MPI work
 #: whose volume dwarfs everything else and whose absence degrades only
@@ -50,15 +52,6 @@ SAMPLEABLE_SPANS = frozenset({
 
 #: sampled by prefix: the per-call MPI op spans ("mpi.send", ...)
 SAMPLEABLE_SPAN_PREFIXES: Tuple[str, ...] = ("mpi.",)
-
-#: trace-record kinds that may be sampled.  The monitor suite consumes
-#: comm_create, lifecycle kinds, revoke/agree/shrink/repair/abort, role,
-#: gate_arrive, finalize_arrive, spare_activated, checkpoint, recover,
-#: flush_submit/flush_done, imr_*, detect and kr_region_commit -- all of
-#: which are protected by omission from this set.
-SAMPLEABLE_TRACE_KINDS = frozenset({
-    "kr_region_begin",
-})
 
 
 def span_sampleable(name: str) -> bool:

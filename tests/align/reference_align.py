@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.align.engine import (
     _EPS,
-    _LAYER_ORDER,
     CATEGORIES,
     Alignment,
     Divergence,
@@ -28,12 +27,12 @@ from repro.align.engine import (
     _meta_int,
 )
 from repro.align.keying import (
-    ANCHOR_KINDS,
     KeyedRecord,
     key_records,
     protocol_critical,
 )
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import ANCHOR_KINDS, LAYERS as _LAYER_ORDER
 
 
 def reference_align(

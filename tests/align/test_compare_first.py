@@ -70,6 +70,8 @@ def mutations(draw):
 def apply(records, mutation):
     op, i, j, value = mutation
     out = list(records)
+    if not out:  # a truncate to one record, then a delete: nothing to edit
+        return out
     i %= len(out)
     j %= len(out)
     if op == "delete":

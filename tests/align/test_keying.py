@@ -2,15 +2,14 @@
 sampling contract, layer attribution, and occurrence indexing."""
 
 from repro.align.keying import (
-    ANCHOR_KINDS,
     canonical_fields,
     key_records,
-    layer_of,
     protocol_critical,
     record_epoch,
     record_wrank,
 )
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import ANCHOR_KINDS, layer_of
 from repro.telemetry.sampling import record_sampleable
 
 

@@ -18,7 +18,7 @@ invariance under the periodic wrap.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.apps import MiniMDConfig
 from repro.apps.minimd import MiniMDState
@@ -99,6 +99,13 @@ def systems(draw):
         if draw(st.booleans()):  # the same separation with the sign flipped
             state.x.data[owner, axis], ghosts[k, axis] = (
                 ghosts[k, axis], 0.0)
+    # r = 0 is outside the pair law's domain (both kernels answer NaN):
+    # the plantings above can land a ghost on an owned atom's nearest
+    # image -- a face atom at the origin, a flipped ghost at 0 -- and
+    # such a system says nothing about whether the kernels agree
+    sep = state.x.data[:, None, :] - ghosts[None, :, :]
+    sep -= box * np.rint(sep / box)
+    assume(sep.any(axis=2).all())
     state.ghosts = ghosts
     return state
 

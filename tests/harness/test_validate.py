@@ -1,17 +1,17 @@
-"""Trace-validation utilities: clean traces pass, corrupted ones fail."""
+"""Trace validation: clean traces pass, corrupted ones fail.
+
+The checks are ``repro.monitor``'s (``harness.validate``, their five-rule
+precursor, is gone); the traces are this file's own -- a full-stack
+failing run built without the harness, and hand-written corruptions.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import KRConfig, every_nth, make_context
 from repro.fenix import FenixSystem, Role
-from repro.harness.validate import (
-    check_recover_has_source,
-    check_repair_generations,
-    check_repairs_follow_deaths,
-    validate_trace,
-)
 from repro.kokkos import KokkosRuntime
+from repro.monitor import MonitorSuite
 from repro.mpi import SUM, World
 from repro.sim import (
     Cluster,
@@ -22,6 +22,13 @@ from repro.sim import (
     Trace,
 )
 from repro.veloc import VeloCService
+
+
+def validate_trace(trace):
+    """``monitor/rule`` of every invariant violation on the trace."""
+    suite = MonitorSuite().replay(trace)
+    suite.finish()
+    return [f"{v.monitor}/{v.rule}" for v in suite.violations]
 
 
 def traced_failure_run():
@@ -94,21 +101,19 @@ class TestCorruptedTracesFlagged:
         tr = Trace()
         tr.emit(0.0, "veloc.rank0", "checkpoint", version=0, nbytes=1.0)
         tr.emit(1.0, "veloc.rank0", "recover", version=5, tier="scratch")
-        violations = check_recover_has_source(tr)
-        assert any("never checkpointed" in v for v in violations)
+        assert validate_trace(tr) == ["VersionMonitor/ghost-restore"]
 
     def test_generation_skip_detected(self):
         tr = Trace()
         tr.emit(0.0, "world", "rank_dead", rank=1)
         tr.emit(0.1, "fenix", "repair", generation=2, size=3, recovered=[])
-        violations = check_repair_generations(tr)
-        assert violations
+        assert validate_trace(tr) == ["RepairGateMonitor/generation-sequence"]
 
     def test_repair_without_death_detected(self):
         tr = Trace()
         tr.emit(0.1, "fenix", "repair", generation=1, size=3, recovered=[])
-        violations = check_repairs_follow_deaths(tr)
-        assert violations
+        assert validate_trace(tr) == [
+            "RepairGateMonitor/repair-without-failure"]
 
     def test_valid_sequence_passes(self):
         tr = Trace()

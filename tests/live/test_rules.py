@@ -8,7 +8,6 @@ from repro.live.rules import (
     AlertRule,
     LiveSession,
     RuleSet,
-    SLOViolationError,
     load_rules,
     parse_rules,
 )
@@ -180,13 +179,6 @@ class TestLiveSession:
         replayed = LiveSession(rules=self.tight_rules()).replay(list(tr))
         assert [a.to_dict() for a in live.finish()] == \
             [a.to_dict() for a in replayed.finish()]
-
-    def test_strict_session_raises(self):
-        session = LiveSession(rules=self.tight_rules(), strict=True)
-        session.replay(list(self.kill_trace()))
-        with pytest.raises(SLOViolationError) as exc:
-            session.finish()
-        assert exc.value.alerts
 
     def test_finish_is_idempotent_and_rules_optional(self):
         session = LiveSession()

@@ -9,7 +9,7 @@ these prove the monitors check the protocol rather than the workload.
 
 import dataclasses
 
-from repro.monitor import layer_rank
+from repro.vocabulary import parse_source
 from tests.monitor.conftest import check
 
 
@@ -63,7 +63,7 @@ class TestRestoredUnflushedVersion:
         recover = next(r for r in clean
                        if r.kind == "recover"
                        and r.fields.get("tier") in ("bb", "pfs"))
-        rank = layer_rank(recover.source)[1]
+        rank = parse_source(recover.source)[1]
         version = recover.fields["version"]
 
         def backs(rec):

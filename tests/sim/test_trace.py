@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Trace
+from repro.sim.trace import TraceListener
 from repro.util.errors import ConfigError
 
 
@@ -161,6 +162,47 @@ class TestSubscription:
         tr.subscribe(seen.append)
         tr.emit(0.0, "s", "a")
         assert seen == []
+
+
+class TestTraceListener:
+    """The one attach / detach / replay, under every observer."""
+
+    class Kinds(TraceListener):
+        def __init__(self):
+            self.kinds = []
+
+        def feed(self, rec):
+            self.kinds.append(rec.kind)
+
+    def test_attach_feeds_what_the_trace_holds_then_follows_it(self):
+        tr = make_trace()
+        listener = self.Kinds().attach(tr)
+        assert listener.kinds == ["detect", "checkpoint", "checkpoint",
+                                  "repair"]
+        tr.emit(4.0, "fenix", "role", rank=0)
+        listener.detach()
+        tr.emit(5.0, "fenix", "agree")
+        assert listener.kinds[4:] == ["role"]
+
+    def test_replay_needs_no_trace_and_chains(self):
+        listener = self.Kinds()
+        assert listener.replay(make_trace()) is listener
+        assert len(listener.kinds) == 4
+        listener.detach()  # never attached: nothing to leave
+
+    def test_the_observers_share_it(self):
+        from repro.live import LiveSession, TimeSeriesAggregator
+        from repro.monitor import MonitorSuite
+        from repro.monitor.trace_io import JsonlTraceSink
+
+        for cls in (MonitorSuite, TimeSeriesAggregator, LiveSession,
+                    JsonlTraceSink):
+            assert issubclass(cls, TraceListener)
+            assert not {"detach", "replay"} & set(vars(cls)), cls
+        # the session alone extends attach: its drop series reads the trace
+        assert [cls.__name__ for cls in (MonitorSuite, TimeSeriesAggregator,
+                                         LiveSession, JsonlTraceSink)
+                if "attach" in vars(cls)] == ["LiveSession"]
 
 
 class TestSeqAndBrief:

@@ -6,11 +6,11 @@ from repro.sim.trace import Trace
 from repro.telemetry import SamplingPolicy, SpanSampler, Telemetry
 from repro.telemetry.sampling import (
     SAMPLEABLE_SPANS,
-    SAMPLEABLE_TRACE_KINDS,
     record_sampleable,
     span_sampleable,
 )
 from repro.util.errors import ConfigError
+from repro.vocabulary import SAMPLEABLE_TRACE_KINDS
 
 #: kinds the monitor state machines consume -- none may ever be sampled
 PROTECTED_KINDS = (
