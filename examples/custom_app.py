@@ -26,6 +26,10 @@ plan = IterationFailure([(2, 13)])  # rank 2 dies at iteration 13
 
 cluster = Cluster(ClusterSpec(n_nodes=N_RANKS + N_SPARES))
 world = World(cluster, N_RANKS + N_SPARES)
+# one spare, one planned failure.  A second death would find no spare
+# left: under the default spare_policy="abort" every rank then raises
+# SpareExhaustionError out of system.run (repro.harness.run_job would
+# relaunch the job; this hand-built set-up has nobody to)
 system = FenixSystem(world, n_spares=N_SPARES)
 service = VeloCService(cluster)
 config = KRConfig(backend="veloc", filter=every_nth(4))

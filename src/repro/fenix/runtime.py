@@ -24,7 +24,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from repro.fenix.errors import FenixLongJump, SpareExhaustionError
 from repro.fenix.handle import FenixCommHandle
 from repro.fenix.roles import Role
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import CollectiveGate, Communicator
+from repro.mpi.errors import MPIError
 from repro.mpi.world import RankContext, World
 from repro.sim.engine import Event
 from repro.util.errors import ConfigError
@@ -40,70 +41,28 @@ class RepairResult:
     """Outcome of one repair generation, delivered to every alive rank."""
 
     generation: int
-    comm: Optional[Communicator]
+    comm: Communicator
     #: world_rank -> Role for ranks active in the new communicator
     roles: Dict[int, "Any"]
-    aborted: bool = False
 
 
-class WorldGate:
-    """Failure-aware rendezvous over a dynamic set of world ranks.
+class FenixSystem:
+    """Shared Fenix state for one world.
 
-    Like :class:`repro.mpi.comm.CollectiveGate` but world-scoped: Fenix's
-    repair must gather survivors *and* spares, which no single
-    communicator contains.  ``expected`` returns the set of ranks whose
-    arrival is required; it is re-evaluated on every arrival and on every
-    rank death, so the gate cannot hang on a corpse.
+    ``spare_policy`` says what a repair does once more members have died
+    than spares remain.  ``"abort"``, the default, gives the job up:
+    every rank raises :class:`SpareExhaustionError` out of :meth:`run`
+    (through :func:`repro.harness.run_job` that is a teardown and a
+    relaunch, not an error).  ``"shrink"`` drops the dead slots and hands
+    the application a smaller communicator -- only for an application
+    that can redistribute its data over it (docs/PROTOCOLS.md §4).
     """
 
     def __init__(
         self,
         world: World,
-        name: str,
-        finalize: Callable[[Dict[int, Any]], Any],
-        expected: Callable[[], "set[int]"],
-    ):
-        self.world = world
-        self.name = name
-        self._finalize = finalize
-        self._expected = expected
-        self._contributions: Dict[int, Any] = {}
-        self._waiters: Dict[int, Event] = {}
-        world.add_death_listener(lambda _rank: self.recheck())
-
-    def arrive(self, world_rank: int, value: Any = None) -> Event:
-        ev = self.world.engine.event(name=f"{self.name}:{world_rank}")
-        self._contributions[world_rank] = value
-        self._waiters[world_rank] = ev
-        self.world.trace.emit(
-            self.world.engine.now, "fenix", "gate_arrive",
-            gate=self.name, rank=world_rank,
-        )
-        self.recheck()
-        return ev
-
-    def recheck(self) -> None:
-        if not self._waiters:
-            return
-        expected = self._expected()
-        if expected and not expected.issubset(self._contributions.keys()):
-            return
-        result = self._finalize(dict(self._contributions))
-        waiters, self._waiters = self._waiters, {}
-        self._contributions = {}
-        for ev in waiters.values():
-            if not ev.triggered:
-                ev.succeed(result)
-
-
-class FenixSystem:
-    """Shared Fenix state for one world."""
-
-    def __init__(
-        self,
-        world: World,
         n_spares: int,
-        spare_policy: str = POLICY_SHRINK,
+        spare_policy: str = POLICY_ABORT,
         init_cost: float = 1e-4,
         n_active: Optional[int] = None,
     ) -> None:
@@ -136,23 +95,25 @@ class FenixSystem:
         self.resilient_comm: Communicator = world.create_comm(
             list(range(n_active)), name="fenix.resilient.g0"
         )
-        #: ranks that have permanently left the protocol (finalized active
-        #: ranks, released spares) and must not be waited for at gates
-        self.retired: set = set()
-        self._repair_gate = WorldGate(
-            world,
-            "fenix.repair",
-            self._finalize_repair,
-            expected=lambda: (
-                set(world.alive_ranks()) & self.registered
-            ) - self.retired,
+        # the repair rendezvous gathers survivors *and* spares, which no
+        # single communicator contains: every alive rank in the protocol
+        self._repair_gate = CollectiveGate(
+            world, "fenix.repair", self._finalize_repair,
+            expected=lambda: set(world.alive_ranks()) & self.registered,
         )
+        # Fenix_Finalize is a collective of the resilient communicator's
+        # members, all of them: a dead one fails it (_finalize_members)
+        self._finalize_gate = CollectiveGate(
+            world, "fenix.finalize",
+            lambda _arrived: world.signal_job_done(),
+            expected=self._finalize_members,
+        )
+        # a death re-evaluates both: the repair gate stops expecting the
+        # corpse, finalize fails on every member already waiting
+        world.add_death_listener(lambda _rank: (
+            self._repair_gate.recheck(), self._finalize_gate.recheck()))
         self._callbacks: List[Callable[[Any, RankContext], None]] = []
         self.detections: List[Dict[str, Any]] = []
-        self._finalize_arrived: set = set()
-        self._finalize_waiters: Dict[int, Event] = {}
-        # a death during finalize must re-evaluate the completion set
-        world.add_death_listener(lambda _rank: self._recheck_finalize())
 
     # -- public configuration ------------------------------------------------
 
@@ -197,8 +158,7 @@ class FenixSystem:
         new_members: List[int] = []
         roles: Dict[int, Role] = {}
         available = [s for s in self.spare_pool if world.is_alive(s)]
-        exhausted = False
-        for w in old.members:
+        for w in old.members:  # a dead one with no spare left is dropped
             if world.is_alive(w):
                 new_members.append(w)
                 roles[w] = Role.SURVIVOR
@@ -215,8 +175,6 @@ class FenixSystem:
                 if tel.enabled:
                     tel.instant(f"rank{replacement}", "fenix.spare_activated",
                                 replaces=w, generation=self.generation + 1)
-            else:
-                exhausted = True  # slot dropped (shrink) or job aborts
         self.generation += 1
         dead_members = [w for w in old.members if not world.is_alive(w)]
         # the shrink step: the surviving membership is now decided
@@ -231,12 +189,13 @@ class FenixSystem:
                         dead=dead_members)
             tel.set_gauge("fenix.spare_pool_depth",
                           len([s for s in self.spare_pool if world.is_alive(s)]))
-        if exhausted and self.spare_policy == POLICY_ABORT:
+        if len(new_members) < old.size and self.spare_policy == POLICY_ABORT:
             world.trace.emit(world.engine.now, "fenix", "abort",
                              generation=self.generation)
             if tel.enabled:
                 tel.instant("fenix", "fenix.abort", generation=self.generation)
-            return RepairResult(self.generation, None, {}, aborted=True)
+            # not a smaller job: the repair fails, on every rank at the gate
+            raise SpareExhaustionError("job aborted: spares exhausted")
         comm = world.create_comm(
             new_members, name=f"fenix.resilient.g{self.generation}"
         )
@@ -293,7 +252,6 @@ class FenixSystem:
             yield engine.timeout(self.init_cost)
         ctx.account.charge(RESILIENCE_INIT, self.init_cost)
 
-        role: Optional[Role]
         if self.resilient_comm.comm_rank(ctx.rank) is not None:
             role = Role.INITIAL
         else:
@@ -314,95 +272,64 @@ class FenixSystem:
                 # failure may already be pending -- e.g. a rank that died
                 # during job startup, before this spare began waiting --
                 # in which case we go straight to the repair rendezvous.
-                already_failed = any(
-                    not world.is_alive(w) for w in self.resilient_comm.members
+                # A death outside the resilient comm (e.g. a fellow
+                # spare) is no reason to: no survivor revokes the comm,
+                # so the gate would hang forever.  Resume waiting.
+                while not (world.job_done.triggered
+                           or self.resilient_comm.failed_members()):
+                    yield engine.any_of([world.failure_watch(), world.job_done])
+                if world.job_done.triggered:
+                    return None  # job finished; spare exits cleanly
+                via = "spare"
+            else:
+                # -- active rank: run the application main, then finalize --
+                handle = FenixCommHandle(self.resilient_comm, ctx)
+                for cb in self._callbacks:
+                    cb(role, ctx)
+                try:
+                    result = yield from main(role, handle)
+                    yield from self._finalize(handle)
+                    return result
+                except FenixLongJump:
+                    via = "longjump"
+            # -- the repair gate: where every rank learns its next role -----
+            with tel.span(f"rank{ctx.rank}", "fenix.repair",
+                          generation=self.generation, via=via):
+                world.trace.emit(
+                    engine.now, "fenix", "gate_arrive",
+                    gate="fenix.repair", rank=ctx.rank,
                 )
-                if not already_failed:
-                    idx, _val = yield engine.any_of(
-                        [world.failure_watch(), self.world.job_done]
-                    )
-                    if idx == 1:
-                        self.retired.add(ctx.rank)
-                        return None  # job finished; spare exits cleanly
-                    if all(
-                        world.is_alive(w)
-                        for w in self.resilient_comm.members
-                    ):
-                        # the death was outside the resilient comm (e.g.
-                        # a fellow spare): no repair will happen -- no
-                        # survivor revokes the comm -- so going to the
-                        # gate would hang forever.  Resume waiting.
-                        continue
-                with tel.span(f"rank{ctx.rank}", "fenix.repair",
-                              generation=self.generation, via="spare"):
-                    repair: RepairResult = yield self._repair_gate.arrive(ctx.rank)
-                if repair.aborted:
-                    raise SpareExhaustionError("job aborted: spares exhausted")
-                new_role = repair.roles.get(ctx.rank)
-                if new_role is None:
-                    continue  # still spare; wait for the next failure
-                role = new_role
+                repair: RepairResult = yield self._repair_gate.arrive(ctx.rank)
+            if ctx.rank in repair.roles:  # else: still a spare, wait again
+                role = repair.roles[ctx.rank]
                 if tel.enabled:
                     tel.instant(f"rank{ctx.rank}", "fenix.role",
                                 role=role.name, generation=repair.generation)
-            # -- active rank: run the application main ----------------------
-            handle = FenixCommHandle(self.resilient_comm, ctx)
-            for cb in self._callbacks:
-                cb(role, ctx)
-            try:
-                result = yield from main(role, handle)
-            except FenixLongJump:
-                with tel.span(f"rank{ctx.rank}", "fenix.repair",
-                              generation=self.generation, via="longjump"):
-                    repair = yield self._repair_gate.arrive(ctx.rank)
-                if repair.aborted:
-                    raise SpareExhaustionError("job aborted: spares exhausted")
-                new_role = repair.roles.get(ctx.rank)
-                if new_role is None:  # shrunk away (cannot happen to survivors)
-                    return None
-                role = new_role
-                if tel.enabled:
-                    tel.instant(f"rank{ctx.rank}", "fenix.role",
-                                role=role.name, generation=repair.generation)
-                continue
-            # -- normal completion: Fenix_Finalize ---------------------------------
-            yield from self._finalize(ctx)
-            return result
 
-    def _finalize(self, ctx: RankContext) -> Generator[Event, Any, None]:
-        """Fenix_Finalize: rendezvous of the *active* members (spares are
-        not participants -- they are released via the job-done signal when
-        the last active rank arrives)."""
-        self._finalize_arrived.add(ctx.rank)
-        self.retired.add(ctx.rank)
-        # retirement record: monitors must stop expecting this rank at
-        # future repair-gate rendezvous
+    def _finalize_members(self) -> List[int]:
+        """Who Fenix_Finalize waits for: every member -- raising, as any
+        collective on the resilient communicator does, once one is dead."""
+        self.resilient_comm.check_collective()
+        return self.resilient_comm.members
+
+    def _finalize(self, handle: FenixCommHandle) -> Generator[Event, Any, None]:
+        """Fenix_Finalize: a collective of the resilient communicator's
+        members (spares are not participants -- its completion releases
+        them via the job-done signal) that costs no simulated time and no
+        message.  It fails like any other: a member that is dead, or dies
+        while the others wait, sends every waiter through the handle's
+        error handler to the repair gate.  Arriving is not retiring."""
+        rank = handle.ctx.rank
         self.world.trace.emit(
-            self.world.engine.now, "fenix", "finalize_arrive", rank=ctx.rank,
+            self.world.engine.now, "fenix", "finalize_arrive", rank=rank,
         )
-        if self._recheck_finalize():
-            return
-        ev = self.world.engine.event(name=f"fenix.finalize:{ctx.rank}")
-        self._finalize_waiters[ctx.rank] = ev
-        yield ev
-
-    def _recheck_finalize(self) -> bool:
-        """Complete the finalize rendezvous if every alive active member
-        has arrived (re-run on rank deaths so a mid-finalize failure
-        cannot hang the others)."""
-        if not self._finalize_arrived:
-            return False
-        active_alive = {
-            w for w in self.resilient_comm.members if self.world.is_alive(w)
-        }
-        if not active_alive.issubset(self._finalize_arrived):
-            return False
-        self.world.signal_job_done()
-        waiters, self._finalize_waiters = self._finalize_waiters, {}
-        for ev in waiters.values():
-            if not ev.triggered:
-                ev.succeed(None)
-        return True
+        done = self._finalize_gate.arrive(rank)
+        try:
+            if not done.ok:  # the arrival that completes it does not wait
+                yield done
+        except MPIError as exc:
+            handle._on_mpi_error(exc)
+            raise
 
     def spawn_all(
         self,

@@ -15,8 +15,9 @@ Reproduces the paper's measurement methodology (Section VI-C):
   difference between the wall clock and the mean accounted time ("data
   initialization, MPI job startup/teardown, and finalization time");
 - failures kill one rank ~95% of the way between two checkpoints; for
-  non-Fenix strategies the whole job is then torn down and relaunched on
-  the same cluster (PFS checkpoints survive; node-local scratch does not).
+  non-Fenix strategies -- and for a Fenix job with no spare left -- the
+  whole job is then torn down and relaunched on the same cluster (PFS
+  checkpoints survive; node-local scratch does not).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 import numpy as np
 
 from repro.apps import resolve_app
-from repro.fenix import FenixSystem, IMRStore
+from repro.fenix import FenixSystem, IMRStore, SpareExhaustionError
 from repro.fenix.roles import Role
 from repro.harness.recompute import RecomputeTracker
 from repro.harness.strategies import StrategySpec, resolve_strategy
@@ -52,7 +53,7 @@ from repro.sim import Cluster, ClusterSpec, FailurePlan, NoFailures
 from repro.sim.failures import RankKilledError
 from repro.sim.trace import Trace
 from repro.telemetry import Telemetry
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ConfigError, ReproError, SimulationError
 from repro.veloc import VeloCService
 
 
@@ -309,8 +310,16 @@ class JobRunner:
 
     def run(self) -> RunReport:
         engine = self.cluster.engine
-        engine.process(self._driver(), name="job_driver")
-        engine.run()
+        driver = engine.process(self._driver(), name="job_driver")
+        try:
+            engine.run()
+        except SimulationError as wrapped:
+            # the engine quotes a dead process's error by name; what
+            # stopped the job is the typed error its own driver died of
+            cause = wrapped.__cause__
+            if isinstance(cause, ReproError) and driver.exception is cause:
+                raise cause
+            raise
         buckets = {k: v / self.n_ranks for k, v in self.totals.items()}
         # wall time ends when the job completes; stray daemon timers
         # (failure watchdogs armed far in the future) may drain later
@@ -391,6 +400,7 @@ class JobRunner:
             yield engine.timeout(self._launch_cost())
         while True:
             self.attempts += 1
+            self.results.clear()
             if tel.enabled:
                 tel.instant("job", "job.attempt", attempt=self.attempts)
             world = World(
@@ -426,28 +436,27 @@ class JobRunner:
             yield _all_settled(engine, procs)
             self._collect_accounts(world)
             self._check_errors(world)
-            if system is not None:
-                # Fenix may have shrunk the job after exhausting spares;
-                # success is every member of the FINAL communicator done
-                success = len(self.results) >= system.resilient_comm.size
-            else:
-                success = len(self.results) >= self.n_ranks
-            if success:
+            # one rule for every strategy: the job is done when each of its
+            # slots has a result from this attempt (cleared at its start)
+            missing = set(range(self.n_ranks)) - self.results.keys()
+            if not missing:
                 self.finish_time = engine.now
                 if tel.enabled:
                     tel.instant("job", "job.done", attempts=self.attempts)
                 break
-            if world.dead and system is None:
-                # fail-restart: teardown, wipe node-local state, relaunch
-                self.cluster.wipe_scratch()
-                with tel.span("job", "job.teardown", attempt=self.attempts):
-                    yield engine.timeout(costs.teardown)
-                with tel.span("job", "job.relaunch", attempt=self.attempts):
-                    yield engine.timeout(self._launch_cost())
-                continue
-            raise ReproError(
-                f"job failed without recovery path: dead={sorted(world.dead)}"
-            )
+            if not world.dead:
+                raise ReproError(
+                    f"attempt {self.attempts} ended with no rank lost and "
+                    f"no result for slot(s) {sorted(missing)}"
+                )
+            # and one recovery: teardown, wipe node-local state, relaunch
+            # (the PFS survives) -- a fail-restart job after any death, a
+            # Fenix job after the death it had no spare left for
+            self.cluster.wipe_scratch()
+            with tel.span("job", "job.teardown", attempt=self.attempts):
+                yield engine.timeout(costs.teardown)
+            with tel.span("job", "job.relaunch", attempt=self.attempts):
+                yield engine.timeout(self._launch_cost())
 
     def _rank_wrapper(
         self, world: World, system: Optional[FenixSystem], rank: int, main
@@ -506,15 +515,13 @@ class JobRunner:
         return out
 
     def _check_errors(self, world: World) -> None:
-        """Post-failure MPI errors are expected; anything else is a bug."""
-        unexpected = [
-            (rank, exc)
-            for rank, exc in world.errors
-            if not isinstance(exc, (MPIError, RankKilledError))
-        ]
-        if unexpected:
-            rank, exc = unexpected[0]
-            raise exc
+        """Post-failure MPI errors are expected, and so is Fenix giving
+        the job up for want of a spare (the relaunch path takes over);
+        anything else is a bug."""
+        for _rank, exc in world.errors:
+            if not isinstance(
+                    exc, (MPIError, RankKilledError, SpareExhaustionError)):
+                raise exc
 
 
 #: RunReport fields a seeded replay must reproduce bit for bit

@@ -24,6 +24,7 @@ from typing import (
 
 from repro.monitor.violations import InvariantViolation
 from repro.sim.trace import TraceListener, TraceRecord
+from repro.vocabulary import ATTEMPT_WORLD
 
 
 class ProtocolMonitor:
@@ -35,6 +36,13 @@ class ProtocolMonitor:
 
     def __init__(self) -> None:
         self.violations: List[InvariantViolation] = []
+        self.begin_world()
+
+    def begin_world(self) -> None:
+        """(Re)initialise what is scoped to one MPI world -- dead ranks,
+        roles, communicators, process memory.  Called at construction and
+        again by the suite at every relaunch; history that outlives a
+        world (what reached the PFS) belongs in ``__init__``."""
 
     def feed(self, rec: TraceRecord) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -79,6 +87,10 @@ class MonitorSuite(TraceListener):
         }
         self._feeds_of_any = tuple(
             m.feed for m in monitors if m.KINDS is None)
+        # a relaunched job is a new protocol instance: noticed here, once,
+        # ahead of whoever consumes the record that announces it
+        self._feeds_of["comm_create"] = (self._on_comm_create,) + (
+            self._feeds_of.get("comm_create", self._feeds_of_any))
         self._finished = False
         #: ``(count, (first, last))`` of ring-buffer evictions, recorded at
         #: finish() so reports can say what the monitors never saw
@@ -90,6 +102,11 @@ class MonitorSuite(TraceListener):
     def feed(self, rec: TraceRecord) -> None:
         for feed in self._feeds_of.get(rec.kind, self._feeds_of_any):
             feed(rec)
+
+    def _on_comm_create(self, rec: TraceRecord) -> None:
+        if ATTEMPT_WORLD in rec.source:  # the world of a (re)launch
+            for mon in self.monitors:
+                mon.begin_world()
 
     def finish(self) -> None:
         """End-of-stream: run final checks and capture drop accounting."""

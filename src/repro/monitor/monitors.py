@@ -45,8 +45,7 @@ class ULFMOrderMonitor(ProtocolMonitor):
     KINDS = frozenset({"comm_create", "rank_dead", "revoke", "agree", "shrink",
                        "repair"})
 
-    def __init__(self) -> None:
-        super().__init__()
+    def begin_world(self) -> None:
         #: comm name -> world-rank membership (from comm_create)
         self._members: Dict[str, List[int]] = {}
         #: comm name -> the revoke record
@@ -141,8 +140,7 @@ class RoleTransitionMonitor(ProtocolMonitor):
 
     KINDS = frozenset({"rank_dead", "spare_activated", "role"})
 
-    def __init__(self) -> None:
-        super().__init__()
+    def begin_world(self) -> None:
         self._role: Dict[int, TraceRecord] = {}
         self._dead: Dict[int, TraceRecord] = {}
         #: world rank -> its latest spare_activated record
@@ -189,11 +187,10 @@ class RoleTransitionMonitor(ProtocolMonitor):
 class RepairGateMonitor(ProtocolMonitor):
     """Repair-gate rendezvous completeness and generation sequencing."""
 
-    KINDS = frozenset({"rank_dead", "rank_exit", "finalize_arrive", "role",
-                       "shrink", "repair", "abort"})
+    KINDS = frozenset({"rank_dead", "rank_exit", "role", "shrink", "repair",
+                       "abort"})
 
-    def __init__(self) -> None:
-        super().__init__()
+    def begin_world(self) -> None:
         self._generation = 0
         self._seen_ranks: Set[int] = set()
         self._dead: Dict[int, TraceRecord] = {}
@@ -207,10 +204,8 @@ class RepairGateMonitor(ProtocolMonitor):
             self._dead[rec["rank"]] = rec
             self._deaths_since_repair.append(rec)
         elif kind == "rank_exit":
-            self._exited.add(rec["rank"])
-        elif kind == "finalize_arrive" and rec.source == "fenix":
-            # a finalized rank is retired from the protocol and must not
-            # be expected at later repair gates
+            # the only retirement: a rank waiting in Fenix_Finalize is
+            # called back to the gate by a death (PROTOCOLS.md §1)
             self._exited.add(rec["rank"])
         elif kind == "role" and rec.source == "fenix":
             # any rank with a role record has entered the Fenix protocol
@@ -276,20 +271,25 @@ class RepairGateMonitor(ProtocolMonitor):
 class VersionMonitor(ProtocolMonitor):
     """VeloC checkpoint-version monotonicity and no ghost restores."""
 
-    KINDS = frozenset({"rank_dead", "checkpoint", "recover"})
+    KINDS = frozenset({"rank_dead", "repair", "abort", "checkpoint",
+                       "recover"})
 
     def __init__(self) -> None:
         super().__init__()
         #: source -> last checkpoint/recover record (monotonicity anchor)
         self._last: Dict[str, TraceRecord] = {}
-        #: source -> {version: checkpoint record}
+        #: source -> {version: checkpoint record}; outlives a relaunch, as
+        #: the PFS does (a later attempt restoring it is no ghost restore)
         self._checkpointed: Dict[str, Dict[int, TraceRecord]] = {}
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        if kind == "rank_dead":
-            # a failure opens a new epoch: a fail-restart job may
-            # legitimately replay version numbers after losing state
+        if kind in ("rank_dead", "repair", "abort"):
+            # a new epoch: version numbers may legitimately be replayed
+            # after losing state.  A fail-restart job's opens at the death;
+            # a Fenix job's at the repair decision -- checkpoints in flight
+            # at the kill still land after the death, and the rollback may
+            # go behind them
             self._last.clear()
             return
         if parse_source(rec.source)[0] != "veloc":
@@ -375,8 +375,7 @@ class BuddyMonitor(ProtocolMonitor):
     KINDS = frozenset({"imr_store", "imr_buddy_send", "imr_buddy_recv",
                        "imr_restore"})
 
-    def __init__(self) -> None:
-        super().__init__()
+    def begin_world(self) -> None:
         #: (owner comm-rank, member, version) -> imr_store record
         self._stored: Dict[Tuple[int, int, int], TraceRecord] = {}
         #: (owner comm-rank, member, version) -> imr_buddy_send record

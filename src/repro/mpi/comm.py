@@ -21,12 +21,14 @@ ULFM semantics implemented (the subset the paper's Fenix layer relies on):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING,
+)
 
 from repro.mpi.errors import ProcFailedError, RevokedError
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status, freeze_payload, payload_nbytes
 from repro.sim.engine import Event
-from repro.util.errors import SimulationError
+from repro.util.errors import ReproError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import World
@@ -67,57 +69,68 @@ class PostedRecv:
 
 
 class CollectiveGate:
-    """Fault-tolerant rendezvous over a communicator's surviving members.
+    """Failure-aware rendezvous: the one class MPI_Comm_agree,
+    MPI_Comm_shrink, Fenix's repair gate and Fenix_Finalize are instances
+    of.  Two things tell them apart:
 
-    Each generation completes when every currently-alive member has
-    arrived; the ``finalize`` callback turns the contribution map into the
-    shared result delivered to all arrivals.  Deaths during the wait
-    re-trigger the completion check, so the gate cannot hang on a corpse --
-    the property MPI_Comm_agree is specified to have.
+    - ``expected()`` names the ranks whose arrival a generation needs.  It
+      is asked again on every arrival and on every rank death (the owner
+      calls :meth:`recheck`), so a gate over *survivors* cannot hang on a
+      corpse -- the property MPI_Comm_agree is specified to have;
+    - ``delay()`` is the simulated time from the last arrival to delivery.
+
+    ``finalize`` turns the contribution map into the shared result.  A
+    generation *fails*, on every waiter alike, with whatever library error
+    either callback raises: a gate over *all* members raises what any
+    collective raises once one is lost, Fenix's repair with no spare left
+    its spare-exhaustion error.
     """
 
     def __init__(
         self,
-        comm: "Communicator",
+        world: "World",
         name: str,
         finalize: Callable[[Dict[int, Any]], Any],
+        expected: Callable[[], Iterable[int]],
+        delay: Callable[[], float] = lambda: 0.0,
     ) -> None:
-        self._comm = comm
+        self._world = world
         self._name = name
         self._finalize = finalize
-        self._generation = 0
+        self._expected = expected
+        self._delay = delay
         self._contributions: Dict[int, Any] = {}
         self._waiters: Dict[int, Event] = {}
 
     def arrive(self, rank: int, value: Any = None) -> Event:
-        """Contribute ``value`` as comm-rank ``rank``; returns the completion
-        event (succeeds with the finalized result)."""
+        """Contribute ``value`` as ``rank``; returns the completion event
+        (succeeds with the finalized result)."""
         if rank in self._contributions:
             raise SimulationError(
                 f"gate {self._name}: rank {rank} arrived twice in one generation"
             )
-        ev = self._comm.world.engine.event(name=f"gate:{self._name}:{rank}")
+        ev = self._world.engine.event(name=f"{self._name}:{rank}")
         self._contributions[rank] = value
         self._waiters[rank] = ev
         self.recheck()
         return ev
 
     def recheck(self) -> None:
-        """Re-evaluate completion (called on arrival and on member death)."""
+        """Re-evaluate completion (called on arrival and on rank death)."""
         if not self._waiters:
             return
-        alive = set(self._comm.alive_members())
-        if alive and not alive.issubset(self._contributions.keys()):
-            return
-        result = self._finalize(dict(self._contributions))
+        try:
+            if not set(self._expected()) <= self._contributions.keys():
+                return
+            outcome = self._finalize(dict(self._contributions))
+            deliver = Event.succeed
+        except ReproError as exc:
+            outcome, deliver = exc, Event.fail
         waiters, self._waiters = self._waiters, {}
         self._contributions = {}
-        self._generation += 1
-        # Charge a modest log-depth latency for the agreement round.
-        delay = self._comm.agreement_latency()
+        delay = self._delay()
         for ev in waiters.values():
-            if not ev.triggered:
-                ev.succeed(result, delay=delay)
+            deliver(ev, outcome, delay=delay)
 
 
 class Communicator:
@@ -152,10 +165,14 @@ class Communicator:
         self._unexpected: List[PendingSend] = []
         self._coll_seq: Dict[int, int] = {}
         self._acked: Set[int] = set()
-        self._agree_gate = CollectiveGate(self, f"{self.name}.agree", self._finalize_agree)
+        # both complete on the *surviving* members, one log-depth
+        # agreement round after the last of them arrives
+        self._agree_gate = CollectiveGate(
+            world, f"{self.name}.agree", self._finalize_agree,
+            self.alive_members, self.agreement_latency)
         self._shrink_gate = CollectiveGate(
-            self, f"{self.name}.shrink", self._finalize_shrink
-        )
+            world, f"{self.name}.shrink", self._finalize_shrink,
+            self.alive_members, self.agreement_latency)
         world.register_comm(self)
         # membership record: protocol monitors resolve comm-local ranks
         # (checkpoint keys, IMR slots) back to world ranks through this

@@ -227,6 +227,13 @@ class World:
         ctx = self.contexts.get(world_rank)
         if ctx is not None:
             ctx.alive = False
+        # recorded before anyone is told, so that what this death decides
+        # (a gate completing without the rank) follows it in the stream
+        self.trace.emit(self.engine.now, self.name, "rank_dead", rank=world_rank)
+        tel = self.engine.telemetry
+        if tel.enabled:
+            tel.instant(f"rank{world_rank}", "rank_dead", world=self.name)
+            tel.inc("mpi.ranks_died")
         for comm in self._comms:
             comm.on_rank_death(world_rank)
         for listener in list(self._death_listeners):
@@ -235,11 +242,6 @@ class World:
             name=f"{self.name}:failure"
         )
         ev.succeed(world_rank)
-        self.trace.emit(self.engine.now, self.name, "rank_dead", rank=world_rank)
-        tel = self.engine.telemetry
-        if tel.enabled:
-            tel.instant(f"rank{world_rank}", "rank_dead", world=self.name)
-            tel.inc("mpi.ranks_died")
 
     def add_death_listener(self, listener: Callable[[int], None]) -> None:
         """Register a callback invoked (synchronously) at each rank death.

@@ -83,6 +83,8 @@ def apply(records, mutation):
     elif op == "swap_anchors":
         anchors = [k for k, r in enumerate(out)
                    if r.kind in ("checkpoint", "role", "repair", "recover")]
+        if not anchors:  # a truncate left none to swap
+            return out
         a, b = anchors[i % len(anchors)], anchors[j % len(anchors)]
         out[a], out[b] = out[b], out[a]
     elif op == "value":

@@ -91,7 +91,7 @@ class TestSpareDeath:
     def test_dead_spare_not_selected_as_replacement(self):
         cluster = fenix_cluster(4)
         world = World(cluster, 4)
-        system = FenixSystem(world, n_spares=1)
+        system = FenixSystem(world, n_spares=1, spare_policy="shrink")
         world.mark_dead(3)  # the only spare dies before anything happens
         world.mark_dead(1)  # an active rank dies
         result = system._finalize_repair({0: None, 2: None})

@@ -81,6 +81,25 @@ def test_a_toy_app_registered_from_the_test_runs_end_to_end(
     assert (record.app, record.n_iters, record.cached) == ("toy", 5, True)
 
 
+def test_the_error_that_stopped_the_job_is_the_error_raised(monkeypatch):
+    """A rank's own typed error reaches the caller as itself, not as the
+    engine's ``SimulationError("process 'job_driver' died with unhandled
+    ConfigError: ...")``: "stops with a typed error" is ``pytest.raises``
+    of the type, not a substring of a message."""
+    def build(*_args, **_kwargs):
+        def main(role, handle):
+            yield from handle.barrier()
+            if handle.rank == 1:
+                raise ConfigError("rank 1 cannot go on")
+        return main
+
+    monkeypatch.setitem(APPS, "toy", AppSpec(ToyConfig, "n_rounds", False,
+                                             build))
+    for strategy in ("none", "fenix_kr_veloc"):
+        with pytest.raises(ConfigError, match="rank 1 cannot go on"):
+            run_job("toy", env(), strategy, 2, ToyConfig(), 1)
+
+
 # -- (ii) every app x strategy has one defined outcome --------------------
 
 

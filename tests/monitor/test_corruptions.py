@@ -9,6 +9,7 @@ these prove the monitors check the protocol rather than the workload.
 
 import dataclasses
 
+from repro.sim.trace import TraceRecord
 from repro.vocabulary import parse_source
 from tests.monitor.conftest import check
 
@@ -96,6 +97,32 @@ class TestIllegalRoleEdge:
         assert v.offending is bad
         # the chain includes the previous role record proving the edge
         assert any(r.kind == "role" and r is not bad for r in v.chain)
+
+
+class TestCalledBackFromFinalize:
+    def test_a_rank_waiting_in_finalize_is_still_expected_at_the_gate(
+            self, veloc_run):
+        """Arriving at Fenix_Finalize is not retiring (PROTOCOLS.md §1): a
+        death calls the waiters back to the repair gate, so a repair that
+        completes without one of them is incomplete.  The monitor used to
+        take ``finalize_arrive`` for retirement and would have missed it."""
+        _, _, clean = veloc_run
+        records = list(clean)
+        repair = next(r for r in records
+                      if r.source == "fenix" and r.kind == "repair")
+        survivor = next(w for w in repair["members"]
+                        if w not in repair["recovered"])
+        at = records.index(repair)
+        records[at] = bad = dataclasses.replace(repair, fields={
+            **repair.fields, "contributors": [
+                w for w in repair["contributors"] if w != survivor]})
+        records.insert(at, TraceRecord(
+            repair.time, "fenix", "finalize_arrive", {"rank": survivor}))
+        violations = check(records)
+        assert rules_of(violations) == [
+            "RepairGateMonitor/incomplete-rendezvous"]
+        assert violations[0].offending is bad
+        assert str(survivor) in violations[0].message
 
 
 class TestStaleBuddy:

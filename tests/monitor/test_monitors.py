@@ -173,3 +173,56 @@ class TestKindDispatch:
             tr.emit(0.0, "world", kind, rank=0, key=None)
         assert recorder.kinds == ["rank_dead", "flush_done",
                                   "kr_region_begin", "made_up"]
+
+
+class TestRelaunch:
+    """A relaunched job is a new protocol instance (PROTOCOLS.md §6)."""
+
+    @staticmethod
+    def two_attempts():
+        from repro.sim.trace import TraceRecord as R
+
+        def attempt(n, t):
+            return [
+                R(t, f"job.attempt{n}.comm", "comm_create",
+                  {"members": [0, 1]}),
+                R(t, "fenix.resilient.g0", "comm_create", {"members": [0, 1]}),
+                R(t, "fenix", "role",
+                  {"rank": 0, "role": "INITIAL", "generation": 0}),
+                R(t, "fenix", "role",
+                  {"rank": 1, "role": "INITIAL", "generation": 0}),
+            ]
+
+        return attempt(1, 0.0) + [
+            R(1.0, "veloc.rank0", "checkpoint", {"version": 10}),
+            R(1.5, "veloc.server0", "flush_done",
+              {"key": ["veloc", "heat", 10, 0]}),
+            R(2.0, "job.attempt1", "rank_dead", {"rank": 1}),
+            R(2.0, "fenix.resilient.g0", "revoke", {"size": 2}),
+            R(2.1, "fenix", "abort", {"generation": 1}),
+        ] + attempt(2, 3.0) + [
+            R(4.0, "veloc.rank0", "recover", {"version": 10, "tier": "pfs"}),
+            R(5.0, "job.attempt2", "rank_dead", {"rank": 0}),
+            R(5.0, "fenix.resilient.g0", "revoke", {"size": 2}),
+            R(5.1, "fenix", "abort", {"generation": 1}),
+        ]
+
+    def test_world_state_is_per_attempt_and_pfs_history_is_not(self):
+        """Attempt 2 gives INITIAL to ranks attempt 1 left INITIAL or
+        dead, revokes a same-named communicator and starts its repair
+        generations over -- none of it a violation; and it restores a
+        version attempt 1 wrote, which is no ghost restore."""
+        suite = MonitorSuite()
+        suite.replay(self.two_attempts())
+        suite.finish()
+        assert suite.violations == []
+
+    def test_the_boundary_is_the_attempt_worlds_comm_create(self):
+        """The same stream without it is one world, and wrong four times
+        over (what every relaunched Fenix job used to be reported as)."""
+        suite = MonitorSuite()
+        suite.replay([r for r in self.two_attempts()
+                      if r.source != "job.attempt2.comm"])
+        suite.finish()
+        assert {v.rule for v in suite.violations} == {
+            "illegal-role-edge", "role-on-dead-rank", "generation-sequence"}
