@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import zlib
-from typing import Any, Generator, List, Set
+from typing import Any, Dict, Generator, List, Set
 
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
@@ -24,14 +24,29 @@ def region_id_for(label: str) -> int:
 
 
 class Backend(abc.ABC):
-    """Persists versions of registered views."""
+    """Persists versions of registered views; a backend is a subclass
+    plus its row in :data:`repro.core.backends.BACKENDS`."""
 
-    #: human-readable backend name (used in reports)
-    name: str = "backend"
+    def __init__(self, comm: CommHandle) -> None:
+        self.comm = comm
+        #: region id -> protected view
+        self._views: Dict[int, View] = {}
 
+    @property
+    def ctx(self):
+        return self.comm.ctx
+
+    @classmethod
     @abc.abstractmethod
+    def build(cls, comm: CommHandle, config: Any, cluster: Any,
+              veloc_service: Any, imr_store: Any, ckpt_name: str) -> "Backend":
+        """This rank's backend, from what ``make_context`` was handed; a
+        :class:`ConfigError` names the resource that is missing."""
+
     def register_views(self, views: List[View]) -> None:
         """Make ``views`` the protected set (idempotent per label)."""
+        for view in views:
+            self._views[region_id_for(view.label)] = view
 
     @abc.abstractmethod
     def checkpoint(self, version: int) -> Generator[Event, Any, None]:
@@ -45,27 +60,18 @@ class Backend(abc.ABC):
     def local_versions(self) -> Set[int]:
         """Versions restorable by this rank without communication."""
 
-    @abc.abstractmethod
     def latest_version(self) -> Generator[Event, Any, int]:
         """The newest version restorable by *every* rank (or -1).
 
-        May communicate (the paper's "manually performing a reduction
+        Communicates (the paper's "manually performing a reduction
         operation to obtain a globally-best checkpoint").
         """
-
-    @abc.abstractmethod
-    def reset(self, comm: CommHandle) -> None:
-        """Adopt a repaired communicator and refresh cached identity."""
-
-    # -- shared helper -------------------------------------------------------
-
-    @staticmethod
-    def _intersect_versions(
-        comm: CommHandle, local: Set[int]
-    ) -> Generator[Event, Any, int]:
-        """Allgather-and-intersect version sets; returns max common or -1."""
-        all_sets = yield from comm.allgather(sorted(local))
+        all_sets = yield from self.comm.allgather(sorted(self.local_versions()))
         common = set(all_sets[0])
         for s in all_sets[1:]:
             common &= set(s)
         return max(common) if common else -1
+
+    def reset(self, comm: CommHandle) -> None:
+        """Adopt a repaired communicator and refresh cached identity."""
+        self.comm = comm

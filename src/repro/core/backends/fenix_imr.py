@@ -9,64 +9,46 @@ redundant rank memory instead of the filesystem.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Set
+from typing import Any, Generator, List, Set
 
-from repro.core.backends.base import Backend, region_id_for
+from repro.core.backends.base import Backend
 from repro.fenix.imr import IMRStore
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
+from repro.util.errors import ConfigError
 
 
 class FenixIMRBackend(Backend):
-    name = "fenix_imr"
-
     def __init__(self, imr: IMRStore, comm: CommHandle) -> None:
+        super().__init__(comm)
         self.imr = imr
-        self.comm = comm
-        self._views: Dict[int, View] = {}
 
-    @property
-    def ctx(self):
-        return self.comm.ctx
-
-    def register_views(self, views: List[View]) -> None:
-        for view in views:
-            self._views[region_id_for(view.label)] = view
+    @classmethod
+    def build(cls, comm, config, cluster, veloc_service, imr_store, ckpt_name):
+        if imr_store is None:
+            raise ConfigError("Fenix-IMR backend requires an IMRStore")
+        return cls(imr_store, comm)
 
     def checkpoint(self, version: int) -> Generator[Event, Any, None]:
         for member_id, view in self._views.items():
             yield from self.imr.store(self.ctx, self.comm, member_id, view, version)
+        self.imr.commit(self.ctx, self.comm, version)
 
     def restore(self, version: int, views: List[View]) -> Generator[Event, Any, None]:
         self.register_views(views)
         for member_id, view in self._views.items():
             yield from self.imr.restore(self.ctx, self.comm, member_id, view, version)
+        # a replacement that pulled the version from its buddy must still
+        # answer it if that buddy then dies (on an odd-size communicator
+        # nobody else holds it)
+        self.imr.commit(self.ctx, self.comm, version)
 
     def local_versions(self) -> Set[int]:
-        """Versions every registered member can restore on this rank.
-
-        After a repair (or on a fresh replacement process) no views are
-        registered yet; the store's raw metadata answers instead -- the
-        analogue of Kokkos Resilience re-fetching checkpoint metadata.
-        """
-        if not self._views:
-            return self.imr.rank_versions(self.ctx, self.comm)
-        sets = [
-            self.imr.available_versions(self.ctx, self.comm, member_id)
-            for member_id in self._views
-        ]
-        common = sets[0]
-        for s in sets[1:]:
-            common &= s
-        return common
-
-    def latest_version(self) -> Generator[Event, Any, int]:
-        result = yield from self._intersect_versions(self.comm, self.local_versions())
-        return result
+        return self.imr.committed_versions(self.ctx, self.comm)
 
     def reset(self, comm: CommHandle) -> None:
-        self.comm = comm
+        super().reset(comm)
         # a replacement process starts with no view objects; the next
         # checkpoint region re-registers what it discovers
         self._views.clear()

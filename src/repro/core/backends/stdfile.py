@@ -8,9 +8,9 @@ server buys.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Set, Tuple
+from typing import Any, Generator, List, Set, Tuple
 
-from repro.core.backends.base import Backend, region_id_for
+from repro.core.backends.base import Backend
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.cluster import Cluster
@@ -20,24 +20,17 @@ from repro.util.timing import CHECKPOINT_FUNCTION, DATA_RECOVERY
 
 
 class StdFileBackend(Backend):
-    name = "stdfile"
-
     def __init__(self, cluster: Cluster, comm: CommHandle, prefix: str = "stdfile"):
+        super().__init__(comm)
         self.cluster = cluster
-        self.comm = comm
         self.prefix = prefix
-        self._views: Dict[int, View] = {}
 
-    @property
-    def ctx(self):
-        return self.comm.ctx
+    @classmethod
+    def build(cls, comm, config, cluster, veloc_service, imr_store, ckpt_name):
+        return cls(cluster, comm, prefix=ckpt_name)
 
     def _key(self, version: int) -> Tuple:
         return (self.prefix, int(version), self.comm.rank)
-
-    def register_views(self, views: List[View]) -> None:
-        for view in views:
-            self._views[region_id_for(view.label)] = view
 
     def checkpoint(self, version: int) -> Generator[Event, Any, None]:
         engine = self.ctx.engine
@@ -74,10 +67,3 @@ class StdFileBackend(Backend):
             ):
                 found.add(int(key[1]))
         return found
-
-    def latest_version(self) -> Generator[Event, Any, int]:
-        result = yield from self._intersect_versions(self.comm, self.local_versions())
-        return result
-
-    def reset(self, comm: CommHandle) -> None:
-        self.comm = comm

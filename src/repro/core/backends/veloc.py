@@ -22,15 +22,28 @@ from repro.core.backends.base import Backend, region_id_for
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
+from repro.util.errors import ConfigError
 from repro.veloc.client import VeloCClient
+from repro.veloc.config import VeloCConfig
 
 
 class VeloCBackend(Backend):
-    name = "veloc"
-
     def __init__(self, client: VeloCClient, comm: CommHandle) -> None:
+        super().__init__(comm)
         self.client = client
-        self.comm = comm
+
+    @classmethod
+    def build(cls, comm, config, cluster, veloc_service, imr_store, ckpt_name):
+        if veloc_service is None:
+            raise ConfigError("VeloC backend requires a VeloCService")
+        vconf = VeloCConfig(
+            mode="single" if config.veloc_single_mode else "collective",
+            ckpt_name=ckpt_name,
+            incremental=config.veloc_incremental,
+            dedup=config.veloc_dedup,
+        )
+        return cls(VeloCClient(comm.ctx, cluster, veloc_service, vconf, comm=comm),
+                   comm)
 
     def register_views(self, views: List[View]) -> None:
         for view in views:
@@ -52,10 +65,9 @@ class VeloCBackend(Backend):
             result = yield from self.client.restart_test()
             return result
         # single mode: reduce here, over the *current* communicator
-        local = self.client.local_versions()
-        result = yield from self._intersect_versions(self.comm, local)
+        result = yield from super().latest_version()
         return result
 
     def reset(self, comm: CommHandle) -> None:
-        self.comm = comm
+        super().reset(comm)
         self.client.set_comm(comm)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
+from repro.core.backends import resolve_backend
 from repro.core.filters import always, Filter
 from repro.util.errors import ConfigError
-
-BACKEND_VELOC = "veloc"
-BACKEND_STDFILE = "stdfile"
-BACKEND_FENIX_IMR = "fenix_imr"
 
 SCOPE_ALL = "all"
 SCOPE_RECOVERED_ONLY = "recovered_only"
@@ -21,7 +17,8 @@ class KRConfig:
     """Context configuration.
 
     Attributes:
-        backend: which C/R backend the context drives.
+        backend: which C/R backend the context drives (a name in
+            :data:`repro.core.backends.BACKENDS`).
         veloc_single_mode: launch VeloC non-collectively and perform the
             best-version reduction in this layer (the paper's new
             configuration option enabling Fenix integration).
@@ -43,7 +40,7 @@ class KRConfig:
             server (requires ``veloc_incremental``).
     """
 
-    backend: str = BACKEND_VELOC
+    backend: str = "veloc"
     veloc_single_mode: bool = True
     filter: Filter = field(default=always)
     recovery_scope: str = SCOPE_ALL
@@ -52,8 +49,7 @@ class KRConfig:
     veloc_dedup: bool = True
 
     def __post_init__(self) -> None:
-        if self.backend not in (BACKEND_VELOC, BACKEND_STDFILE, BACKEND_FENIX_IMR):
-            raise ConfigError(f"unknown KR backend {self.backend!r}")
+        resolve_backend(self.backend)
         if self.recovery_scope not in (SCOPE_ALL, SCOPE_RECOVERED_ONLY):
             raise ConfigError(f"unknown recovery scope {self.recovery_scope!r}")
         if self.veloc_dedup and not self.veloc_incremental:

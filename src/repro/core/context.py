@@ -22,14 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.core.backends import Backend, FenixIMRBackend, StdFileBackend, VeloCBackend
-from repro.core.config import (
-    BACKEND_FENIX_IMR,
-    BACKEND_STDFILE,
-    BACKEND_VELOC,
-    KRConfig,
-    SCOPE_RECOVERED_ONLY,
-)
+from repro.core.backends import Backend, resolve_backend
+from repro.core.config import KRConfig, SCOPE_RECOVERED_ONLY
 from repro.core.detect import discover_views
 from repro.fenix.imr import IMRStore
 from repro.fenix.roles import Role
@@ -39,7 +33,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import Event
 from repro.util.errors import ConfigError
 from repro.util.timing import CHECKPOINT_FUNCTION, DATA_RECOVERY, RESILIENCE_INIT
-from repro.veloc import VeloCClient, VeloCConfig, VeloCService
+from repro.veloc import VeloCService
 
 
 class Context:
@@ -278,23 +272,6 @@ def make_context(
 ) -> Context:
     """Build a context with the configured backend (Figure 4's
     ``KokkosResilience::make_context``)."""
-    if config.backend == BACKEND_VELOC:
-        if veloc_service is None:
-            raise ConfigError("VeloC backend requires a VeloCService")
-        vconf = VeloCConfig(
-            mode="single" if config.veloc_single_mode else "collective",
-            ckpt_name=ckpt_name,
-            incremental=config.veloc_incremental,
-            dedup=config.veloc_dedup,
-        )
-        client = VeloCClient(comm.ctx, cluster, veloc_service, vconf, comm=comm)
-        backend: Backend = VeloCBackend(client, comm)
-    elif config.backend == BACKEND_STDFILE:
-        backend = StdFileBackend(cluster, comm, prefix=ckpt_name)
-    elif config.backend == BACKEND_FENIX_IMR:
-        if imr_store is None:
-            raise ConfigError("Fenix-IMR backend requires an IMRStore")
-        backend = FenixIMRBackend(imr_store, comm)
-    else:  # pragma: no cover - config validates
-        raise ConfigError(f"unknown backend {config.backend!r}")
+    backend = resolve_backend(config.backend).build(
+        comm, config, cluster, veloc_service, imr_store, ckpt_name)
     return Context(comm, config, backend)

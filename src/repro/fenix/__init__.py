@@ -27,10 +27,8 @@ from repro.fenix.errors import FenixError, FenixLongJump, SpareExhaustionError
 from repro.fenix.handle import FenixCommHandle
 from repro.fenix.runtime import FenixSystem, RepairResult
 from repro.fenix.imr import IMRStore
-from repro.fenix.data import DataGroup
 
 __all__ = [
-    "DataGroup",
     "Role",
     "FenixError",
     "FenixLongJump",

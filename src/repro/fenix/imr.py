@@ -19,11 +19,16 @@ Data lives in per-*process* memory (keyed by world rank): when a rank dies
 its copies die with it, and a replacement spare starts empty -- which is
 why only the buddy copy saves the day, and why losing both members of a
 pair between checkpoints loses the data (single redundancy, as in Fenix).
+
+A version is *restorable* once committed (``Fenix_Data_commit``): an
+owner that dies between its first and its last member leaves copies but
+no mark, so nobody takes the torn version for a checkpoint.  The mark
+rides the last member's buddy transfer: no message, no simulated time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Set, Tuple
+from typing import Any, Dict, Generator, List, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +37,10 @@ from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
 from repro.util.timing import CHECKPOINT_FUNCTION, DATA_RECOVERY
+
+
+#: in a key's member position: "every member of this version is stored"
+_COMMITTED = "committed"
 
 
 def buddy_rank(rank: int, size: int) -> int:
@@ -67,6 +76,17 @@ class IMRStore:
     def _slot(self, world_rank: int) -> Dict[Tuple, Tuple[Any, float]]:
         return self._memory.setdefault(world_rank, {})
 
+    def _holders(self, ctx: Any, comm: CommHandle) -> List[int]:
+        """The processes whose memory holds this rank's copies: its own
+        and its buddy's, if that one is alive -- a corpse keeps nothing."""
+        holders = [ctx.rank]
+        partner = buddy_rank(comm.rank, comm.size)
+        if partner != comm.rank:
+            buddy_world = comm.comm.world_rank(partner)
+            if self.world.is_alive(buddy_world):
+                holders.append(buddy_world)
+        return holders
+
     # -- store ------------------------------------------------------------
 
     def store(
@@ -97,14 +117,15 @@ class IMRStore:
                 buddy_world = comm.comm.world_rank(partner)
                 buddy_node = self.world.node_of_rank(buddy_world)
                 yield from self.world.network.transfer(ctx.node, buddy_node, nbytes)
-                self._slot(buddy_world)[key] = (np.copy(data), nbytes)
-                self._gc(buddy_world, member_id, comm.rank, version)
+                # the sender cannot know its buddy died under the transfer:
+                # it pays and records the send either way
+                if buddy_world in self._holders(ctx, comm):
+                    self._slot(buddy_world)[key] = (np.copy(data), nbytes)
                 self.world.trace.emit(
                     engine.now, f"imr.rank{comm.rank}", "imr_buddy_send",
                     member=member_id, version=int(version), nbytes=nbytes,
                     buddy=partner,
                 )
-            self._gc(ctx.rank, member_id, comm.rank, version)
         self.world.trace.emit(
             engine.now, f"imr.rank{comm.rank}", "imr_store",
             member=member_id, version=int(version), nbytes=nbytes,
@@ -116,61 +137,35 @@ class IMRStore:
             rm.inc("imr.store.bytes", nbytes)
             rm.observe("imr.store.latency", dt)
 
-    def _gc(self, world_rank: int, member_id: int, owner: int, latest: int) -> None:
-        cutoff = int(latest) - self.keep_versions + 1
-        slot = self._slot(world_rank)
-        stale = [
-            k for k in slot if k[0] == member_id and k[2] == owner and k[1] < cutoff
-        ]
-        for k in stale:
-            del slot[k]
+    # -- commit / query ------------------------------------------------------
 
-    # -- queries -------------------------------------------------------------
+    def commit(self, ctx: Any, comm: CommHandle, version: int) -> None:
+        """Fenix_Data_commit: every member of ``version`` is stored, so
+        mark it restorable wherever its copies are, and only then collect
+        this rank's entries older than ``keep_versions`` allows (the
+        previous version stays whole until the next one is).  No record:
+        ``kr_region_commit`` is emitted at this instant."""
+        version, owner = int(version), comm.rank
+        cutoff = version - self.keep_versions + 1
+        for holder in self._holders(ctx, comm):
+            slot = self._slot(holder)
+            mine = [k for k in slot if k[2] == owner]
+            # a replacement buddy that never received the copies gets no mark
+            if any(k[1] == version for k in mine):
+                slot[(_COMMITTED, version, owner)] = (None, 0.0)
+            for k in mine:
+                if k[1] < cutoff:
+                    del slot[k]
 
-    def available_versions(
-        self, ctx: Any, comm: CommHandle, member_id: int
-    ) -> Set[int]:
-        """Versions of ``member_id`` restorable by this rank (local memory
-        or the buddy's, if the buddy process is alive)."""
-        found: Set[int] = set()
-        own = self._memory.get(ctx.rank, {})
-        for (mid, version, owner) in own:
-            if mid == member_id and owner == comm.rank and isinstance(version, int):
-                found.add(version)
-        partner = buddy_rank(comm.rank, comm.size)
-        if partner != comm.rank:
-            buddy_world = comm.comm.world_rank(partner)
-            if self.world.is_alive(buddy_world):
-                for (mid, version, owner) in self._memory.get(buddy_world, {}):
-                    if (
-                        mid == member_id
-                        and owner == comm.rank
-                        and isinstance(version, int)
-                    ):
-                        found.add(version)
-        return found
-
-    def rank_versions(self, ctx: Any, comm: CommHandle) -> Set[int]:
-        """Versions fully restorable by this rank across *all* members it
-        has ever stored (used to rebuild metadata after a repair, when the
-        replacement process has no view registrations yet)."""
-        per_member: Dict[int, Set[int]] = {}
-        sources = [self._memory.get(ctx.rank, {})]
-        partner = buddy_rank(comm.rank, comm.size)
-        if partner != comm.rank:
-            buddy_world = comm.comm.world_rank(partner)
-            if self.world.is_alive(buddy_world):
-                sources.append(self._memory.get(buddy_world, {}))
-        for mem in sources:
-            for (member_id, version, owner) in mem:
-                if owner == comm.rank and isinstance(version, int):
-                    per_member.setdefault(member_id, set()).add(version)
-        if not per_member:
-            return set()
-        common = None
-        for versions in per_member.values():
-            common = versions if common is None else (common & versions)
-        return common or set()
+    def committed_versions(self, ctx: Any, comm: CommHandle) -> Set[int]:
+        """Versions this rank can restore: those marked complete in its own
+        memory or its live buddy's."""
+        return {
+            version
+            for holder in self._holders(ctx, comm)
+            for (member, version, owner) in self._memory.get(holder, ())
+            if member == _COMMITTED and owner == comm.rank
+        }
 
     # -- restore --------------------------------------------------------------
 
@@ -190,22 +185,19 @@ class IMRStore:
         key = (member_id, int(version), comm.rank)
         with tel.span(f"imr.rank{comm.rank}", "imr.restore",
                       member=member_id, version=int(version), wrank=ctx.rank):
-            own = self._memory.get(ctx.rank, {})
-            if key in own:
-                data, nbytes = own[key]
+            source = next((h for h in self._holders(ctx, comm)
+                           if key in self._memory.get(h, ())), None)
+            if source is None:
+                raise FenixError(
+                    f"IMR: no copy of member {member_id} v{version} "
+                    f"for rank {comm.rank}"
+                )
+            data, nbytes = self._memory[source][key]
+            if source == ctx.rank:
                 yield engine.timeout(ctx.node.memcpy_time(nbytes))
                 tier = "local"
             else:
-                partner = buddy_rank(comm.rank, comm.size)
-                buddy_world = comm.comm.world_rank(partner)
-                buddy_mem = self._memory.get(buddy_world, {})
-                if partner == comm.rank or key not in buddy_mem:
-                    raise FenixError(
-                        f"IMR: no copy of member {member_id} v{version} "
-                        f"for rank {comm.rank}"
-                    )
-                data, nbytes = buddy_mem[key]
-                buddy_node = self.world.node_of_rank(buddy_world)
+                buddy_node = self.world.node_of_rank(source)
                 yield from self.world.network.transfer(buddy_node, ctx.node, nbytes)
                 # re-establish the local copy for future failures
                 self._slot(ctx.rank)[key] = (np.copy(data), nbytes)
@@ -213,7 +205,7 @@ class IMRStore:
                 self.world.trace.emit(
                     engine.now, f"imr.rank{comm.rank}", "imr_buddy_recv",
                     member=member_id, version=int(version), nbytes=nbytes,
-                    buddy=partner,
+                    buddy=buddy_rank(comm.rank, comm.size),
                 )
             view.load_data(data)
         self.world.trace.emit(

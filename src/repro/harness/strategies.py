@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.backends import resolve_backend
 from repro.util.errors import ConfigError
 
 
@@ -36,14 +37,14 @@ class StrategySpec:
     fenix: bool
     #: Kokkos Resilience manages C/R (False -> manual integration)
     kr: bool
-    #: data backend: "veloc", "fenix_imr", or "none"
+    #: data backend: a name in ``repro.core.backends.BACKENDS``, or "none"
     backend: str
     #: KR recovery scope ("all" or "recovered_only")
     scope: str = "all"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("veloc", "fenix_imr", "none"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.backend != "none":
+            resolve_backend(self.backend)
         if self.backend == "fenix_imr" and not self.fenix:
             raise ConfigError("IMR requires Fenix (it lives in rank memory)")
         if not self.kr and self.backend == "fenix_imr":

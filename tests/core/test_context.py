@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import KRConfig, every_nth, make_context
+from repro.core import KRConfig, backends, every_nth, make_context
 from repro.fenix import FenixSystem, IMRStore
 from repro.kokkos import KokkosRuntime
 from repro.mpi import World
@@ -46,7 +46,7 @@ def run_kr(n_ranks, body, backend="veloc", filter=None, scope="all", n_spares=0,
     return results, cluster
 
 
-BACKENDS = ["veloc", "stdfile", "fenix_imr"]
+BACKENDS = list(backends.BACKENDS)
 
 
 class TestCheckpointExecute:

@@ -10,8 +10,8 @@ survives a change of the enumeration.
 
 CI's ``kill-points`` job runs the same module with ``--kill-points-wide``
 (defined in ``tests/conftest.py``): all three Fenix strategies x 0/1/2
-spares x every instant, 300 two-kill examples, and the JSONL trace of
-every failing point left under ``kill-points-failures/``.
+spares x every instant, MiniMD in full, 300 two-kill examples, and the
+JSONL trace of every failing point left under ``kill-points-failures/``.
 """
 
 import functools
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fenix import FenixError, FenixSystem, SpareExhaustionError
+from repro.fenix import FenixSystem, SpareExhaustionError
 from repro.monitor.trace_io import JsonlTraceSink
 from repro.mpi import World
 from repro.sim import Cluster, ClusterSpec, IterationFailure
@@ -32,9 +32,6 @@ from tests.harness import kill_points as K
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 FAILURES_DIR = ROOT / "kill-points-failures"
-#: how IMR says "a version I called restorable has no copy" -- the one
-#: known finding (ROADMAP item 1): see test_imr_torn_version_reproducer
-TORN = "IMR: no copy of member"
 
 
 @pytest.fixture
@@ -43,10 +40,10 @@ def wide(request):
 
 
 @functools.lru_cache(maxsize=None)
-def reference(strategy, n_spares):
+def reference(strategy, n_spares, job=K.HEATDIS):
     """``(report, records)`` of the failure-free job, recorded once."""
-    report, records = K.record(strategy, n_spares)
-    assert K.check(report, strategy, n_spares, ()).verdict == "ok"
+    report, records = K.record(job, strategy, n_spares)
+    assert K.check(job, report, strategy, n_spares, ()).verdict == "ok"
     return report, records
 
 
@@ -69,48 +66,43 @@ def launches_without_a_spare(kill, records):
     return 2 if t < arrival else 1
 
 
-@functools.lru_cache(maxsize=None)
-def problems_of(strategy, n_spares, points):
+def problems_of(strategy, n_spares, points, job=K.HEATDIS):
     """``{kill: outcome}`` of every point that is not ``ok``."""
-    report, records = reference(strategy, n_spares)
+    report, records = reference(strategy, n_spares, job)
     found = {}
     for kill in points:
-        outcome = K.check(report, strategy, n_spares, [kill], attempts=(
+        outcome = K.check(job, report, strategy, n_spares, [kill], attempts=(
             1 if n_spares else launches_without_a_spare(kill, records)))
         if outcome.verdict != "ok":
             found[kill] = outcome
     return found
 
 
-def every_point(strategy, n_spares):
-    _, records = reference(strategy, n_spares)
-    return tuple(K.kill_points(K.instants(records), K.N_RANKS + n_spares))
+def every_point(strategy, n_spares, job=K.HEATDIS):
+    _, records = reference(strategy, n_spares, job)
+    return K.kill_points(K.instants(records), job.n_ranks + n_spares)
 
 
-def assert_none(problems, strategy, n_spares, wide):
+def assert_none(problems, strategy, n_spares, wide, job=K.HEATDIS):
     """Fail listing ``problems``; in the wide run, first leave each one's
     flight-recorder trace behind so the counterexample arrives with it."""
+    what = f"{job.app} {job.n_ranks}r {strategy}, {n_spares} spare(s)"
     if problems and wide:
         FAILURES_DIR.mkdir(exist_ok=True)
         for kills in list(problems)[:10]:
             kills = [kills] if isinstance(kills[0], int) else list(kills)
             name = "-".join(f"r{rank}@{t!r}" for rank, t in kills)
             with JsonlTraceSink(str(FAILURES_DIR / (
-                    f"{strategy}-{n_spares}spares-{name}.trace.jsonl"))) as sink:
+                    f"{job.app}-{job.n_ranks}r-{strategy}-{n_spares}spares-"
+                    f"{name}.trace.jsonl"))) as sink:
                 try:
-                    K.run(strategy, n_spares, kills, trace_sink=sink)
+                    K.run(job, strategy, n_spares, kills, trace_sink=sink)
                 except Exception:  # the trace up to the error is the point
                     pass
     assert not problems, (
-        f"{strategy}, {n_spares} spare(s): {len(problems)} kill point(s) "
-        "broke an oracle:\n" + "\n".join(
-            f"  {kill}: {o.verdict} -- {o.detail}"
-            for kill, o in list(problems.items())[:20]))
-
-
-def torn(problems):
-    return {kill: o for kill, o in problems.items()
-            if o.verdict == "typed" and TORN in o.detail}
+        f"{what}: {len(problems)} kill point(s) broke an oracle:\n"
+        + "\n".join(f"  {kill}: {o.verdict} -- {o.detail}"
+                    for kill, o in list(problems.items())[:20]))
 
 
 # -- the matrices ------------------------------------------------------------
@@ -126,25 +118,39 @@ def pytest_generate_tests(metafunc):
 
 def test_one_kill_anywhere_with_a_spare_left(strategy, n_spares, wide):
     """255 + 195 runs: every instant x every world rank (the idle spares
-    too) x {just before, at, just after}.  Nothing but success -- and, for
-    IMR, the torn-version points, which are held by the xfail below."""
-    problems = dict(problems_of(strategy, n_spares,
-                                every_point(strategy, n_spares)))
-    for kill in torn(problems) if "imr" in strategy else ():
-        del problems[kill]
-    assert_none(problems, strategy, n_spares, wide)
+    too) x {just before, at, just after}.  Nothing but success."""
+    assert_none(problems_of(strategy, n_spares,
+                            every_point(strategy, n_spares)),
+                strategy, n_spares, wide)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known finding, ROADMAP item 1: a kill between an owner's imr_store of "
-    "the first and of the last member of a version tears it -- "
-    "IMRStore.rank_versions intersects only the members it finds, so the "
-    "replacement claims the version restorable and restore() finds no "
-    "copy.  24 of the 195 points; fenix/data.py:DataGroup has the commit "
-    "consistency this needs, unused"))
-def test_imr_tears_no_version():
-    assert not torn(problems_of("fenix_kr_imr", 1,
-                                every_point("fenix_kr_imr", 1)))
+def test_imr_tears_no_version(wide):
+    """A kill between an owner's ``imr_store`` of the first and of the
+    last member of a version left copies the replacement took for a
+    checkpoint: ``FenixError("IMR: no copy of member ...")`` at 36 of the
+    342 points on 5 ranks (the odd rank out pairs asymmetrically with
+    rank 0; 24 of 195 on 4).  A version is restorable once committed."""
+    job = K.HEATDIS_5
+    assert_none(problems_of("fenix_kr_imr", 1,
+                            every_point("fenix_kr_imr", 1, job), job),
+                "fenix_kr_imr", 1, wide, job)
+
+
+def test_imr_tears_no_version_of_39_members(wide):
+    """MiniMD checkpoints 39 members per version where Heatdis has 2, so
+    most of a checkpoint is "between the first member and the last": 152
+    of the 328 kills at a record instant stopped as above.  One rank per
+    instant in rotation, at the instant (wide: every rank, and just
+    before and after)."""
+    job = K.MINIMD
+    if wide:
+        points = every_point("fenix_kr_imr", 1, job)
+    else:
+        _, records = reference("fenix_kr_imr", 1, job)
+        points = [(i % (job.n_ranks + 1), t)
+                  for i, t in enumerate(K.instants(records))]
+    assert_none(problems_of("fenix_kr_imr", 1, points, job),
+                "fenix_kr_imr", 1, wide, job)
 
 
 @pytest.mark.parametrize("strategy", K.FENIX_STRATEGIES)
@@ -155,16 +161,17 @@ def test_one_kill_with_no_spare_relaunches(strategy, wide):
     one; a kill that lands after completion changes nothing."""
     _, records = reference(strategy, 0)
     times = K.instants(records)
+    n_ranks, interval = K.HEATDIS.n_ranks, K.HEATDIS.interval
     if not wide:
         second = next(r.time for r in records
-                      if r.fields.get("version") == 2 * K.INTERVAL)
+                      if r.fields.get("version") == 2 * interval)
         around = [times.index(second), times.index(job_done_at(records))]
         times = sorted({t for i in around for t in times[max(0, i - 3):i + 3]})
-    points = K.kill_points(times, K.N_RANKS)
+    points = K.kill_points(times, n_ranks)
     if not wide:  # one rank per instant, in rotation
         points = [p for i, p in enumerate(points)
-                  if p[0] == (i // (3 * K.N_RANKS)) % K.N_RANKS]
-    assert_none(problems_of(strategy, 0, tuple(points)), strategy, 0, wide)
+                  if p[0] == (i // (3 * n_ranks)) % n_ranks]
+    assert_none(problems_of(strategy, 0, points), strategy, 0, wide)
 
 
 def test_a_second_kill_inside_the_first_ones_recovery_window(wide):
@@ -172,16 +179,15 @@ def test_a_second_kill_inside_the_first_ones_recovery_window(wide):
     instant between it and the first completed step after re-entry --
     inside the repair gate, between revoke and agree, mid-``recover()``,
     on the just-activated spare.  IMR may stop typed (both buddies of a
-    pair, or the torn version above); nothing else may do anything but
-    succeed, in one launch."""
-    n_spares, n_world = 2, K.N_RANKS + 2
+    pair); nothing else may do anything but succeed, in one launch."""
+    n_spares, n_world = 2, K.HEATDIS.n_ranks + 2
     offsets = st.sampled_from([-K.EPS, 0.0, K.EPS])
     windows = {}
 
     def window(strategy, first):
         if (strategy, first) not in windows:
             try:
-                records = K.record(strategy, n_spares, [first])[1]
+                records = K.record(K.HEATDIS, strategy, n_spares, [first])[1]
             except K.TYPED_STOPS:
                 records = ()
             windows[strategy, first] = K.recovery_window(records)
@@ -202,7 +208,7 @@ def test_a_second_kill_inside_the_first_ones_recovery_window(wide):
         if not inside:  # the first kill never landed: nothing to be inside
             return
         kills = (first, (ranks[1], inside[picks[1] % len(inside)] + shifts[1]))
-        outcome = K.check(report, strategy, n_spares, kills)
+        outcome = K.check(K.HEATDIS, report, strategy, n_spares, kills)
         if not (outcome.verdict == "typed" and "imr" in strategy):
             assert_none({} if outcome.verdict == "ok" else {kills: outcome},
                         strategy, n_spares, wide)
@@ -222,9 +228,9 @@ def test_the_allow_list_is_the_documented_one():
 # -- each point an earlier tree got wrong, by name ---------------------------
 
 
-def assert_recovered_in_place(strategy, kill):
-    report, _ = reference(strategy, 1)
-    assert K.check(report, strategy, 1, [kill]) == K.Outcome("ok")
+def assert_recovered_in_place(strategy, kill, job=K.HEATDIS):
+    report, _ = reference(strategy, 1, job)
+    assert K.check(job, report, strategy, 1, [kill]) == K.Outcome("ok")
 
 
 @pytest.mark.parametrize(
@@ -254,8 +260,8 @@ def test_no_spare_left_is_a_relaunch_not_a_short_result(strategy):
     redistribute, and the harness counted the smaller communicator."""
     report, _ = reference(strategy, 0)
     killed = K.run(
-        strategy, 0, strict_monitor=True,
-        plan=IterationFailure.between_checkpoints(2, K.INTERVAL, 1))
+        K.HEATDIS, strategy, 0, strict_monitor=True,
+        plan=IterationFailure.between_checkpoints(2, K.HEATDIS.interval, 1))
     assert killed.attempts == 2 and sorted(killed.results) == [0, 1, 2, 3]
     for slot, outcome in killed.results.items():
         assert np.array_equal(outcome["grid"], report.results[slot]["grid"])
@@ -271,11 +277,15 @@ def test_a_checkpoint_in_flight_at_the_kill_is_no_version_violation():
     assert_recovered_in_place("fenix_kr_veloc", (0, 4.400425987240462))
 
 
-@pytest.mark.xfail(strict=True, raises=FenixError, reason=(
-    "the IMR torn version (see test_imr_tears_no_version): rank 0 stored "
-    "member 1372476450 v10 and died before member 745304055"))
-def test_imr_torn_version_reproducer():
-    K.run("fenix_kr_imr", 1, [(0, 4.401173245051802)])
+@pytest.mark.parametrize("job, t", [
+    (K.HEATDIS, 4.401173245051802), (K.HEATDIS_5, 4.421177258462845),
+    (K.MINIMD, 4.4075234738696105)], ids=["heatdis", "heatdis-5r", "minimd"])
+def test_imr_torn_version_reproducer(job, t):
+    """Rank 0 stored the first member of its first version (Heatdis:
+    1372476450 v10) and died before the last (745304055).  Was:
+    ``FenixError("IMR: no copy of member 745304055 v10 for rank 0")`` --
+    the first such point of each matrix above."""
+    assert_recovered_in_place("fenix_kr_imr", (0, t), job)
 
 
 def test_benchmark_sweep_seeds_59_and_128_finish():
