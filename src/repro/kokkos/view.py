@@ -29,10 +29,11 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
   reference will write;
 - creating a :meth:`subview` aliases storage both ways, so parent and
   child both become raw-exposed;
-- a view holds dirty bits, never content digests: it cannot see writes
-  through a raw reference or an alias, so any hash it kept could go
-  stale.  :meth:`chunk_hash` is a pure function; digests that persist
-  live in the snapshot that holds the bytes (``repro.veloc.snapshot``);
+- a view holds dirty bits, never content addresses: it cannot see
+  writes through a raw reference or an alias, so any hash it kept could
+  go stale.  :meth:`chunk_hash` is a pure function; an address that
+  persists is the cached hash of a snapshot's own immutable chunk
+  (``repro.veloc.snapshot``);
 - constructing a view with ``data=`` transfers ownership of the array to
   the view (the Kokkos unmanaged-view convention): the caller must not
   keep writing through its own reference.
@@ -40,7 +41,6 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
@@ -91,7 +91,7 @@ class View:
         self._dirty: set = set()
         self._all_dirty = True
         self._raw_exposed = False
-        self._data: np.ndarray = arr
+        self._bind(arr)
         self.registry = registry
         if registry is not None:
             registry.register(self)
@@ -116,8 +116,25 @@ class View:
     @data.setter
     def data(self, array: np.ndarray) -> None:
         """Rebind the storage (e.g. the Heatdis swap); everything dirty."""
-        self._data = array
+        old = self._data
+        if array.size == old.size and array.itemsize == old.itemsize:
+            # the Heatdis swap, twice per iteration: the grid stands
+            self._data = array
+        else:
+            self._bind(array)
         self.mark_dirty()
+
+    def _bind(self, array: np.ndarray) -> None:
+        """Point the view at ``array`` and size its chunk grid.  The grid
+        depends on the buffer and on ``chunk_bytes``, which nothing
+        assigns after construction, so it is worked out once per binding
+        instead of on each of the several reads every write, dirty query
+        and snapshot makes."""
+        self._data: np.ndarray = array
+        #: elements per dirty-tracking chunk (at least one)
+        self.chunk_elems = max(1, self.chunk_bytes // max(1, array.itemsize))
+        #: chunks covering the buffer (the last may be short)
+        self.n_chunks = -(-array.size // self.chunk_elems)
 
     # -- identity / sizing -------------------------------------------------
 
@@ -169,18 +186,6 @@ class View:
         self._modeled_nbytes = value
 
     # -- chunked dirty tracking ----------------------------------------------
-
-    @property
-    def chunk_elems(self) -> int:
-        """Elements per dirty-tracking chunk (at least one)."""
-        itemsize = max(1, self._data.itemsize)
-        return max(1, self.chunk_bytes // itemsize)
-
-    @property
-    def n_chunks(self) -> int:
-        if self._data.size == 0:
-            return 0
-        return -(-self._data.size // self.chunk_elems)
 
     @property
     def chunkable(self) -> bool:
@@ -271,10 +276,12 @@ class View:
         """Chunk ``index`` as a flat array view (no copy)."""
         return self.flat_array()[self.chunk_slice(index)]
 
-    def chunk_hash(self, index: int) -> bytes:
-        """Content hash of chunk ``index`` (see :func:`chunk_digest`): a
-        pure function of the current bytes, nothing is cached."""
-        return chunk_digest(self.chunk_array(index))
+    def chunk_hash(self, index: int) -> int:
+        """Content address of chunk ``index`` as the checkpoint path forms
+        it (``VeloCServer.register_chunks``): ``hash()`` of the chunk's
+        bytes.  A pure function of the current bytes, nothing is cached;
+        process-local, never to be persisted."""
+        return hash(self.chunk_array(index).tobytes())
 
     # -- subviews ------------------------------------------------------------
 
@@ -350,12 +357,6 @@ class View:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<View {self.label!r} shape={self.shape} dtype={self.dtype}>"
-
-
-def chunk_digest(chunk: np.ndarray) -> bytes:
-    """blake2b-128 over a flat contiguous chunk's bytes, read in place
-    (the ``uint8`` view exports any fixed-size dtype as plain bytes)."""
-    return hashlib.blake2b(chunk.view(np.uint8), digest_size=16).digest()
 
 
 def deep_copy(dst: "View | np.ndarray", src: "View | np.ndarray | float") -> None:

@@ -143,14 +143,12 @@ class VeloCClient:
         dirty_bytes = 0.0
         novel_bytes = 0.0
         for rid, view in self._protected.items():
-            snap, fresh = snapshot_view(
-                view, prev=self._snapshots.get(rid), hash_chunks=dedup
-            )
+            snap, fresh = snapshot_view(view, prev=self._snapshots.get(rid))
             n = max(1, snap.n_chunks)
             dirty_frac = len(fresh) / n
             if server is not None:
                 novel = server.register_chunks(
-                    snap.digests[i] for i in fresh
+                    snap.chunks[i] for i in fresh
                 )
                 novel_frac = novel / n
             else:

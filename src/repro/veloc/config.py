@@ -34,8 +34,8 @@ class VeloCConfig:
             restores the original full-copy data path, byte- and
             cost-identical to the pre-incremental implementation.
         dedup: content-addressed chunk dedup on the node server -- chunks
-            whose blake2b digest is already resident (any rank, any
-            version) are not re-flushed to persistent storage.  Only
+            whose content is already resident (any rank, any version)
+            are not re-flushed to persistent storage.  Only
             meaningful with ``incremental=True``.
     """
 

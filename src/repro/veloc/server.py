@@ -58,10 +58,10 @@ class VeloCServer:
         self.queue: Store = Store(self.engine, name=f"veloc.srv{node.index}.q")
         self.jobs_done = 0
         self.bytes_flushed = 0.0
-        # content-addressed chunk index: digests of every chunk this node's
-        # server has already accepted for persistence (any rank, any
-        # version).  Chunks found here need no re-flush -- the dedup half
-        # of the incremental data path.
+        # content-addressed chunk index: the address (see register_chunks)
+        # of every chunk this node's server has already accepted for
+        # persistence (any rank, any version).  Chunks found here need no
+        # re-flush -- the dedup half of the incremental data path.
         self._chunk_index: set = set()
         self.chunks_seen = 0
         self.chunks_deduped = 0
@@ -69,17 +69,31 @@ class VeloCServer:
             self._run(), name=f"veloc.server{node.index}", daemon=True
         )
 
-    def register_chunks(self, digests) -> int:
-        """Register chunk content digests; returns how many were *novel*
-        (not yet resident in the content-addressed store).  Idempotent per
-        digest: re-offering a known chunk costs nothing."""
+    def register_chunks(self, chunks) -> int:
+        """Offer chunks (``bytes``) to the content-addressed store;
+        returns how many were *novel* (not yet resident).  Idempotent per
+        content: re-offering a known chunk costs nothing.
+
+        A chunk's address is ``hash(chunk)``: the interpreter's keyed
+        64-bit SipHash of the bytes, computed on first use and cached in
+        the object, so a chunk shared between versions is read once.
+        The address is process-local (the key is ``PYTHONHASHSEED``) and
+        stays in this set: nothing persists, pickles, traces or reports
+        one, so no simulated number depends on the key.  Two different
+        chunks share an address with probability ~ n^2 / 2^65 over n
+        distinct chunks through one node server (3e-8 at a million
+        chunks, i.e. 64 GiB of real bytes in one process), and the whole
+        effect is one flush charged one chunk's modelled share too
+        little: a snapshot holds its own bytes, so nothing restored can
+        depend on this index."""
         novel = 0
-        for digest in digests:
+        for chunk in chunks:
+            address = hash(chunk)
             self.chunks_seen += 1
-            if digest in self._chunk_index:
+            if address in self._chunk_index:
                 self.chunks_deduped += 1
             else:
-                self._chunk_index.add(digest)
+                self._chunk_index.add(address)
                 novel += 1
         return novel
 

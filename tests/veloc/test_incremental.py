@@ -15,8 +15,7 @@ from repro.kokkos import KokkosRuntime
 from repro.util.errors import ConfigError
 from repro.veloc import VeloCConfig
 from repro.veloc.snapshot import ChunkedSnapshot, payload_array, snapshot_view
-from tests.veloc.conftest import run_veloc_ranks
-from tests.veloc.reference_snapshot import blake
+from tests.veloc.conftest import node_server, run_veloc_ranks
 
 
 @pytest.fixture
@@ -29,8 +28,11 @@ def small_view(rt, label="v"):
     return rt.view(label, shape=(64, 16), chunk_bytes=512)
 
 
-def assert_digests_match_chunks(snap):
-    assert snap.digests == [blake(c) for c in snap.chunks]
+def assert_chunks_hold(snap, view):
+    """Every chunk is immutable ``bytes`` and holds exactly what the view
+    holds now -- so the address the server forms from it cannot be stale."""
+    assert all(type(chunk) is bytes for chunk in snap.chunks)
+    assert b"".join(snap.chunks) == view.copy_data().tobytes()
 
 
 class TestSnapshotView:
@@ -73,41 +75,55 @@ class TestSnapshotView:
         assert fresh == list(range(16))
 
     def test_digests_reused_for_clean_chunks(self, rt):
+        # a clean chunk's address is carried by the chunk object itself:
+        # offering the new version, the server sees one novel chunk
         v = small_view(rt)
-        prev, _ = snapshot_view(v, hash_chunks=True)
+        v[0:64] = np.arange(1024.0).reshape(64, 16)  # 16 distinct chunks
+        server = node_server()
+        prev, _ = snapshot_view(v)
+        assert server.register_chunks(prev.chunks) == 16
         v.clear_dirty()
         v[0] = 4.0
-        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == [0]
-        assert snap.digests[0] != prev.digests[0]
-        assert all(snap.digests[i] is prev.digests[i] for i in range(1, 16))
+        assert snap.chunks[0] != prev.chunks[0]
+        assert all(snap.chunks[i] is prev.chunks[i] for i in range(1, 16))
+        assert server.register_chunks(snap.chunks) == 1
 
     def test_raw_write_after_snapshot_gets_a_fresh_digest(self, rt):
         # a kept .data reference writes behind the view's back: the view
-        # is raw-exposed (all chunks fresh), and every digest must follow
-        # the bytes, not the previous version
+        # is raw-exposed (all chunks fresh), and what the server is
+        # offered must follow the bytes, not the previous version
         v = small_view(rt)
         raw = v.data
         raw[:] = 1.0
-        prev, _ = snapshot_view(v, hash_chunks=True)
+        server = node_server()
+        prev, _ = snapshot_view(v)
+        server.register_chunks(prev.chunks)
         v.clear_dirty()
         raw[:] = 2.0
-        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == list(range(16))
-        assert_digests_match_chunks(snap)
-        assert snap.digests[0] != prev.digests[0]
+        assert_chunks_hold(snap, v)
+        # uniform content: one novel address, fifteen hits on it
+        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
+        assert server.chunks_deduped == 15 + 15
 
     def test_write_through_parent_reaches_subview_digests(self, rt):
         # MiniMD's duplicate captures: the checkpointed view is a subview
         # and the writes go through the parent
         parent = small_view(rt)
         child = parent.subview(slice(None), label="capture")
-        prev, _ = snapshot_view(child, hash_chunks=True)
+        server = node_server()
+        prev, _ = snapshot_view(child)
+        server.register_chunks(prev.chunks)
         child.clear_dirty()
         parent[5] = 7.0
-        snap, _ = snapshot_view(child, prev=prev, hash_chunks=True)
-        assert_digests_match_chunks(snap)
-        assert snap.digests[1] != prev.digests[1]
+        snap, fresh = snapshot_view(child, prev=prev)
+        assert_chunks_hold(snap, parent)
+        assert snap.chunks[1] != prev.chunks[1]
+        # chunk 1 is new to the server, the other fifteen are not
+        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
         assert np.array_equal(snap.materialize(), parent.copy_data())
 
     def test_non_chunkable_single_chunk(self):
@@ -115,9 +131,10 @@ class TestSnapshotView:
 
         base = np.arange(64.0).reshape(8, 8)
         v = View("nc", data=base[:, ::2])  # not C-contiguous
-        snap, fresh = snapshot_view(v, hash_chunks=True)
+        snap, fresh = snapshot_view(v)
         assert fresh == [0]
         assert snap.n_chunks == 1
+        assert_chunks_hold(snap, v)
         assert np.array_equal(snap.materialize(), base[:, ::2])
 
     def test_payload_array_accepts_both_formats(self, rt):
@@ -128,10 +145,30 @@ class TestSnapshotView:
         assert np.array_equal(payload_array(snap), v.copy_data())
         assert np.array_equal(payload_array(v.copy_data()), v.copy_data())
 
+    def test_chunks_are_bytes_and_restores_cannot_reach_them(self, rt):
+        # a restored array is the caller's to write: scribbling on it
+        # reaches neither a later restore of the same version nor another
+        # version sharing the chunk
+        v = small_view(rt)
+        v.fill(3.0)
+        prev, _ = snapshot_view(v)
+        v.clear_dirty()
+        v[0] = 4.0
+        snap, _ = snapshot_view(v, prev=prev)
+        assert_chunks_hold(snap, v)
+        assert snap.chunks[5] is prev.chunks[5]
+        restored = payload_array(snap)
+        assert restored.flags.writeable
+        assert restored is not payload_array(snap)
+        restored[:] = -1.0
+        assert np.array_equal(payload_array(snap), v.copy_data())
+        assert np.all(payload_array(prev) == 3.0)
+
 
 class TestBitwiseSharing:
-    """A dirty chunk shares the previous copy and digest iff its *bytes*
-    are equal -- numeric equality would break the bit-identical restore."""
+    """A dirty chunk shares the previous copy (and with it the address)
+    iff its *bytes* are equal -- numeric equality would break the
+    bit-identical restore."""
 
     NAN_A, NAN_B = 0x7FF8000000000000, 0x7FF8000000000001
 
@@ -141,13 +178,13 @@ class TestBitwiseSharing:
         chunk 1 (rows 4..7) with ``then_bits``.  Returns both snapshots."""
         rows, cols = v.shape
         v[0:rows] = np.full((rows, cols), first_bits, uint).view(v.dtype)
-        prev, _ = snapshot_view(v, hash_chunks=True)
+        prev, _ = snapshot_view(v)
         v.clear_dirty()
         v[4:8] = np.full((4, cols), then_bits, uint).view(v.dtype)
-        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
+        snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == [1]  # listed dirty whether or not it changed
         assert payload_array(snap).tobytes() == v.copy_data().tobytes()
-        assert_digests_match_chunks(snap)
+        assert_chunks_hold(snap, v)
         return prev, snap
 
     @pytest.mark.parametrize("first, then, shared", [
@@ -161,22 +198,25 @@ class TestBitwiseSharing:
         v = rt.view("f8", shape=(30, 16), chunk_bytes=512)
         prev, snap = self.rewrite(v, first, then, np.uint64)
         assert (snap.chunks[1] is prev.chunks[1]) == shared
-        assert (snap.digests[1] is prev.digests[1]) == shared
-        assert snap.chunks[7].size == 2 * 16
+        # the server sees the rewrite as known content iff it was shared
+        server = node_server()
+        server.register_chunks(prev.chunks)
+        assert server.register_chunks([snap.chunks[1]]) == (not shared)
+        assert len(snap.chunks[7]) == 2 * 16 * 8
 
     def test_short_last_chunk_is_compared_whole(self, rt):
         v = rt.view("tail", shape=(30, 16), chunk_bytes=512)
         v.fill(1.0)
-        prev, _ = snapshot_view(v, hash_chunks=True)
+        prev, _ = snapshot_view(v)
         v.clear_dirty()
         v[28:30] = 1.0  # the short chunk, same bytes
-        same, _ = snapshot_view(v, prev=prev, hash_chunks=True)
+        same, _ = snapshot_view(v, prev=prev)
         assert same.chunks[7] is prev.chunks[7]
         v[29] = -1.0    # its very last row
-        snap, _ = snapshot_view(v, prev=same, hash_chunks=True)
+        snap, _ = snapshot_view(v, prev=same)
         assert snap.chunks[7] is not prev.chunks[7]
         assert snap.materialize().tobytes() == v.copy_data().tobytes()
-        assert_digests_match_chunks(snap)
+        assert_chunks_hold(snap, v)
 
     @pytest.mark.parametrize("dtype, uint, first, then, shared", [
         (np.float32, np.uint32, 0x0, 0x80000000, False),
@@ -195,22 +235,33 @@ class TestBitwiseSharing:
         prev, snap = self.rewrite(v, first, then, uint)
         assert (snap.chunks[1] is prev.chunks[1]) == shared
 
-    def test_pure_cow_copies_without_comparing(self, rt):
+    def test_pure_cow_compares_too(self, rt):
+        # there is one snapshot_view, whatever the client's dedup setting:
+        # a tracked rewrite of the bytes already there is listed dirty
+        # (and charged) but keeps the previous chunk object
         v = small_view(rt)
         prev, _ = snapshot_view(v)
         v.clear_dirty()
         v[5] = 0.0  # the bytes already there
         snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == [1]
-        assert snap.chunks[1] is not prev.chunks[1]
+        assert snap.chunks[1] is prev.chunks[1]
 
-    def test_base_without_digests_is_no_base(self, rt):
+    def test_any_compatible_snapshot_is_a_base(self, rt):
+        # a chunk carries all its address needs (its bytes), so a base
+        # that was never offered to a server still lends its chunks: the
+        # next version reads one chunk and offers the server only that
         v = small_view(rt)
-        prev, _ = snapshot_view(v)  # recorded without hashing
+        v[0:64] = np.arange(1024.0).reshape(64, 16)
+        prev, _ = snapshot_view(v)
         v.clear_dirty()
-        snap, fresh = snapshot_view(v, prev=prev, hash_chunks=True)
-        assert fresh == list(range(16))
-        assert_digests_match_chunks(snap)
+        v[5] = -1.0
+        snap, fresh = snapshot_view(v, prev=prev)
+        assert fresh == [1]
+        assert_chunks_hold(snap, v)
+        server = node_server()
+        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
+        assert server.chunks_seen == 1
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Differential test: compare-before-hash ``snapshot_view`` vs the oracle.
+"""Differential test: bytes-chunk ``snapshot_view`` vs the oracle.
 
 Random programs -- tracked row writes (some rewriting the bytes already
 there, some writing ``-0.0`` or a NaN with another payload), raw writes
@@ -7,23 +7,25 @@ parent/subview pair, ``load_data`` restores of earlier versions and
 ``reset_dirty_tracking()`` -- run against four views that are
 snapshotted, version after version, by the real
 :func:`repro.veloc.snapshot.snapshot_view` and by the always-copy,
-always-hash :func:`~tests.veloc.reference_snapshot.reference_snapshot_view`.
-Each chain has its own previous snapshot and its own node server; per
+always-blake2b :func:`~tests.veloc.reference_snapshot.reference_snapshot_view`.
+Each chain has its own previous snapshot and its own chunk index (the
+real ``VeloCServer`` against the digest-set ``ReferenceIndex``); per
 version the two must agree on everything the model sees, and the real one
 must share a chunk object with its predecessor exactly when the bytes are
-equal.
+equal -- whether or not dedup consults the index.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.kokkos import KokkosRuntime
-from repro.veloc import VeloCConfig, VeloCService
+from repro.veloc import VeloCConfig
 from repro.veloc import client as client_module
-from repro.veloc import snapshot as snapshot_module
+from repro.veloc.server import VeloCServer
 from repro.veloc.snapshot import snapshot_view
-from tests.veloc.conftest import run_veloc_ranks, veloc_cluster
-from tests.veloc.reference_snapshot import reference_snapshot_view
+from tests.veloc.conftest import node_server, run_veloc_ranks
+from tests.veloc.reference_snapshot import (
+    ReferenceIndex, blake, reference_snapshot_view)
 
 COLS = 16          # 128 B per float64 row
 CHUNK_BYTES = 512  # 4 rows per chunk
@@ -56,12 +58,16 @@ def same_bytes(a, b):
     return a.tobytes() == b.tobytes()
 
 
+def blake_of_bytes(chunk):
+    return blake(np.frombuffer(chunk, dtype=np.uint8))
+
+
 class Machine:
     """One program, one set of views, two snapshot chains."""
 
-    def __init__(self, hash_chunks):
+    def __init__(self, dedup):
         rt = KokkosRuntime()
-        self.hash_chunks = hash_chunks
+        self.dedup = dedup
         # 30 and 26 rows: the last chunk of three of the views is short
         tracked = rt.view("tracked", shape=(30, COLS), chunk_bytes=CHUNK_BYTES)
         raw = rt.view("raw", shape=(30, COLS), chunk_bytes=CHUNK_BYTES)
@@ -69,11 +75,9 @@ class Machine:
         child = parent.subview(slice(2, 28), label="child")
         self.views = [tracked, raw, parent, child]
         self.raw_handle = raw.data  # kept across snapshots
-        self.chains = []
-        for take in (snapshot_view, reference_snapshot_view):
-            cluster = veloc_cluster(n_nodes=1)
-            server = VeloCService(cluster).server_for(cluster.nodes[0])
-            self.chains.append((take, server, {}))
+        self.server = node_server()
+        self.index = ReferenceIndex()
+        self.prevs, self.oracle_prevs = {}, {}
         self.history = {i: [] for i in range(4)}
 
     def payload(self, view, row, span, kind):
@@ -111,59 +115,56 @@ class Machine:
 
     def snap(self):
         for which, view in enumerate(self.views):
-            real, oracle = (
-                self.take(chain, which, view) for chain in self.chains)
-            (snap, fresh, novel, prev), (osnap, ofresh, onovel, _) = (
-                real, oracle)
+            prev = self.prevs.get(which)
+            snap, fresh = snapshot_view(view, prev=prev)
+            osnap, ofresh = reference_snapshot_view(
+                view, prev=self.oracle_prevs.get(which),
+                hash_chunks=self.dedup)
+            self.prevs[which], self.oracle_prevs[which] = snap, osnap
             assert fresh == ofresh
-            assert snap.digests == osnap.digests
-            assert novel == onovel
+            if self.dedup:
+                # what the client offers the index: same count, same
+                # order, same content as the digests the oracle offers
+                offered = [snap.chunks[i] for i in fresh]
+                ooffered = [osnap.digests[i] for i in ofresh]
+                assert [blake_of_bytes(c) for c in offered] == ooffered
+                assert (self.server.register_chunks(iter(offered))
+                        == self.index.register_chunks(iter(ooffered)))
+                assert ((self.server.chunks_seen, self.server.chunks_deduped)
+                        == (self.index.chunks_seen, self.index.chunks_deduped))
             contents = view.copy_data()
             assert same_bytes(snap.materialize(), contents)
             assert same_bytes(osnap.materialize(), contents)
+            assert all(type(chunk) is bytes for chunk in snap.chunks)
             if prev is not None:
                 for i, chunk in enumerate(snap.chunks):
-                    shared = chunk is prev.chunks[i]
-                    if self.hash_chunks:
-                        assert shared == same_bytes(chunk, prev.chunks[i])
-                    else:  # pure COW copies what is dirty, unseen
-                        assert shared == (i not in fresh)
+                    assert (chunk is prev.chunks[i]) == (chunk == prev.chunks[i])
             self.history[which].append(contents)
             view.clear_dirty()
-
-    def take(self, chain, which, view):
-        snapshot, server, prevs = chain
-        prev = prevs.get(which)
-        snap, fresh = snapshot(view, prev=prev, hash_chunks=self.hash_chunks)
-        novel = (server.register_chunks(snap.digests[i] for i in fresh)
-                 if self.hash_chunks else None)
-        prevs[which] = snap
-        return snap, fresh, novel, prev
 
 
 @settings(max_examples=150, deadline=None)
 @given(PROGRAMS, st.booleans())
-def test_snapshot_chain_matches_oracle(program, hash_chunks):
-    Machine(hash_chunks).run(program)
+def test_snapshot_chain_matches_oracle(program, dedup):
+    Machine(dedup).run(program)
 
 
 class TestClientAfterRecover:
     """checkpoint -> recover(latest) -> checkpoint: the view is all-dirty,
-    every byte is what the latest snapshot holds, nothing is hashed."""
+    every byte is what the latest snapshot holds, so every chunk of the
+    new version is the latest one's object (its address already cached)
+    and nothing is novel."""
 
     @staticmethod
     def _job(monkeypatch, reference):
-        hashed = []
-        digest = snapshot_module.chunk_digest
-
-        def counting(chunk):
-            hashed.append(chunk.nbytes)
-            return digest(chunk)
-
-        monkeypatch.setattr(snapshot_module, "chunk_digest", counting)
         if reference:
+            index = ReferenceIndex()
             monkeypatch.setattr(client_module, "snapshot_view",
                                 reference_snapshot_view)
+            monkeypatch.setattr(
+                VeloCServer, "register_chunks",
+                lambda server, chunks: index.register_chunks(
+                    map(blake, chunks)))
 
         def body(client, h, rt):
             v = rt.view("x", shape=(64, COLS), chunk_bytes=CHUNK_BYTES,
@@ -174,13 +175,16 @@ class TestClientAfterRecover:
             v[5] = -1.0
             yield from client.checkpoint(1)
             yield from client.wait_flushes()
-            first = len(hashed)
             v.fill(0.0)  # scrub, then restore the latest version
             yield from client.recover(1)
             before = dict(client.stats)
             yield from client.checkpoint(2)
             delta = {k: client.stats[k] - before[k] for k in before}
-            return delta, len(hashed) - first, h.ctx.engine.now
+            scratch = client.ctx.node.scratch
+            (v1,), (v2,) = (scratch[client._key(version)][0].values()
+                            for version in (1, 2))
+            shared = [a is b for a, b in zip(v2.chunks, v1.chunks)]
+            return delta, shared, h.ctx.engine.now
 
         results, _ = run_veloc_ranks(1, body, config=VeloCConfig())
         return results[0]
@@ -189,8 +193,8 @@ class TestClientAfterRecover:
             self, monkeypatch):
         with monkeypatch.context() as patch:
             odelta, _, onow = self._job(patch, reference=True)
-        delta, hashed, now = self._job(monkeypatch, reference=False)
-        assert hashed == 0
+        delta, shared, now = self._job(monkeypatch, reference=False)
+        assert shared == [True] * 16
         assert delta == odelta
         assert delta["dirty_bytes"] == 1.6e6  # still charged as a full copy
         assert delta["novel_bytes"] == 0.0    # and the server knows it all
