@@ -1,10 +1,11 @@
-"""Trace query performance: the per-kind index on large flight records.
+"""Trace recording cost on large flight records.
 
-The monitors and the post-mortem tooling replay traces far larger than
-anything the figure benchmarks produce, and lean on ``records(kind=)``,
-``first``/``last``/``count``.  These benchmarks keep the indexed paths in
-the regression history (``BENCH_simulator.json`` workflow -- see
-docs/PERFORMANCE.md).
+Every layer emits into the :class:`~repro.sim.Trace`; the monitors and
+the post-mortem tooling subscribe to it or iterate it (none of them calls
+``records(kind=)`` / ``first`` / ``last`` / ``count``, which scan).  These
+benchmarks time what all of them pay: ``emit``, unbounded and through the
+ring buffer (docs/PERFORMANCE.md has the ``BENCH_simulator.json``
+workflow).
 """
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from repro.sim import Trace
 
 N_RECORDS = 100_000
-N_QUERIES = 10_000
 
 
 def big_trace(max_records=None):
@@ -27,41 +27,14 @@ def big_trace(max_records=None):
 
 @pytest.mark.benchmark(group="trace")
 def test_trace_emit_throughput(benchmark):
-    """Recording cost with the per-kind index being maintained."""
+    """Recording cost, unbounded."""
     tr = benchmark(big_trace)
     assert len(tr) == N_RECORDS + 1
 
 
 @pytest.mark.benchmark(group="trace")
-def test_trace_indexed_point_queries(benchmark):
-    """first/last/count of a rare kind must not scale with trace size."""
-    tr = big_trace()
-
-    def run():
-        acc = 0
-        for _ in range(N_QUERIES):
-            acc += tr.count("repair")
-            acc += tr.first("repair")["generation"]
-            acc += tr.last("checkpoint")["version"]
-        return acc
-
-    assert benchmark(run) > 0
-
-
-@pytest.mark.benchmark(group="trace")
-def test_trace_indexed_kind_scan(benchmark):
-    """records(kind=) walks only that kind's deque, not the whole trace."""
-    tr = big_trace()
-
-    def run():
-        return sum(len(tr.records(kind="checkpoint")) for _ in range(100))
-
-    assert benchmark(run) == 100 * (N_RECORDS // 50)
-
-
-@pytest.mark.benchmark(group="trace")
 def test_trace_ring_buffer_emit(benchmark):
-    """Bounded recording: eviction must keep the index consistent."""
+    """Bounded recording: every emit past the bound evicts one record."""
 
     def run():
         return big_trace(max_records=10_000)

@@ -27,31 +27,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import __version__
+from repro import __version__, cli
 from repro.align import ALIGN_SCHEMA
 from repro.align.engine import align, first_divergence_report
-from repro.cli import add_job_args, job_from_args
+from repro.cli import EXIT_OK, EXIT_REGRESSION, add_job_args, job_from_args
 from repro.monitor import MonitorSuite
-from repro.monitor.trace_io import read_trace, write_trace
-from repro.report.compare import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
+from repro.monitor.trace_io import read_trace, trace_meta, write_trace
 from repro.sim.failures import ExponentialFailures
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigError
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.align",
-        description="Cross-run trace alignment, first-divergence "
-                    "root-causing, and determinism auditing.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     diff = sub.add_parser(
         "diff", help="structurally compare two (or more) trace files")
+    diff.set_defaults(run=_diff)
     diff.add_argument("traces", nargs="+",
                       help="flight-recorder trace JSONL files; the first "
                            "is the baseline every other is aligned against")
@@ -65,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="determinism audit: run a seeded cell twice and "
                       "assert zero divergences")
+    check.set_defaults(run=_check)
     check.add_argument("--replay", action="store_true",
                        help="required: re-run the spec and align "
                             "(reserved for future trace-vs-spec modes)")
@@ -75,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser(
         "record", help="run one cell and persist its flight-recorder trace")
+    record.set_defaults(run=_record)
     record.add_argument("--out", required=True,
                         help="trace JSONL destination")
     _add_run_args(record)
@@ -82,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bis = sub.add_parser(
         "bisect", help="find the first trace of an ordered series whose "
                        "structure diverged from the first")
+    bis.set_defaults(run=_bisect)
     bis.add_argument("traces", nargs="+",
                      help="ordered trace files; traces[0] is the baseline")
     bis.add_argument("--json", action="store_true")
     bis.add_argument("--structural-only", action="store_true")
-    return parser
 
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
@@ -179,14 +176,9 @@ def _render_report(label: str, doc: Dict[str, Any]) -> str:
 
 
 def _diff(args: argparse.Namespace) -> int:
-    try:
-        loaded = [read_trace(path) for path in args.traces]
-    except (OSError, ReproError) as exc:
-        print(f"cannot diff: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if len(loaded) < 2:
-        print("diff needs at least two traces", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if len(args.traces) < 2:
+        raise ConfigError("diff needs at least two traces")
+    loaded = [read_trace(path) for path in args.traces]
     base_records, base_meta = loaded[0]
     pairs: List[Dict[str, Any]] = []
     divergent = False
@@ -211,17 +203,10 @@ def _diff(args: argparse.Namespace) -> int:
 
 def _check(args: argparse.Namespace) -> int:
     if not args.replay:
-        print("check requires --replay (run the spec twice and align)",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        trace_a = _run_once(args)
-        trace_b = _run_once(args)
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    from repro.monitor.trace_io import trace_meta
-
+        raise ConfigError(
+            "check requires --replay (run the spec twice and align)")
+    trace_a = _run_once(args)
+    trace_b = _run_once(args)
     records_a, records_b = list(trace_a), list(trace_b)
     alignment = align(records_a, records_b,
                       meta_a=trace_meta(trace_a), meta_b=trace_meta(trace_b))
@@ -241,33 +226,19 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _record(args: argparse.Namespace) -> int:
-    try:
-        trace = _run_once(args)
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    n = write_trace(args.out, trace)
+    n = write_trace(args.out, _run_once(args))
     print(f"recorded {n} records to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _bisect(args: argparse.Namespace) -> int:
     if len(args.traces) < 2:
-        print("bisect needs at least two traces", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        base_records, base_meta = read_trace(args.traces[0])
-    except (OSError, ReproError) as exc:
-        print(f"cannot bisect: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ConfigError("bisect needs at least two traces")
+    base_records, base_meta = read_trace(args.traces[0])
     first_bad: Optional[Tuple[int, str]] = None
     summary: Optional[Dict[str, Any]] = None
     for index, path in enumerate(args.traces[1:], start=1):
-        try:
-            records, meta = read_trace(path)
-        except (OSError, ReproError) as exc:
-            print(f"cannot bisect: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        records, meta = read_trace(path)
         alignment = align(base_records, records,
                           meta_a=base_meta, meta_b=meta,
                           structural_only=args.structural_only)
@@ -296,20 +267,7 @@ def _bisect(args: argparse.Namespace) -> int:
     return EXIT_REGRESSION if first_bad else EXIT_OK
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "diff":
-        return _diff(args)
-    if args.command == "check":
-        return _check(args)
-    if args.command == "record":
-        return _record(args)
-    return _bisect(args)
-
+main = partial(cli.main, tool="align")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

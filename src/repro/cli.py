@@ -1,25 +1,126 @@
-"""The job scaffold of the run CLIs: nine flags in, a ready-to-run job out.
+"""The command line, written once: ``python -m repro <tool> <command> ...``.
 
-``python -m repro.telemetry run``, ``repro.monitor check``,
-``repro.profile report|critical-path|flamegraph`` and ``repro.align
-check|record`` all build the same small job -- an application from
-:data:`repro.apps.APPS` on the paper platform, optionally with the paper's
-one kill between two checkpoints -- and differ only in what they observe.
-This module registers the shared flags and turns them into the job once,
-with one validation.
+A command is a parser row plus a function: a tool's ``__main__.py``
+declares its rows in ``add_commands(parser)`` and binds each to its
+function with ``set_defaults(run=fn)``.  What surrounds a command is here:
 
-It lives outside :mod:`repro.harness` and imports the simulator inside
-its functions: every CLI registers its flags on every invocation, and
-their offline subcommands (``validate``, ``diff``, ``state``,
-``explain``, ...) read saved files and must not load the harness to do it.
+- :func:`main` parses, dispatches and keeps the exit contract
+  (:data:`EXIT_OK` / :data:`EXIT_REGRESSION` / :data:`EXIT_BAD_INPUT`);
+  ``python -m repro.<tool> ...`` is the same call with the tool already
+  chosen (``main = partial(cli.main, tool=...)``);
+- :func:`open_input` / :func:`load_json`: the readers under the
+  file-taking commands, whose failures are bad input;
+- :func:`add_job_args` / :func:`build_job` / :func:`job_from_args`: the
+  job scaffold of the run commands (``telemetry run``, ``monitor check``,
+  ``profile report|critical-path|flamegraph``, ``align check|record``) --
+  nine flags in, a ready-to-run job out, one validation;
+- :func:`add_sweep_args` / :func:`sweep_from_args`: the worker, cache and
+  progress flags of the sweep commands (``experiments``, ``report run``).
+
+It lives outside :mod:`repro.harness` and imports nothing of ``repro``
+until a function needs it: :data:`TOOLS` is a static table, so the front
+door imports only the tool it was asked for, and the offline commands
+(``validate``, ``diff``, ``state``, ``explain``, ...) read saved files
+without loading the simulator.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
+import json
+import os
+import sys
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
+
+#: what a command returns: clean / a finding (violations, alerts,
+#: divergences, a metric past its budget) / usage and load errors
+EXIT_OK = 0
+EXIT_REGRESSION = 1
+EXIT_BAD_INPUT = 2
+
+#: tool -> its one-line description (``repro.<tool>.__main__`` holds the
+#: rows; this table is all the front door knows before it imports one)
+TOOLS: Dict[str, str] = {
+    "experiments": "Regenerate the paper's evaluation figures.",
+    "telemetry": "Run, export, and compare instrumented experiments.",
+    "monitor": "Check, reconstruct, and explain resilience-protocol "
+               "traces.",
+    "profile": "Per-layer cost attribution over the telemetry stream.",
+    "live": "Live dashboards, SLO checks, and OpenMetrics exports over "
+            "trace and progress streams.",
+    "align": "Cross-run trace alignment, first-divergence root-causing, "
+             "and determinism auditing.",
+    "report": "Cross-run campaign scorecards and HTML reports.",
+}
+
+
+def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
+    """Run one command and return its exit code; ``tool=None`` reads the
+    tool's name off the front of ``argv`` (``python -m repro``)."""
+    from repro.util.errors import ConfigError
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    prog = "python -m repro." if tool else "python -m repro "
+    try:
+        if tool is None:
+            top = argparse.ArgumentParser(
+                prog="python -m repro",
+                description="One front door for the tools; `python -m "
+                            "repro <tool> --help` lists a tool's commands.",
+                epilog="tools:\n" + "\n".join(
+                    f"  {name:<12} {text}" for name, text in TOOLS.items()),
+                formatter_class=argparse.RawDescriptionHelpFormatter)
+            top.add_argument("tool", choices=TOOLS, metavar="tool")
+            top.add_argument("args", nargs=argparse.REMAINDER,
+                             help="the tool's command and its arguments")
+            chosen = top.parse_args(argv)
+            tool, argv = chosen.tool, chosen.args
+        parser = argparse.ArgumentParser(prog=prog + tool,
+                                         description=TOOLS[tool])
+        importlib.import_module(f"repro.{tool}.__main__").add_commands(parser)
+        args = parser.parse_args(argv)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # output piped into e.g. `head`, which has left: point stdout at
+        # devnull so the interpreter's exit flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
+def open_input(path: str) -> IO[str]:
+    """Open a file a command was pointed at; one that cannot be opened
+    is bad input, whichever command asked."""
+    from repro.util.errors import ConfigError
+
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot load {path}: {exc.strerror}") from exc
+
+
+def load_json(path: str) -> Dict[str, Any]:
+    """The JSON object in ``path`` (every document these tools write --
+    metrics, ledgers, scorecards, trace exports -- is one)."""
+    from repro.util.errors import ConfigError
+
+    with open_input(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text at all
+            raise ConfigError(
+                f"cannot load {path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"cannot load {path}: not a JSON object")
+    return doc
+
 
 DEFAULT_SEED = 20220906
 
@@ -105,3 +206,31 @@ def job_from_args(args: argparse.Namespace,
         args.app, args.strategy, args.ranks, args.iters, args.interval,
         args.spares, args.kill_rank, args.kill_after_checkpoint, args.seed,
         **cfg_fields)
+
+
+def add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """Register the flags every sweep command shares."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes for sweep cells "
+                             "(0 = one per CPU; default 1 = sequential)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="always re-simulate; ignore the run cache")
+    parser.add_argument("--cache-dir", default="results/cache",
+                        help="run-cache directory (default results/cache)")
+    parser.add_argument("--progress-jsonl", default=None, metavar="PATH",
+                        help="stream per-cell progress events (JSON lines) "
+                             "to PATH; a TTY status line is shown on "
+                             "stderr automatically when it is a terminal")
+
+
+def sweep_from_args(args: argparse.Namespace,
+                    progress_jsonl: Optional[str]) -> Tuple[Any, Any]:
+    """``(cache, progress)`` of the shared flags: one run cache and one
+    progress stream (its events also written to ``progress_jsonl``) for
+    the whole invocation, so the final tally covers every sweep it ran."""
+    from repro.parallel import RunCache, default_progress, resolve_jobs
+
+    cache = None if args.no_cache else RunCache(args.cache_dir)
+    progress = default_progress(resolve_jobs(args.jobs),
+                                jsonl_path=progress_jsonl)
+    return cache, progress

@@ -2,11 +2,10 @@
 
 Usage::
 
-    python -m repro.experiments
-        [fig5|fig6|fig7|partial|complexity|campaign|all]
-        [--ranks N] [--full-scale]
-        [--jobs N] [--no-cache] [--cache-dir DIR] [--max-records N]
-        [--progress-jsonl PATH]
+    python -m repro experiments [TARGET] [--ranks N] [--full-scale] ...
+
+``TARGET`` is a key of :data:`COMMANDS` or ``all`` (the default);
+``--help`` lists the flags.
 
 Prints each figure's table (the same rows the benchmark suite writes to
 ``results/``).  Sweeps fan out over ``--jobs`` worker processes and are
@@ -22,7 +21,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
+from repro import cli
+from repro.cli import add_sweep_args, sweep_from_args
 from repro.experiments.ablation_checkpoint import (
     STRATEGY,
     format_ablation,
@@ -43,12 +45,7 @@ from repro.experiments.overhead import (
 )
 from repro.experiments.fig7_views import format_fig7, run_fig7_census
 from repro.experiments.partial_rollback import run_partial_rollback_comparison
-from repro.parallel import (
-    DEFAULT_TRACE_MAX_RECORDS,
-    RunCache,
-    default_progress,
-    resolve_jobs,
-)
+from repro.parallel import DEFAULT_TRACE_MAX_RECORDS
 
 
 def _fig5(args) -> None:
@@ -138,43 +135,28 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's evaluation figures.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(run=_run)
     parser.add_argument("what", choices=[*COMMANDS, "all"], nargs="?",
                         default="all")
     parser.add_argument("--ranks", type=int, default=None,
                         help="override the rank count")
     parser.add_argument("--full-scale", action="store_true",
                         help="use the paper's node counts (slower)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep cells "
-                             "(0 = one per CPU; default 1 = sequential)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always re-simulate; ignore the run cache")
-    parser.add_argument("--cache-dir", default="results/cache",
-                        help="run-cache directory (default results/cache)")
+    add_sweep_args(parser)
     parser.add_argument("--max-records", type=int,
                         default=DEFAULT_TRACE_MAX_RECORDS, metavar="N",
                         help="Trace ring-buffer size for telemetered sweep "
                              "runs (default %(default)s; keeps multi-hour "
                              "campaigns at bounded memory)")
-    parser.add_argument("--progress-jsonl", default=None, metavar="PATH",
-                        help="stream per-cell progress events (JSON lines) "
-                             "to PATH; a TTY status line is shown on "
-                             "stderr automatically when it is a terminal")
     parser.add_argument("--rules", default=None, metavar="PATH",
                         help="SLO rules file (repro.live) evaluated live "
                              "inside each campaign cell; fired alerts are "
                              "printed and land in the reports")
-    args = parser.parse_args(argv)
-    # one cache and one progress stream for the whole invocation, so the
-    # final tally covers every figure that ran
-    args.cache = None if args.no_cache else RunCache(args.cache_dir)
-    args.progress = default_progress(resolve_jobs(args.jobs),
-                                     jsonl_path=args.progress_jsonl)
+
+
+def _run(args: argparse.Namespace) -> int:
+    args.cache, args.progress = sweep_from_args(args, args.progress_jsonl)
     targets = list(COMMANDS) if args.what == "all" else [args.what]
     for i, name in enumerate(targets):
         if i:
@@ -188,5 +170,7 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+main = partial(cli.main, tool="experiments")
+
+if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

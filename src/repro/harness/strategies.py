@@ -54,18 +54,6 @@ class StrategySpec:
     def checkpointing(self) -> bool:
         return self.backend != "none"
 
-    @property
-    def label(self) -> str:
-        return {
-            "none": "No resilience",
-            "veloc": "VeloC",
-            "kr_veloc": "Kokkos Resilience",
-            "fenix_veloc": "Fenix + VeloC",
-            "fenix_kr_veloc": "Fenix + KR + VeloC",
-            "fenix_kr_imr": "Fenix IMR",
-            "fenix_kr_partial": "Partial rollback",
-        }.get(self.name, self.name)
-
 
 STRATEGIES = {
     "none": StrategySpec("none", fenix=False, kr=False, backend="none"),

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from functools import partial
 from typing import Any, Dict, Optional
 
+from repro import cli
+from repro.cli import EXIT_OK, EXIT_REGRESSION, load_json, open_input
 from repro.live.dashboard import (
     CampaignView,
     render_campaign_frame,
@@ -41,22 +43,17 @@ from repro.live.openmetrics import (
     render_openmetrics,
 )
 from repro.live.rules import LiveSession, RuleSet, load_rules
-from repro.report.compare import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
 from repro.sim.trace import TraceRecord
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigError
 from repro.util.schema import warn_on_mismatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.live",
-        description="Live dashboards, SLO checks, and OpenMetrics exports "
-                    "over trace and progress streams.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tail = sub.add_parser(
         "tail", help="live dashboard over a progress or trace JSONL file")
+    tail.set_defaults(run=_tail)
     tail.add_argument("path", help="campaign progress JSONL or "
                                    "flight-recorder trace JSONL")
     tail.add_argument("--rules", default=None,
@@ -76,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check", help="evaluate SLO rules against a recorded trace")
+    check.set_defaults(run=_check)
     check.add_argument("trace", help="flight-recorder trace JSONL")
     check.add_argument("--rules", required=True, help="SLO rules file")
     check.add_argument("--window", type=float, default=1.0)
@@ -85,17 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="OpenMetrics text snapshot from a trace file or a "
                        "metrics snapshot JSON")
+    export.set_defaults(run=_export)
     export.add_argument("source", help="trace JSONL, or JSON with "
                                        "counters/gauges/histograms")
     export.add_argument("--out", default=None,
                         help="write here instead of stdout")
     export.add_argument("--window", type=float, default=1.0)
     export.add_argument("--prefix", default="repro_")
-    return parser
-
-
-def _load_rules_or_none(path: Optional[str]) -> Optional[RuleSet]:
-    return load_rules(path) if path else None
 
 
 # -- tail -----------------------------------------------------------------
@@ -157,12 +151,8 @@ class _TailState:
 
 
 def _tail(args: argparse.Namespace) -> int:
-    try:
-        rules = _load_rules_or_none(args.rules)
-        fh = open(args.path, "r", encoding="utf-8")
-    except (OSError, ReproError) as exc:
-        print(f"cannot tail: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rules = load_rules(args.rules) if args.rules else None
+    fh = open_input(args.path)
     state = _TailState(rules, args.window)
     is_tty = sys.stdout.isatty()
     pending = ""
@@ -213,12 +203,8 @@ def _tail(args: argparse.Namespace) -> int:
 def _check(args: argparse.Namespace) -> int:
     from repro.monitor.trace_io import read_trace
 
-    try:
-        rules = load_rules(args.rules)
-        records, meta = read_trace(args.trace)
-    except (OSError, ReproError) as exc:
-        print(f"cannot check: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rules = load_rules(args.rules)
+    records, meta = read_trace(args.trace)
     session = LiveSession(rules=rules, window_s=args.window)
     # an empty trace has nothing to evaluate: "no complete windows" is a
     # report, not an SLO pass or failure, so it exits clean.  A trace
@@ -266,17 +252,14 @@ def _check(args: argparse.Namespace) -> int:
 
 def _load_source(path: str, window_s: float):
     """Returns metric families from whichever source ``path`` is."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1 << 20)
     try:
-        doc = json.loads(head)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
-        if "telemetry" in doc and isinstance(doc["telemetry"], dict):
-            doc = doc["telemetry"]  # a RunReport dump
-        if {"counters", "gauges", "histograms"} & set(doc):
-            return from_metrics_snapshot(doc), "metrics snapshot"
+        doc = load_json(path)
+    except ConfigError:
+        doc = {}  # not one JSON object: read_trace says what it is
+    if isinstance(doc.get("telemetry"), dict):
+        doc = doc["telemetry"]  # a RunReport dump
+    if {"counters", "gauges", "histograms"} & set(doc):
+        return from_metrics_snapshot(doc), "metrics snapshot"
     # fall through: treat as a flight-recorder trace
     from repro.monitor.trace_io import read_trace
 
@@ -287,11 +270,7 @@ def _load_source(path: str, window_s: float):
 
 
 def _export(args: argparse.Namespace) -> int:
-    try:
-        families, what = _load_source(args.source, args.window)
-    except (OSError, ReproError) as exc:
-        print(f"cannot export: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    families, what = _load_source(args.source, args.window)
     if args.prefix != "repro_":
         for fam in families:
             fam.name = fam.name.replace("repro_", args.prefix, 1)
@@ -308,18 +287,7 @@ def _export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "tail":
-        return _tail(args)
-    if args.command == "check":
-        return _check(args)
-    return _export(args)
-
+main = partial(cli.main, tool="live")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

@@ -28,8 +28,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Tuple
 
+from repro import cli
 from repro.cli import add_job_args, build_job, job_from_args
 from repro.monitor.base import MonitorSuite
 from repro.monitor.explain import explain_failure
@@ -48,17 +50,13 @@ SMOKE_SCENARIOS: Tuple[Tuple[str, str, int], ...] = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.monitor",
-        description="Check, reconstruct, and explain resilience-protocol "
-                    "traces.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser(
         "check", help="replay a trace file (or a live run) through the "
                       "invariant monitors")
+    check.set_defaults(run=_check)
     check.add_argument("trace", nargs="?", default=None,
                        help="trace file (JSONL); omit to run live")
     check.add_argument("--json", action="store_true",
@@ -69,12 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     state = sub.add_parser(
         "state", help="reconstruct every rank's protocol state at a time")
+    state.set_defaults(run=_state)
     state.add_argument("trace", help="trace file (JSONL)")
     state.add_argument("--at", type=float, default=None,
                        help="simulated time cutoff (default: end of trace)")
 
     explain = sub.add_parser(
         "explain", help="walk one failure from kill to re-entry")
+    explain.set_defaults(run=_explain)
     explain.add_argument("trace", help="trace file (JSONL)")
     explain.add_argument("--rank", type=int, default=None,
                          help="world rank whose death to explain "
@@ -85,22 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     smoke = sub.add_parser(
         "smoke", help="failure-injection campaign with strict monitors "
                       "(the CI gate)")
+    smoke.set_defaults(run=_smoke)
     smoke.add_argument("--out", default="monitor-smoke",
                        help="directory for per-scenario trace files")
     smoke.add_argument("--iters", type=int, default=30)
     smoke.add_argument("--interval", type=int, default=10)
     smoke.add_argument("--ranks", type=int, default=4)
-    return parser
 
 
 def _check(args: argparse.Namespace) -> int:
     suite = MonitorSuite()
     if args.trace is not None:
-        try:
-            records, meta = read_trace(args.trace)
-        except (OSError, ReproError) as exc:
-            print(f"cannot load {args.trace}: {exc}", file=sys.stderr)
-            return 2
+        records, meta = read_trace(args.trace)
         suite.replay(records)
         suite.finish()
         suite.note_dropped(int(meta.get("dropped") or 0),
@@ -115,9 +111,6 @@ def _check(args: argparse.Namespace) -> int:
             # (exit code) instead of letting the harness raise mid-run
             job_from_args(args)(strict_monitor=False, monitor=suite,
                                 trace_sink=sink)
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         finally:
             if sink is not None:
                 sink.close()
@@ -132,22 +125,14 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _state(args: argparse.Namespace) -> int:
-    try:
-        records, _meta = read_trace(args.trace)
-    except (OSError, ReproError) as exc:
-        print(f"cannot load {args.trace}: {exc}", file=sys.stderr)
-        return 2
+    records, _meta = read_trace(args.trace)
     tracker = ProtocolStateTracker().replay(records, at=args.at)
     print(render_state(tracker, at=args.at))
     return 0
 
 
 def _explain(args: argparse.Namespace) -> int:
-    try:
-        records, _meta = read_trace(args.trace)
-    except (OSError, ReproError) as exc:
-        print(f"cannot load {args.trace}: {exc}", file=sys.stderr)
-        return 2
+    records, _meta = read_trace(args.trace)
     print(explain_failure(records, rank=args.rank,
                           occurrence=args.occurrence))
     return 0
@@ -184,20 +169,7 @@ def _smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return _check(args)
-    if args.command == "state":
-        return _state(args)
-    if args.command == "explain":
-        return _explain(args)
-    return _smoke(args)
-
+main = partial(cli.main, tool="monitor")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

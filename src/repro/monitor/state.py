@@ -53,6 +53,12 @@ class ProtocolStateTracker:
     """Replays records up to a cutoff time into per-rank states."""
 
     def __init__(self) -> None:
+        self.begin_world()
+
+    def begin_world(self) -> None:
+        """Everything kept here is scoped to one MPI world (the rule of
+        :meth:`repro.monitor.base.Monitor.begin_world`): a relaunch's
+        ranks are new processes that earned none of it."""
         self.ranks: Dict[int, RankState] = {}
         self.generation = 0
         #: slot -> world rank map of the current resilient communicator
@@ -66,12 +72,8 @@ class ProtocolStateTracker:
         if kind == "comm_create":
             if rec.source.startswith(RESILIENT_COMM):
                 self._members = rec["members"]
-            elif ATTEMPT_WORLD in rec.source:
-                # a relaunch: the ranks seen before are new processes now
-                for rank in rec["members"]:
-                    if rank in self.ranks:
-                        st = self.ranks[rank]
-                        st.alive, st.exited = True, False
+            elif ATTEMPT_WORLD in rec.source:  # the world of a (re)launch
+                self.begin_world()
         elif kind == "rank_dead":
             self._rank(rec["rank"]).alive = False
         elif kind == "rank_exit":

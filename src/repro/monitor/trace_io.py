@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cli import open_input
 from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
 from repro.util.schema import stamp, warn_on_mismatch
@@ -71,12 +72,14 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
     ``meta`` holds at least ``dropped`` (int) and ``dropped_window``
     (``[first, last]`` or None); files written by other tools without a
     header are accepted with zeroed meta.  Meta lines may appear on any
-    line (streamed sinks append a trailing one); the last wins.
+    line (streamed sinks append a trailing one); the last wins.  A file
+    that cannot be opened, or a line that is no trace record, is a
+    :class:`~repro.util.errors.ConfigError`.
     """
     records: List[TraceRecord] = []
     meta: Dict[str, Any] = {"dropped": 0, "dropped_window": None,
                             "sampled_out": 0, "sampled_window": None}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -87,7 +90,7 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
                 raise ConfigError(
                     f"{path}:{lineno}: not valid JSON ({exc.msg})"
                 ) from exc
-            if "meta" in obj:
+            if isinstance(obj, dict) and "meta" in obj:
                 meta.update(obj["meta"])
                 continue
             try:

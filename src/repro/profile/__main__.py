@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional
+from functools import partial
 
-from repro.cli import add_job_args, job_from_args
+from repro import cli
+from repro.cli import add_job_args, job_from_args, load_json
 from repro.profile.categories import CATEGORIES
 from repro.profile.critical_path import (
     extract_critical_path,
@@ -35,7 +35,6 @@ from repro.profile.critical_path import (
 from repro.profile.flamegraph import write_folded
 from repro.profile.ledger import ConservationError, build_ledger, format_ledger
 from repro.report.compare import (
-    EXIT_BAD_INPUT,
     add_budget_flag,
     budget_verdict,
     compare_scalars,
@@ -56,14 +55,11 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                              "surfaced in the report)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.profile",
-        description="Per-layer cost attribution over the telemetry stream.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("report", help="per-rank time ledger of one run")
+    rep.set_defaults(run=_report)
     _add_run_args(rep)
     rep.add_argument("--json", default=None,
                      help="also write the ledger as JSON to this path")
@@ -74,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("critical-path",
                         help="kill -> re-entry chain of one failure")
+    cp.set_defaults(run=_critical_path)
     _add_run_args(cp)
     cp.add_argument("--path-rank", type=int, default=None,
                     help="analyze this rank's death (default: first kill)")
@@ -84,12 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fg = sub.add_parser("flamegraph",
                         help="folded-stack export (speedscope/flamegraph.pl)")
+    fg.set_defaults(run=_flamegraph)
     _add_run_args(fg)
     fg.add_argument("--out", default="profile.folded",
                     help="output path for the folded stacks")
 
     diff = sub.add_parser("diff",
                           help="compare two ledger JSON files per category")
+    diff.set_defaults(run=_diff)
     diff.add_argument("baseline")
     diff.add_argument("current")
     add_budget_flag(diff, 0.05,
@@ -98,12 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--abs-floor", type=float, default=1e-3,
                       help="ignore categories smaller than this many "
                            "seconds in both ledgers")
-    return parser
 
 
 def _execute_run(args: argparse.Namespace):
     """Run one instrumented experiment; returns (telemetry, report).
-    Bad arguments raise ``ConfigError`` (``main`` turns it into exit 2)."""
+    Bad arguments raise ``ConfigError`` (:func:`repro.cli.main` turns it
+    into exit 2)."""
     from repro.telemetry.collector import Telemetry
 
     tel = Telemetry(enabled=True)
@@ -163,25 +162,17 @@ def _flamegraph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_mean(path: str) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
-        return None
-    mean = doc.get("mean")
+def _load_mean(path: str) -> dict:
+    mean = load_json(path).get("mean")
     if not isinstance(mean, dict):
-        print(f"{path}: not a ledger JSON (missing 'mean')", file=sys.stderr)
-        return None
+        raise ConfigError(
+            f"cannot load {path}: not a ledger JSON (missing 'mean')")
     return mean
 
 
 def _diff(args: argparse.Namespace) -> int:
     base = _load_mean(args.baseline)
     cur = _load_mean(args.current)
-    if base is None or cur is None:
-        return EXIT_BAD_INPUT
     deltas = compare_scalars(
         {c: float(base.get(c, 0.0)) for c in CATEGORIES},
         {c: float(cur.get(c, 0.0)) for c in CATEGORIES},
@@ -197,20 +188,7 @@ def _diff(args: argparse.Namespace) -> int:
     return code
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = {"report": _report, "critical-path": _critical_path,
-               "flamegraph": _flamegraph, "diff": _diff}[args.command]
-    try:
-        return command(args)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+main = partial(cli.main, tool="profile")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

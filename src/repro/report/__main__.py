@@ -27,11 +27,12 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import List, Optional
 
+from repro import cli
+from repro.cli import EXIT_OK, add_sweep_args, load_json, sweep_from_args
 from repro.report.compare import (
-    EXIT_BAD_INPUT,
-    EXIT_OK,
     add_budget_flag,
     budget_verdict,
     format_deltas,
@@ -44,6 +45,7 @@ from repro.report.ledger import (
     format_scorecard,
     scorecard_regressions,
 )
+from repro.util.errors import ConfigError
 
 #: default relative budget for the scorecard diff gate: simulated
 #: metrics are deterministic, so 10% headroom only forgives intentional
@@ -55,15 +57,14 @@ def _int_list(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.report",
-        description="Cross-run campaign scorecards and HTML reports.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command")
 
     run = sub.add_parser("run", help="run a seeded campaign and render "
                                      "the report (the default)")
+    run.set_defaults(run=_run)
+    # bare `python -m repro.report` = `run` with its defaults
+    parser.set_defaults(run=lambda _args: _run(run.parse_args([])))
     run.add_argument("--seeds", type=_int_list, default=None,
                      metavar="S1,S2,...",
                      help="failure-plan seeds (default 7,11,13)")
@@ -77,13 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Heatdis iterations per cell (default 120)")
     run.add_argument("--max-failures", type=int, default=3,
                      help="failure injections per cell (default 3)")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (0 = one per CPU)")
-    run.add_argument("--no-cache", action="store_true",
-                     help="always re-simulate; ignore the run cache")
-    run.add_argument("--cache-dir", default="results/cache")
+    add_sweep_args(run)
     run.add_argument("--out", default="report-out",
-                     help="output directory (default report-out)")
+                     help="output directory (default report-out); the "
+                          "progress events go to OUT/progress.jsonl "
+                          "unless --progress-jsonl names a path")
     run.add_argument("--title", default="Campaign resilience report")
     run.add_argument("--no-exemplars", action="store_true",
                      help="skip the per-strategy instrumented exemplar "
@@ -96,50 +95,50 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bench", default="BENCH_simulator.json",
                      help="pytest-benchmark baseline for host-cost "
                           "anomaly flags ('' disables)")
-    run.add_argument("--progress-jsonl", default=None, metavar="PATH",
-                     help="progress event stream path (default "
-                          "OUT/progress.jsonl)")
 
     rend = sub.add_parser("render", help="ledger JSON -> HTML")
+    rend.set_defaults(run=_render)
     rend.add_argument("ledger")
     rend.add_argument("--out", default="report.html")
     rend.add_argument("--title", default="Campaign resilience report")
 
     score = sub.add_parser("scorecard",
                            help="print the text scorecard of a ledger")
+    score.set_defaults(run=_scorecard)
     score.add_argument("ledger")
     score.add_argument("--json", default=None,
                        help="also write the scorecard JSON here")
 
     diff = sub.add_parser("diff",
                           help="gate a scorecard against a baseline")
+    diff.set_defaults(run=_diff)
     diff.add_argument("baseline", help="ledger or scorecard JSON")
     diff.add_argument("current", help="ledger or scorecard JSON")
     add_budget_flag(diff, DEFAULT_DIFF_BUDGET,
                     "max relative move in a tracked metric's bad "
                     "direction before failing (default 0.10 = 10%%)")
-    return parser
 
 
-def _load_scorecard(path: str) -> Optional[dict]:
-    """Read a scorecard from a scorecard JSON or a ledger JSON."""
+def _load_ledger(path: str, doc: Optional[dict] = None) -> CampaignLedger:
+    """The campaign ledger in ``path`` (``doc``: its JSON, when the
+    caller has read it already)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
-        return None
+        return CampaignLedger.from_dict(
+            load_json(path) if doc is None else doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot load {path}: not a usable ledger: {exc}") from exc
+
+
+def _load_scorecard(path: str) -> dict:
+    """Read a scorecard from a scorecard JSON or a ledger JSON."""
+    doc = load_json(path)
     if "strategies" in doc:
         return doc
     if "runs" in doc:
-        try:
-            return build_scorecard(CampaignLedger.from_dict(doc))
-        except (KeyError, ValueError) as exc:
-            print(f"{path}: not a usable ledger: {exc}", file=sys.stderr)
-            return None
-    print(f"{path}: neither a scorecard nor a campaign ledger",
-          file=sys.stderr)
-    return None
+        return build_scorecard(_load_ledger(path, doc))
+    raise ConfigError(
+        f"cannot load {path}: neither a scorecard nor a campaign ledger")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -148,7 +147,6 @@ def _run(args: argparse.Namespace) -> int:
         DEFAULT_STRATEGIES,
         run_campaign_grid,
     )
-    from repro.parallel import RunCache, default_progress, resolve_jobs
     from repro.report.exemplars import collect_exemplars
 
     seeds = args.seeds or list(DEFAULT_SEEDS)
@@ -159,9 +157,7 @@ def _run(args: argparse.Namespace) -> int:
     jsonl_path = args.progress_jsonl or os.path.join(
         args.out, "progress.jsonl"
     )
-    progress = default_progress(resolve_jobs(args.jobs),
-                                jsonl_path=jsonl_path)
-    cache = None if args.no_cache else RunCache(args.cache_dir)
+    cache, progress = sweep_from_args(args, jsonl_path)
 
     ledger = run_campaign_grid(
         scales=scales, seeds=seeds, strategies=strategies,
@@ -179,9 +175,8 @@ def _run(args: argparse.Namespace) -> int:
     bench = None
     if args.bench:
         try:
-            with open(args.bench, "r", encoding="utf-8") as fh:
-                bench = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            bench = load_json(args.bench)
+        except ConfigError:
             print(f"note: benchmark baseline {args.bench!r} unreadable; "
                   "host anomaly flags skipped", file=sys.stderr)
     scorecard = build_scorecard(ledger)
@@ -206,11 +201,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _render(args: argparse.Namespace) -> int:
-    try:
-        ledger = CampaignLedger.load(args.ledger)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"cannot load {args.ledger}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    ledger = _load_ledger(args.ledger)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_html(ledger, title=args.title))
     print(f"wrote {args.out}")
@@ -218,11 +209,7 @@ def _render(args: argparse.Namespace) -> int:
 
 
 def _scorecard(args: argparse.Namespace) -> int:
-    try:
-        ledger = CampaignLedger.load(args.ledger)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"cannot load {args.ledger}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    ledger = _load_ledger(args.ledger)
     scorecard = build_scorecard(ledger)
     print(format_scorecard(scorecard))
     if args.json:
@@ -235,8 +222,6 @@ def _scorecard(args: argparse.Namespace) -> int:
 def _diff(args: argparse.Namespace) -> int:
     base = _load_scorecard(args.baseline)
     cur = _load_scorecard(args.current)
-    if base is None or cur is None:
-        return EXIT_BAD_INPUT
     rows, failing = scorecard_regressions(base, cur, args.budget)
     for line in format_deltas(rows, failing, mode="growth",
                               value_format="{:.4g}"):
@@ -247,24 +232,7 @@ def _diff(args: argparse.Namespace) -> int:
     return code
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in (None, "run"):
-        if args.command is None:
-            # bare `python -m repro.report` = `run` with defaults
-            args = parser.parse_args(["run", *(argv or sys.argv[1:])])
-        return _run(args)
-    if args.command == "render":
-        return _render(args)
-    if args.command == "scorecard":
-        return _scorecard(args)
-    return _diff(args)
-
+main = partial(cli.main, tool="report")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

@@ -24,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: exit codes shared by every diff CLI
-EXIT_OK = 0
-EXIT_REGRESSION = 1
-EXIT_BAD_INPUT = 2
+from repro.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION  # noqa: F401
 
 #: comparison modes
 MODES = ("symmetric", "growth")

@@ -7,9 +7,9 @@ returned", "revoke reached every rank") without coupling to internals.
 
 Two consumers shaped this module's API:
 
-- **post-mortem queries** (``records``/``first``/``last``/``count``) are
-  served from a per-kind index maintained incrementally on emit, so
-  replaying a large trace stays O(records of that kind), not O(all);
+- **post-mortem queries** (``records``/``first``/``last``/``count``/
+  ``kinds``) scan the records held -- tests ask them of small traces;
+  the monitors and the tooling subscribe or iterate instead;
 - **online monitors** (:mod:`repro.monitor`) subscribe with
   :meth:`Trace.subscribe` and see every record the moment it is emitted,
   which lets protocol invariants fail a run *while it executes* instead
@@ -97,9 +97,6 @@ class Trace:
         self._dropped_first: Optional[float] = None
         self._dropped_last: Optional[float] = None
         self._seq = 0
-        #: per-kind index kept in lockstep with the ring (deques so ring
-        #: eviction pops the oldest entry of the evicted record's kind)
-        self._by_kind: Dict[str, Deque[TraceRecord]] = {}
         #: a tuple, replaced on (un)subscribe, so emit() iterates a
         #: stable snapshot without copying per record
         self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
@@ -157,13 +154,9 @@ class Trace:
             if self._dropped_first is None:
                 self._dropped_first = evicted.time
             self._dropped_last = evicted.time
-            kind_q = self._by_kind.get(evicted.kind)
-            if kind_q:
-                kind_q.popleft()
         self._seq += 1
         rec = TraceRecord(time, source, kind, fields, seq=self._seq)
         self._records.append(rec)
-        self._by_kind.setdefault(kind, deque()).append(rec)
         # a listener that raises must not propagate into the simulated
         # process that happened to emit the record -- observers observe,
         # they never alter the run.  Failures are counted and surfaced
@@ -210,12 +203,10 @@ class Trace:
         source: Optional[str] = None,
         predicate: Optional[Callable[[TraceRecord], bool]] = None,
     ) -> List[TraceRecord]:
-        # narrow by the per-kind index first: post-mortem replay over a
-        # large trace then touches only records of the requested kind
-        pool: Any = self._by_kind.get(kind, ()) if kind is not None \
-            else self._records
         out = []
-        for rec in pool:
+        for rec in self._records:
+            if kind is not None and rec.kind != kind:
+                continue
             if source is not None and rec.source != source:
                 continue
             if predicate is not None and not predicate(rec):
@@ -224,23 +215,21 @@ class Trace:
         return out
 
     def first(self, kind: str) -> Optional[TraceRecord]:
-        kind_q = self._by_kind.get(kind)
-        return kind_q[0] if kind_q else None
+        return next((r for r in self._records if r.kind == kind), None)
 
     def last(self, kind: str) -> Optional[TraceRecord]:
-        kind_q = self._by_kind.get(kind)
-        return kind_q[-1] if kind_q else None
+        return next((r for r in reversed(self._records) if r.kind == kind),
+                    None)
 
     def count(self, kind: str) -> int:
-        return len(self._by_kind.get(kind, ()))
+        return sum(1 for r in self._records if r.kind == kind)
 
     def kinds(self) -> List[str]:
         """Event kinds currently held (sorted)."""
-        return sorted(k for k, q in self._by_kind.items() if q)
+        return sorted({r.kind for r in self._records})
 
     def clear(self) -> None:
         self._records.clear()
-        self._by_kind.clear()
         self.dropped = 0
         self._dropped_first = None
         self._dropped_last = None

@@ -17,14 +17,13 @@ with ``--timeline``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Optional
+from functools import partial
 
-from repro.cli import add_job_args, job_from_args
+from repro import cli
+from repro.cli import add_job_args, job_from_args, load_json
 from repro.report.compare import (
-    EXIT_BAD_INPUT,
     Delta,
     add_budget_flag,
     budget_verdict,
@@ -39,17 +38,13 @@ from repro.telemetry.export import (
     write_metrics,
 )
 from repro.telemetry.timeline import failure_timeline
-from repro.util.errors import ConfigError
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry",
-        description="Run, export, and compare instrumented experiments.",
-    )
+def add_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment with telemetry on")
+    run.set_defaults(run=_run)
     add_job_args(run, default_strategy="fenix_veloc")
     run.add_argument("--bytes", type=float, default=16e6,
                      help="modelled checkpoint bytes per rank")
@@ -61,26 +56,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate",
                          help="validate an exported trace-event JSON file")
+    val.set_defaults(run=_validate)
     val.add_argument("trace", help="path to trace.json")
 
     diff = sub.add_parser("diff", help="compare two metrics.json files")
+    diff.set_defaults(run=_diff)
     diff.add_argument("a")
     diff.add_argument("b")
     add_budget_flag(diff, 0.0,
                     "relative tolerance (0.05 = within 5%%); exits "
                     "non-zero when any metric differs by more "
                     "(default 0: any difference fails)")
-    return parser
 
 
 def _run(args: argparse.Namespace) -> int:
     tel = Telemetry(enabled=True)
-    try:
-        job = job_from_args(args, modeled_bytes_per_rank=args.bytes)
-        report = job(telemetry=tel)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    job = job_from_args(args, modeled_bytes_per_rank=args.bytes)
+    report = job(telemetry=tel)
 
     # the runner recorded a legacy Trace alongside the spans and handed
     # it back on the telemetry object
@@ -122,21 +114,8 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-    return None
-
-
 def _validate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.trace)
-    if doc is None:
-        return 2
+    doc = load_json(args.trace)
     problems = validate_chrome_trace(doc)
     if problems:
         for p in problems:
@@ -148,11 +127,7 @@ def _validate(args: argparse.Namespace) -> int:
 
 
 def _diff(args: argparse.Namespace) -> int:
-    da = _load_json(args.a)
-    db = _load_json(args.b)
-    if da is None or db is None:
-        return EXIT_BAD_INPUT
-    rows = diff_metrics(da, db)
+    rows = diff_metrics(load_json(args.a), load_json(args.b))
     if not rows:
         print("metrics identical")
         return 0
@@ -167,19 +142,7 @@ def _diff(args: argparse.Namespace) -> int:
     return code
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    if args.command == "validate":
-        return _validate(args)
-    return _diff(args)
-
+main = partial(cli.main, tool="telemetry")
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        # output piped into e.g. `head`; exit quietly like other CLIs
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
+    sys.exit(main())

@@ -80,7 +80,7 @@ def test_diff_structural_only_flag_round_trips(trace_files, capsys):
 def test_diff_missing_file_is_bad_input(trace_files, capsys):
     rc = main(["diff", trace_files["base"], "/nonexistent.jsonl"])
     assert rc == EXIT_BAD_INPUT
-    assert "cannot diff" in capsys.readouterr().err
+    assert "cannot load" in capsys.readouterr().err
 
 
 # -- check --replay ------------------------------------------------------

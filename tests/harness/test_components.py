@@ -14,10 +14,6 @@ class TestStrategies:
             "fenix_kr_imr", "fenix_kr_partial",
         }
 
-    def test_labels(self):
-        assert STRATEGIES["fenix_kr_veloc"].label == "Fenix + KR + VeloC"
-        assert STRATEGIES["none"].label == "No resilience"
-
     def test_checkpointing_property(self):
         assert not STRATEGIES["none"].checkpointing
         assert STRATEGIES["veloc"].checkpointing
