@@ -280,6 +280,13 @@ def align(
             "ring-buffer evictions present; per-key occurrence indices "
             "counted from the stream end so surviving suffixes align"
         )
+    for run, meta in (("A", meta_a), ("B", meta_b)):
+        torn = _meta_int(meta, "torn")
+        if torn:
+            result.notes.append(
+                f"run {run}'s trace file ends in {torn} torn line(s): the "
+                f"record being written there is not in its stream"
+            )
 
     # compare first: pairwise-identical streams key, canonicalise and
     # order identically, so every record is matched and nothing below

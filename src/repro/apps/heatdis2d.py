@@ -78,6 +78,9 @@ class Heatdis2DState:
         comm_size: int,
     ) -> None:
         self.cfg = cfg
+        # the views name their registry weakly: the state owns it, and
+        # with it the alias declaration below
+        self.runtime = runtime
         self.px, self.py = process_grid(comm_size)
         self.rx = comm_rank % self.px
         self.ry = comm_rank // self.px

@@ -80,7 +80,7 @@ def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
             tool, argv = chosen.tool, chosen.args
         parser = argparse.ArgumentParser(prog=prog + tool,
                                          description=TOOLS[tool])
-        importlib.import_module(f"repro.{tool}.__main__").add_commands(parser)
+        _tool_module(tool).add_commands(parser)
         args = parser.parse_args(argv)
         code = args.run(args)
         sys.stdout.flush()
@@ -93,6 +93,17 @@ def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
         # devnull so the interpreter's exit flush stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+
+
+def _tool_module(tool: str) -> Any:
+    """``repro.<tool>.__main__``.  Under ``python -m repro.<tool>`` that
+    module is already running as ``__main__``: importing it by name would
+    execute it a second time, as another module."""
+    name = f"repro.{tool}.__main__"
+    running = sys.modules.get("__main__")
+    if getattr(getattr(running, "__spec__", None), "name", None) == name:
+        return running
+    return importlib.import_module(name)
 
 
 def open_input(path: str) -> IO[str]:

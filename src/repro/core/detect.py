@@ -103,4 +103,7 @@ def discover_views(fn: Callable, extra: Any = None) -> List[View]:
     visit_callable(fn, 0)
     if extra is not None:
         visit(extra, 1)
+    # the two closures call each other (and themselves) through the cells
+    # of this frame: emptying the cells lets reference counting free them
+    del visit, visit_callable
     return found

@@ -98,15 +98,16 @@ class FenixSystem:
         # the repair rendezvous gathers survivors *and* spares, which no
         # single communicator contains: every alive rank in the protocol
         self._repair_gate = CollectiveGate(
-            world, "fenix.repair", self._finalize_repair,
-            expected=lambda: set(world.alive_ranks()) & self.registered,
+            self, "fenix.repair", FenixSystem._finalize_repair,
+            expected=lambda system: (set(system.world.alive_ranks())
+                                     & system.registered),
         )
         # Fenix_Finalize is a collective of the resilient communicator's
         # members, all of them: a dead one fails it (_finalize_members)
         self._finalize_gate = CollectiveGate(
-            world, "fenix.finalize",
-            lambda _arrived: world.signal_job_done(),
-            expected=self._finalize_members,
+            self, "fenix.finalize",
+            lambda system, _arrived: system.world.signal_job_done(),
+            expected=FenixSystem._finalize_members,
         )
         # a death re-evaluates both: the repair gate stops expecting the
         # corpse, finalize fails on every member already waiting

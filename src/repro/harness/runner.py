@@ -320,6 +320,7 @@ class JobRunner:
             if isinstance(cause, ReproError) and driver.exception is cause:
                 raise cause
             raise
+        engine.close()
         buckets = {k: v / self.n_ranks for k, v in self.totals.items()}
         # wall time ends when the job completes; stray daemon timers
         # (failure watchdogs armed far in the future) may drain later
@@ -436,6 +437,7 @@ class JobRunner:
             yield _all_settled(engine, procs)
             self._collect_accounts(world)
             self._check_errors(world)
+            world.close()
             # one rule for every strategy: the job is done when each of its
             # slots has a result from this attempt (cleared at its start)
             missing = set(range(self.n_ranks)) - self.results.keys()

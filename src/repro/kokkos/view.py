@@ -41,6 +41,7 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
@@ -92,9 +93,17 @@ class View:
         self._all_dirty = True
         self._raw_exposed = False
         self._bind(arr)
-        self.registry = registry
+        # named weakly: the registry lists the view
+        self._registry = None if registry is None else weakref.ref(registry)
         if registry is not None:
             registry.register(self)
+
+    @property
+    def registry(self) -> Optional["Any"]:
+        """The registry listing this view; None for an unregistered view
+        or once the registry is gone."""
+        ref = self._registry
+        return None if ref is None else ref()
 
     @property
     def on_device(self) -> bool:

@@ -232,6 +232,9 @@ def _check(args: argparse.Namespace) -> int:
     else:
         print(f"{args.trace}: {len(records)} records, "
               f"{len(rules)} rule(s), {len(alerts)} alert(s)")
+        if meta.get("torn"):
+            print(f"  the file ends in {meta['torn']} torn line(s): the "
+                  f"record being written there was not evaluated")
         if not records:
             print("  no complete windows: the trace is empty; "
                   "nothing to evaluate")
@@ -258,6 +261,11 @@ def _load_source(path: str, window_s: float):
         doc = {}  # not one JSON object: read_trace says what it is
     if isinstance(doc.get("telemetry"), dict):
         doc = doc["telemetry"]  # a RunReport dump
+    if isinstance(doc.get("merged"), dict):
+        # telemetry run's metrics.json, and a report's telemetry section,
+        # keep the job-wide snapshot under "merged" (telemetry diff reads
+        # the same key)
+        doc = doc["merged"]
     if {"counters", "gauges", "histograms"} & set(doc):
         return from_metrics_snapshot(doc), "metrics snapshot"
     # fall through: treat as a flight-recorder trace

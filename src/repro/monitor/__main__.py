@@ -101,7 +101,8 @@ def _check(args: argparse.Namespace) -> int:
         suite.finish()
         suite.note_dropped(int(meta.get("dropped") or 0),
                            tuple(meta["dropped_window"])
-                           if meta.get("dropped_window") else None)
+                           if meta.get("dropped_window") else None,
+                           torn=int(meta.get("torn") or 0))
     else:
         # live runs stream the flight recorder as records are emitted,
         # so a tailer (repro.live tail) can watch the run unfold

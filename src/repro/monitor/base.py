@@ -11,6 +11,7 @@ after the engine drains and fails the run there when strict.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -62,6 +63,13 @@ class ProtocolMonitor:
         ))
 
 
+def _begin_worlds(monitors: Tuple[ProtocolMonitor, ...],
+                  rec: TraceRecord) -> None:
+    if ATTEMPT_WORLD in rec.source:  # the world of a (re)launch
+        for mon in monitors:
+            mon.begin_world()
+
+
 class MonitorSuite(TraceListener):
     """A set of monitors sharing one record stream.
 
@@ -88,25 +96,25 @@ class MonitorSuite(TraceListener):
         self._feeds_of_any = tuple(
             m.feed for m in monitors if m.KINDS is None)
         # a relaunched job is a new protocol instance: noticed here, once,
-        # ahead of whoever consumes the record that announces it
-        self._feeds_of["comm_create"] = (self._on_comm_create,) + (
+        # ahead of whoever consumes the record that announces it (a
+        # function of the monitors, not a bound method: the table would
+        # hold the suite that holds the table)
+        self._feeds_of["comm_create"] = (partial(_begin_worlds, monitors),) + (
             self._feeds_of.get("comm_create", self._feeds_of_any))
         self._finished = False
         #: ``(count, (first, last))`` of ring-buffer evictions, recorded at
         #: finish() so reports can say what the monitors never saw
         self.dropped: int = 0
         self.dropped_window: Optional[Tuple[float, float]] = None
+        #: final lines of a replayed trace file that a writer left cut
+        #: short (the record it was writing is not in the stream)
+        self.torn: int = 0
 
     # -- streaming ---------------------------------------------------------
 
     def feed(self, rec: TraceRecord) -> None:
         for feed in self._feeds_of.get(rec.kind, self._feeds_of_any):
             feed(rec)
-
-    def _on_comm_create(self, rec: TraceRecord) -> None:
-        if ATTEMPT_WORLD in rec.source:  # the world of a (re)launch
-            for mon in self.monitors:
-                mon.begin_world()
 
     def finish(self) -> None:
         """End-of-stream: run final checks and capture drop accounting."""
@@ -131,10 +139,12 @@ class MonitorSuite(TraceListener):
         return out
 
     def note_dropped(self, count: int,
-                     window: Optional[Tuple[float, float]]) -> None:
+                     window: Optional[Tuple[float, float]],
+                     torn: int = 0) -> None:
         """Record drop accounting for replays of truncated trace files."""
         self.dropped = count
         self.dropped_window = window
+        self.torn = torn
 
     def report(self) -> str:
         lines: List[str] = []
@@ -144,6 +154,11 @@ class MonitorSuite(TraceListener):
                 f"WARNING: trace ring buffer dropped {self.dropped} "
                 f"record(s) in t=[{lo:.6f}, {hi:.6f}]; monitors did not "
                 "see that window"
+            )
+        if self.torn:
+            lines.append(
+                f"WARNING: trace file ends in {self.torn} torn line(s); "
+                "monitors did not see the record being written there"
             )
         violations = self.violations
         if not violations:
@@ -159,5 +174,6 @@ class MonitorSuite(TraceListener):
             "dropped": self.dropped,
             "dropped_window": list(self.dropped_window)
             if self.dropped_window else None,
+            "torn": self.torn,
             "violations": [v.to_dict() for v in self.violations],
         }

@@ -72,24 +72,33 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
     ``meta`` holds at least ``dropped`` (int) and ``dropped_window``
     (``[first, last]`` or None); files written by other tools without a
     header are accepted with zeroed meta.  Meta lines may appear on any
-    line (streamed sinks append a trailing one); the last wins.  A file
-    that cannot be opened, or a line that is no trace record, is a
+    line (streamed sinks append a trailing one); the last wins.
+
+    A writer that stops mid-record leaves the file's final line cut
+    short: every whole line before it is kept and ``meta["torn"]`` counts
+    the line (readers report it as they report drops).  A file that
+    cannot be opened, an unparseable line with more lines after it (or
+    with none before it), or a line that is no trace record, is a
     :class:`~repro.util.errors.ConfigError`.
     """
     records: List[TraceRecord] = []
     meta: Dict[str, Any] = {"dropped": 0, "dropped_window": None,
                             "sampled_out": 0, "sampled_window": None}
+    whole = 0
+    torn: Optional[str] = None
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if torn is not None:  # not the final line after all
+                raise ConfigError(torn)
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: not valid JSON ({exc.msg})"
-                ) from exc
+                torn = f"{path}:{lineno}: not valid JSON ({exc.msg})"
+                continue
+            whole += 1
             if isinstance(obj, dict) and "meta" in obj:
                 meta.update(obj["meta"])
                 continue
@@ -99,6 +108,10 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
                 raise ConfigError(
                     f"{path}:{lineno}: malformed trace record ({exc})"
                 ) from exc
+    if torn is not None:
+        if not whole:  # nothing before it: not a trace at all
+            raise ConfigError(torn)
+        meta["torn"] = 1
     warn_on_mismatch(
         f"trace {path}", FORMAT_VERSION,
         found_schema=meta.get("schema", meta.get("version")),

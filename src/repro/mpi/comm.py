@@ -20,6 +20,7 @@ ULFM semantics implemented (the subset the paper's Fenix layer relies on):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING,
@@ -73,28 +74,34 @@ class CollectiveGate:
     MPI_Comm_shrink, Fenix's repair gate and Fenix_Finalize are instances
     of.  Two things tell them apart:
 
-    - ``expected()`` names the ranks whose arrival a generation needs.  It
-      is asked again on every arrival and on every rank death (the owner
-      calls :meth:`recheck`), so a gate over *survivors* cannot hang on a
-      corpse -- the property MPI_Comm_agree is specified to have;
-    - ``delay()`` is the simulated time from the last arrival to delivery.
+    - ``expected(owner)`` names the ranks whose arrival a generation
+      needs.  It is asked again on every arrival and on every rank death
+      (the owner calls :meth:`recheck`), so a gate over *survivors* cannot
+      hang on a corpse -- the property MPI_Comm_agree is specified to have;
+    - ``delay(owner)`` is the simulated time from the last arrival to
+      delivery.
 
-    ``finalize`` turns the contribution map into the shared result.  A
-    generation *fails*, on every waiter alike, with whatever library error
-    either callback raises: a gate over *all* members raises what any
-    collective raises once one is lost, Fenix's repair with no spare left
-    its spare-exhaustion error.
+    ``finalize(owner, contributions)`` turns the contribution map into the
+    shared result.  A generation *fails*, on every waiter alike, with
+    whatever library error either callback raises: a gate over *all*
+    members raises what any collective raises once one is lost, Fenix's
+    repair with no spare left its spare-exhaustion error.
+
+    The owner holds its gates, so a gate names its owner weakly and the
+    three callbacks are plain functions of it: bound methods would make
+    each owner a reference cycle.
     """
 
     def __init__(
         self,
-        world: "World",
+        owner: Any,
         name: str,
-        finalize: Callable[[Dict[int, Any]], Any],
-        expected: Callable[[], Iterable[int]],
-        delay: Callable[[], float] = lambda: 0.0,
+        finalize: Callable[[Any, Dict[int, Any]], Any],
+        expected: Callable[[Any], Iterable[int]],
+        delay: Callable[[Any], float] = lambda _owner: 0.0,
     ) -> None:
-        self._world = world
+        self._owner = weakref.ref(owner)
+        self._engine = owner.world.engine
         self._name = name
         self._finalize = finalize
         self._expected = expected
@@ -109,7 +116,7 @@ class CollectiveGate:
             raise SimulationError(
                 f"gate {self._name}: rank {rank} arrived twice in one generation"
             )
-        ev = self._world.engine.event(name=f"{self._name}:{rank}")
+        ev = self._engine.event(name=f"{self._name}:{rank}")
         self._contributions[rank] = value
         self._waiters[rank] = ev
         self.recheck()
@@ -119,16 +126,17 @@ class CollectiveGate:
         """Re-evaluate completion (called on arrival and on rank death)."""
         if not self._waiters:
             return
+        owner = self._owner()
         try:
-            if not set(self._expected()) <= self._contributions.keys():
+            if not set(self._expected(owner)) <= self._contributions.keys():
                 return
-            outcome = self._finalize(dict(self._contributions))
+            outcome = self._finalize(owner, dict(self._contributions))
             deliver = Event.succeed
         except ReproError as exc:
             outcome, deliver = exc, Event.fail
         waiters, self._waiters = self._waiters, {}
         self._contributions = {}
-        delay = self._delay()
+        delay = self._delay(owner)
         for ev in waiters.values():
             deliver(ev, outcome, delay=delay)
 
@@ -168,11 +176,11 @@ class Communicator:
         # both complete on the *surviving* members, one log-depth
         # agreement round after the last of them arrives
         self._agree_gate = CollectiveGate(
-            world, f"{self.name}.agree", self._finalize_agree,
-            self.alive_members, self.agreement_latency)
+            self, f"{self.name}.agree", Communicator._finalize_agree,
+            Communicator.alive_members, Communicator.agreement_latency)
         self._shrink_gate = CollectiveGate(
-            world, f"{self.name}.shrink", self._finalize_shrink,
-            self.alive_members, self.agreement_latency)
+            self, f"{self.name}.shrink", Communicator._finalize_shrink,
+            Communicator.alive_members, Communicator.agreement_latency)
         world.register_comm(self)
         # membership record: protocol monitors resolve comm-local ranks
         # (checkpoint keys, IMR slots) back to world ranks through this

@@ -270,3 +270,21 @@ class World:
         if self.errors:
             rank, exc = self.errors[0]
             raise exc
+
+    def close(self) -> None:
+        """The job is over: let go of everything that points back at this
+        world or at a rank context -- the contexts and what upper layers
+        keep in their ``user`` dicts, the communicators, the death
+        listeners, and the tracebacks of what the ranks died of (their
+        frames hold the job) -- so that what is left of the job is freed
+        by reference counting.  Nothing may run on the world afterwards;
+        ``dead``, ``errors`` and ``procs`` still say who died of what."""
+        for proc in self.procs.values():
+            if proc.exception is not None:
+                proc.exception.__traceback__ = None
+        for ctx in self.contexts.values():
+            ctx.user.clear()
+        self.contexts.clear()
+        self._comms.clear()
+        self._death_listeners.clear()
+        self.comm_world = None

@@ -236,6 +236,7 @@ class AllOf(Event):
         if self.triggered:
             return
         if not ev.ok:
+            _unsubscribe(self._children, self._on_child)
             self.fail(ev.exception)
             return
         self._pending -= 1
@@ -256,20 +257,26 @@ class AnyOf(Event):
         self._children = list(events)
         if not self._children:
             raise SimulationError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._children):
+        for ev in self._children:
             ev._pooled = False
-            ev.add_callback(self._make_cb(idx))
+            ev.add_callback(self._on_child)
 
-    def _make_cb(self, idx: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if self.triggered:
-                return
-            if ev.ok:
-                self.succeed((idx, ev._value))
-            else:
-                self.fail(ev.exception)
+    def _on_child(self, ev: Event) -> None:
+        if self.triggered:
+            return
+        _unsubscribe(self._children, self._on_child)
+        if ev.ok:
+            self.succeed((self._children.index(ev), ev._value))
+        else:
+            self.fail(ev.exception)
 
-        return cb
+
+def _unsubscribe(children: list, callback: Callable[[Event], None]) -> None:
+    """A combinator that has triggered leaves the children that have not:
+    each would otherwise hold it, and through it each other, until it
+    fires -- for ever, for an event nobody triggers."""
+    for ev in children:
+        ev.remove_callback(callback)
 
 
 class Process(Event):
@@ -330,18 +337,29 @@ class Process(Event):
     # -- internal -------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
+        # A failure thrown in -- caught in there or not -- loses its
+        # traceback once the throw is over: the frames are where the
+        # process waited, and their locals hold the event carrying it, so
+        # keeping them would make every delivered failure a reference
+        # cycle.  A failure the process's own code raised keeps its own.
         if self.triggered:
             return
         self._target = None
+        thrown = ev._exc
         try:
-            if ev._exc is not None:
-                nxt = self._gen.throw(ev._exc)
-            else:
+            if thrown is None:
                 nxt = self._gen.send(ev._value)
+            else:
+                nxt = self._gen.throw(thrown)
+                thrown.__traceback__ = None
         except StopIteration as stop:
+            if thrown is not None:
+                thrown.__traceback__ = None
             self._finish(stop.value, None)
             return
         except BaseException as exc:  # noqa: BLE001 - process death is data here
+            if thrown is not None:
+                thrown.__traceback__ = None
             self._finish(_UNSET, exc)
             return
         if not isinstance(nxt, Event):
@@ -363,6 +381,9 @@ class Process(Event):
         nxt.add_callback(self._resume_cb)
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
+        # nothing resumes a finished process: its cached bound method, a
+        # reference to itself, goes
+        self._resume_cb = None
         self.engine._alive.discard(self)
         if exc is None:
             self.succeed(value)
@@ -491,6 +512,26 @@ class Engine:
     @property
     def unhandled_failures(self) -> list[tuple[Process, BaseException]]:
         return list(self._failures.items())
+
+    def close(self) -> None:
+        """End of the job this engine ran: drop what still points back at
+        the engine -- the daemons left blocked, the timeout pool, the
+        telemetry hook (whose tracer reads this clock) -- so that what is
+        left of the job is freed by reference counting.
+
+        A blocked daemon is detached from the event it waits on, not
+        closed here: its generator goes with its last reference.  (The
+        daemons a job leaves -- VeloC servers idle on their queue, the
+        launcher's failure watch -- wait outside any ``try`` or span, so
+        nothing of theirs unwinds into a record.)"""
+        for proc in self._alive:
+            if proc._target is not None:
+                proc._target.remove_callback(proc._resume_cb)
+                proc._target = None
+            proc._resume_cb = None
+        self._alive.clear()
+        self._timeout_pool.clear()
+        self.telemetry = NULL_TELEMETRY
 
     # -- execution -------------------------------------------------------
 

@@ -338,3 +338,4 @@ def hold_pipes(
         yield done
     finally:
         op.cancel()
+        done.op = None  # op._done is done.fire: the two name each other

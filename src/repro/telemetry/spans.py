@@ -38,13 +38,15 @@ class SpanRecord:
 
     :meth:`Tracer.span` hands back an inert record; entering it allocates
     its id, reads the clock and pushes it on its source's stack, leaving
-    pops it and stamps ``end``.  Re-entrant use is not supported.
+    pops it, stamps ``end`` and lets go of the tracer: the tracer lists
+    the record, so a record that kept it would make a reference cycle (an
+    instant is never given it).  Re-entrant use is not supported.
     """
 
     __slots__ = ("sid", "source", "name", "start", "end", "parent",
                  "fields", "error", "_tracer")
 
-    def __init__(self, tracer: "Tracer", source: str, name: str,
+    def __init__(self, tracer: Optional["Tracer"], source: str, name: str,
                  fields: Dict[str, Any]) -> None:
         self._tracer = tracer
         self.source = source
@@ -71,6 +73,9 @@ class SpanRecord:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
+        if tracer is None:  # left before: what it stamped then stands
+            return None
+        self._tracer = None
         stack = tracer._stacks.get(self.source)
         if exc_type is None and stack and stack[-1] is self:
             # the common case: innermost open span of its source
@@ -138,7 +143,7 @@ class Tracer:
 
     def instant(self, source: str, name: str, **fields: Any) -> SpanRecord:
         """Record a zero-duration marker, parented to the open span."""
-        rec = SpanRecord(self, source, name, fields)
+        rec = SpanRecord(None, source, name, fields)
         self._next_id = rec.sid = self._next_id + 1
         rec.start = rec.end = self.now
         stack = self._stacks.get(source)

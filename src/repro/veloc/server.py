@@ -65,7 +65,8 @@ class VeloCServer:
         self._chunk_index: set = set()
         self.chunks_seen = 0
         self.chunks_deduped = 0
-        self._proc = self.engine.process(
+        # not kept: the process's generator holds this server already
+        self.engine.process(
             self._run(), name=f"veloc.server{node.index}", daemon=True
         )
 

@@ -104,9 +104,20 @@ class TestResilient2D:
 
         clean, _ = run_app(factory_with(None), 4, n_spares=1, ckpt_interval=6)
         plan = IterationFailure([(0, 17)])
-        failed, _ = run_app(
+        failed, world = run_app(
             factory_with(plan), 4, n_spares=1, plan=plan, ckpt_interval=6
         )
         np.testing.assert_array_equal(
             gather_blocks(clean, 4), gather_blocks(failed, 4)
         )
+        # the survivors' mains were unwound, their views were kept: the
+        # registry holding the alias declaration outlives the unwinding,
+        # so the swap buffer is still never checkpointed
+        censuses = [ctx.user["heatdis2d"]["kr"].last_census
+                    for ctx in world.contexts.values()
+                    if "heatdis2d" in ctx.user and ctx.rank != 0]
+        assert len(censuses) == 4
+        for census in censuses:
+            assert [v.label for v in census.aliases] == ["heatdis2d.grid_next"]
+            assert [v.label for v in census.checkpointed] == [
+                "heatdis2d.grid", "heatdis2d.progress"]

@@ -2,8 +2,9 @@
 
 import json
 
+from repro import cli
 from repro.live.__main__ import main
-from repro.live.openmetrics import parse_openmetrics
+from repro.live.openmetrics import parse_openmetrics, sanitize_name
 
 EXIT_OK, EXIT_REGRESSION, EXIT_BAD_INPUT = 0, 1, 2
 
@@ -62,6 +63,29 @@ class TestExport:
         assert main(["export", str(src), "--out", str(out)]) == EXIT_OK
         samples = parse_openmetrics(out.read_text())
         assert samples["repro_mpi_ranks_died_total"] == [({}, 1.0)]
+        capsys.readouterr()
+
+    def test_telemetry_runs_own_metrics_export(self, tmp_path, capsys):
+        """``telemetry run`` writes its snapshot under ``merged``, as a
+        report's telemetry section does: every merged counter of either
+        comes back out of the exposition."""
+        run_dir = tmp_path / "run"
+        assert cli.main(["telemetry", "run", "--ranks", "2", "--iters", "8",
+                         "--interval", "4", "--kill-rank", "1",
+                         "--out", str(run_dir)]) == EXIT_OK
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"telemetry": metrics}))
+        counters = metrics["merged"]["counters"]
+        assert counters["mpi.ranks_died"] == 1
+        for src in (run_dir / "metrics.json", report):
+            out = tmp_path / "metrics.om"
+            assert main(["export", str(src), "--out", str(out)]) == EXIT_OK
+            samples = parse_openmetrics(out.read_text())
+            assert {name: values for name, values in samples.items()
+                    if name.endswith("_total")} == {
+                f"repro_{sanitize_name(name)}_total": [({}, float(value))]
+                for name, value in counters.items()}
         capsys.readouterr()
 
     def test_export_to_stdout_and_bad_input(self, kill_trace_file,

@@ -126,6 +126,16 @@ def write_records(path, records, dropped=0, window=None):
     return str(path)
 
 
+def tear(path, torn):
+    """Copy ``path`` cut off halfway through its last line: what a writer
+    that stopped mid-record leaves behind."""
+    lines = open(path).readlines()
+    with open(torn, "w") as fh:
+        fh.writelines(lines[:-1])
+        fh.write(lines[-1][: len(lines[-1]) // 2])
+    return str(torn)
+
+
 @pytest.fixture(scope="session")
 def veloc_trace_file(veloc_run, tmp_path_factory):
     """The veloc_run stream persisted as a trace file for CLI tests."""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.monitor.__main__ import main
-from tests.monitor.conftest import write_records
+from tests.monitor.conftest import tear, write_records
 
 
 class TestCheck:
@@ -43,6 +43,32 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "dropped 7" in out
         assert "0.5" in out and "1.5" in out
+
+    def test_torn_final_line_is_reported_like_drops(self, veloc_trace_file,
+                                                     tmp_path, capsys):
+        """A recording cut off mid-record: every whole record is checked,
+        and monitor, live and align each say a line was torn."""
+        from repro.align.__main__ import main as align_main
+        from repro.live.__main__ import main as live_main
+
+        torn = tear(veloc_trace_file, tmp_path / "torn.trace.jsonl")
+        whole = len(open(veloc_trace_file).readlines()) - 2  # meta, torn
+        assert main(["check", torn]) == 0
+        assert "ends in 1 torn line(s)" in capsys.readouterr().out
+        assert main(["check", torn, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["torn"] == 1
+
+        rules = "examples/slo_rules.json"
+        assert live_main(["check", torn, "--rules", rules]) == 0
+        out = capsys.readouterr().out
+        assert f"{whole} records" in out and "1 torn line(s)" in out
+        assert live_main(["check", torn, "--rules", rules, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["torn"] == 1
+
+        # the record that was being written is missing from run B
+        assert align_main(["diff", veloc_trace_file, torn]) == 1
+        assert "note: run B's trace file ends in 1 torn line(s)" \
+            in capsys.readouterr().out
 
     def test_live_run_with_save_trace(self, tmp_path, capsys):
         path = tmp_path / "live.trace.jsonl"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.monitor.trace_io import (
     JsonlTraceSink,
     load_trace,
@@ -9,6 +11,8 @@ from repro.monitor.trace_io import (
     write_trace,
 )
 from repro.sim.trace import Trace
+from repro.util.errors import ConfigError
+from tests.monitor.conftest import tear
 
 
 def test_records_land_per_emit(tmp_path):
@@ -63,6 +67,31 @@ def test_trailing_meta_wins_and_restores_drop_accounting(tmp_path):
     loaded = load_trace(str(path))
     assert loaded.dropped == 3
     assert loaded.dropped_window == (0.0, 2.0)
+
+
+def test_a_torn_final_line_keeps_every_whole_record(tmp_path):
+    tr = Trace(enabled=True)
+    for i in range(3):
+        tr.emit(float(i), "engine", "tick", n=i)
+    whole = tmp_path / "whole.jsonl"
+    write_trace(str(whole), tr)
+    records, meta = read_trace(tear(whole, tmp_path / "torn.jsonl"))
+    assert [r.fields["n"] for r in records] == [0, 1]
+    assert meta["torn"] == 1
+    assert "torn" not in read_trace(str(whole))[1]
+
+
+def test_an_unparseable_line_that_is_not_the_last_is_an_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"seq": 1, "time": 0.0, "source": "engine",
+                       "kind": "tick"})
+    path.write_text(f"{good}\n{good[:10]}\n{good}\n")
+    with pytest.raises(ConfigError, match=":2: not valid JSON"):
+        read_trace(str(path))
+    # nothing whole before it: not a trace at all
+    path.write_text(good[:10])
+    with pytest.raises(ConfigError, match=":1: not valid JSON"):
+        read_trace(str(path))
 
 
 def test_sampled_out_round_trips_through_write_trace(tmp_path):

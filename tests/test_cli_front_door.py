@@ -247,6 +247,40 @@ def test_a_reader_that_went_away_is_a_quiet_exit_0(tool, files):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+#: ``python -m repro.<tool> --help`` as runpy spells it, printing the
+#: ``__name__`` of every execution of the tool's ``__main__.py``
+COUNT_RUNS = """
+import os, runpy, sys
+tool = sys.argv[1]
+path = os.path.join("repro", tool, "__main__.py")
+runs = []
+def profile(frame, event, arg):
+    code = frame.f_code
+    if (event == "call" and code.co_name == "<module>"
+            and code.co_filename.endswith(path)):
+        runs.append(frame.f_globals["__name__"])
+sys.argv = [path, "--help"]
+sys.setprofile(profile)
+try:
+    runpy.run_module("repro." + tool, run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.setprofile(None)
+print(*runs, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("tool", sorted(cli.TOOLS))
+def test_the_dotted_spelling_runs_the_tool_module_once(tool):
+    """``python -m repro.<tool>`` runs the module as ``__main__``; the
+    front door uses that module instead of importing the file again."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_RUNS, tool], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=ENV, cwd=ROOT, text=True, timeout=120)
+    assert f"python -m repro.{tool}" in proc.stdout  # the help was printed
+    assert proc.stderr.split() == ["__main__"]
+
+
 # -- it stays lazy ------------------------------------------------------------
 
 
