@@ -11,12 +11,10 @@ totals moved".  :mod:`repro.align` compares *structure*:
 
 - :mod:`repro.align.keying` names every protocol-relevant record by a
   canonical logical key ``(wrank, kind, epoch, occurrence)`` that is
-  independent of simulated timestamps, and shares the sampleable-exempt
-  contract with :mod:`repro.telemetry.sampling` (only kinds that sampler
-  may drop are ever excluded from the skeleton);
+  independent of simulated timestamps;
 - :mod:`repro.align.engine` merges two keyed streams and classifies
   every record as matched / reordered / value-drifted / missing /
-  extra, excusing gaps a ring buffer or the sampler accounted for;
+  extra, excusing gaps a ring buffer accounted for;
 - the first-divergence root-causer attributes the earliest divergent
   event to a layer (process/ulfm/fenix/kr/veloc/recompute/app), renders
   its causal record briefs, and reports the downstream deltas on the

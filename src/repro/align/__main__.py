@@ -101,7 +101,7 @@ def _run_once(args: argparse.Namespace):
     """One monitored job; returns its live Trace (deterministic per
     args, so two calls record identical streams)."""
     suite = MonitorSuite()
-    observe = dict(strict_monitor=False, monitor=suite)
+    observe: Dict[str, Any] = dict(monitor=suite)
     if args.failure_seed is not None:
         observe["plan"] = ExponentialFailures(
             args.mtbf, seed=args.failure_seed,
@@ -136,8 +136,6 @@ def _render_report(label: str, doc: Dict[str, Any]) -> str:
         f"{counts['extra']} extra, {counts['value']} value-drifted, "
         f"{counts['reorder']} reordered"
         + (f", {counts['excused']} excused" if counts["excused"] else "")
-        + (f", {counts['excluded_sampleable']} sampleable excluded"
-           if counts["excluded_sampleable"] else "")
     ]
     for note in doc.get("notes", []):
         lines.append(f"  note: {note}")

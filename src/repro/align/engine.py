@@ -2,8 +2,7 @@
 
 Given two record streams (plus their drop-accounting metas), the engine
 first asks whether they are equal and only then spells out how they
-differ.  **Compare first:** after the sampling filter below, the streams
-are walked pairwise with a *sufficient* identity test -- same ``kind``,
+differ.  **Compare first:** the streams are walked pairwise with a *sufficient* identity test -- same ``kind``,
 same ``source``, same field names in the same order, and every
 non-volatile value equal under a type-strict rule (``int``/``str``/
 ``bool``/``None`` by ``type is`` and ``==``; ``float`` also by sign of
@@ -31,12 +30,6 @@ Otherwise the engine keys both streams (:mod:`repro.align.keying`, one
   buffer accounted for (its time falls inside the ``dropped_window``),
   which is exactly the "say what you did not see" accounting the trace
   layer keeps.
-
-When the two runs' *sampling* accounting differs (one was recorded
-under a :class:`~repro.telemetry.sampling.SamplingPolicy`, the other
-not, or the policies differ), the sampleable kinds are excluded from
-the comparison entirely and counted in ``excluded_sampleable`` -- the
-skeleton of protocol-critical kinds is the comparable contract.
 
 The first-divergence root-causer (:func:`first_divergence_report`)
 takes the earliest surviving divergence, attributes it to a resiliency
@@ -118,7 +111,6 @@ class Alignment:
     n_b: int
     matched: int = 0
     excused: int = 0
-    excluded_sampleable: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
@@ -136,7 +128,6 @@ class Alignment:
             out[d.category] += 1
         out["matched"] = self.matched
         out["excused"] = self.excused
-        out["excluded_sampleable"] = self.excluded_sampleable
         return out
 
     def to_dict(self) -> Dict[str, Any]:
@@ -255,23 +246,6 @@ def align(
     records_a = list(records_a)
     records_b = list(records_b)
     result = Alignment(n_a=len(records_a), n_b=len(records_b))
-
-    # differing sampling accounting => sampleable kinds are not
-    # comparable between the streams; align the skeleton only
-    sampled_a = _meta_int(meta_a, "sampled_out")
-    sampled_b = _meta_int(meta_b, "sampled_out")
-    if sampled_a != sampled_b:
-        kept_a = [r for r in records_a if protocol_critical(r.kind)]
-        kept_b = [r for r in records_b if protocol_critical(r.kind)]
-        result.excluded_sampleable = (
-            (len(records_a) - len(kept_a)) + (len(records_b) - len(kept_b))
-        )
-        result.notes.append(
-            f"sampling accounting differs (sampled_out {sampled_a} vs "
-            f"{sampled_b}); sampleable kinds excluded -- aligning the "
-            f"protocol-critical skeleton only"
-        )
-        records_a, records_b = kept_a, kept_b
 
     dropped = bool(_meta_int(meta_a, "dropped")) \
         or bool(_meta_int(meta_b, "dropped"))
@@ -501,10 +475,9 @@ def audit_traces(trace_a: Any, trace_b: Any) -> List[Dict[str, Any]]:
     """Align two live :class:`~repro.sim.trace.Trace` objects; returns
     JSON-ready divergence dicts (the ``RunReport.divergences`` payload).
 
-    The metas are taken from the traces' own drop/sampling accounting,
-    so a sampled or ring-buffered recording audits against an unsampled
-    replay on the protocol-critical skeleton, never on records one side
-    was configured not to keep.
+    The metas are taken from the traces' own drop accounting, so a
+    ring-buffered recording audits against a full replay without
+    blaming the records its ring evicted.
     """
     from repro.monitor.trace_io import trace_meta
 

@@ -25,12 +25,6 @@ record is named by a *logical key*::
 Values are compared through :func:`canonical_fields`: the source plus
 every field *except* the :data:`VOLATILE_FIELDS` -- measurements that
 legitimately differ between structurally identical runs.
-
-The sampleable-exempt contract is shared with
-:mod:`repro.telemetry.sampling`: :func:`protocol_critical` is exactly
-"the sampler may never drop this kind", so the skeleton
-:mod:`repro.align.engine` aligns on is, by construction, the set of
-records that survive any sampling policy.
 """
 
 from __future__ import annotations
@@ -40,8 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
-from repro.telemetry.sampling import record_sampleable
-from repro.vocabulary import layer_of, parse_source
+from repro.vocabulary import PER_ITERATION_KINDS, layer_of, parse_source
 
 #: record fields excluded from value comparison: host-ish measurements
 #: and queue depths that may differ between structurally identical runs
@@ -52,15 +45,13 @@ VOLATILE_FIELDS = frozenset({"seconds", "backlog", "eta_s"})
 
 
 def protocol_critical(kind: str) -> bool:
-    """True for kinds the sampler may never drop -- the skeleton.
+    """True for kinds that mark a protocol step -- the skeleton.
 
-    This *is* the shared contract with :mod:`repro.telemetry.sampling`:
-    default-deny means every kind is protocol-critical unless someone
-    explicitly proved it sampleable, so the skeleton two traces must
-    agree on is exactly the records guaranteed to exist under any
-    :class:`~repro.telemetry.sampling.SamplingPolicy`.
+    Default-deny: every kind is protocol-critical unless the vocabulary
+    lists it in :data:`~repro.vocabulary.PER_ITERATION_KINDS`, so a kind
+    added tomorrow joins the skeleton two traces must agree on.
     """
-    return not record_sampleable(kind)
+    return kind not in PER_ITERATION_KINDS
 
 
 def record_wrank(rec: TraceRecord) -> Optional[int]:

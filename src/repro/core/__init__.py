@@ -5,7 +5,7 @@ modifications applied* (Section V):
 
 - :func:`make_context` / :class:`Context` -- the checkpoint context,
   including the paper's two extensions: a ``reset`` that accepts a new
-  communicator after a Fenix repair, and support for launching VeloC in
+  communicator after a Fenix repair, and VeloC always launched in
   non-collective ("single") mode with the global best-version reduction
   performed here instead of inside VeloC;
 - :meth:`Context.checkpoint` -- the lambda-wrapping checkpoint region of

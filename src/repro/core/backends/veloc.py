@@ -1,14 +1,12 @@
 """VeloC backend for the control-flow layer.
 
-Two initialization modes, mirroring the paper's Section V:
-
-- **collective** (stock Kokkos Resilience behaviour): VeloC's own
-  communicator-wide query finds the globally best version.  Incompatible
-  with Fenix repair, because VeloC caches the communicator it was
-  initialized with.
-- **single** (the paper's added configuration): VeloC runs non-collectively
-  and *this backend* performs the reduction over the current -- possibly
-  repaired -- communicator, then hands the agreed version to VeloC.
+VeloC always runs in the paper's ``single`` mode (Section V): it is
+launched non-collectively and *this backend* performs the best-version
+reduction over the current -- possibly repaired -- communicator, then
+hands the agreed version to VeloC.  Stock Kokkos Resilience's
+``collective`` mode, where VeloC's own communicator-wide query finds the
+version, breaks under Fenix repair because VeloC caches the communicator
+it was initialized with; it is not offered here.
 
 :meth:`reset` implements the other paper modification: accepting a new
 communicator and pushing the refreshed rank identity down into VeloC.
@@ -37,7 +35,7 @@ class VeloCBackend(Backend):
         if veloc_service is None:
             raise ConfigError("VeloC backend requires a VeloCService")
         vconf = VeloCConfig(
-            mode="single" if config.veloc_single_mode else "collective",
+            mode="single",
             ckpt_name=ckpt_name,
             incremental=config.veloc_incremental,
             dedup=config.veloc_dedup,
@@ -58,15 +56,6 @@ class VeloCBackend(Backend):
 
     def local_versions(self) -> Set[int]:
         return self.client.local_versions()
-
-    def latest_version(self) -> Generator[Event, Any, int]:
-        if self.client.config.collective:
-            # stock behaviour: the query is collective inside VeloC
-            result = yield from self.client.restart_test()
-            return result
-        # single mode: reduce here, over the *current* communicator
-        result = yield from super().latest_version()
-        return result
 
     def reset(self, comm: CommHandle) -> None:
         super().reset(comm)

@@ -1,4 +1,10 @@
-"""Configuration for the control-flow resilience context."""
+"""Configuration for the control-flow resilience context.
+
+A VeloC backend always runs VeloC in the paper's ``single`` mode (the
+best-version reduction is done here, over the possibly repaired
+communicator), and view discovery is always memoized per region; neither
+is a setting.
+"""
 
 from __future__ import annotations
 
@@ -19,21 +25,10 @@ class KRConfig:
     Attributes:
         backend: which C/R backend the context drives (a name in
             :data:`repro.core.backends.BACKENDS`).
-        veloc_single_mode: launch VeloC non-collectively and perform the
-            best-version reduction in this layer (the paper's new
-            configuration option enabling Fenix integration).
         filter: per-iteration checkpoint predicate.
         recovery_scope: ``"all"`` restores every rank (full rollback);
             ``"recovered_only"`` restores only replacement ranks (the
             partial-rollback demonstration of Section V-A).
-        memoize_discovery: cache view discovery/classification per bound
-            region (keyed by the region callable's code object, invalidated
-            whenever any view registry changes), so steady-state
-            ``checkpoint()`` calls skip the closure walk entirely.  The
-            cache assumes a region's code object reaches the same
-            pre-existing views on every call -- the Kokkos Resilience
-            contract; disable for regions that data-dependently capture
-            different long-lived views from call to call.
         veloc_incremental: copy-on-write incremental VeloC snapshots
             (see :class:`repro.veloc.config.VeloCConfig.incremental`).
         veloc_dedup: content-addressed chunk dedup on the VeloC node
@@ -41,10 +36,8 @@ class KRConfig:
     """
 
     backend: str = "veloc"
-    veloc_single_mode: bool = True
     filter: Filter = field(default=always)
     recovery_scope: str = SCOPE_ALL
-    memoize_discovery: bool = True
     veloc_incremental: bool = True
     veloc_dedup: bool = True
 

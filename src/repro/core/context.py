@@ -213,15 +213,14 @@ class Context:
     def _discover(self, fn: Callable[[], Any]) -> ViewCensus:
         """Discover and classify the views reachable from ``fn``.
 
-        With ``memoize_discovery`` the census is cached per region code
-        object (one heatdis iteration closure compiles once, so every
-        iteration shares a key) and reused as long as no view registry
-        anywhere in the process has changed -- the common steady state,
-        where ``checkpoint()`` then skips the closure walk entirely.
+        The census is cached per region code object (one heatdis
+        iteration closure compiles once, so every iteration shares a key)
+        and reused as long as no view registry anywhere in the process
+        has changed -- the common steady state, where ``checkpoint()``
+        then skips the closure walk entirely.  The cache assumes a
+        region's code object reaches the same pre-existing views on every
+        call: the Kokkos Resilience contract.
         """
-        if not self.config.memoize_discovery:
-            views = discover_views(fn, extra=self._subscriptions or None)
-            return self._classify(views)
         # partials and bound methods memoize on the underlying function's
         # code object; anything without one is freshly discovered each
         # call (caching on the object itself would grow without bound)

@@ -165,8 +165,8 @@ def run_campaign(
     ``cache`` (a :class:`~repro.parallel.RunCache`) skips cells whose
     (config, seed, code) content address already has a stored report.
     ``observe`` is any observer field of :class:`~repro.parallel
-    .CellSpec` (``telemetry``, ``rules``, ``sampling``,
-    ``determinism_audit``, ``trace_max_records`` -- telemetered cells
+    .CellSpec` (``telemetry``, ``rules``, ``determinism_audit``,
+    ``trace_max_records`` -- telemetered cells
     default to Trace ring-buffer mode so long sweeps keep bounded
     memory).
     """

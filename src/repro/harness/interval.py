@@ -38,11 +38,14 @@ def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
 
 def expected_runtime(
     work: float, interval: float, checkpoint_cost: float, mtbf: float,
-    restart_cost: float = 0.0,
 ) -> float:
-    """First-order expected wall time for ``work`` seconds of computation
-    checkpointed every ``interval`` seconds under exponential failures
-    (Daly's run-time model) -- used to sanity-check the optima."""
+    """Expected wall time for ``work`` seconds of computation checkpointed
+    every ``interval`` seconds under exponential failures -- used to
+    sanity-check the optima.
+
+    Daly's run-time model ``M·e^{R/M}·(e^{(τ+C)/M} − 1)·W/τ`` with
+    ``W = work``, ``τ = interval``, ``C = checkpoint_cost``, ``M = mtbf``
+    and the restart cost ``R`` taken as zero."""
     _validate(checkpoint_cost, mtbf)
     if interval <= 0:
         raise ConfigError("interval must be positive")
@@ -50,7 +53,7 @@ def expected_runtime(
     n_segments = work / interval
     # expected time per attempted segment under exponential failures
     per_segment = mtbf * (math.exp(segment / mtbf) - 1.0)
-    return n_segments * per_segment + restart_cost
+    return n_segments * per_segment
 
 
 def _validate(checkpoint_cost: float, mtbf: float) -> None:

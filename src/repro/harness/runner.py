@@ -23,7 +23,6 @@ Reproduces the paper's measurement methodology (Section VI-C):
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
@@ -55,23 +54,6 @@ from repro.sim.trace import Trace
 from repro.telemetry import Telemetry
 from repro.util.errors import ConfigError, ReproError, SimulationError
 from repro.veloc import VeloCService
-
-
-def strict_monitor_default() -> bool:
-    """CI hook: ``REPRO_STRICT_MONITOR=1`` turns invariant enforcement on
-    for every job without plumbing a flag through each call site (the
-    env var is inherited by parallel sweep workers)."""
-    return os.environ.get(
-        "REPRO_STRICT_MONITOR", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
-
-
-def strict_slo_default() -> bool:
-    """CI hook mirroring :func:`strict_monitor_default`:
-    ``REPRO_STRICT_SLO=1`` makes any fired SLO alert fail the job."""
-    return os.environ.get(
-        "REPRO_STRICT_SLO", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
 
 
 @dataclass(frozen=True)
@@ -225,11 +207,11 @@ class JobRunner:
         app_name: str,
         telemetry: Optional[Telemetry] = None,
         trace_max_records: Optional[int] = None,
-        strict_monitor: Optional[bool] = None,
+        strict_monitor: bool = False,
         monitor: Optional[MonitorSuite] = None,
         profile: bool = False,
         rules: "Optional[RuleSet | str]" = None,
-        strict_slo: Optional[bool] = None,
+        strict_slo: bool = False,
         trace_sink: Optional[Any] = None,
         capture_trace: bool = False,
     ) -> None:
@@ -252,17 +234,12 @@ class JobRunner:
         if profile and (telemetry is None or not telemetry.enabled):
             raise ConfigError("profile=True requires enabled telemetry")
         self.profile = profile
-        self.strict_monitor = (
-            strict_monitor_default() if strict_monitor is None
-            else strict_monitor
-        )
+        self.strict_monitor = strict_monitor
         self.monitor = monitor
         if self.monitor is None and self.strict_monitor:
             self.monitor = MonitorSuite()
         self.rules = load_rules(rules) if isinstance(rules, str) else rules
-        self.strict_slo = (
-            strict_slo_default() if strict_slo is None else strict_slo
-        )
+        self.strict_slo = strict_slo
         # the live layer: windowed series + SLO rules evaluated in-run
         self.live: Optional[LiveSession] = (
             LiveSession(rules=self.rules, monitor=self.monitor)
@@ -282,10 +259,7 @@ class JobRunner:
         # record kinds on one timeline; ``trace_max_records`` switches it
         # to ring-buffer mode so long campaigns cannot grow the record
         # list without bound
-        trace = Trace(
-            enabled=True, max_records=trace_max_records,
-            sampler=telemetry.sampler if telemetry is not None else None,
-        ) if (
+        trace = Trace(enabled=True, max_records=trace_max_records) if (
             subscribers or capture_trace
             or (telemetry is not None and telemetry.enabled)
         ) else None
@@ -633,7 +607,6 @@ def run_job(
     # double-feed the caller's telemetry, monitor, rules or sinks
     replay = JobRunner(*job, replay_plan, build_main, app,
                        trace_max_records=observe.get("trace_max_records"),
-                       strict_monitor=False, strict_slo=False,
                        capture_trace=True)
     _audit_replay(report, primary.trace, replay.run(), replay.trace)
     return report

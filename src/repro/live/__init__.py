@@ -15,10 +15,6 @@ this one watches it happen.  Three pieces, all driven by
 - :mod:`repro.live.dashboard` / :mod:`repro.live.openmetrics` -- the
   presentation edges: live TTY frames (``python -m repro.live tail``)
   and OpenMetrics text snapshots (``... export``).
-
-The input side is sampling-proof by construction: every record kind the
-aggregator consumes is protected in :mod:`repro.telemetry.sampling`, so
-the tightest overhead-bounding policy cannot blind an SLO.
 """
 
 from repro.live.dashboard import (

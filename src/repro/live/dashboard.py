@@ -175,12 +175,9 @@ def render_trace_frame(
     ]
     if meta:
         dropped = int(meta.get("dropped") or 0)
-        sampled = int(meta.get("sampled_out") or 0)
-        if dropped or sampled:
-            lines.append(
-                f"drops: ring={dropped} sampled={sampled}"
-                f" (window {meta.get('dropped_window')}"
-                f" / {meta.get('sampled_window')})")
+        if dropped:
+            lines.append(f"drops: ring={dropped}"
+                         f" (window {meta.get('dropped_window')})")
     if agg.lanes:
         glyphs = "".join(
             LANE_GLYPHS.get(agg.lanes[r].state, "?")

@@ -18,14 +18,10 @@ protocol record stream:
                                   since that rank's previous checkpoint
 ``recovery_latency_s``            rank kill -> first data recovery
                                   (``recover`` / ``imr_restore``)
-``dropped_records``               trace ring evictions + sampled-out
-                                  records at observation time
+``dropped_records``               trace ring evictions at observation
+                                  time
 ``alive_ranks`` / ``spare_ranks`` process liveness and spare-pool depth
 ================================  ======================================
-
-All inputs are *protected* trace kinds (see
-:mod:`repro.telemetry.sampling`), so the series stay exact under even
-the tightest sampling policy.
 """
 
 from __future__ import annotations
@@ -333,7 +329,7 @@ class TimeSeriesAggregator(TraceListener):
     def _current_drops(self) -> float:
         if self._trace is None:
             return 0.0
-        return float(self._trace.dropped + self._trace.sampled_out)
+        return float(self._trace.dropped)
 
     def _observe_alive(self, t: float,
                        rec: Optional[TraceRecord] = None) -> None:

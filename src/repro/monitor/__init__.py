@@ -6,7 +6,7 @@ subscribe to :class:`repro.sim.trace.Trace` and check the cross-layer
 recovery protocol (ULFM ordering, Fenix role legality and repair-gate
 completeness, VeloC version/flush discipline, IMR buddy consistency)
 while the simulation runs.  The harness enforces them under
-``strict_monitor`` (or ``REPRO_STRICT_MONITOR=1``); the CLI
+``strict_monitor``; the CLI
 (``python -m repro.monitor``) replays recorded traces, reconstructs
 protocol state at a point in time, and explains one failure's recovery
 path end to end.

@@ -39,8 +39,10 @@ from repro.monitor.state import ProtocolStateTracker, render_state
 from repro.monitor.trace_io import JsonlTraceSink, read_trace, write_trace
 from repro.util.errors import ReproError
 
-#: the smoke campaign: every Fenix strategy family under one rank kill,
-#: plus the spare-exhaustion shrink path via the elastic example scale
+#: the smoke campaign: (app, strategy, kill rank).  One rank kill,
+#: replaced from the spare pool, on each of the three apps and under
+#: fenix_veloc, fenix_kr_veloc and fenix_kr_imr; no row runs
+#: fenix_kr_partial or the elastic shrink path
 SMOKE_SCENARIOS: Tuple[Tuple[str, str, int], ...] = (
     ("heatdis", "fenix_veloc", 1),
     ("heatdis", "fenix_kr_veloc", 2),
@@ -108,10 +110,7 @@ def _check(args: argparse.Namespace) -> int:
         # so a tailer (repro.live tail) can watch the run unfold
         sink = JsonlTraceSink(args.save_trace) if args.save_trace else None
         try:
-            # strict_monitor=False: the CLI reports violations itself
-            # (exit code) instead of letting the harness raise mid-run
-            job_from_args(args)(strict_monitor=False, monitor=suite,
-                                trace_sink=sink)
+            job_from_args(args)(monitor=suite, trace_sink=sink)
         finally:
             if sink is not None:
                 sink.close()
@@ -148,7 +147,7 @@ def _smoke(args: argparse.Namespace) -> int:
         try:
             job = build_job(app, strategy, args.ranks, args.iters,
                             args.interval, kill_rank=kill_rank)
-            job(strict_monitor=False, monitor=suite)
+            job(monitor=suite)
         except ReproError as exc:
             print(f"{label}: RUN FAILED: {exc}")
             failures.append(label)

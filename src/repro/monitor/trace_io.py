@@ -1,7 +1,7 @@
 """Flight-recorder trace files: JSONL persistence for Trace records.
 
 One JSON object per line.  The first line is a meta header carrying the
-ring-buffer and sampling drop accounting, so a reader of a truncated
+ring-buffer drop accounting, so a reader of a truncated
 trace knows the bounds of what is missing::
 
     {"meta": {"version": 1, "dropped": 12, "dropped_window": [0.1, 0.4]}}
@@ -44,14 +44,11 @@ _encode = json.JSONEncoder(default=_json_default).encode
 def trace_meta(trace: Trace) -> Dict[str, Any]:
     """The meta-header payload: schema/version stamp + drop accounting
     (also the meta :mod:`repro.align` reads to excuse accounted gaps)."""
-    sampled_window = getattr(trace, "sampled_window", None)
     return stamp({
         "version": FORMAT_VERSION,
         "dropped": trace.dropped,
         "dropped_window": list(trace.dropped_window)
         if trace.dropped_window else None,
-        "sampled_out": getattr(trace, "sampled_out", 0),
-        "sampled_window": list(sampled_window) if sampled_window else None,
     }, FORMAT_VERSION)
 
 
@@ -82,8 +79,7 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
     :class:`~repro.util.errors.ConfigError`.
     """
     records: List[TraceRecord] = []
-    meta: Dict[str, Any] = {"dropped": 0, "dropped_window": None,
-                            "sampled_out": 0, "sampled_window": None}
+    meta: Dict[str, Any] = {"dropped": 0, "dropped_window": None}
     whole = 0
     torn: Optional[str] = None
     with open_input(path) as fh:
@@ -130,10 +126,6 @@ def load_trace(path: str) -> Trace:
     window = meta.get("dropped_window")
     if window:
         trace._dropped_first, trace._dropped_last = window[0], window[1]
-    trace.sampled_out = int(meta.get("sampled_out") or 0)
-    swindow = meta.get("sampled_window")
-    if swindow:
-        trace._sampled_first, trace._sampled_last = swindow[0], swindow[1]
     return trace
 
 

@@ -30,7 +30,6 @@ from repro.sim import (
     NoFailures,
     TimedFailure,
 )
-from repro.telemetry.sampling import SamplingPolicy
 from repro.util.errors import ConfigError
 
 #: default ring-buffer size for telemetered sweep runs: long campaigns
@@ -141,10 +140,6 @@ class CellSpec:
     telemetry: bool = False
     #: Trace ring-buffer size for telemetered runs (None = unbounded)
     trace_max_records: Optional[int] = DEFAULT_TRACE_MAX_RECORDS
-    #: overhead-bounding head-sampling policy for telemetered runs
-    #: (None = keep everything); deterministic, so cells stay
-    #: content-addressable
-    sampling: Optional["SamplingPolicy"] = None
     #: path to an SLO rules file evaluated live during the run; fired
     #: alerts land in ``RunReport.alerts``
     rules: Optional[str] = None
@@ -197,11 +192,9 @@ def execute_cell(spec: CellSpec) -> CellResult:
     global RUNS_EXECUTED
     telemetry = None
     if spec.telemetry:
-        from repro.telemetry import SpanSampler, Telemetry
+        from repro.telemetry import Telemetry
 
-        sampler = (SpanSampler(spec.sampling)
-                   if spec.sampling is not None else None)
-        telemetry = Telemetry(sampler=sampler)
+        telemetry = Telemetry()
     plan = spec.plan.build()
     t0 = time.perf_counter()
     report = run_job(

@@ -84,8 +84,7 @@ class Trace:
     """
 
     def __init__(self, enabled: bool = True,
-                 max_records: Optional[int] = None,
-                 sampler: Optional[Any] = None) -> None:
+                 max_records: Optional[int] = None) -> None:
         if max_records is not None and max_records < 1:
             raise ConfigError(f"max_records must be >= 1, got {max_records}")
         self.enabled = enabled
@@ -100,15 +99,6 @@ class Trace:
         #: a tuple, replaced on (un)subscribe, so emit() iterates a
         #: stable snapshot without copying per record
         self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
-        #: overhead-bounded sampler (:class:`repro.telemetry.sampling
-        #: .SpanSampler`); protocol-critical kinds are exempt inside the
-        #: sampler itself, so monitors never miss a record they consume
-        self.sampler = sampler
-        #: records suppressed by the sampler (never materialized, unlike
-        #: ring evictions which existed and were displaced)
-        self.sampled_out = 0
-        self._sampled_first: Optional[float] = None
-        self._sampled_last: Optional[float] = None
         #: listener exceptions swallowed by emit() (satellite of the
         #: observer-must-not-kill-the-run rule); the harness surfaces a
         #: warning in the RunReport when nonzero
@@ -140,12 +130,6 @@ class Trace:
     def emit(self, time: float, source: str, kind: str,
              **fields: Any) -> Optional[TraceRecord]:
         if not self.enabled:
-            return None
-        if self.sampler is not None and not self.sampler.keep_record(kind):
-            self.sampled_out += 1
-            if self._sampled_first is None:
-                self._sampled_first = time
-            self._sampled_last = time
             return None
         if (self.max_records is not None
                 and len(self._records) == self.max_records):
@@ -180,16 +164,6 @@ class Trace:
         if self.dropped == 0 or self._dropped_first is None:
             return None
         return (self._dropped_first, self._dropped_last)
-
-    @property
-    def sampled_window(self) -> Optional[Tuple[float, float]]:
-        """``(first, last)`` simulated times of sampled-out records --
-        the same shape as :attr:`dropped_window`, kept separate because
-        sampling drops are *chosen* (and exclude every protocol-critical
-        kind) while ring evictions are overflow."""
-        if self.sampled_out == 0 or self._sampled_first is None:
-            return None
-        return (self._sampled_first, self._sampled_last)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -233,9 +207,6 @@ class Trace:
         self.dropped = 0
         self._dropped_first = None
         self._dropped_last = None
-        self.sampled_out = 0
-        self._sampled_first = None
-        self._sampled_last = None
         self.listener_errors = 0
         self.last_listener_error = None
 

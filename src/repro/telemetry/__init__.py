@@ -10,10 +10,6 @@ package makes the reproduction's runs inspectable the same way:
 - :mod:`repro.telemetry.collector` -- the :class:`Telemetry` facade the
   layers instrument against; :data:`NULL_TELEMETRY` is the zero-cost
   disabled default every cluster starts with.
-- :mod:`repro.telemetry.sampling` -- overhead-bounded adaptive head
-  sampling for the span path, with hard exemptions for every
-  protocol-critical kind (monitors and the profile critical path never
-  see sampling gaps).
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (open in
   Perfetto or chrome://tracing), metrics JSON, schema validation, diffs.
 - :mod:`repro.telemetry.timeline` -- plain-text failure timelines.
@@ -35,7 +31,6 @@ from repro.telemetry.export import (
     write_metrics,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.sampling import SamplingPolicy, SpanSampler
 from repro.telemetry.spans import SpanRecord, Tracer
 from repro.telemetry.timeline import failure_timeline, render_timeline
 
@@ -46,9 +41,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SamplingPolicy",
     "SpanRecord",
-    "SpanSampler",
     "Tracer",
     "chrome_trace_events",
     "to_chrome_trace",

@@ -18,7 +18,7 @@ Instrumentation sites follow one of two patterns::
 Disabled calls never allocate (``span`` hands back the module-level
 :data:`~repro.telemetry.spans.NULL_SPAN`), never touch the clock, and
 never grow any list, so ``benchmarks/test_simulator_performance.py``
-stays flat.  So do spans a sampler drops.  An enabled span allocates one
+stays flat.  An enabled span allocates one
 slotted :class:`~repro.telemetry.spans.SpanRecord` (which is its own
 context manager) holding the ``fields`` dict the call already built, and
 costs two list appends and one pop besides.
@@ -29,15 +29,13 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Union
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.sampling import SpanSampler
 from repro.telemetry.spans import NULL_SPAN, SpanRecord, Tracer, _NullSpan
 
 
 class Telemetry:
     """Metrics + spans for one job; disabled instances are no-ops."""
 
-    def __init__(self, enabled: bool = True,
-                 sampler: Optional[SpanSampler] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.tracer = Tracer()
         #: job-level metrics (server backlogs, spare-pool depth, revokes)
@@ -46,9 +44,6 @@ class Telemetry:
         #: the legacy event trace of the instrumented run, when the
         #: harness recorded one (exporters interleave it with spans)
         self.trace: Optional[Any] = None
-        #: overhead-bounded adaptive sampler; None records everything.
-        #: Shared with the run's Trace so drop accounting is one ledger.
-        self.sampler = sampler
 
     # -- wiring ---------------------------------------------------------
 
@@ -63,10 +58,6 @@ class Telemetry:
              **fields: Any) -> Union[SpanRecord, _NullSpan]:
         if not self.enabled:
             return NULL_SPAN
-        # sampled-out spans take the disabled fast path: call sites
-        # already guard field writes with ``if sp is not None``
-        if self.sampler is not None and not self.sampler.keep_span(name):
-            return NULL_SPAN
         # built here, not through ``tracer.span``: one call and one
         # ``**fields`` repack fewer for each of a run's thousands of spans
         return SpanRecord(self.tracer, source, name, fields)
@@ -74,8 +65,6 @@ class Telemetry:
     def instant(self, source: str, name: str,
                 **fields: Any) -> Optional[SpanRecord]:
         if not self.enabled:
-            return None
-        if self.sampler is not None and not self.sampler.keep_span(name):
             return None
         return self.tracer.instant(source, name, **fields)
 
@@ -125,7 +114,7 @@ class Telemetry:
 
     def metrics_summary(self) -> Dict:
         """JSON-ready snapshot: merged view plus the per-rank breakdown."""
-        out = {
+        return {
             "merged": self.merged_metrics().snapshot(),
             "job": self.metrics.snapshot(),
             "ranks": {
@@ -133,9 +122,6 @@ class Telemetry:
                 for r, reg in sorted(self._rank_metrics.items())
             },
         }
-        if self.sampler is not None:
-            out["sampling"] = self.sampler.summary()
-        return out
 
     def clear(self) -> None:
         self.tracer.clear()

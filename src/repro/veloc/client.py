@@ -8,9 +8,16 @@ delegated to the node's :class:`~repro.veloc.server.VeloCServer`.
 Fenix-integration hooks (the paper's Section V modifications):
 
 - ``single`` (non-collective) mode: :meth:`restart_test` consults only
-  local tiers and the caller reduces across ranks itself;
+  local tiers and the caller reduces across ranks itself.  Kokkos
+  Resilience's VeloC backend always runs this way, as does the
+  hand-integrated Heatdis under Fenix (``fenix_veloc``);
 - :meth:`set_comm` / :meth:`set_rank`: replace the communicator and cached
   rank id after a communicator repair or shrink.
+
+``collective`` mode, where :meth:`restart_test` intersects versions over
+the communicator itself, is stock VeloC, used by the hand-integrated
+Heatdis without Fenix (``veloc``).  It breaks under Fenix repair: the
+query runs over the communicator VeloC was initialized with.
 """
 
 from __future__ import annotations

@@ -121,10 +121,11 @@ ANCHOR_KINDS = frozenset(
     for kind in RECOVERY_STAGES[stage]
 ) | frozenset(RECOVERY_DONE_KINDS) | {"checkpoint"}
 
-#: kinds the sampler *may* drop (:mod:`repro.telemetry.sampling`); every
-#: other kind -- a kind added tomorrow included -- is protocol-critical,
-#: so no monitor, series or alignment ever sees a sampling-induced gap
-SAMPLEABLE_TRACE_KINDS = frozenset({"kr_region_begin"})
+#: kinds emitted on every iteration of a protected region whatever the
+#: protocol is doing, so they mark no protocol step; every other kind --
+#: a kind added tomorrow included -- is protocol-critical, the skeleton
+#: two traces of one cell must agree on (:mod:`repro.align`)
+PER_ITERATION_KINDS = frozenset({"kr_region_begin"})
 
 
 def layer_of(rec: Any) -> str:

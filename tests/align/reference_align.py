@@ -1,7 +1,8 @@
 """The alignment oracle: ``align`` as it stood before the compare-first pass.
 
-This is ``repro.align.engine.align`` of the parent commit, body verbatim:
-both streams are always keyed and canonicalised (one ``json.dumps`` per
+This is ``repro.align.engine.align`` of the commit before that pass, body
+verbatim but for the head-sampling filter, deleted from both since: both
+streams are always keyed and canonicalised (one ``json.dumps`` per
 record per side), whether or not they turn out to be identical.  The real
 ``align`` first asks whether the two streams are pairwise identical under
 a type-strict rule and only then falls through to this path, so for every
@@ -26,11 +27,7 @@ from repro.align.engine import (
     _lis_membership,
     _meta_int,
 )
-from repro.align.keying import (
-    KeyedRecord,
-    key_records,
-    protocol_critical,
-)
+from repro.align.keying import KeyedRecord, key_records
 from repro.sim.trace import TraceRecord
 from repro.vocabulary import ANCHOR_KINDS, LAYERS as _LAYER_ORDER
 
@@ -51,23 +48,6 @@ def reference_align(
     records_a = list(records_a)
     records_b = list(records_b)
     result = Alignment(n_a=len(records_a), n_b=len(records_b))
-
-    # differing sampling accounting => sampleable kinds are not
-    # comparable between the streams; align the skeleton only
-    sampled_a = _meta_int(meta_a, "sampled_out")
-    sampled_b = _meta_int(meta_b, "sampled_out")
-    if sampled_a != sampled_b:
-        kept_a = [r for r in records_a if protocol_critical(r.kind)]
-        kept_b = [r for r in records_b if protocol_critical(r.kind)]
-        result.excluded_sampleable = (
-            (len(records_a) - len(kept_a)) + (len(records_b) - len(kept_b))
-        )
-        result.notes.append(
-            f"sampling accounting differs (sampled_out {sampled_a} vs "
-            f"{sampled_b}); sampleable kinds excluded -- aligning the "
-            f"protocol-critical skeleton only"
-        )
-        records_a, records_b = kept_a, kept_b
 
     dropped = bool(_meta_int(meta_a, "dropped")) \
         or bool(_meta_int(meta_b, "dropped"))

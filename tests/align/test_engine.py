@@ -123,20 +123,6 @@ def test_evicted_prefix_is_excused_not_divergent(base_records):
     assert any("ring-buffer" in note for note in alignment.notes)
 
 
-# -- differing sampling accounting ---------------------------------------
-
-
-def test_sampling_mismatch_excludes_sampleable_kinds(base_records):
-    sampled = [r for r in base_records if r.kind != "kr_region_begin"]
-    n_removed = len(base_records) - len(sampled)
-    assert n_removed > 0
-    meta_b = {"sampled_out": n_removed}
-    alignment = align(base_records, sampled, meta_b=meta_b)
-    assert not alignment.divergent
-    assert alignment.excluded_sampleable >= n_removed
-    assert any("sampling accounting differs" in n for n in alignment.notes)
-
-
 # -- recovery breakdown --------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 """Canonical logical keys: wrank/epoch extraction, volatility, the
-sampling contract, layer attribution, and occurrence indexing."""
+protocol-critical skeleton, layer attribution, and occurrence indexing."""
 
 from repro.align.keying import (
     canonical_fields,
@@ -9,8 +9,7 @@ from repro.align.keying import (
     record_wrank,
 )
 from repro.sim.trace import TraceRecord
-from repro.vocabulary import ANCHOR_KINDS, layer_of
-from repro.telemetry.sampling import record_sampleable
+from repro.vocabulary import ANCHOR_KINDS, PER_ITERATION_KINDS, layer_of
 
 
 def rec(time=0.0, source="veloc.rank3", kind="checkpoint", **fields):
@@ -69,13 +68,14 @@ def test_canonical_collapses_tuples_to_lists():
     assert a == b
 
 
-# -- the shared sampling contract ----------------------------------------
+# -- the protocol-critical skeleton --------------------------------------
 
 
-def test_protocol_critical_is_the_sampling_complement():
+def test_protocol_critical_is_the_per_iteration_complement():
     for kind in ["rank_killed", "checkpoint", "recover", "repair",
                  "kr_region_begin", "compute", "detect"]:
-        assert protocol_critical(kind) == (not record_sampleable(kind))
+        assert protocol_critical(kind) == (kind not in PER_ITERATION_KINDS)
+    assert not protocol_critical("kr_region_begin")
 
 
 def test_anchor_kinds_are_all_protocol_critical():

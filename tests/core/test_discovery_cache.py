@@ -101,20 +101,6 @@ class TestDiscoveryMemoization:
         results, _ = run_kr(1, body)
         assert results[0] == 2
 
-    def test_memoization_can_be_disabled(self):
-        def body(kr, h, rt):
-            v = rt.view("state", shape=(8,))
-
-            def region():
-                v.fill(1.0)
-
-            for i in range(3):
-                yield from kr.checkpoint("loop", i, region)
-            return kr.discoveries_memoized
-
-        results, _ = run_kr(1, body, memoize_discovery=False)
-        assert results[0] == 0
-
     def test_generation_counter_bumps_on_registry_ops(self):
         from repro.kokkos.registry import ViewRegistry
 

@@ -31,7 +31,7 @@ from repro.monitor import MonitorSuite
 from repro.sim.failures import TimedFailure
 from repro.sim.trace import TraceListener, TraceRecord
 from repro.util.errors import ConfigError, DeadlockError, ReproError
-from repro.vocabulary import KILL_KINDS, REENTRY_KINDS, SAMPLEABLE_TRACE_KINDS
+from repro.vocabulary import KILL_KINDS, PER_ITERATION_KINDS, REENTRY_KINDS
 
 
 
@@ -101,9 +101,9 @@ def record(job: Job, strategy: str, n_spares: int, kills: Sequence[Kill] = ()):
 
 def instants(records: Iterable[TraceRecord]) -> List[float]:
     """Every distinct instant a protocol-critical record was emitted at
-    (the sampler may drop the rest, so no protocol step hangs on them)."""
+    (a per-iteration record marks no protocol step)."""
     return sorted({rec.time for rec in records
-                   if rec.kind not in SAMPLEABLE_TRACE_KINDS})
+                   if rec.kind not in PER_ITERATION_KINDS})
 
 
 def kill_points(times: Iterable[float], n_world: int) -> List[Kill]:

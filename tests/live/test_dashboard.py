@@ -80,10 +80,10 @@ def test_trace_frame_renders_lanes_series_and_alerts():
                   severity="critical", time=4.5, value=0.5,
                   threshold=0.001, op="<=", agg="p99")
     frame = render_trace_frame(agg, alerts=[alert],
-                               meta={"dropped": 3, "sampled_out": 7})
+                               meta={"dropped": 3})
     assert "records=4" in frame
     assert "open recoveries=1" in frame
-    assert "ring=3 sampled=7" in frame
+    assert "ring=3" in frame
     assert "●" in frame and "✕" in frame
     assert "checkpoint_overhead_pct" in frame
     assert "alerts (1):" in frame and "tight" in frame

@@ -93,17 +93,3 @@ def test_an_unparseable_line_that_is_not_the_last_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match=":1: not valid JSON"):
         read_trace(str(path))
 
-
-def test_sampled_out_round_trips_through_write_trace(tmp_path):
-    from repro.telemetry import SamplingPolicy, SpanSampler
-
-    tr = Trace(enabled=True, sampler=SpanSampler(
-        SamplingPolicy(head=1, stride=10)))
-    for i in range(20):
-        tr.emit(float(i), "kr.rank0", "kr_region_begin", iteration=i)
-    assert tr.sampled_out > 0
-    path = tmp_path / "sampled.jsonl"
-    write_trace(str(path), tr)
-    loaded = load_trace(str(path))
-    assert loaded.sampled_out == tr.sampled_out
-    assert loaded.sampled_window == tr.sampled_window

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.heatdis import HeatdisConfig
 from repro.experiments.common import paper_env
-from repro.harness.runner import run_heatdis_job, strict_monitor_default
+from repro.harness.runner import run_heatdis_job
 from repro.monitor import (
     InvariantViolationError,
     MonitorSuite,
@@ -53,27 +53,3 @@ class TestStrictMode:
         report = run_job()
         assert report.violations == []
 
-
-class TestEnvDefault:
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("", False), ("no", False), ("off", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_STRICT_MONITOR", value)
-        assert strict_monitor_default() is expected
-
-    def test_unset_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STRICT_MONITOR", raising=False)
-        assert strict_monitor_default() is False
-
-    def test_env_turns_on_strict_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_MONITOR", "1")
-        report = run_job()  # strict resolved from the environment
-        assert report.violations == []
-
-    def test_explicit_param_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_MONITOR", "1")
-        suite = MonitorSuite([AlwaysViolate()])
-        report = run_job(strict_monitor=False, monitor=suite)
-        assert len(report.violations) == 1  # reported, not raised

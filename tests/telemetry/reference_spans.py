@@ -133,13 +133,11 @@ class ReferenceTracer(Tracer):
 
 
 class ReferenceTelemetry(Telemetry):
-    def __init__(self, enabled: bool = True, sampler: Any = None) -> None:
-        super().__init__(enabled=enabled, sampler=sampler)
+    def __init__(self, enabled: bool = True) -> None:
+        super().__init__(enabled=enabled)
         self.tracer = ReferenceTracer()
 
     def span(self, source: str, name: str, **fields: Any):
         if not self.enabled:
-            return NULL_SPAN
-        if self.sampler is not None and not self.sampler.keep_span(name):
             return NULL_SPAN
         return self.tracer.span(source, name, **fields)

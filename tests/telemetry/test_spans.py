@@ -173,19 +173,6 @@ class TestTelemetryFacade:
             pass
         assert len(tel.tracer) == 0
 
-    def test_sampled_out_span_is_shared_null(self):
-        class DropCompute:
-            def keep_span(self, name):
-                return name != "compute"
-
-        tel = Telemetry(enabled=True, sampler=DropCompute())
-        tel.bind(FakeClock())
-        assert tel.span("rank0", "compute") is NULL_SPAN
-        assert tel.instant("rank0", "compute") is None
-        with tel.span("rank0", "kr.region") as sp:
-            assert isinstance(sp, SpanRecord)
-        assert [s.name for s in tel.tracer.spans] == ["kr.region"]
-
     def test_disabled_metrics_record_nothing(self):
         tel = Telemetry(enabled=False)
         tel.inc("a")

@@ -4,7 +4,7 @@
 belongs to, which recovery stage it marks and whose record it is.  These
 tests tie it to (a) what the stack really emits and what
 docs/PROTOCOLS.md §7 tells readers, (b) the observer packages, which may
-not grow a second copy, (d) the sampler's exemption -- and check that the
+not grow a second copy, (d) the per-iteration kinds -- and check that the
 views built on the resolver (``monitor state``, the ``live`` lanes, the
 Chrome export) tell one story about a substituted spare.
 """
@@ -29,7 +29,6 @@ from repro.sim.failures import IterationFailure
 from repro.sim.trace import TraceRecord
 from repro.telemetry import Telemetry
 from repro.telemetry.export import to_chrome_trace, track_for_source
-from repro.telemetry.sampling import record_sampleable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OBSERVER_PACKAGES = ("monitor", "live", "align", "profile", "telemetry",
@@ -48,7 +47,7 @@ def protocols_table():
             for ln in lines if ln.startswith("|")]
     header, body = rows[0], rows[2:]
     assert header == ["kind", "source", "layer", "recovery stage",
-                      "sampleable", "span twin"]
+                      "per-iteration", "span twin"]
     return {row[0]: {col: ("" if cell == "–" else cell)
                      for col, cell in zip(header, row)} for row in body}
 
@@ -72,7 +71,8 @@ def test_protocols_table_is_the_module():
         layer, stage, span = V.KINDS[kind]
         assert (row["layer"], row["recovery stage"], row["span twin"]) \
             == (layer, stage or "", span or ""), kind
-        assert (row["sampleable"] == "yes") == record_sampleable(kind), kind
+        assert (row["per-iteration"] == "yes") \
+            == (kind in V.PER_ITERATION_KINDS), kind
         # a kind Fenix re-emits at its own level is Fenix's there
         shapes = row["source"].split(", ")
         if "fenix" in shapes and "<comm>" in shapes:
@@ -127,7 +127,7 @@ def smoke_runs():
     for app, strategy, kill_rank in SMOKE_SCENARIOS:
         suite, tel = MonitorSuite(), Telemetry()
         build_job(app, strategy, 4, 30, 10, kill_rank=kill_rank)(
-            strict_monitor=False, monitor=suite, telemetry=tel)
+            monitor=suite, telemetry=tel)
         runs[f"{app}-{strategy}"] = (list(suite._trace), tel)
     return runs
 
@@ -262,10 +262,10 @@ def test_the_vocabulary_is_a_leaf():
 # -- (d) the declared sets agree with each other ------------------------------
 
 
-def test_protocol_critical_is_the_sampling_complement_over_every_kind():
+def test_protocol_critical_is_the_per_iteration_complement_over_every_kind():
     for kind in V.KINDS:
-        assert protocol_critical(kind) == (not record_sampleable(kind))
-    assert V.SAMPLEABLE_TRACE_KINDS <= set(V.KINDS)
+        assert protocol_critical(kind) == (kind not in V.PER_ITERATION_KINDS)
+    assert V.PER_ITERATION_KINDS <= set(V.KINDS)
 
 
 def test_every_named_set_draws_from_the_declared_kinds():
