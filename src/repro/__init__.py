@@ -7,7 +7,7 @@ paper describes:
 - :mod:`repro.sim` -- discrete-event engine, cluster/network/filesystem model,
   failure injection (substitute for the paper's 100-node Cray XC40).
 - :mod:`repro.mpi` -- simulated MPI with the ULFM fault-tolerance extensions
-  (revoke / shrink / agree / failure acknowledgement).
+  (revoke / shrink / agree).
 - :mod:`repro.fenix` -- process-resilience layer: spare ranks, in-place
   communicator repair, long-jump recovery, rank roles, IMR data store.
 - :mod:`repro.kokkos` -- Kokkos analogue: labelled Views over numpy,

@@ -107,14 +107,6 @@ class Heatdis2DState:
     def on_top_edge(self) -> bool:
         return self.ry == 0
 
-    @property
-    def on_left_edge(self) -> bool:
-        return self.rx == 0
-
-    @property
-    def on_right_edge(self) -> bool:
-        return self.rx == self.px - 1
-
     # -- boundaries --------------------------------------------------------
 
     def apply_boundaries(self) -> None:

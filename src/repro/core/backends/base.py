@@ -16,6 +16,7 @@ from typing import Any, Dict, Generator, List, Set
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
+from repro.veloc.client import newest_common_version
 
 
 def region_id_for(label: str) -> int:
@@ -66,11 +67,7 @@ class Backend(abc.ABC):
         Communicates (the paper's "manually performing a reduction
         operation to obtain a globally-best checkpoint").
         """
-        all_sets = yield from self.comm.allgather(sorted(self.local_versions()))
-        common = set(all_sets[0])
-        for s in all_sets[1:]:
-            common &= set(s)
-        return max(common) if common else -1
+        return (yield from newest_common_version(self.comm, self.local_versions()))
 
     def reset(self, comm: CommHandle) -> None:
         """Adopt a repaired communicator and refresh cached identity."""

@@ -114,10 +114,6 @@ class Context:
         self._recovery_pending = self._latest_cache >= 0
         return self._latest_cache
 
-    @property
-    def recovery_pending(self) -> bool:
-        return self._recovery_pending
-
     # -- the checkpoint region ------------------------------------------------------
 
     def checkpoint(

@@ -28,10 +28,8 @@ import repro.apps.minimd as minimd_mod
 
 #: CommHandle methods that are MPI call sites
 MPI_METHODS = {
-    "send", "recv", "recv_status", "isend", "irecv", "sendrecv", "waitall",
-    "bcast", "reduce", "allreduce", "barrier", "gather", "allgather",
-    "scatter", "alltoall", "shrink", "agree", "revoke", "get_failed",
-    "ack_failed",
+    "send", "recv", "sendrecv", "bcast", "allreduce", "allgather",
+    "revoke", "agree", "shrink",
 }
 
 #: identifiers marking a line as resilience-integration code

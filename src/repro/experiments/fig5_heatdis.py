@@ -15,7 +15,7 @@ category accounting plus the ``time mpirun`` wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.apps import HeatdisConfig
 from repro.experiments.common import (
@@ -56,10 +56,6 @@ class Fig5Cell(PairedCell):
     strategy: str
     data_bytes: float
     n_ranks: int
-
-    @property
-    def overhead_categories(self) -> Dict[str, float]:
-        return self.clean.as_row()
 
 
 def _heat_cfg(data_bytes: float, jitter: float = 0.05) -> HeatdisConfig:

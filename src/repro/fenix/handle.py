@@ -38,4 +38,4 @@ class FenixCommHandle(CommHandle):
             self.comm.revoke()
             system.note_detection(self.ctx, exc)
             raise FenixLongJump(system.generation)
-        # anything else (abort, misuse) propagates as a normal error
+        # anything else (misuse) propagates as a normal error

@@ -38,7 +38,6 @@ from repro.live.rules import (
     Alert,
     LiveSession,
     RuleSet,
-    SLOViolationError,
     load_rules,
 )
 from repro.monitor import (
@@ -211,7 +210,6 @@ class JobRunner:
         monitor: Optional[MonitorSuite] = None,
         profile: bool = False,
         rules: "Optional[RuleSet | str]" = None,
-        strict_slo: bool = False,
         trace_sink: Optional[Any] = None,
         capture_trace: bool = False,
     ) -> None:
@@ -239,7 +237,6 @@ class JobRunner:
         if self.monitor is None and self.strict_monitor:
             self.monitor = MonitorSuite()
         self.rules = load_rules(rules) if isinstance(rules, str) else rules
-        self.strict_slo = strict_slo
         # the live layer: windowed series + SLO rules evaluated in-run
         self.live: Optional[LiveSession] = (
             LiveSession(rules=self.rules, monitor=self.monitor)
@@ -309,8 +306,6 @@ class JobRunner:
         alerts: List[Any] = []
         if self.live is not None:
             alerts = self.live.finish(t=wall)
-            if self.strict_slo and alerts:
-                raise SLOViolationError(alerts)
         warnings: List[str] = []
         if self.trace is not None and self.trace.listener_errors:
             warnings.append(
@@ -577,7 +572,7 @@ def run_job(
 
     ``observe`` is :class:`JobRunner`'s observer keywords (``telemetry``,
     ``trace_max_records``, ``strict_monitor``, ``monitor``, ``profile``,
-    ``rules``, ``strict_slo``, ``trace_sink``), passed through untouched.
+    ``rules``, ``trace_sink``), passed through untouched.
 
     ``determinism_audit=True`` records the run's trace, replays the
     identical spec, aligns both traces (:mod:`repro.align`), compares

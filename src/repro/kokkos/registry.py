@@ -49,10 +49,6 @@ class ViewCensus:
     aliases: List[View] = field(default_factory=list)
     skipped: List[View] = field(default_factory=list)
 
-    @property
-    def total_views(self) -> int:
-        return len(self.checkpointed) + len(self.aliases) + len(self.skipped)
-
     def bytes_by_class(self) -> Dict[str, float]:
         return {
             "checkpointed": sum(v.modeled_nbytes for v in self.checkpointed),
@@ -112,10 +108,6 @@ class ViewRegistry:
 
     def is_alias(self, view: View) -> bool:
         return view.label in self._alias_labels
-
-    @property
-    def alias_labels(self) -> Set[str]:
-        return set(self._alias_labels)
 
     # -- census ----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ this one watches it happen.  Three pieces, all driven by
   protocol record stream;
 - :mod:`repro.live.rules` -- declarative SLO/alert rules evaluated over
   those series as the run executes; fired :class:`Alert` objects land
-  in ``RunReport.alerts`` and, under ``strict_slo``, fail the run;
+  in ``RunReport.alerts`` (``python -m repro.live check`` exits 1 on one);
 - :mod:`repro.live.dashboard` / :mod:`repro.live.openmetrics` -- the
   presentation edges: live TTY frames (``python -m repro.live tail``)
   and OpenMetrics text snapshots (``... export``).
@@ -36,7 +36,6 @@ from repro.live.rules import (
     AlertRule,
     LiveSession,
     RuleSet,
-    SLOViolationError,
     load_rules,
     parse_rules,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "LiveSession",
     "RankLane",
     "RuleSet",
-    "SLOViolationError",
     "TimeSeriesAggregator",
     "WindowedSeries",
     "from_aggregator",

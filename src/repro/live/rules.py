@@ -25,9 +25,8 @@ The :class:`AlertEngine` evaluates every rule at each tumbling-window
 boundary of the simulated clock (plus once at end of stream).  An alert
 fires at most once per violation episode: after firing, the rule
 re-arms only when it evaluates true again.  Fired alerts land in
-``RunReport.alerts``; in ``strict_slo`` harness mode they raise
-:class:`SLOViolationError` -- the CI-fails-the-run shape, mirroring
-``strict_monitor``.
+``RunReport.alerts``; ``python -m repro.live check`` exits 1 when one
+fires -- the CI-fails-the-run shape.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.live.series import AGGREGATIONS, STANDARD_SERIES, TimeSeriesAggregator
 from repro.sim.trace import Trace, TraceListener, TraceRecord
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ConfigError
 
 #: rules-file schema version
 RULES_SCHEMA = 1
@@ -56,16 +55,6 @@ OPS: Dict[str, Callable[[float, float], bool]] = {
 
 #: synthetic metrics served by providers, not the aggregator
 PROVIDER_METRICS = ("invariant_violations",)
-
-
-class SLOViolationError(ReproError):
-    """Raised by the harness in strict_slo mode when alerts fired."""
-
-    def __init__(self, alerts: List["Alert"]) -> None:
-        self.alerts = alerts
-        lines = [f"{len(alerts)} SLO alert(s) fired:"]
-        lines += ["  " + a.render() for a in alerts]
-        super().__init__("\n".join(lines))
 
 
 @dataclass(frozen=True)
@@ -307,8 +296,7 @@ class LiveSession(TraceListener):
     wanted: ``session.attach(trace)`` during the run, then
     ``session.finish()`` after the engine drains returns the fired
     alerts.  What a fired alert *costs* is the caller's policy: the
-    harness raises :class:`SLOViolationError` under ``strict_slo``, the
-    CLI exits 1.
+    harness files it in ``RunReport.alerts``, the CLI exits 1.
     """
 
     def __init__(

@@ -5,14 +5,15 @@ This package is the Python stand-in for MPI + User Level Fault Mitigation
 
 - :class:`World` -- a job of N ranks mapped onto cluster nodes, with rank
   lifecycle tracking and failure notification;
-- :class:`Communicator` -- tagged point-to-point matching plus
-  binomial-tree collectives, built entirely on the simulated network;
-- :class:`CommHandle` -- the per-rank facade application code calls
-  (mpi4py-flavoured API: ``send``/``recv``/``allreduce``/...);
-- the ULFM extension surface: :meth:`Communicator.revoke`,
-  :meth:`CommHandle.shrink`, :meth:`CommHandle.agree`, failure
-  acknowledgement, and the :class:`ProcFailedError`/:class:`RevokedError`
-  error classes that Fenix's recovery is driven by.
+- :class:`Communicator` -- tagged point-to-point matching (exact source
+  and tag, no wildcards) plus binomial-tree collectives, built entirely
+  on the simulated network;
+- :class:`CommHandle` -- the per-rank facade application code calls:
+  ``send``/``recv``/``sendrecv``, ``allreduce``/``allgather``/``bcast``
+  with the ``SUM`` and ``MIN`` reductions, and ULFM's ``revoke``/
+  ``shrink``/``agree``;
+- the :class:`ProcFailedError`/:class:`RevokedError` error classes that
+  Fenix's recovery is driven by.
 
 Semantics follow the ULFM specification where it matters to the paper:
 failures are reported at MPI call sites as exceptions; ``revoke`` is an
@@ -22,33 +23,22 @@ members and remain usable on a revoked communicator.
 """
 
 from repro.mpi.errors import (
-    AbortError,
     MPIError,
     ProcFailedError,
     RevokedError,
 )
-from repro.mpi.ops import MAX, MIN, PROD, SUM, LAND, LOR, ReduceOp
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Request, Status
+from repro.mpi.ops import MIN, SUM, ReduceOp
 from repro.mpi.comm import Communicator
 from repro.mpi.handle import CommHandle
 from repro.mpi.world import RankContext, World
 
 __all__ = [
-    "AbortError",
     "MPIError",
     "ProcFailedError",
     "RevokedError",
     "ReduceOp",
     "SUM",
     "MIN",
-    "MAX",
-    "PROD",
-    "LAND",
-    "LOR",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Request",
-    "Status",
     "Communicator",
     "CommHandle",
     "RankContext",

@@ -27,7 +27,7 @@ from typing import (
 )
 
 from repro.mpi.errors import ProcFailedError, RevokedError
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status, freeze_payload, payload_nbytes
+from repro.mpi.status import freeze_payload, payload_nbytes
 from repro.sim.engine import Event
 from repro.util.errors import ReproError, SimulationError
 
@@ -63,10 +63,10 @@ class PendingSend:
 class PostedRecv:
     """A receive posted before its matching send arrived."""
 
-    src: int  # may be ANY_SOURCE
+    src: int
     dst: int
-    tag: int  # may be ANY_TAG
-    event: Event  # succeeds with (payload, Status)
+    tag: int
+    event: Event  # succeeds with the payload
 
 
 class CollectiveGate:
@@ -172,7 +172,6 @@ class Communicator:
         self._posted: List[PostedRecv] = []
         self._unexpected: List[PendingSend] = []
         self._coll_seq: Dict[int, int] = {}
-        self._acked: Set[int] = set()
         # both complete on the *surviving* members, one log-depth
         # agreement round after the last of them arrives
         self._agree_gate = CollectiveGate(
@@ -233,17 +232,16 @@ class Communicator:
 
     # -- usability checks --------------------------------------------------
 
-    def check_usable(self, peer: Optional[int] = None) -> None:
+    def check_usable(self, peer: int) -> None:
         """Raise if the communicator is revoked or ``peer`` is dead."""
         if self.revoked:
             raise RevokedError(self.name)
-        if peer is not None and peer not in (ANY_SOURCE,):
-            if not (0 <= peer < self.size):
-                raise SimulationError(
-                    f"{self.name}: rank {peer} out of range [0,{self.size})"
-                )
-            if not self.is_alive(peer):
-                raise ProcFailedError({peer})
+        if not (0 <= peer < self.size):
+            raise SimulationError(
+                f"{self.name}: rank {peer} out of range [0,{self.size})"
+            )
+        if not self.is_alive(peer):
+            raise ProcFailedError({peer})
 
     def check_collective(self) -> None:
         """Raise if any member is dead (ULFM collectives error on failure)."""
@@ -288,7 +286,7 @@ class Communicator:
         return entry.done
 
     def recv_op(self, dst: int, src: int, tag: int) -> Event:
-        """Post a receive; event succeeds with ``(payload, Status)``."""
+        """Post a receive; event succeeds with the payload."""
         # Check the unexpected queue first: a message sent before its
         # sender died is still deliverable (the data already left).
         posted = PostedRecv(
@@ -302,58 +300,22 @@ class Communicator:
             self._unexpected.remove(pending)
             self._deliver(pending, posted)
             return posted.event
-        if self.revoked:
-            raise RevokedError(self.name)
-        if src != ANY_SOURCE:
-            self.check_usable(peer=src)
+        self.check_usable(peer=src)
         self._posted.append(posted)
         return posted.event
 
     def _find_posted(self, send: PendingSend) -> Optional[PostedRecv]:
         for recv in self._posted:
-            if recv.dst != send.dst:
-                continue
-            if recv.src not in (ANY_SOURCE, send.src):
-                continue
-            if recv.tag not in (ANY_TAG, send.tag):
-                continue
-            return recv
-        return None
-
-    def probe_op(
-        self, dst: int, src: int, tag: int
-    ) -> Optional[PendingSend]:
-        """Nonblocking probe: the first buffered message matching
-        (src, tag) addressed to ``dst``, without removing it.
-
-        Wildcard-tag probes skip reserved (negative) tags, so in-flight
-        collective traffic stays invisible -- real MPI separates these by
-        communicator context id.
-        """
-        if self.revoked:
-            raise RevokedError(self.name)
-        for send in self._unexpected:
-            if send.dst != dst:
-                continue
-            if src not in (ANY_SOURCE, send.src):
-                continue
-            if tag == ANY_TAG:
-                if send.tag < 0:
-                    continue  # reserved collective tag
-            elif tag != send.tag:
-                continue
-            return send
+            if (recv.dst == send.dst and recv.src == send.src
+                    and recv.tag == send.tag):
+                return recv
         return None
 
     def _find_unexpected(self, recv: PostedRecv) -> Optional[PendingSend]:
         for send in self._unexpected:
-            if send.dst != recv.dst:
-                continue
-            if recv.src not in (ANY_SOURCE, send.src):
-                continue
-            if recv.tag not in (ANY_TAG, send.tag):
-                continue
-            return send
+            if (send.dst == recv.dst and send.src == recv.src
+                    and send.tag == recv.tag):
+                return send
         return None
 
     def _deliver(self, send: PendingSend, recv: PostedRecv) -> None:
@@ -375,8 +337,7 @@ class Communicator:
 
     def _delivered(self, match: Tuple[PendingSend, PostedRecv]) -> None:
         send, recv = match
-        status = Status(source=send.src, tag=send.tag, nbytes=send.nbytes)
-        try_succeed(recv.event, (send.payload, status))
+        try_succeed(recv.event, send.payload)
         try_succeed(send.done, None)
 
     # -- ULFM surface --------------------------------------------------------
@@ -411,16 +372,6 @@ class Communicator:
                         fanout=fanout)
             tel.inc("mpi.revokes")
             tel.observe("mpi.revoke.fanout", fanout)
-
-    def ack_failed(self) -> Set[int]:
-        """MPI_Comm_failure_ack analogue: acknowledge current failures,
-        returning the set of comm-local failed ranks acknowledged so far."""
-        self._acked.update(self.failed_members())
-        return set(self._acked)
-
-    def get_failed(self) -> List[int]:
-        """Comm-local ranks currently known to have failed."""
-        return self.failed_members()
 
     def agree_gate(self, comm_rank: int, flag: bool) -> Event:
         """MPI_Comm_agree: logical AND over surviving members' flags.

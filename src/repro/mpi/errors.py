@@ -38,11 +38,3 @@ class RevokedError(MPIError):
 
     def __init__(self, comm_name: str = "") -> None:
         super().__init__(f"communicator {comm_name or '?'} has been revoked")
-
-
-class AbortError(MPIError):
-    """MPI_Abort: the job is being torn down."""
-
-    def __init__(self, code: int = 1, detail: str = "") -> None:
-        self.code = code
-        super().__init__(f"MPI_Abort(code={code})" + (f": {detail}" if detail else ""))

@@ -1,17 +1,21 @@
 """Per-rank communicator facade (the object application code talks to).
 
 A :class:`CommHandle` binds a shared :class:`~repro.mpi.comm.Communicator`
-to one rank's :class:`~repro.mpi.world.RankContext`.  Its API mirrors
-mpi4py's lowercase object interface (``send``/``recv``/``bcast``/
-``allreduce``/...), every blocking call is a generator to be driven with
-``yield from``, and every call charges its wall time to the rank's
+to one rank's :class:`~repro.mpi.world.RankContext`.  Its API is the
+subset of mpi4py's lowercase object interface the stack calls: halos
+(``send``/``recv``/``sendrecv``), collectives (``allreduce``/
+``allgather``/``bcast``) and ULFM's ``revoke``/``shrink``/``agree``.  Every blocking
+call is a generator to be driven with ``yield from``, and every call
+charges its wall time to the rank's
 :class:`~repro.util.timing.TimeAccount` under kind ``"mpi"`` -- which is
-exactly the paper's "App MPI" measurement.
+exactly the paper's "App MPI" measurement.  Receives name their source
+and tag; there are no wildcards.
 
 Collectives are implemented *on top of the point-to-point layer* with
-binomial trees (bcast/reduce) and dissemination (barrier), so their cost
-scales as ``O(log P)`` network hops and they contend for NICs like any
-other traffic -- both properties the paper's scaling discussion relies on.
+binomial trees (bcast, and the reduce and gather under allreduce and
+allgather), so their cost scales as ``O(log P)`` network hops and they
+contend for NICs like any other traffic -- both properties the paper's
+scaling discussion relies on.
 
 Subclasses may override :meth:`_on_mpi_error` to implement an MPI error
 handler; :class:`repro.fenix.FenixCommHandle` uses this hook to revoke the
@@ -25,7 +29,6 @@ from typing import Any, Generator, List, Optional
 from repro.mpi.comm import Communicator
 from repro.mpi.errors import MPIError
 from repro.mpi.ops import ReduceOp, SUM
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Request, Status
 from repro.sim.engine import Event
 from repro.util.errors import SimulationError
 
@@ -33,11 +36,6 @@ from repro.util.errors import SimulationError
 _OP_BCAST = 1
 _OP_REDUCE = 2
 _OP_GATHER = 3
-_OP_SCATTER = 4
-_OP_ALLTOALL = 5
-_OP_BARRIER = 6
-_OP_SCAN = 7
-_OP_SPLIT = 8
 
 
 class CommHandle:
@@ -117,39 +115,13 @@ class CommHandle:
     def _send(self, payload, dest, tag, nbytes):
         yield self.comm.send_op(self._rank, dest, tag, payload, nbytes)
 
-    def recv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Generator[Event, Any, Any]:
+    def recv(self, source: int, tag: int = 0) -> Generator[Event, Any, Any]:
         """Blocking receive: returns the payload."""
         return self._timed(self._recv(source, tag))
 
     def _recv(self, source, tag):
-        payload, _status = yield self.comm.recv_op(self._rank, source, tag)
+        payload = yield self.comm.recv_op(self._rank, source, tag)
         return payload
-
-    def recv_status(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Generator[Event, Any, Any]:
-        """Blocking receive returning ``(payload, Status)``."""
-        return self._timed(self._recv_status(source, tag))
-
-    def _recv_status(self, source, tag):
-        result = yield self.comm.recv_op(self._rank, source, tag)
-        return result
-
-    def isend(
-        self, payload: Any, dest: int, tag: int = 0, nbytes: Optional[float] = None
-    ) -> Request:
-        """Nonblocking send (completes on delivery)."""
-        return Request(self.comm.send_op(self._rank, dest, tag, payload, nbytes), "isend")
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; wait() returns ``(payload, Status)``."""
-        return Request(self.comm.recv_op(self._rank, source, tag), "irecv")
-
-    def waitall(self, requests: List[Request]) -> Generator[Event, Any, list]:
-        """Timed MPI_Waitall."""
-        return self._timed(Request.waitall(requests))
 
     def sendrecv(
         self,
@@ -170,8 +142,7 @@ class CommHandle:
         recv_ev = self.comm.recv_op(self._rank, source, rtag)
         send_ev = self.comm.send_op(self._rank, dest, sendtag, payload, nbytes)
         values = yield self.engine.all_of([recv_ev, send_ev])
-        recv_payload, _status = values[0]
-        return recv_payload
+        return values[0]
 
     # -- collectives -------------------------------------------------------------
 
@@ -205,7 +176,7 @@ class CommHandle:
             if sends:
                 yield self.engine.all_of(sends)
             return value
-        value, _ = yield comm.recv_op(self._rank, root, tag)
+        value = yield comm.recv_op(self._rank, root, tag)
         return value
 
     def _bcast(self, value, root, nbytes):
@@ -219,7 +190,7 @@ class CommHandle:
             while mask < size:
                 if rel & mask:
                     src = (rel - mask + root) % size
-                    value, _ = yield comm.recv_op(self._rank, src, tag)
+                    value = yield comm.recv_op(self._rank, src, tag)
                     break
                 mask <<= 1
         else:
@@ -235,16 +206,6 @@ class CommHandle:
         if sends:
             yield self.engine.all_of(sends)
         return value
-
-    def reduce(
-        self,
-        value: Any,
-        op: ReduceOp = SUM,
-        root: int = 0,
-        nbytes: Optional[float] = None,
-    ) -> Generator[Event, Any, Any]:
-        """Binomial-tree reduction; returns the result at root, None elsewhere."""
-        return self._timed(self._reduce(value, op, root, nbytes))
 
     def _reduce(self, value, op, root, nbytes):
         comm = self.comm
@@ -262,7 +223,7 @@ class CommHandle:
             child_rel = rel | mask
             if child_rel < size:
                 src = (child_rel + root) % size
-                child_val, _ = yield comm.recv_op(self._rank, src, tag)
+                child_val = yield comm.recv_op(self._rank, src, tag)
                 acc = op(acc, child_val)
             mask <<= 1
         return acc
@@ -278,30 +239,6 @@ class CommHandle:
         result = yield from self._bcast(reduced, 0, nbytes)
         return result
 
-    def barrier(self) -> Generator[Event, Any, None]:
-        """Dissemination barrier: ceil(log2 P) rounds of empty exchanges."""
-        return self._timed(self._barrier())
-
-    def _barrier(self):
-        comm = self.comm
-        comm.check_collective()
-        tag = comm.next_collective_tag(self._rank, _OP_BARRIER)
-        size = comm.size
-        dist = 1
-        while dist < size:
-            dst = (self._rank + dist) % size
-            src = (self._rank - dist) % size
-            recv_ev = comm.recv_op(self._rank, src, tag)
-            send_ev = comm.send_op(self._rank, dst, tag, None, 0.0)
-            yield self.engine.all_of([recv_ev, send_ev])
-            dist <<= 1
-
-    def gather(
-        self, value: Any, root: int = 0, nbytes: Optional[float] = None
-    ) -> Generator[Event, Any, Any]:
-        """Gather to root; root returns the list indexed by rank."""
-        return self._timed(self._gather(value, root, nbytes))
-
     def _gather(self, value, root, nbytes):
         comm = self.comm
         comm.check_collective()
@@ -313,7 +250,7 @@ class CommHandle:
             values = yield self.engine.all_of(events)
             result: List[Any] = [None] * size
             result[root] = value
-            for src, (payload, _status) in zip(sources, values):
+            for src, payload in zip(sources, values):
                 result[src] = payload
             return result
         yield comm.send_op(self._rank, root, tag, value, nbytes)
@@ -330,167 +267,6 @@ class CommHandle:
         total = None if nbytes is None else nbytes * self.comm.size
         result = yield from self._bcast(gathered, 0, total)
         return result
-
-    def scatter(
-        self, values: Optional[List[Any]] = None, root: int = 0,
-        nbytes: Optional[float] = None,
-    ) -> Generator[Event, Any, Any]:
-        """Scatter from root; each rank returns its element."""
-        return self._timed(self._scatter(values, root, nbytes))
-
-    def _scatter(self, values, root, nbytes):
-        comm = self.comm
-        comm.check_collective()
-        tag = comm.next_collective_tag(self._rank, _OP_SCATTER)
-        size = comm.size
-        if self._rank == root:
-            if values is None or len(values) != size:
-                raise SimulationError(
-                    f"scatter root needs {size} values, got "
-                    f"{None if values is None else len(values)}"
-                )
-            sends = [
-                comm.send_op(self._rank, dst, tag, values[dst], nbytes)
-                for dst in range(size)
-                if dst != root
-            ]
-            if sends:
-                yield self.engine.all_of(sends)
-            return values[root]
-        payload, _status = yield comm.recv_op(self._rank, root, tag)
-        return payload
-
-    def alltoall(
-        self, values: List[Any], nbytes: Optional[float] = None
-    ) -> Generator[Event, Any, Any]:
-        """Personalized all-to-all exchange."""
-        return self._timed(self._alltoall(values, nbytes))
-
-    def _alltoall(self, values, nbytes):
-        comm = self.comm
-        comm.check_collective()
-        size = comm.size
-        if len(values) != size:
-            raise SimulationError(f"alltoall needs {size} values, got {len(values)}")
-        tag = comm.next_collective_tag(self._rank, _OP_ALLTOALL)
-        sources = [src for src in range(size) if src != self._rank]
-        recv_events = [comm.recv_op(self._rank, src, tag) for src in sources]
-        send_events = [
-            comm.send_op(self._rank, dst, tag, values[dst], nbytes)
-            for dst in range(size)
-            if dst != self._rank
-        ]
-        received = yield self.engine.all_of(recv_events)
-        if send_events:
-            yield self.engine.all_of(send_events)
-        result: List[Any] = [None] * size
-        result[self._rank] = values[self._rank]
-        for src, (payload, _status) in zip(sources, received):
-            result[src] = payload
-        return result
-
-    def scan(
-        self, value: Any, op: ReduceOp = SUM, nbytes: Optional[float] = None
-    ) -> Generator[Event, Any, Any]:
-        """Inclusive prefix reduction: rank r returns op over ranks 0..r.
-
-        Linear-chain algorithm (each rank receives its predecessor's
-        prefix, folds, forwards) -- O(P) latency like small-message MPI
-        implementations.
-        """
-        return self._timed(self._scan(value, op, nbytes, exclusive=False))
-
-    def exscan(
-        self, value: Any, op: ReduceOp = SUM, nbytes: Optional[float] = None
-    ) -> Generator[Event, Any, Any]:
-        """Exclusive prefix reduction: rank r returns op over ranks 0..r-1
-        (None at rank 0, like MPI_Exscan's undefined result)."""
-        return self._timed(self._scan(value, op, nbytes, exclusive=True))
-
-    def _scan(self, value, op, nbytes, exclusive):
-        comm = self.comm
-        comm.check_collective()
-        tag = comm.next_collective_tag(self._rank, _OP_SCAN)
-        size = comm.size
-        prefix = None
-        if self._rank > 0:
-            prefix, _ = yield comm.recv_op(self._rank, self._rank - 1, tag)
-        inclusive = value if prefix is None else op(prefix, value)
-        if self._rank + 1 < size:
-            yield comm.send_op(self._rank, self._rank + 1, tag, inclusive, nbytes)
-        return prefix if exclusive else inclusive
-
-    # -- communicator management ------------------------------------------------------
-
-    def dup(self) -> Generator[Event, Any, "CommHandle"]:
-        """MPI_Comm_dup: a new communicator with the same group but a
-        private matching context (collective)."""
-        return self._timed(self._dup())
-
-    def _dup(self):
-        comm = self.comm
-        comm.check_collective()
-        # agree on the duplicate via a zero-byte barrier, then rank 0's
-        # deterministic construction is shared state
-        yield from self._barrier()
-        key = ("dup", comm.next_collective_tag(self._rank, _OP_SPLIT))
-        store = getattr(comm, "_dup_cache", None)
-        if store is None:
-            store = {}
-            comm._dup_cache = store
-        new_comm = store.get(key)
-        if new_comm is None:
-            new_comm = comm.world.create_comm(
-                comm.members, name=f"{comm.name}.dup"
-            )
-            store[key] = new_comm
-        return self.rebind(new_comm)
-
-    def split(
-        self, color: int, key: int = 0
-    ) -> Generator[Event, Any, "Optional[CommHandle]"]:
-        """MPI_Comm_split: partition members by ``color`` (ordered by
-        ``key`` then old rank).  ``color < 0`` (undefined) returns None."""
-        return self._timed(self._split(color, key))
-
-    def _split(self, color, key):
-        comm = self.comm
-        comm.check_collective()
-        contributions = yield from self._allgather((color, key, self._rank), None)
-        store = getattr(comm, "_split_cache", None)
-        if store is None:
-            store = {}
-            comm._split_cache = store
-        signature = tuple(contributions)
-        groups = store.get(signature)
-        if groups is None:
-            by_color = {}
-            for c, k, r in contributions:
-                if c is None or (isinstance(c, int) and c < 0):
-                    continue
-                by_color.setdefault(c, []).append((k, r))
-            groups = {}
-            for c, members in sorted(by_color.items()):
-                ordered = [r for _k, r in sorted(members)]
-                groups[c] = comm.world.create_comm(
-                    [comm.world_rank(r) for r in ordered],
-                    name=f"{comm.name}.split{c}",
-                )
-            store[signature] = groups
-        if color is None or (isinstance(color, int) and color < 0):
-            return None
-        return self.rebind(groups[color])
-
-    # -- probing ------------------------------------------------------------------------
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking probe: Status of a matching pending message, else
-        None.  (Only observes messages already buffered, like MPI_Iprobe.)
-        """
-        entry = self.comm.probe_op(self._rank, source, tag)
-        if entry is None:
-            return None
-        return Status(source=entry.src, tag=entry.tag, nbytes=entry.nbytes)
 
     # -- ULFM extension ------------------------------------------------------------
 
@@ -513,14 +289,6 @@ class CommHandle:
     def _shrink(self):
         new_comm = yield self.comm.shrink_gate(self._rank)
         return self.rebind(new_comm)
-
-    def get_failed(self) -> List[int]:
-        """Comm-local ranks known dead."""
-        return self.comm.get_failed()
-
-    def ack_failed(self):
-        """MPI_Comm_failure_ack."""
-        return self.comm.ack_failed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CommHandle rank={self._rank}/{self.size} on {self.comm.name}>"

@@ -21,46 +21,9 @@ class ReduceOp:
     def __call__(self, a: Any, b: Any) -> Any:
         return self._fn(a, b)
 
-    def reduce(self, values: "list[Any]") -> Any:
-        """Fold an ordered list of contributions."""
-        if not values:
-            raise ValueError(f"{self.name}: nothing to reduce")
-        acc = values[0]
-        for v in values[1:]:
-            acc = self._fn(acc, v)
-        return acc
-
     def __repr__(self) -> str:
         return f"ReduceOp({self.name})"
 
 
-def _sum(a, b):
-    return np.add(a, b)
-
-
-def _prod(a, b):
-    return np.multiply(a, b)
-
-
-def _min(a, b):
-    return np.minimum(a, b)
-
-
-def _max(a, b):
-    return np.maximum(a, b)
-
-
-def _land(a, b):
-    return np.logical_and(a, b)
-
-
-def _lor(a, b):
-    return np.logical_or(a, b)
-
-
-SUM = ReduceOp("SUM", _sum)
-PROD = ReduceOp("PROD", _prod)
-MIN = ReduceOp("MIN", _min)
-MAX = ReduceOp("MAX", _max)
-LAND = ReduceOp("LAND", _land)
-LOR = ReduceOp("LOR", _lor)
+SUM = ReduceOp("SUM", np.add)
+MIN = ReduceOp("MIN", np.minimum)

@@ -1,63 +1,11 @@
-"""Message status, request objects, and payload size estimation."""
+"""Payload size estimation and send-time snapshots."""
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Any, Generator, List
+from typing import Any
 
 import numpy as np
-
-from repro.sim.engine import Event
-
-#: wildcard source/tag (mirror MPI_ANY_SOURCE / MPI_ANY_TAG)
-ANY_SOURCE: int = -1
-ANY_TAG: int = -1
-
-
-@dataclass(frozen=True)
-class Status:
-    """Delivery metadata attached to every received message."""
-
-    source: int
-    tag: int
-    nbytes: float
-
-
-class Request:
-    """Nonblocking-operation handle (isend/irecv).
-
-    ``yield from req.wait()`` blocks the calling process until completion
-    and returns the operation's value (``None`` for sends, the payload for
-    receives).  ``req.test()`` is a non-blocking completion probe.
-    """
-
-    def __init__(self, event: Event, kind: str = "op") -> None:
-        self._event = event
-        self.kind = kind
-
-    @property
-    def event(self) -> Event:
-        return self._event
-
-    def test(self) -> bool:
-        return self._event.processed
-
-    def wait(self) -> Generator[Event, Any, Any]:
-        value = yield self._event
-        return value
-
-    @staticmethod
-    def waitall(requests: "List[Request]") -> Generator[Event, Any, list]:
-        """Wait for every request; returns their values in order.
-
-        Fails with the first request failure (like MPI_Waitall reporting
-        an error class)."""
-        if not requests:
-            return []
-        engine = requests[0]._event.engine
-        values = yield engine.all_of([r._event for r in requests])
-        return values
 
 
 def payload_nbytes(payload: Any) -> float:

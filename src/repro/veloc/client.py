@@ -41,6 +41,16 @@ class VeloCError(ReproError):
     """Checkpoint/restart failure (missing version, bad region, ...)."""
 
 
+def newest_common_version(
+    comm: CommHandle, local: Set[int]
+) -> Generator[Event, Any, int]:
+    """The newest version in every rank's ``local`` set, or -1: one
+    allgather of the sorted local versions, then their intersection."""
+    all_sets = yield from comm.allgather(sorted(local))
+    common = set(all_sets[0]).intersection(*all_sets[1:])
+    return max(common, default=-1)
+
+
 class VeloCClient:
     """One rank's connection to the checkpoint system."""
 
@@ -104,15 +114,6 @@ class VeloCClient:
         self._protected.pop(region_id, None)
         self._snapshots.pop(region_id, None)
         self._protected_nbytes = None
-
-    def clear_protected(self) -> None:
-        self._protected.clear()
-        self._snapshots.clear()
-        self._protected_nbytes = None
-
-    @property
-    def protected_regions(self) -> Dict[int, View]:
-        return dict(self._protected)
 
     def protected_nbytes(self) -> float:
         if self._protected_nbytes is None:
@@ -287,18 +288,10 @@ class VeloCClient:
         intersection over the communicator -- the stock VeloC behaviour
         that breaks under communicator repair.
         """
+        local = self.local_versions()
         if not self.config.collective:
-            local = self.local_versions()
             return max(local) if local else -1
-        return self._restart_test_collective()
-
-    def _restart_test_collective(self) -> Generator[Event, Any, int]:
-        local = sorted(self.local_versions())
-        all_sets = yield from self.comm.allgather(local)
-        common = set(all_sets[0])
-        for s in all_sets[1:]:
-            common &= set(s)
-        return max(common) if common else -1
+        return newest_common_version(self.comm, local)
 
     # -- recovery -----------------------------------------------------------------------
 

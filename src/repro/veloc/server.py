@@ -233,6 +233,3 @@ class VeloCService:
     @property
     def servers(self) -> Dict[int, VeloCServer]:
         return dict(self._servers)
-
-    def total_backlog(self) -> int:
-        return sum(s.backlog for s in self._servers.values())

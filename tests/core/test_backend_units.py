@@ -92,7 +92,7 @@ class TestBackendContract:
             yield from backend.checkpoint(0)
             if h.rank == 0:  # finished locally, not globally
                 yield from backend.checkpoint(1)
-            yield from h.barrier()
+            yield from h.allreduce(0)
             latest = yield from backend.latest_version()
             return sorted(backend.local_versions()), latest
 

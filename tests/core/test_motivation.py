@@ -59,7 +59,7 @@ class TestStaleCommunicator:
                 try:
                     # drive the raw (unhandled) collective query on the
                     # stale communicator object
-                    yield from client._restart_test_collective()
+                    yield from client.restart_test()
                 except RevokedError:
                     observed.append(ctx.rank)
                 return "survivor-done"

@@ -1,11 +1,12 @@
-"""Checkpointing over sub-communicators (comm split + per-group contexts)."""
+"""Checkpointing over sub-communicators (one communicator and one
+context per group)."""
 
 import numpy as np
 import pytest
 
 from repro.core import KRConfig, every_nth, make_context
 from repro.kokkos import KokkosRuntime
-from repro.mpi import SUM, World
+from repro.mpi import SUM, CommHandle, World
 from repro.sim import Cluster, ClusterSpec, NetworkSpec, NodeSpec
 from repro.veloc import VeloCService
 
@@ -26,16 +27,18 @@ def make_stack(n_ranks):
 
 class TestSplitCheckpointing:
     def test_two_groups_checkpoint_independently(self):
-        """Each split group runs its own context; distinct checkpoint
-        names keep the groups' version keys apart (sub-communicator ranks
-        overlap, so the name carries the group identity)."""
+        """Each group runs its own context; distinct checkpoint names keep
+        the groups' version keys apart (sub-communicator ranks overlap, so
+        the name carries the group identity)."""
         cluster, world, service = make_stack(4)
+        groups = [world.create_comm([0, 2], name="evens"),
+                  world.create_comm([1, 3], name="odds")]
         results = {}
 
         def main(rank):
             h = world.comm_world_handle(rank)
             color = h.rank % 2
-            sub = yield from h.split(color=color)
+            sub = CommHandle(groups[color], world.context(rank))
             config = KRConfig(backend="veloc", filter=every_nth(1, offset=-1))
             kr = make_context(sub, config, cluster, veloc_service=service,
                               ckpt_name=f"group{color}")
@@ -67,11 +70,11 @@ class TestSplitCheckpointing:
         """Documented sharp edge: sub-communicator ranks overlap, so two
         groups sharing one checkpoint name write to the same keys."""
         cluster, world, service = make_stack(2)
+        singletons = [world.create_comm([r], name=f"solo{r}") for r in range(2)]
         seen = {}
 
         def main(rank):
-            h = world.comm_world_handle(rank)
-            sub = yield from h.split(color=h.rank)  # singleton groups
+            sub = CommHandle(singletons[rank], world.context(rank))
             config = KRConfig(backend="veloc", filter=every_nth(1, offset=-1))
             kr = make_context(sub, config, cluster, veloc_service=service,
                               ckpt_name="shared")

@@ -30,7 +30,7 @@ class TestNoFailureRuns:
 
         def main(role, h):
             sizes.append((h.rank, h.size))
-            yield from h.barrier()
+            yield from h.allreduce(0)
             return "ok"
 
         run_fenix(5, n_spares=2, main=main)
@@ -39,7 +39,7 @@ class TestNoFailureRuns:
     def test_spares_released_at_job_end(self):
         # If spares were not released, engine.run() would deadlock.
         def main(role, h):
-            yield from h.barrier()
+            yield from h.allreduce(0)
             return "done"
 
         results, _, world = run_fenix(3, n_spares=2, main=main)
@@ -204,7 +204,7 @@ class TestCallbacks:
 class TestAccounting:
     def test_init_cost_charged(self):
         def main(role, h):
-            yield from h.barrier()
+            yield from h.allreduce(0)
             return h.ctx.account.get("resilience_init")
 
         results, _, _ = run_fenix(2, n_spares=0, main=main)

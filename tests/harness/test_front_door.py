@@ -88,7 +88,7 @@ def test_the_error_that_stopped_the_job_is_the_error_raised(monkeypatch):
     of the type, not a substring of a message."""
     def build(*_args, **_kwargs):
         def main(role, handle):
-            yield from handle.barrier()
+            yield from handle.allreduce(0)
             if handle.rank == 1:
                 raise ConfigError("rank 1 cannot go on")
         return main

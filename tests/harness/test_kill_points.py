@@ -317,7 +317,7 @@ def test_spare_exhaustion_reaches_a_hand_built_job_as_itself():
     def main(role, handle):
         for i in range(3):
             plan.check(handle.ctx.rank, i)
-            yield from handle.barrier()
+            yield from handle.allreduce(0)
 
     system.spawn_all(main, failure_plan=plan)
     world.engine.run()

@@ -1,11 +1,9 @@
 """Live SLO rules wired through the harness, executor, and reports."""
 
-import pytest
-
 from repro.apps.heatdis import HeatdisConfig
 from repro.experiments.common import paper_env
 from repro.harness.runner import run_heatdis_job
-from repro.live.rules import AlertRule, RuleSet, SLOViolationError
+from repro.live.rules import AlertRule, RuleSet
 from repro.sim.failures import IterationFailure, NoFailures
 from repro.sim.trace import Trace
 
@@ -21,12 +19,12 @@ def tight_rules():
         severity="critical")])
 
 
-def run(rules=None, strict_slo=None, plan=None, trace_sink=None):
+def run(rules=None, plan=None, trace_sink=None):
     env = paper_env(RANKS + 1, n_spares=1, pfs_servers=2)
     if plan is None:
         plan = IterationFailure.between_checkpoints(1, INTERVAL, 1)
     return run_heatdis_job(env, "fenix_kr_veloc", RANKS, CFG, INTERVAL,
-                           plan=plan, rules=rules, strict_slo=strict_slo,
+                           plan=plan, rules=rules,
                            trace_sink=trace_sink)
 
 
@@ -48,11 +46,6 @@ class TestRulesOnTheReport:
     def test_failure_free_run_fires_nothing(self):
         report = run(rules=tight_rules(), plan=NoFailures())
         assert report.alerts == []
-
-    def test_strict_slo_raises(self):
-        with pytest.raises(SLOViolationError) as exc:
-            run(rules=tight_rules(), strict_slo=True)
-        assert len(exc.value.alerts) == 1
 
     def test_no_rules_means_no_alerts_attribute_surprises(self):
         report = run()

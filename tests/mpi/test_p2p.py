@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG
-from tests.mpi.conftest import run_ranks
+from repro.mpi import CommHandle, World
+from tests.mpi.conftest import run_ranks, small_cluster
 
 
 class TestBasicSendRecv:
@@ -39,9 +39,9 @@ class TestBasicSendRecv:
         def body(h):
             if h.rank == 0:
                 buf = np.zeros(4)
-                req = h.isend(buf, dest=1)
+                # an eager send completes before the message is delivered
+                yield from h.send(buf, dest=1)
                 buf[:] = 99.0
-                yield from h.waitall([req])
             elif h.rank == 1:
                 data = yield from h.recv(source=0)
                 return float(data.sum())
@@ -80,60 +80,32 @@ class TestBasicSendRecv:
         results, _ = run_ranks(2, body)
         assert results[1] == [0, 1, 2, 3, 4]
 
-    def test_any_source_any_tag(self):
-        def body(h):
-            if h.rank in (0, 2):
-                yield from h.send(f"from{h.rank}", dest=1, tag=h.rank)
-            elif h.rank == 1:
-                a = yield from h.recv(source=ANY_SOURCE, tag=ANY_TAG)
-                b = yield from h.recv(source=ANY_SOURCE, tag=ANY_TAG)
-                return {a, b}
-            return None
+    def test_messages_do_not_cross_communicators(self):
+        # two communicators over the same ranks: same source, same tag,
+        # and each receive gets its own communicator's message
+        world = World(small_cluster(2), 2)
+        first = world.create_comm([0, 1], name="first")
+        second = world.create_comm([0, 1], name="second")
+        got = {}
 
-        results, _ = run_ranks(3, body)
-        assert results[1] == {"from0", "from2"}
+        def main(rank):
+            a = CommHandle(first, world.context(rank))
+            b = CommHandle(second, world.context(rank))
+            if rank == 0:
+                yield from a.send("on-first", dest=1, tag=7)
+                yield from b.send("on-second", dest=1, tag=7)
+            else:
+                got["second"] = yield from b.recv(source=0, tag=7)
+                got["first"] = yield from a.recv(source=0, tag=7)
 
-    def test_recv_status(self):
-        def body(h):
-            if h.rank == 0:
-                yield from h.send(b"xyz", dest=1, tag=42)
-            elif h.rank == 1:
-                payload, status = yield from h.recv_status(source=ANY_SOURCE)
-                return (payload, status.source, status.tag, status.nbytes)
-            return None
-
-        results, _ = run_ranks(2, body)
-        assert results[1] == (b"xyz", 0, 42, 3.0)
+        for r in range(2):
+            world.spawn(r, main(r))
+        world.engine.run()
+        world.raise_job_errors()
+        assert got == {"first": "on-first", "second": "on-second"}
 
 
 class TestNonblocking:
-    def test_isend_irecv_waitall(self):
-        def body(h):
-            if h.rank == 0:
-                reqs = [h.isend(i, dest=1, tag=i) for i in range(3)]
-                yield from h.waitall(reqs)
-            elif h.rank == 1:
-                reqs = [h.irecv(source=0, tag=i) for i in range(3)]
-                values = yield from h.waitall(reqs)
-                return [payload for payload, _status in values]
-            return None
-
-        results, _ = run_ranks(2, body)
-        assert results[1] == [0, 1, 2]
-
-    def test_request_test_flag(self):
-        def body(h):
-            if h.rank == 0:
-                req = h.isend("x", dest=1)
-                assert not req.test()
-                yield from h.waitall([req])
-                assert req.test()
-            elif h.rank == 1:
-                yield from h.recv(source=0)
-            return None
-
-        run_ranks(2, body)
-
     def test_sendrecv_exchange(self):
         def body(h):
             partner = 1 - h.rank

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi import MAX, MIN, PROD, SUM
+from repro.mpi import MIN, SUM
 from tests.mpi.conftest import run_ranks
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -16,10 +16,10 @@ def test_gather_preserves_order_and_values(values):
     size = len(values)
 
     def body(h):
-        return (yield from h.gather(values[h.rank], root=0))
+        return (yield from h.allgather(values[h.rank]))
 
     results, _ = run_ranks(size, body)
-    assert results[0] == values
+    assert all(results[r] == values for r in range(size))
 
 
 @settings(max_examples=20, deadline=None)
@@ -50,42 +50,14 @@ def test_reduce_ops_match_numpy(data):
     def body(h):
         s = yield from h.allreduce(arrays[h.rank], op=SUM)
         mn = yield from h.allreduce(arrays[h.rank], op=MIN)
-        mx = yield from h.allreduce(arrays[h.rank], op=MAX)
-        return (s, mn, mx)
+        return (s, mn)
 
     results, _ = run_ranks(size, body)
     stacked = np.stack(arrays)
     for r in range(size):
-        s, mn, mx = results[r]
+        s, mn = results[r]
         np.testing.assert_allclose(s, stacked.sum(axis=0), rtol=1e-9, atol=1e-6)
         np.testing.assert_array_equal(mn, stacked.min(axis=0))
-        np.testing.assert_array_equal(mx, stacked.max(axis=0))
-
-
-@settings(max_examples=15, deadline=None)
-@given(size=st.integers(min_value=1, max_value=7), shift=st.integers(0, 6))
-def test_alltoall_is_transpose(size, shift):
-    def body(h):
-        values = [(h.rank * 31 + (dst + shift) * 7) for dst in range(size)]
-        return (yield from h.alltoall(values))
-
-    results, _ = run_ranks(size, body)
-    for r in range(size):
-        assert results[r] == [src * 31 + (r + shift) * 7 for src in range(size)]
-
-
-@settings(max_examples=10, deadline=None)
-@given(size=st.integers(min_value=2, max_value=8))
-def test_barrier_enforces_global_order(size):
-    def body(h):
-        yield from h.ctx.sleep(float(h.rank) * 0.5)
-        yield from h.barrier()
-        return h.engine.now
-
-    results, _ = run_ranks(size, body)
-    slowest_arrival = (size - 1) * 0.5
-    for t in results.values():
-        assert t >= slowest_arrival
 
 
 @settings(max_examples=10, deadline=None)

@@ -197,7 +197,7 @@ class TestCallbackChainedDelivery:
             recvs.append(comm.recv_op(dst, 0, tag))
             comm.send_op(0, dst, tag, payload=tag)
         cluster.engine.run()
-        assert [ev.value[0] for ev in recvs] == list(range(n))
+        assert [ev.value for ev in recvs] == list(range(n))
         assert cluster.network.messages_sent == n
         # send + recv completion (the old path: 7, with a Process each)
         assert len(made) <= 3 * n
@@ -222,7 +222,7 @@ class TestCallbackChainedDelivery:
 
         def receiver():
             for tag in range(40):
-                payload, _status = yield comm.recv_op(1, 0, tag)
+                payload = yield comm.recv_op(1, 0, tag)
                 got.append(payload)
 
         def sender():
