@@ -293,8 +293,8 @@ class JobRunner:
             raise
         engine.close()
         buckets = {k: v / self.n_ranks for k, v in self.totals.items()}
-        # wall time ends when the job completes; stray daemon timers
-        # (failure watchdogs armed far in the future) may drain later
+        # wall time ends when the job completes; stray timers (failure
+        # watchdogs armed far in the future) may drain later
         wall = self.finish_time if self.finish_time is not None else engine.now
         tel = self.telemetry
         violations = []
@@ -455,14 +455,15 @@ class JobRunner:
         rank dies."""
         engine = self.cluster.engine
 
-        def abort_watch():
-            yield world.failure_watch()
-            yield engine.timeout(0.05)
+        def abort(_):
             for proc in world.procs.values():
                 if proc.alive:
                     proc.kill(RankKilledError(-1, "job aborted by launcher"))
 
-        engine.process(abort_watch(), name="mpirun_abort", daemon=True)
+        # the launcher subscribes one zero-delay hop after the spawns; the
+        # watch is the world's own event, so World.close() drops it
+        engine.call_soon(lambda _: world.failure_watch().add_callback(
+            lambda _: engine.call_later(0.05, abort)))
 
     def _collect_accounts(self, world: World) -> None:
         for ctx in world.contexts.values():

@@ -275,9 +275,10 @@ class World:
         """The job is over: let go of everything that points back at this
         world or at a rank context -- the contexts and what upper layers
         keep in their ``user`` dicts, the communicators, the death
-        listeners, and the tracebacks of what the ranks died of (their
-        frames hold the job) -- so that what is left of the job is freed
-        by reference counting.  Nothing may run on the world afterwards;
+        listeners, the failure watch (with whoever still waits on it),
+        and the tracebacks of what the ranks died of (their frames hold
+        the job) -- so that what is left of the job is freed by reference
+        counting.  Nothing may run on the world afterwards;
         ``dead``, ``errors`` and ``procs`` still say who died of what."""
         for proc in self.procs.values():
             if proc.exception is not None:
@@ -287,4 +288,5 @@ class World:
         self.contexts.clear()
         self._comms.clear()
         self._death_listeners.clear()
+        self._failure_event = None
         self.comm_world = None

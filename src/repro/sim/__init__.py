@@ -5,8 +5,8 @@ Cray XC40 with a Lustre filesystem).  It provides:
 
 - :mod:`repro.sim.engine` -- the deterministic event loop, processes
   (generator coroutines), events, timeouts, and combinators.
-- :mod:`repro.sim.resources` -- semaphore-style resources, FIFO stores and
-  bandwidth pipes used to model contended hardware.
+- :mod:`repro.sim.resources` -- bandwidth pipes and the pipe holds that
+  move bytes through them: the contended hardware.
 - :mod:`repro.sim.network` -- the interconnect model: per-node NICs, link
   latency/bandwidth, and message-transfer cost accounting.
 - :mod:`repro.sim.filesystem` -- a Lustre-like parallel filesystem with a
@@ -28,7 +28,7 @@ from repro.sim.engine import (
     ProcessKilled,
     Timeout,
 )
-from repro.sim.resources import BandwidthPipe, Resource, Store
+from repro.sim.resources import BandwidthPipe
 from repro.sim.node import Node, NodeSpec
 from repro.sim.network import Network, NetworkSpec
 from repro.sim.filesystem import ParallelFileSystem, PFSSpec
@@ -53,8 +53,6 @@ __all__ = [
     "ProcessKilled",
     "Timeout",
     "BandwidthPipe",
-    "Resource",
-    "Store",
     "Node",
     "NodeSpec",
     "Network",

@@ -287,14 +287,13 @@ class Process(Event):
     the return value; an uncaught exception completes it as failed.
     """
 
-    __slots__ = ("_gen", "_target", "_resume_cb", "daemon")
+    __slots__ = ("_gen", "_target", "_resume_cb")
 
     def __init__(
         self,
         engine: "Engine",
         gen: Generator[Event, Any, Any],
         name: str = "",
-        daemon: bool = False,
     ) -> None:
         super().__init__(engine, name=name or getattr(gen, "__name__", "process"))
         if not hasattr(gen, "send"):
@@ -302,9 +301,6 @@ class Process(Event):
         self._gen = gen
         self._target: Optional[Event] = None
         self._resume_cb = self._resume
-        #: daemon processes may be left blocked at the end of a run without
-        #: tripping deadlock detection (e.g. VeloC servers idle-waiting).
-        self.daemon = daemon
         engine._alive.add(self)
         # Kick off at the current time, after already-queued events.
         engine._ready.append((self._resume_cb, _START))
@@ -458,12 +454,9 @@ class Engine:
         return ev
 
     def process(
-        self,
-        gen: Generator[Event, Any, Any],
-        name: str = "",
-        daemon: bool = False,
+        self, gen: Generator[Event, Any, Any], name: str = ""
     ) -> Process:
-        return Process(self, gen, name=name, daemon=daemon)
+        return Process(self, gen, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -515,21 +508,10 @@ class Engine:
 
     def close(self) -> None:
         """End of the job this engine ran: drop what still points back at
-        the engine -- the daemons left blocked, the timeout pool, the
-        telemetry hook (whose tracer reads this clock) -- so that what is
-        left of the job is freed by reference counting.
-
-        A blocked daemon is detached from the event it waits on, not
-        closed here: its generator goes with its last reference.  (The
-        daemons a job leaves -- VeloC servers idle on their queue, the
-        launcher's failure watch -- wait outside any ``try`` or span, so
-        nothing of theirs unwinds into a record.)"""
-        for proc in self._alive:
-            if proc._target is not None:
-                proc._target.remove_callback(proc._resume_cb)
-                proc._target = None
-            proc._resume_cb = None
-        self._alive.clear()
+        the engine -- the timeout pool, the telemetry hook (whose tracer
+        reads this clock) -- so that what is left of the job is freed by
+        reference counting.  A run that ended has no process left blocked
+        to detach: that would have been a deadlock."""
         self._timeout_pool.clear()
         self.telemetry = NULL_TELEMETRY
 
@@ -542,8 +524,8 @@ class Engine:
 
         - the first *unhandled* process failure, if any process died with an
           exception nobody consumed;
-        - :class:`DeadlockError` when non-daemon processes remain blocked
-          with nothing left to wake them.
+        - :class:`DeadlockError` when processes remain blocked with
+          nothing left to wake them.
         """
         if until is not None and until < self.now:
             raise SimulationError(
@@ -581,15 +563,12 @@ class Engine:
             raise SimulationError(
                 f"process {proc.name!r} died with unhandled {type(exc).__name__}: {exc}"
             ) from exc
-        if check_deadlock and until is None:
-            blocked = [p for p in self._alive if not p.daemon]
-            if blocked:
-                # message assembly is deferred to DeadlockError.__str__
-                raise DeadlockError(
-                    blocked=[
-                        (p.name,
-                         p._target.name if p._target is not None else "?")
-                        for p in blocked
-                    ]
-                )
+        if check_deadlock and until is None and self._alive:
+            # message assembly is deferred to DeadlockError.__str__
+            raise DeadlockError(
+                blocked=[
+                    (p.name, p._target.name if p._target is not None else "?")
+                    for p in self._alive
+                ]
+            )
         return self.now

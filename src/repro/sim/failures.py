@@ -36,7 +36,7 @@ class FailurePlan:
         :class:`RankKilledError` if this rank dies here."""
 
     def arm(self, engine: Engine, rank: int, proc: Process) -> None:
-        """Hook for time-based plans to attach watchdogs to rank processes."""
+        """Hook for time-based plans to set a timer that kills ``proc``."""
 
     def expected_failures(self) -> int:
         """Total number of rank deaths this plan will inject."""
@@ -137,8 +137,7 @@ class ExponentialFailures(FailurePlan):
             return
         delay = float(self._rng.exponential(self.mtbf_per_rank))
 
-        def watchdog():
-            yield engine.timeout(delay)
+        def fire(_):
             if not proc.alive:
                 return
             if self.max_failures is not None and self.fired >= self.max_failures:
@@ -146,7 +145,9 @@ class ExponentialFailures(FailurePlan):
             self.fired += 1
             proc.kill(RankKilledError(rank, f"MTBF failure after {delay:.3g}s"))
 
-        engine.process(watchdog(), name=f"mtbf:rank{rank}", daemon=True)
+        # the timer is set one zero-delay hop after the spawn: a position
+        # in the event order that every seeded run reproduces
+        engine.call_soon(lambda _: engine.call_later(delay, fire))
 
     def expected_failures(self) -> int:
         return self.fired
@@ -163,7 +164,7 @@ class ExponentialFailures(FailurePlan):
 
 
 class TimedFailure(FailurePlan):
-    """Kill ranks at absolute simulated times via watchdog processes."""
+    """Kill ranks at absolute simulated times via engine timers."""
 
     def __init__(self, kills: Iterable[Tuple[int, float]]) -> None:
         self._kills: Dict[int, float] = {int(r): float(t) for r, t in kills}
@@ -174,14 +175,15 @@ class TimedFailure(FailurePlan):
         if when is None or rank in self._fired:
             return
 
-        def watchdog():
-            delay = max(0.0, when - engine.now)
-            yield engine.timeout(delay)
+        def fire(_):
             if proc.alive and rank not in self._fired:
                 self._fired.add(rank)
                 proc.kill(RankKilledError(rank, f"timed kill at t={when:g}"))
 
-        engine.process(watchdog(), name=f"watchdog:rank{rank}", daemon=True)
+        # the timer is set one zero-delay hop after the spawn (a position
+        # in the event order every seeded run reproduces), from that clock
+        engine.call_soon(
+            lambda _: engine.call_later(max(0.0, when - engine.now), fire))
 
     def expected_failures(self) -> int:
         return len(self._kills)

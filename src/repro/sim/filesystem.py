@@ -16,12 +16,12 @@ like files on Lustre survive an ``mpirun`` restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Iterator, Optional
 
 from repro.sim.engine import Engine, Event
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.resources import BandwidthPipe, hold_pipes
+from repro.sim.resources import BandwidthPipe, Piece, hold_pipes
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.units import GiB, MiB
 
@@ -103,20 +103,31 @@ class ParallelFileSystem:
         self._rr += 1
         return server
 
-    def _move(
-        self, nic: BandwidthPipe, nbytes: float
-    ) -> Generator[Event, Any, None]:
-        """Move ``nbytes`` through the node's ``nic`` half in chunks,
-        each holding the NIC and one round-robin I/O server."""
+    def _pieces(self, nic: BandwidthPipe, nbytes: float) -> Iterator[Piece]:
+        """The pieces moving ``nbytes`` through the node's ``nic`` half:
+        at least one, each holding the NIC and the round-robin I/O server
+        picked as it starts."""
+        if nbytes < 0:
+            raise SimulationError(f"negative write size: {nbytes}")
         remaining = float(nbytes)
         while True:
             piece = min(remaining, self.spec.chunk_bytes)
             server = self._pick_server()
             hold = server.latency + piece / min(server.bandwidth, nic.bandwidth)
-            yield from hold_pipes(nic, server, hold, piece)
+            yield nic, server, hold, piece
             remaining -= piece
             if remaining <= 0:
                 break
+
+    def _store(
+        self, key: Any, payload: Any, nbytes: float, stored_nbytes: float
+    ) -> None:
+        """Keep ``payload`` under ``key`` once its ``nbytes`` have moved;
+        a later read moves ``stored_nbytes`` back (more, when dedup moved
+        fewer bytes than the version holds)."""
+        self.bytes_written += float(nbytes)
+        self._objects[key] = payload
+        self._sizes[key] = float(stored_nbytes)
 
     def write(
         self,
@@ -131,13 +142,10 @@ class ParallelFileSystem:
         I/O server pipe, so concurrent writers from many nodes queue on the
         few servers (the Lustre bottleneck) while the writer's own NIC is
         also made busy (congesting that node's application messages).
+        The VeloC server runs the same pieces as a :class:`PipeHold`.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative write size: {nbytes}")
-        yield from self._move(src_node.tx, nbytes)
-        self.bytes_written += float(nbytes)
-        self._objects[key] = payload
-        self._sizes[key] = float(nbytes)
+        yield from hold_pipes(self.engine, self._pieces(src_node.tx, nbytes))
+        self._store(key, payload, nbytes, nbytes)
 
     def read(
         self,
@@ -150,6 +158,6 @@ class ParallelFileSystem:
             raise KeyError(key)
         size = float(nbytes) if nbytes is not None else self._sizes.get(key, 0.0)
         if size > 0:
-            yield from self._move(dst_node.rx, size)
+            yield from hold_pipes(self.engine, self._pieces(dst_node.rx, size))
         self.bytes_read += size
         return self._objects[key]

@@ -14,11 +14,11 @@ multi-hundred-megabyte flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.sim.engine import Engine, Event
 from repro.sim.node import Node
-from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
+from repro.sim.resources import Piece, PipeHold, hold_pipes
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.units import MiB
 
@@ -62,15 +62,25 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += float(nbytes)
 
-    def _piece(
-        self, src: Node, dst: Node, nbytes: float
-    ) -> Tuple[BandwidthPipe, BandwidthPipe, float, float]:
-        """``PipeHold`` arguments for one inter-node piece: both NIC
-        halves, taken in a global order to avoid lock cycles."""
+    def _piece(self, src: Node, dst: Node, nbytes: float) -> Piece:
+        """One inter-node piece: both NIC halves, taken in a global order
+        to avoid lock cycles."""
         hold = self.estimate_time(src, dst, nbytes)  # nobody else on the NICs
         if dst.index < src.index:
             return dst.rx, src.tx, hold, nbytes
         return src.tx, dst.rx, hold, nbytes
+
+    def _pieces(
+        self, src: Node, dst: Node, nbytes: float, limit: float
+    ) -> Iterator[Piece]:
+        """At least one piece, none larger than ``limit``."""
+        remaining = float(nbytes)
+        while True:
+            piece = min(remaining, limit)
+            yield self._piece(src, dst, piece)
+            remaining -= piece
+            if remaining <= 0:
+                break
 
     def transfer_cb(
         self,
@@ -86,7 +96,7 @@ class Network:
         if src is dst:
             self.engine.call_later(src.memcpy_time(nbytes), done, arg)
         else:
-            PipeHold(*self._piece(src, dst, nbytes), done, arg)
+            PipeHold((self._piece(src, dst, nbytes),), done, arg)
 
     def transfer(
         self,
@@ -106,11 +116,6 @@ class Network:
         if src is dst:
             yield from src.memcpy(nbytes)
             return
-        remaining = float(nbytes)
-        limit = self.spec.chunk_bytes if chunked else remaining
-        while True:
-            piece = min(remaining, limit)
-            yield from hold_pipes(*self._piece(src, dst, piece))
-            remaining -= piece
-            if remaining <= 0:
-                break
+        limit = self.spec.chunk_bytes if chunked else float(nbytes)
+        yield from hold_pipes(self.engine,
+                              self._pieces(src, dst, nbytes, limit))

@@ -22,6 +22,7 @@ query runs over the communicator VeloC was initialized with.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -74,6 +75,7 @@ class VeloCClient:
         #: thereby finds its predecessor's checkpoints.
         self.veloc_rank = comm.rank if comm is not None else ctx.rank
         self._protected: Dict[int, View] = {}
+        #: version -> its flush's done event, while that flush is pending
         self._flushes: Dict[int, Event] = {}
         # cached sum of modelled protected bytes; invalidated by the
         # registration calls, not recomputed per checkpoint
@@ -202,9 +204,10 @@ class VeloCClient:
             self._gc_scratch(version)
             if self.config.flush_to_pfs:
                 server = self.service.server_for(self.ctx.node)
-                self._flushes[int(version)] = server.submit(
+                done = self._flushes[int(version)] = server.submit(
                     key, (snapshot, total), novel_bytes, stored_nbytes=total
                 )
+                done.add_callback(partial(self._flushed, int(version)))
         self.stats["checkpoints"] += 1
         self.stats["checkpoint_bytes"] += total
         self.stats["dirty_bytes"] += dirty_bytes
@@ -247,13 +250,19 @@ class VeloCClient:
         for key in stale:
             del self.ctx.node.scratch[key]
 
+    def _flushed(self, version: int, done: Event) -> None:
+        """Forget a persisted version (unless a later checkpoint of the
+        same version took its place)."""
+        if self._flushes.get(version) is done:
+            del self._flushes[version]
+
     def flush_pending(self) -> List[int]:
         """Versions whose PFS flush has not completed yet."""
-        return sorted(v for v, ev in self._flushes.items() if not ev.processed)
+        return sorted(self._flushes)
 
     def wait_flushes(self) -> Generator[Event, Any, None]:
         """Block until every queued flush has persisted."""
-        pending = [ev for ev in self._flushes.values() if not ev.processed]
+        pending = list(self._flushes.values())
         if pending:
             tel = self.ctx.engine.telemetry
             with tel.span(f"veloc.rank{self.veloc_rank}", "veloc.flush_wait",

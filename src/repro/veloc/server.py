@@ -1,23 +1,28 @@
 """Per-node VeloC server: asynchronous scratch-to-PFS flushing.
 
-One daemon process per node drains a FIFO of flush jobs.  Each job moves
-the checkpoint's *modelled* bytes through the node NIC and the PFS I/O
-servers in chunks (so application messages interleave between chunks
-rather than stalling behind a full checkpoint), then records the version
-as persisted.  This is the mechanism behind the paper's observation that
+One server per node drains a FIFO of flush jobs, one at a time.  Each
+job moves the checkpoint's *modelled* bytes through the node NIC and the
+PFS I/O servers in chunks (so application messages interleave between
+chunks rather than stalling behind a full checkpoint), then records the
+version as persisted.  A server is no process: it is its queue plus the
+:class:`~repro.sim.resources.PipeHold` chain of its current job, each
+step an engine callback at the instant a waiting process would have
+taken it.  This is the mechanism behind the paper's observation that
 VeloC's checkpoint-function cost is tiny while the real cost surfaces as
 network congestion.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Event
+from repro.sim.filesystem import ParallelFileSystem
 from repro.sim.node import Node
-from repro.sim.resources import Store, hold_pipes
+from repro.sim.resources import Piece, PipeHold
 
 
 @dataclass
@@ -55,7 +60,13 @@ class VeloCServer:
         self.use_burst_buffer = (
             use_burst_buffer and cluster.burst_buffer is not None
         )
-        self.queue: Store = Store(self.engine, name=f"veloc.srv{node.index}.q")
+        self._target: ParallelFileSystem = (
+            cluster.burst_buffer if self.use_burst_buffer else cluster.pfs
+        )
+        self._queue: deque[FlushJob] = deque()
+        #: a job is on its way or in flight; from the start, so that a job
+        #: submitted before the server's first step waits for that step
+        self._busy = True
         self.jobs_done = 0
         self.bytes_flushed = 0.0
         # content-addressed chunk index: the address (see register_chunks)
@@ -65,10 +76,7 @@ class VeloCServer:
         self._chunk_index: set = set()
         self.chunks_seen = 0
         self.chunks_deduped = 0
-        # not kept: the process's generator holds this server already
-        self.engine.process(
-            self._run(), name=f"veloc.server{node.index}", daemon=True
-        )
+        self.engine.call_soon(self._next)
 
     def register_chunks(self, chunks) -> int:
         """Offer chunks (``bytes``) to the content-addressed store;
@@ -106,12 +114,17 @@ class VeloCServer:
         stored_nbytes: float = None,
     ) -> Event:
         """Queue a flush; returns an event that succeeds when persisted."""
-        done = self.engine.event(name=f"flush:{key}")
-        self.queue.put(FlushJob(
+        done = Event(self.engine, ("flush:%s", key))
+        job = FlushJob(
             key=key, payload=payload, nbytes=nbytes, done=done,
             stored_nbytes=float(nbytes if stored_nbytes is None
                                 else stored_nbytes),
-        ))
+        )
+        if self._busy:
+            self._queue.append(job)
+        else:
+            self._busy = True
+            self.engine.call_soon(self._flush, job)
         src = f"veloc.server{self.node.index}"
         # the enqueue side of the backlog: paired with flush_done, live
         # consumers (repro.live) integrate these into an exact
@@ -129,84 +142,92 @@ class VeloCServer:
 
     @property
     def backlog(self) -> int:
-        return len(self.queue)
+        return len(self._queue)
 
-    def _run(self):
-        pfs = self.cluster.pfs
-        bb = self.cluster.burst_buffer
+    def _next(self, _: Any = None) -> None:
+        """Start the next queued job one zero-delay hop from now, or go
+        idle until :meth:`submit` starts one."""
+        if self._queue:
+            self.engine.call_soon(self._flush, self._queue.popleft())
+        else:
+            self._busy = False
+
+    def _flush(self, job: FlushJob) -> None:
+        self.node.active_flushes += 1
+        span = self.engine.telemetry.span(
+            f"veloc.server{self.node.index}", "veloc.flush",
+            key=str(job.key), nbytes=job.nbytes)
+        span.__enter__()
+        PipeHold(self._target._pieces(self.node.tx, job.nbytes),
+                 self._flushed, (job, span))
+
+    def _flushed(self, job_span: Tuple[FlushJob, Any]) -> None:
+        job, span = job_span
+        # a dedup'd version moved fewer bytes than it holds; a recovery
+        # still reads the full logical size
+        self._target._store(job.key, job.payload, job.nbytes,
+                            job.stored_nbytes)
+        span.__exit__(None, None, None)
+        self.node.active_flushes -= 1
+        if self.use_burst_buffer:
+            self.engine.call_soon(self._drain, job)
+        self.jobs_done += 1
+        self.bytes_flushed += job.nbytes
         src = f"veloc.server{self.node.index}"
-        while True:
-            job = yield from self.queue.get()
-            tel = self.engine.telemetry
-            target = bb if self.use_burst_buffer else pfs
-            self.node.active_flushes += 1
-            try:
-                with tel.span(src, "veloc.flush",
-                              key=str(job.key), nbytes=job.nbytes):
-                    yield from target.write(
-                        job.key, job.payload, job.nbytes, self.node
-                    )
-                    if job.stored_nbytes != job.nbytes:
-                        # dedup moved fewer bytes than the version holds;
-                        # a recovery still reads the full logical size
-                        target._sizes[job.key] = float(job.stored_nbytes)
-            finally:
-                self.node.active_flushes -= 1
-            if self.use_burst_buffer:
-                self._start_drain(job)
-            self.jobs_done += 1
-            self.bytes_flushed += job.nbytes
-            self.cluster.trace.emit(
-                self.engine.now,
-                src,
-                "flush_done",
-                key=job.key,
-                nbytes=job.nbytes,
-                tier="bb" if self.use_burst_buffer else "pfs",
-            )
-            if tel.enabled:
-                tel.inc("veloc.flush.bytes", job.nbytes)
-                tel.inc("veloc.flush.jobs")
-                tel.set_gauge(f"{src}.backlog", self.backlog)
-            if not job.done.triggered:
-                job.done.succeed(None)
+        self.cluster.trace.emit(
+            self.engine.now,
+            src,
+            "flush_done",
+            key=job.key,
+            nbytes=job.nbytes,
+            tier="bb" if self.use_burst_buffer else "pfs",
+        )
+        tel = self.engine.telemetry
+        if tel.enabled:
+            tel.inc("veloc.flush.bytes", job.nbytes)
+            tel.inc("veloc.flush.jobs")
+            tel.set_gauge(f"{src}.backlog", self.backlog)
+        if not job.done.triggered:
+            job.done.succeed(None)
+        self._next()
 
-    def _start_drain(self, job: FlushJob) -> None:
+    def _drain(self, job: FlushJob) -> None:
         """Background burst-buffer -> PFS migration (fabric-side: costs
         PFS server time but no node NIC)."""
-        cluster = self.cluster
+        # own track: the drain overlaps the server's next flush, and
+        # concurrent spans must not share one source's nesting stack
+        span = self.engine.telemetry.span(
+            f"veloc.drain{self.node.index}", "veloc.drain",
+            key=str(job.key), nbytes=job.nbytes)
+        span.__enter__()
+        PipeHold(_drain_pieces(self.cluster.pfs, job.nbytes), self._drained,
+                 (job, span))
 
-        def drain():
-            pfs = cluster.pfs
-            tel = cluster.engine.telemetry
-            # own track: the drain overlaps the server's next flush, and
-            # concurrent spans must not share one source's nesting stack
-            with tel.span(f"veloc.drain{self.node.index}", "veloc.drain",
-                          key=str(job.key), nbytes=job.nbytes):
-                remaining = float(job.nbytes)
-                chunk_size = pfs.spec.chunk_bytes
-                while remaining > 0:
-                    piece = min(remaining, chunk_size)
-                    server = pfs._pick_server()
-                    yield from hold_pipes(
-                        server, None, server.transfer_time(piece), piece
-                    )
-                    remaining -= piece
-                pfs._objects[job.key] = job.payload
-                pfs._sizes[job.key] = float(job.stored_nbytes or job.nbytes)
-                pfs.bytes_written += float(job.nbytes)
-            cluster.trace.emit(
-                cluster.engine.now,
-                f"veloc.server{self.node.index}",
-                "drain_done",
-                key=job.key,
-            )
-            if tel.enabled:
-                tel.inc("veloc.drain.bytes", job.nbytes)
-
-        cluster.engine.process(
-            drain(), name=f"veloc.drain{self.node.index}", daemon=True
+    def _drained(self, job_span: Tuple[FlushJob, Any]) -> None:
+        job, span = job_span
+        self.cluster.pfs._store(job.key, job.payload, job.nbytes,
+                                job.stored_nbytes or job.nbytes)
+        span.__exit__(None, None, None)
+        self.cluster.trace.emit(
+            self.engine.now,
+            f"veloc.server{self.node.index}",
+            "drain_done",
+            key=job.key,
         )
+        tel = self.engine.telemetry
+        if tel.enabled:
+            tel.inc("veloc.drain.bytes", job.nbytes)
+
+
+def _drain_pieces(pfs: ParallelFileSystem, nbytes: float) -> Iterator[Piece]:
+    """A drain's pieces: none for no bytes, each on the round-robin I/O
+    server picked as it starts."""
+    remaining = float(nbytes)
+    while remaining > 0:
+        piece = min(remaining, pfs.spec.chunk_bytes)
+        server = pfs._pick_server()
+        yield server, None, server.transfer_time(piece), piece
+        remaining -= piece
 
 
 class VeloCService:

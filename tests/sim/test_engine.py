@@ -307,15 +307,6 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError, match="stuck-proc"):
             eng.run()
 
-    def test_daemon_process_exempt(self):
-        eng = Engine()
-
-        def idle():
-            yield eng.event()
-
-        eng.process(idle(), daemon=True)
-        eng.run()  # must not raise
-
     def test_run_until_skips_deadlock_check(self):
         eng = Engine()
 

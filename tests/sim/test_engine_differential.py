@@ -1,7 +1,7 @@
 """Differential ordering test: ready-queue engine vs heap-only oracle.
 
-Random programs -- timed and zero-delay events, ``call_soon``, callback
-and event waiters mixed on one ``Resource``, pipe holds in both forms,
+Random programs -- timed and zero-delay events, ``call_soon``, bare lock
+requests mixed with pipe holds in both forms on the same pipes,
 ``AllOf``/``AnyOf``, kills, late ``add_callback``, bounded runs stopping
 on and between instants, work scheduled between runs -- are executed on
 :class:`repro.sim.Engine` and on the reference
@@ -12,7 +12,7 @@ same dispatch sequence and end on the same clock.
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Engine, Interrupt
-from repro.sim.resources import BandwidthPipe, PipeHold, Resource, hold_pipes
+from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
 from tests.sim.reference_engine import HeapOnlyEngine
 
 N_EVENTS = 4
@@ -27,7 +27,6 @@ OPS = st.one_of(
     st.tuples(st.just("soon")),
     st.tuples(st.just("later"), DELAYS),
     st.tuples(st.just("request_cb"), DELAYS),
-    st.tuples(st.just("request_proc"), DELAYS),
     st.tuples(st.just("hold_cb"), DELAYS),
     st.tuples(st.just("hold_proc"), st.booleans(), DELAYS),
     st.tuples(st.just("wait"), EVENTS),
@@ -49,7 +48,6 @@ class Machine:
         self.eng = engine
         self.log = []
         self.events = [engine.event(f"e{i}") for i in range(N_EVENTS)]
-        self.res = Resource(engine, capacity=1, name="res")
         self.a = BandwidthPipe(engine, bandwidth=1.0, name="a")
         self.b = BandwidthPipe(engine, bandwidth=1.0, name="b")
         self.procs = []
@@ -82,24 +80,15 @@ class Machine:
         elif kind == "request_cb":
             def granted(_):
                 self.note((tag, "granted"))
-                eng.call_later(op[1], lambda _: self.res.release())
-            self.res.request_cb(granted)
-        elif kind == "request_proc":
-            def body():
-                yield self.res.request()
-                self.note((tag, "granted"))
-                try:
-                    yield eng.timeout(op[1])
-                finally:
-                    self.res.release()
-                self.note((tag, "released"))
-            self.spawn(tag, body)
+                eng.call_later(op[1], lambda _: self.a.release())
+            self.a.request_cb(granted)
         elif kind == "hold_cb":
-            PipeHold(self.a, self.b, op[1], 1.0, self.note, (tag, "held"))
+            PipeHold([(self.a, self.b, op[1], 1.0), (self.b, None, op[1], 1.0)],
+                     self.note, (tag, "held"))
         elif kind == "hold_proc":
             def body():
                 yield from hold_pipes(
-                    self.a, self.b if op[1] else None, op[2], 1.0)
+                    eng, [(self.a, self.b if op[1] else None, op[2], 1.0)])
                 self.note((tag, "held"))
             self.spawn(tag, body)
         elif kind == "wait":
@@ -141,7 +130,7 @@ def execute(engine, program, untils):
     # the second half is issued between runs, at whatever the clock says
     schedule(split, len(program))
     engine.run(check_deadlock=False)
-    return m.log, engine.now, m.res.in_use
+    return m.log, engine.now, m.a.in_use, m.b.in_use
 
 
 @settings(max_examples=300, deadline=None)

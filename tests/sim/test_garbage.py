@@ -80,11 +80,11 @@ def test_a_completed_hold_pipes():
         pipe = BandwidthPipe(eng, bandwidth=1e9, latency=1e-6, name="nic")
 
         def mover():
-            yield from hold_pipes(pipe, None, 1.0, 8.0)
+            yield from hold_pipes(eng, [(pipe, None, 1.0, 8.0)])
 
         eng.process(mover())
         eng.run()
-        return eng.now, pipe._lock.in_use
+        return eng.now, pipe.in_use
 
     assert assert_acyclic(scenario) == (1.0, 0)
 
@@ -98,15 +98,14 @@ def test_a_cancelled_hold_pipes():
         second = BandwidthPipe(eng, bandwidth=1e9, name="b")
 
         def mover():
-            yield from hold_pipes(first, second, 1.0, 8.0)
+            yield from hold_pipes(eng, [(first, second, 1.0, 8.0)])
 
         holding = observed(eng.process(mover()))
         waiting = observed(eng.process(mover()))
         eng.call_later(0.5, lambda _: waiting.kill())
         eng.call_later(0.6, lambda _: holding.kill())
         eng.run()
-        return (eng.now, first._lock.in_use, second._lock.in_use,
-                first._lock.queue_length)
+        return (eng.now, first.in_use, second.in_use, first.queue_length)
 
     # the killed hold's own timer still fires at 1.0, and does nothing
     assert assert_acyclic(scenario) == (1.0, 0, 0, 0)
@@ -211,7 +210,7 @@ def test_discover_views():
     assert assert_acyclic(scenario) == ["a", "b", "b[sub]"]
 
 
-def test_close_detaches_blocked_daemons_and_the_timeout_pool():
+def test_close_drops_the_timeout_pool():
     def scenario():
         eng = Engine()
 
@@ -219,11 +218,7 @@ def test_close_detaches_blocked_daemons_and_the_timeout_pool():
             for _ in range(3):
                 yield eng.timeout(1.0)
 
-        def idler():
-            yield eng.event(name="never")
-
         eng.process(sleeper())
-        eng.process(idler(), daemon=True)
         eng.run()
         eng.close()
         return eng.now, len(eng._timeout_pool)

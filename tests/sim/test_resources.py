@@ -1,49 +1,24 @@
-"""Unit tests for Resource, Store and BandwidthPipe."""
+"""Unit tests for BandwidthPipe and PipeHold."""
 
 import pytest
 
 from repro.sim import Engine
 from repro.sim.engine import ProcessKilled
-from repro.sim.resources import (
-    BandwidthPipe, PipeHold, Resource, Store, hold_pipes,
-)
+from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
 from repro.util.errors import SimulationError
 
 
 class TestResource:
-    def test_capacity_validation(self):
-        with pytest.raises(SimulationError):
-            Resource(Engine(), capacity=0)
-
-    def test_serializes_beyond_capacity(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        spans = {}
-
-        def worker(tag):
-            yield res.request()
-            start = eng.now
-            yield eng.timeout(1.0)
-            res.release()
-            spans[tag] = (start, eng.now)
-
-        for tag in range(4):
-            eng.process(worker(tag))
-        eng.run()
-        # two run at t=0..1, the next two at t=1..2
-        starts = sorted(s for s, _ in spans.values())
-        assert starts == [0.0, 0.0, 1.0, 1.0]
+    """The pipe's FIFO lock, which every hold queues on."""
 
     def test_fifo_grant_order(self):
         eng = Engine()
-        res = Resource(eng, capacity=1)
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
         order = []
 
         def worker(tag):
-            yield res.request()
+            yield from hold_pipes(eng, [(pipe, None, 1.0, 0.0)])
             order.append(tag)
-            yield eng.timeout(1.0)
-            res.release()
 
         for tag in range(5):
             eng.process(worker(tag))
@@ -52,222 +27,80 @@ class TestResource:
 
     def test_release_without_acquire_rejected(self):
         eng = Engine()
-        res = Resource(eng, capacity=1)
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
         with pytest.raises(SimulationError):
-            res.release()
+            pipe.release()
 
     def test_counters(self):
         eng = Engine()
-        res = Resource(eng, capacity=1)
-
-        def holder():
-            yield res.request()
-            assert res.in_use == 1
-            yield eng.timeout(1.0)
-            res.release()
-
-        def waiter():
-            ev = res.request()
-            assert res.queue_length == 1
-            yield ev
-            res.release()
-
-        eng.process(holder())
-        eng.process(waiter())
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
+        seen = []
+        PipeHold([(pipe, None, 1.0, 0.0)], seen.append, "holder")
+        assert pipe.in_use == 1
+        PipeHold([(pipe, None, 1.0, 0.0)], seen.append, "waiter")
+        assert pipe.queue_length == 1
         eng.run()
-        assert res.in_use == 0
-        assert res.queue_length == 0
-
-
-    def test_request_cb_shares_the_fifo_with_event_waiters(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        order = []
-
-        def grab(tag):
-            def granted(_):
-                order.append((tag, eng.now))
-                eng.call_later(1.0, lambda _: res.release())
-            return granted
-
-        def worker(tag):
-            yield res.request()
-            order.append((tag, eng.now))
-            yield eng.timeout(1.0)
-            res.release()
-
-        res.request_cb(grab("cb0"))
-        eng.process(worker("ev1"))
-        eng.call_soon(lambda _: res.request_cb(grab("cb2")))
-        eng.run()
-        assert order == [("cb0", 0.0), ("ev1", 1.0), ("cb2", 2.0)]
-        assert res.in_use == 0 and res.queue_length == 0
+        assert seen == ["holder", "waiter"]
+        assert pipe.in_use == 0
+        assert pipe.queue_length == 0
 
     def test_request_cb_grant_is_one_hop_away(self):
         eng = Engine()
-        res = Resource(eng, capacity=1)
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
         order = []
-        res.request_cb(lambda _: order.append("granted"))
+        pipe.request_cb(lambda _: order.append("granted"))
         order.append("requested")
         eng.call_soon(lambda _: order.append("later"))
         eng.run()
         assert order == ["requested", "granted", "later"]
 
     def test_killed_waiter_does_not_leak_the_slot(self):
-        """A process killed while queued must not be handed the slot:
+        """A process killed while queued must not be handed the pipe:
         nobody would ever release it (the relaunch deadlock on
         ``pfs.ost0:lock:request``)."""
         eng = Engine()
-        res = Resource(eng, capacity=1)
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
         got = []
 
         def worker(tag, hold):
             try:
-                yield res.request()
+                yield from hold_pipes(eng, [(pipe, None, hold, 0.0)])
             except ProcessKilled:
                 return
             got.append((tag, eng.now))
-            yield eng.timeout(hold)
-            res.release()
 
         eng.process(worker("holder", 2.0))
         victim = eng.process(worker("victim", 1.0))
         eng.process(worker("next", 1.0))
         eng.call_later(1.0, lambda _: victim.kill())
         eng.run()
-        # the slot skips the dead waiter at the instant the holder lets go
-        assert got == [("holder", 0.0), ("next", 2.0)]
-        assert res.in_use == 0 and res.queue_length == 0
+        # the pipe skips the dead waiter at the instant the holder lets go
+        assert got == [("holder", 2.0), ("next", 3.0)]
+        assert pipe.in_use == 0 and pipe.queue_length == 0
 
     def test_kill_between_grant_and_delivery_gives_the_slot_back(self):
         eng = Engine()
-        res = Resource(eng, capacity=1)
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
         got = []
 
         def worker(tag):
             try:
-                yield res.request()
+                yield from hold_pipes(eng, [(pipe, None, 1.0, 0.0)])
             except ProcessKilled:
                 return
             got.append((tag, eng.now))
-            yield eng.timeout(1.0)
-            res.release()
 
-        def holder():
-            yield res.request()
-            yield eng.timeout(1.0)
-            res.release()  # grants to the victim (dispatch pending) ...
-            victim.kill()  # ... who dies before it hears of it
+        def kill_then_release(_):
+            victim.kill()  # the throw lands one hop later, so ...
+            pipe.release()  # ... after this grant to the victim went out
 
-        eng.process(holder())
+        # a bare holder stands in for one whose hold ends at t=1
+        pipe.request_cb(lambda _: eng.call_later(1.0, kill_then_release))
         victim = eng.process(worker("victim"))
         eng.process(worker("next"))
         eng.run()
-        assert got == [("next", 1.0)]
-        assert res.in_use == 0
-
-    def test_unawaited_request_keeps_its_place(self):
-        """Only a request somebody stopped waiting for is withdrawn; one
-        that is merely held for later still gets (and holds) the slot."""
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        first = res.request()
-        later = res.request()
-
-        def proc():
-            yield first
-            res.release()
-            yield eng.timeout(1.0)
-            yield later
-            return eng.now
-
-        p = eng.process(proc())
-        eng.run()
-        assert p.value == 1.0 and res.in_use == 1
-
-
-class TestStore:
-    def test_put_then_get(self):
-        eng = Engine()
-        store = Store(eng)
-        got = []
-
-        def consumer():
-            item = yield from store.get()
-            got.append(item)
-
-        store.put("x")
-        eng.process(consumer())
-        eng.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        store = Store(eng)
-        got = []
-
-        def consumer():
-            item = yield from store.get()
-            got.append((eng.now, item))
-
-        def producer():
-            yield eng.timeout(3.0)
-            store.put("late")
-
-        eng.process(consumer())
-        eng.process(producer())
-        eng.run()
-        assert got == [(3.0, "late")]
-
-    def test_fifo_ordering_items_and_getters(self):
-        eng = Engine()
-        store = Store(eng)
-        got = []
-
-        def consumer(tag):
-            item = yield from store.get()
-            got.append((tag, item))
-
-        eng.process(consumer("first"))
-        eng.process(consumer("second"))
-
-        def producer():
-            yield eng.timeout(1.0)
-            store.put(1)
-            store.put(2)
-
-        eng.process(producer())
-        eng.run()
-        assert got == [("first", 1), ("second", 2)]
-
-    def test_drain(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put(1)
-        store.put(2)
-        assert store.drain() == [1, 2]
-        assert len(store) == 0
-
-    def test_fail_waiters(self):
-        eng = Engine()
-        store = Store(eng)
-        caught = []
-
-        def consumer():
-            try:
-                yield from store.get()
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        eng.process(consumer())
-
-        def killer():
-            yield eng.timeout(1.0)
-            store.fail_waiters(RuntimeError("shutdown"))
-
-        eng.process(killer())
-        eng.run()
-        assert caught == ["shutdown"]
+        assert got == [("next", 2.0)]
+        assert pipe.in_use == 0
 
 
 class TestBandwidthPipe:
@@ -281,7 +114,8 @@ class TestBandwidthPipe:
         done = []
 
         def mover(tag):
-            yield from pipe.transfer(100.0)  # 1 second each
+            # 1 second each
+            yield from hold_pipes(eng, [(pipe, None, 1.0, 100.0)])
             done.append((tag, eng.now))
 
         eng.process(mover("a"))
@@ -294,7 +128,8 @@ class TestBandwidthPipe:
         pipe = BandwidthPipe(eng, bandwidth=10.0)
 
         def mover():
-            yield from pipe.transfer(5.0)
+            yield from hold_pipes(eng, [(pipe, None, pipe.transfer_time(5.0),
+                                         5.0)])
 
         eng.process(mover())
         eng.run()
@@ -306,7 +141,7 @@ class TestBandwidthPipe:
         pipe = BandwidthPipe(eng, bandwidth=10.0)
 
         def mover():
-            yield from pipe.transfer(10.0)  # busy 1s
+            yield from hold_pipes(eng, [(pipe, None, 1.0, 10.0)])  # busy 1s
             yield eng.timeout(1.0)  # idle 1s
 
         eng.process(mover())
@@ -319,17 +154,6 @@ class TestBandwidthPipe:
         with pytest.raises(SimulationError):
             BandwidthPipe(Engine(), bandwidth=1.0, latency=-1.0)
 
-    def test_negative_transfer_rejected(self):
-        eng = Engine()
-        pipe = BandwidthPipe(eng, bandwidth=1.0)
-
-        def mover():
-            yield from pipe.transfer(-1.0)
-
-        eng.process(mover())
-        with pytest.raises(SimulationError):
-            eng.run()
-
 
 class TestPipeHold:
     def _pipes(self, eng):
@@ -340,15 +164,15 @@ class TestPipeHold:
         eng = Engine()
         a, b = self._pipes(eng)
         done = []
-        PipeHold(a, b, 2.0, 20.0, done.append, "x")
+        PipeHold([(a, b, 2.0, 20.0)], done.append, "x")
         # the first lock is taken at once, the second one hop later
-        assert (a._lock.in_use, b._lock.in_use) == (1, 0)
-        eng.call_soon(lambda _: done.append((a._lock.in_use, b._lock.in_use)))
+        assert (a.in_use, b.in_use) == (1, 0)
+        eng.call_soon(lambda _: done.append((a.in_use, b.in_use)))
         eng.run()
         assert done == [(1, 1), "x"] and eng.now == 2.0
         assert (a.busy_time, a.bytes_moved) == (2.0, 20.0)
         assert (b.busy_time, b.bytes_moved) == (2.0, 20.0)
-        assert a._lock.in_use == b._lock.in_use == 0
+        assert a.in_use == b.in_use == 0
 
     def test_same_order_as_the_generator_form(self):
         """Callback holds and process holds queue on the same locks in
@@ -358,16 +182,57 @@ class TestPipeHold:
         order = []
 
         def proc(tag):
-            yield from hold_pipes(a, b, 1.0, 1.0)
+            yield from hold_pipes(eng, [(a, b, 1.0, 1.0)])
             order.append((tag, eng.now))
 
         eng.process(proc("p0"))
-        eng.call_soon(lambda _: PipeHold(a, b, 1.0, 1.0, order.append,
+        eng.call_soon(lambda _: PipeHold([(a, b, 1.0, 1.0)], order.append,
                                          ("c1", None)))
         eng.process(proc("p2"))
         eng.run()
         assert [t for t, _ in order] == ["p0", "c1", "p2"]
         assert eng.now == 3.0
+
+    def test_pieces_interleave_with_holds_queued_meanwhile(self):
+        """The next piece is asked for only once the last one let go, so
+        a hold that queued meanwhile goes in between; pieces are read as
+        they start."""
+        eng = Engine()
+        a, b = self._pipes(eng)
+        order, started = [], []
+
+        def pieces():
+            for _ in range(2):
+                started.append(eng.now)
+                yield a, None, 1.0, 10.0
+
+        PipeHold(pieces(), order.append, "bulk")
+        eng.call_later(0.5, lambda _: PipeHold([(a, b, 1.0, 1.0)],
+                                               order.append, "small"))
+        eng.run()
+        assert started == [0.0, 1.0]
+        assert order == ["small", "bulk"] and eng.now == 3.0
+        assert a.bytes_moved == 21.0 and a.in_use == 0
+
+    def test_no_pieces_is_done_at_once(self):
+        done = []
+        PipeHold(iter(()), done.append, "x")
+        assert done == ["x"]
+
+    def test_a_killed_process_stops_between_pieces(self):
+        eng = Engine()
+        a, b = self._pipes(eng)
+
+        def mover():
+            yield from hold_pipes(eng, [(a, None, 1.0, 10.0)] * 3)
+
+        v = eng.process(mover())
+        eng.call_later(1.5, lambda _: v.kill())
+        with pytest.raises(SimulationError, match="ProcessKilled"):
+            eng.run()
+        # the second piece's own timer still fires at 2.0, and moves none
+        assert eng.now == 2.0 and a.bytes_moved == 20.0
+        assert a.in_use == 0 and a.queue_length == 0
 
     @pytest.mark.parametrize("kill_at, blocked_on", [
         (0.5, "a:lock:request"),   # queued for the first pipe
@@ -380,10 +245,10 @@ class TestPipeHold:
         seen = []
 
         def blocker(pipe, hold):
-            yield from hold_pipes(pipe, None, hold, 0.0)
+            yield from hold_pipes(eng, [(pipe, None, hold, 0.0)])
 
         def victim():
-            yield from hold_pipes(a, b, 5.0, 50.0)
+            yield from hold_pipes(eng, [(a, b, 5.0, 50.0)])
 
         def killer():
             yield eng.timeout(kill_at)
@@ -392,7 +257,7 @@ class TestPipeHold:
 
         def late():
             yield eng.timeout(3.0)
-            yield from hold_pipes(a, b, 1.0, 1.0)
+            yield from hold_pipes(eng, [(a, b, 1.0, 1.0)])
             return eng.now
 
         eng.process(blocker(a, 1.0))   # a busy until t=1
@@ -406,5 +271,5 @@ class TestPipeHold:
         eng.run()
         assert seen == [blocked_on]
         assert after.value == 4.0  # both pipes were free again at t=3
-        assert a._lock.in_use == b._lock.in_use == 0
-        assert a._lock.queue_length == b._lock.queue_length == 0
+        assert a.in_use == b.in_use == 0
+        assert a.queue_length == b.queue_length == 0

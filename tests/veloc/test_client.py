@@ -236,3 +236,31 @@ class TestRestartTest:
 
         results, _ = run_veloc_ranks(1, body)
         assert results[0] == "ok"
+
+
+class TestFlushBookkeeping:
+    def test_a_pending_flush_is_listed_until_it_persists(self):
+        def body(client, h, rt):
+            client.mem_protect(0, rt.view("x", data=np.arange(8.0)))
+            yield from client.checkpoint(0)
+            pending = client.flush_pending()
+            yield from client.wait_flushes()
+            return pending, client.flush_pending()
+
+        results, _ = run_veloc_ranks(1, body)
+        assert results[0] == ([0], [])
+
+    def test_completed_flushes_are_not_kept(self):
+        """A long-lived client keeps nothing per persisted version."""
+        def body(client, h, rt):
+            v = rt.view("x", data=np.arange(8.0))
+            client.mem_protect(0, v)
+            for version in range(50):
+                v.fill(float(version))
+                yield from client.checkpoint(version)
+                yield h.engine.timeout(1.0)  # the flush is long done
+            return [ev.processed for ev in client._flushes.values()]
+
+        results, cluster = run_veloc_ranks(1, body)
+        assert results[0] == []
+        assert cluster.pfs.exists(("veloc", "ckpt", 49, 0))
