@@ -9,7 +9,7 @@ scientific output is the table.
 By default benchmarks run at a reduced scale that preserves the paper's
 node : PFS ratio (16 ranks, 1 I/O server, versus the paper's 64 ranks on
 a 4-server Lustre partition).  Set ``REPRO_FULL_SCALE=1`` for the paper's
-full node counts.
+full node counts; those tables go to ``results/full_scale/``.
 """
 
 import os
@@ -17,9 +17,11 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE", "") == "1"
+
+#: paper-scale tables live apart from the default ones
+RESULTS_DIR = (pathlib.Path(__file__).resolve().parent.parent / "results"
+               / ("full_scale" if FULL_SCALE else ""))
 
 #: Figure 5 scale
 FIG5_RANKS = 64 if FULL_SCALE else 16

@@ -10,28 +10,12 @@ Arms (see docs/PERFORMANCE.md for the trade-off):
 
 - ``full``: ``incremental=False``, a deep copy of every protected byte
   per version;
-- ``incremental``: copy-on-write chunk snapshots, nothing offered to the
-  server's chunk index -- each dirty chunk is read out as ``bytes`` and
-  compared with its previous copy; the pure host-side win, asserted at
-  >= 30% below;
-- ``dedup``: COW plus content addressing (the address is the ``hash()``
-  of the chunk's bytes, see ``VeloCServer.register_chunks``).  Every
-  version writes one uniform value no version held before, so every
-  dirty chunk is read, found changed and hashed once: the worst case
-  for the host, where each dirty byte is read a second time for its
-  address -- although to the *index* a version's dirty chunks are all
-  equal and only one of them is novel.  *Recorded* for history, no reduction
-  assertion against ``full``: its payoff is modelled PFS flush bytes,
-  not host time;
-- ``dedup-rewrite``: the same configuration, but half of each 25% write
-  carries the bytes already there (the ``ckpt_write_16mib`` shape).  The
-  unchanged half is recognized by the byte compare and keeps the
-  previous chunk object, whose address is already cached inside it, so
-  it is asserted at <= 0.8x ``dedup`` (it reads 0.61-0.64x; see the test).
+- ``incremental``: copy-on-write chunk snapshots -- each dirty chunk is
+  read out as ``bytes`` and compared with its previous copy; the pure
+  host-side win, asserted at >= 30% below.
 
-PFS flushing is disabled for the timed arms so the measurement is the
-host data path alone, not simulated-flush event processing (the
-``dedup`` arm keeps flushing on, which content addressing requires).
+PFS flushing is disabled so the measurement is the host data path alone,
+not simulated-flush event processing.
 """
 
 import gc
@@ -54,10 +38,8 @@ DIRTY_FRACTION = 0.25
 SIZES_MIB = [4, 8, 16]
 
 ARM_CONFIGS = {
-    "full": dict(incremental=False, dedup=False, flush_to_pfs=False),
-    "incremental": dict(incremental=True, dedup=False, flush_to_pfs=False),
-    "dedup": dict(incremental=True, dedup=True, flush_to_pfs=True),
-    "dedup-rewrite": dict(incremental=True, dedup=True, flush_to_pfs=True),
+    "full": dict(incremental=False, flush_to_pfs=False),
+    "incremental": dict(incremental=True, flush_to_pfs=False),
 }
 #: benchmark rounds per arm: one round of ~10-100 ms is noise, not data
 ROUNDS = 5
@@ -100,13 +82,9 @@ def steady_state_host_seconds(mib: int, arm: str):
     def body():
         yield from client.checkpoint(0)  # warm-up: always a full copy
         dirty_rows = max(1, int(rows * DIRTY_FRACTION))
-        # rows [new_rows, dirty_rows) are rewritten with what they hold
-        new_rows = dirty_rows // 2 if arm == "dedup-rewrite" else dirty_rows
-        unchanged = v.copy_data()[new_rows:dirty_rows]
         t0 = time.perf_counter()
         for version in range(1, N_CHECKPOINTS + 1):
-            v[0:new_rows] = float(version)  # tracked writes
-            v[new_rows:dirty_rows] = unchanged
+            v[0:dirty_rows] = float(version)  # tracked writes
             yield from client.checkpoint(version)
         measured["host"] = time.perf_counter() - t0
         measured["stats"] = dict(client.stats)
@@ -159,30 +137,3 @@ def test_checkpoint_path_reduction(mib):
         f"incremental path saved only {reduction:.0%} host time at "
         f"{mib} MiB (bar: 30%)")
 
-
-def test_unchanged_rewrite_keeps_the_chunk_and_its_address():
-    """Half of the dirty chunks hold the bytes they held: the dedup path
-    compares them, keeps the previous chunk objects (address cached
-    inside), and hashes only the rest.
-
-    An unchanged dirty chunk costs a read and a compare (~6 us), a
-    changed one a read and a hash (~22 us), so the ratio sits at 0.61-0.64
-    when the sharing works and at 1.01-1.08 when every dirty chunk is
-    replaced; the bar is between the two.  The rounds are taken the way
-    the recorded ones are -- arms in turn, garbage collected before each,
-    the first of each arm dropped, best of the rest: without the collect
-    a round frees its predecessor's snapshots somewhere inside itself and
-    the same ratio reads anything from 0.39 to 0.88, either way round.
-    """
-    mib = SIZES_MIB[-1]
-    rounds = {"dedup": [], "dedup-rewrite": []}
-    for _ in range(1 + 7):
-        for arm, seconds in rounds.items():
-            collect_garbage()
-            seconds.append(steady_state_host_seconds(mib, arm)[0])
-    dedup, rewrite = (min(seconds[1:]) for seconds in rounds.values())
-    print(f"\n{mib} MiB: dedup {dedup * 1e3:.1f} ms -> dedup-rewrite "
-          f"{rewrite * 1e3:.1f} ms ({rewrite / dedup:.2f}x)")
-    assert rewrite <= 0.8 * dedup, (
-        f"rewriting half the dirty chunks unchanged cost {rewrite / dedup:.2f}x "
-        f"the all-changed arm at {mib} MiB (bar: 0.8x)")

@@ -63,19 +63,16 @@ def _kr_factory(strategy: Any, ckpt_interval: int, runner: Any,
                 imr: Any) -> Callable:
     """Build the make_kr callable for one attempt."""
     env = runner.env
-    data_path = dict(
-        veloc_incremental=env.veloc_incremental,
-        veloc_dedup=env.veloc_incremental and env.veloc_dedup,
-    )
     if strategy.checkpointing:
         config = KRConfig(
             backend=strategy.backend,
             filter=every_nth(ckpt_interval),
             recovery_scope=strategy.scope,
-            **data_path,
+            veloc_incremental=env.veloc_incremental,
         )
     else:
-        config = KRConfig(backend="stdfile", filter=never, **data_path)
+        config = KRConfig(backend="stdfile", filter=never,
+                          veloc_incremental=env.veloc_incremental)
 
     def make_kr(handle):
         return make_context(
@@ -120,7 +117,6 @@ def _heatdis_main(cfg, strategy, ckpt_interval, runner, imr, plan, results,
         results=results,
         tracker=tracker,
         incremental=runner.env.veloc_incremental,
-        dedup=runner.env.veloc_dedup,
     )
 
 

@@ -37,7 +37,6 @@ def make_manual_heatdis_main(
     results: Optional[Dict[int, Any]] = None,
     tracker: Any = None,
     incremental: bool = True,
-    dedup: bool = True,
 ):
     """Build a hand-integrated resilient Heatdis main.
 
@@ -62,8 +61,7 @@ def make_manual_heatdis_main(
             client = VeloCClient(
                 ctx, cluster, service,
                 VeloCConfig(mode=mode, ckpt_name="manual",
-                            incremental=incremental,
-                            dedup=dedup and incremental),
+                            incremental=incremental),
                 comm=h,
             )
             # manual region registration: the chore KR automates

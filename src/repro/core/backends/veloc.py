@@ -38,7 +38,6 @@ class VeloCBackend(Backend):
             mode="single",
             ckpt_name=ckpt_name,
             incremental=config.veloc_incremental,
-            dedup=config.veloc_dedup,
         )
         return cls(VeloCClient(comm.ctx, cluster, veloc_service, vconf, comm=comm),
                    comm)

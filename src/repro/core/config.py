@@ -31,19 +31,14 @@ class KRConfig:
             partial-rollback demonstration of Section V-A).
         veloc_incremental: copy-on-write incremental VeloC snapshots
             (see :class:`repro.veloc.config.VeloCConfig.incremental`).
-        veloc_dedup: content-addressed chunk dedup on the VeloC node
-            server (requires ``veloc_incremental``).
     """
 
     backend: str = "veloc"
     filter: Filter = field(default=always)
     recovery_scope: str = SCOPE_ALL
     veloc_incremental: bool = True
-    veloc_dedup: bool = True
 
     def __post_init__(self) -> None:
         resolve_backend(self.backend)
         if self.recovery_scope not in (SCOPE_ALL, SCOPE_RECOVERED_ONLY):
             raise ConfigError(f"unknown recovery scope {self.recovery_scope!r}")
-        if self.veloc_dedup and not self.veloc_incremental:
-            raise ConfigError("veloc_dedup requires veloc_incremental")

@@ -7,22 +7,19 @@ the VeloC data path in both configurations:
   flushes the full logical size to the PFS (the pre-incremental
   behavior, ``veloc_incremental=False``);
 - ``incremental``: copy-on-write chunk snapshots -- only dirty chunks
-  are copied, and the node server's content-addressed chunk index
-  flushes only novel chunks (``veloc_incremental=True``,
-  ``veloc_dedup=True``).
+  are copied and flushed (``veloc_incremental=True``).
 
 Each (app, arm) cell runs clean and with the paper's between-checkpoints
 failure, so the table shows checkpoint cost, failure cost, and the data
-path's ``dirty_fraction`` / ``dedup_ratio`` side by side.
+path's ``dirty_fraction`` side by side.
 
 The correctness bar is :func:`verify_restore_equivalence`: the failing
 fig5 heatdis run must produce *bit-identical* final grids under both
 arms, and the failing run must match the clean run (recovery is exact).
 The simulated apps mutate raw arrays, so conservative dirty tracking
 keeps them at full copies -- the ablation therefore demonstrates
-*equivalence* plus whatever dedup the content-addressed store finds,
-while the host-side win for in-place writers is measured by the
-``test_checkpoint_path`` benchmark.
+*equivalence*, while the host-side win for in-place writers is measured
+by the ``test_checkpoint_path`` benchmark.
 """
 
 from __future__ import annotations
@@ -82,12 +79,10 @@ class AblationCell(PairedCell):
 
 
 def _arm_env(app: str, arm: str, n_ranks: int, pfs_servers: int = 2):
-    incremental = arm == "incremental"
     env = paper_env(
         n_nodes=n_ranks + 1,
         pfs_servers=pfs_servers,
-        veloc_incremental=incremental,
-        veloc_dedup=incremental,
+        veloc_incremental=arm == "incremental",
     )
     if app == "minimd":
         # mirror fig6's larger application init (the point of miniMD)
@@ -175,7 +170,7 @@ def format_ablation(cells: List[AblationCell],
         return f"{100.0 * dp[key]:.1f}" if key in dp else "--"
 
     header = ["app", "arm", "ranks", "ckpt_s", "wall", "fail_cost",
-              "dirty%", "dedup%"]
+              "dirty%"]
     rows = []
     for cell in cells:
         rows.append([
@@ -184,6 +179,5 @@ def format_ablation(cells: List[AblationCell],
             f"{cell.clean.wall_time:.2f}",
             f"{cell.failure_cost:.2f}",
             pct(cell.data_path, "dirty_fraction"),
-            pct(cell.data_path, "dedup_ratio"),
         ])
     return "\n".join([title] + format_table(header, rows))

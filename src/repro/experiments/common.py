@@ -31,7 +31,6 @@ def paper_env(
     seed: int = 20220906,
     pfs_servers: int = 4,
     veloc_incremental: bool = True,
-    veloc_dedup: bool = True,
 ) -> ExperimentEnv:
     """The reproduction's stand-in for the paper's test platform.
 
@@ -39,8 +38,8 @@ def paper_env(
     64-node runs).  Reduced-scale tests pass a proportionally smaller
     value so the node : PFS bandwidth ratio -- which the congestion
     effects depend on -- matches the full-scale configuration.
-    ``veloc_incremental`` / ``veloc_dedup`` select the checkpoint data
-    path (the ablation drivers turn them off for the full-copy arm).
+    ``veloc_incremental`` selects the checkpoint data path (the ablation
+    driver turns it off for the full-copy arm).
     """
     spec = ClusterSpec(
         n_nodes=n_nodes,
@@ -73,7 +72,6 @@ def paper_env(
     return ExperimentEnv(
         cluster_spec=spec, costs=costs, n_spares=n_spares,
         veloc_incremental=veloc_incremental,
-        veloc_dedup=veloc_dedup and veloc_incremental,
     )
 
 

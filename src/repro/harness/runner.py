@@ -85,8 +85,6 @@ class ExperimentEnv:
     #: copy-on-write incremental VeloC snapshots (memcpy/flush cost
     #: scales with the dirty fraction); False restores the full-copy path
     veloc_incremental: bool = True
-    #: content-addressed chunk dedup on the VeloC node servers
-    veloc_dedup: bool = True
 
 
 @dataclass
@@ -113,9 +111,9 @@ class RunReport:
     #: exact per-rank time ledger (repro.profile) when profiling was on
     profile: Optional[Dict] = None
     #: checkpoint data-path volume (modelled bytes summed over every
-    #: VeloC client and attempt): ``checkpoint_bytes`` (logical),
-    #: ``dirty_bytes`` (memcpy'd), ``novel_bytes`` (flushed after dedup),
-    #: plus the derived ``dirty_fraction`` and ``dedup_ratio``
+    #: VeloC client and attempt): ``checkpoints``, ``checkpoint_bytes``
+    #: (logical), ``dirty_bytes`` (memcpy'd and flushed), plus the
+    #: derived ``dirty_fraction``
     data_path: Dict[str, float] = field(default_factory=dict)
     #: SLO alerts fired by the live rules engine (repro.live), when the
     #: run carried a rules file; empty otherwise
@@ -477,13 +475,10 @@ class JobRunner:
 
     def _data_path_summary(self) -> Dict[str, float]:
         out = dict(self.data_totals)
+        out.pop("novel_bytes", None)  # == dirty_bytes, see VeloCClient.stats
         total = out.get("checkpoint_bytes", 0.0)
-        dirty = out.get("dirty_bytes", 0.0)
-        novel = out.get("novel_bytes", 0.0)
         if total > 0:
-            out["dirty_fraction"] = dirty / total
-        if dirty > 0:
-            out["dedup_ratio"] = 1.0 - novel / dirty
+            out["dirty_fraction"] = out["dirty_bytes"] / total
         return out
 
     def _check_errors(self, world: World) -> None:

@@ -29,11 +29,9 @@ Dirty-tracking contract (see docs/PERFORMANCE.md):
   reference will write;
 - creating a :meth:`subview` aliases storage both ways, so parent and
   child both become raw-exposed;
-- a view holds dirty bits, never content addresses: it cannot see
-  writes through a raw reference or an alias, so any hash it kept could
-  go stale.  :meth:`chunk_hash` is a pure function; an address that
-  persists is the cached hash of a snapshot's own immutable chunk
-  (``repro.veloc.snapshot``);
+- a view holds dirty bits and no other chunk state: it cannot see
+  writes through a raw reference or an alias, so anything it kept could
+  go stale.  :meth:`chunk_hash` is a pure function;
 - constructing a view with ``data=`` transfers ownership of the array to
   the view (the Kokkos unmanaged-view convention): the caller must not
   keep writing through its own reference.
@@ -286,10 +284,10 @@ class View:
         return self.flat_array()[self.chunk_slice(index)]
 
     def chunk_hash(self, index: int) -> int:
-        """Content address of chunk ``index`` as the checkpoint path forms
-        it (``VeloCServer.register_chunks``): ``hash()`` of the chunk's
-        bytes.  A pure function of the current bytes, nothing is cached;
-        process-local, never to be persisted."""
+        """``hash()`` of chunk ``index``'s bytes.  A pure function of the
+        current bytes, nothing is cached; process-local, never to be
+        persisted.  Nothing in the checkpoint path calls it:
+        benchmarks/e2e/probes.py times it until ROADMAP item 9."""
         return hash(self.chunk_array(index).tobytes())
 
     # -- subviews ------------------------------------------------------------

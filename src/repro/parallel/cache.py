@@ -17,10 +17,10 @@ Entries live as ``results/cache/<key>.json`` by default.  Invalidation
 is therefore: touch any ``repro`` source file, pass ``--no-cache``, or
 simply delete the directory -- entries are self-contained files.
 
-Entry layout (schema 2)
+Entry layout (schema 3)
 ----------------------
 
-``{"schema": 2, "report": RunReport.to_dict(), "failures": n}`` -- the
+``{"schema": 3, "report": RunReport.to_dict(), "failures": n}`` -- the
 report document is the one :class:`~repro.harness.RunReport` derives from
 its own fields (everything but the per-rank ``results`` payload, which
 holds live objects), so a hit carries the alerts, violations, data-path
@@ -28,8 +28,10 @@ volumes, profile and warnings of the run it replaces, and a field added
 to the report is cached without an edit here.  Floats round-trip exactly
 through JSON (``repr``-based) and dict order is kept, which is what
 makes a cache hit byte-identical to the simulation it replaced.  An
-entry that cannot be read back -- torn text, or well-formed JSON of
-another shape -- is a miss: the cell re-simulates and overwrites it.
+entry that cannot be read back -- torn text, well-formed JSON of another
+shape, or another schema's layout -- is a miss: the cell re-simulates and
+overwrites it.  Schema 3 is schema 2 without the two content-dedup
+volumes in the report's ``data_path``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.parallel.spec import CellResult, CellSpec, spec_to_dict
 
 #: bump when the on-disk entry layout changes; part of the key, so
 #: entries of an older layout are orphaned, never misread
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 DEFAULT_CACHE_DIR = pathlib.Path("results") / "cache"
 
@@ -105,6 +107,8 @@ class RunCache:
             return None
         try:
             entry = json.loads(path.read_text())
+            if entry["schema"] != CACHE_SCHEMA:
+                raise ValueError(f"schema {entry['schema']} entry")
             result = CellResult(
                 spec=spec,
                 report=RunReport.from_dict(entry["report"]),

@@ -113,8 +113,8 @@ class ProfileLedger:
     dropped: int = 0
     dropped_window: Optional[Tuple[float, float]] = None
     #: checkpoint data-path volume (modelled bytes from the VeloC
-    #: counters): logical vs memcpy'd vs flushed-after-dedup, with the
-    #: derived dirty_fraction / dedup_ratio; empty when no VeloC ran
+    #: counters): logical vs memcpy'd bytes, with the derived
+    #: dirty_fraction; empty when no VeloC ran
     data_path: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -329,18 +329,13 @@ def _data_path_counters(telemetry: Any) -> Dict[str, float]:
         return {}
     total = float(counters.get("veloc.checkpoint.bytes", 0.0))
     dirty = float(counters.get("veloc.checkpoint.dirty_bytes", 0.0))
-    novel = float(counters.get("veloc.checkpoint.novel_bytes", 0.0))
     if total <= 0:
         return {}
-    out = {
+    return {
         "checkpoint_bytes": total,
         "dirty_bytes": dirty,
-        "novel_bytes": novel,
         "dirty_fraction": dirty / total,
     }
-    if dirty > 0:
-        out["dedup_ratio"] = 1.0 - novel / dirty
-    return out
 
 
 def format_ledger(ledger: ProfileLedger, per_rank: bool = True) -> str:

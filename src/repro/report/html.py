@@ -282,7 +282,6 @@ def _scorecard_table(scorecard: Dict[str, Any],
             f"<td>{_ci_cell(m['recompute_frac'], '{:.1f}%', 100.0)}</td>"
             f"<td>{_ci_cell(m['checkpoint_frac'], '{:.1f}%', 100.0)}</td>"
             f"<td>{_ci_cell(m.get('dirty_fraction', {'n': 0}), '{:.1f}%', 100.0)}</td>"
-            f"<td>{_ci_cell(m.get('dedup_ratio', {'n': 0}), '{:.1f}%', 100.0)}</td>"
             f"<td>{m['wall_time_s']['p95']:.2f}s</td>"
             "</tr>"
         )
@@ -291,13 +290,12 @@ def _scorecard_table(scorecard: Dict[str, Any],
         "<th>strategy</th><th>runs</th><th>failures</th>"
         "<th>efficiency</th><th>overhead</th><th>recovery latency</th>"
         "<th>recompute</th><th>checkpoint</th>"
-        "<th>dirty</th><th>dedup</th><th>p95 wall</th>"
+        "<th>dirty</th><th>p95 wall</th>"
         "</tr></thead><tbody>" + "".join(rows) + "</tbody></table>"
         '<p class="flag">mean [bootstrap 95% CI] across runs; recovery '
         "latency = added seconds per failure vs the failure-free "
         "baseline at the same scale; dirty = memcpy'd fraction of the "
-        "logical checkpoint bytes, dedup = flush bytes saved by the "
-        "content-addressed chunk store.</p>"
+        "logical checkpoint bytes.</p>"
     )
 
 

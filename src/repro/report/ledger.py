@@ -26,8 +26,6 @@ the stream into:
   ``dirty_fraction``  memcpy'd / logical checkpoint bytes (1.0 = every
                       checkpoint was a full copy; the incremental data
                       path pushes this down)
-  ``dedup_ratio``     1 - flushed / memcpy'd bytes (chunk dedup savings
-                      on the way to the PFS)
   ==================  ====================================================
 
 - anomaly flagging: within-group outliers (|z| > 3 on wall time) and,
@@ -61,10 +59,8 @@ TRACKED_METRICS: Dict[str, str] = {
     "checkpoint_frac": "up",
     "wall_time_s": "up",
     # checkpoint data path: a growing dirty fraction means the
-    # incremental path degrades toward full copies; a shrinking dedup
-    # ratio means more bytes reach the PFS per checkpoint
+    # incremental path degrades toward full copies
     "dirty_fraction": "up",
-    "dedup_ratio": "down",
 }
 
 #: summary fields of each metric the diff gate compares
@@ -286,7 +282,7 @@ def build_scorecard(ledger: CampaignLedger) -> Dict[str, Any]:
     for strategy in ledger.strategies:
         runs = ledger.group(strategy)
         eff, over, rec_lat, rec_frac, ck_frac, walls = [], [], [], [], [], []
-        dirty_fracs, dedup_ratios = [], []
+        dirty_fracs = []
         for r in runs:
             ideal = ledger.ideal_for(r.n_ranks)
             eff.append(r.efficiency(ideal))
@@ -299,8 +295,6 @@ def build_scorecard(ledger: CampaignLedger) -> Dict[str, Any]:
             walls.append(r.wall_time)
             if "dirty_fraction" in r.data_path:
                 dirty_fracs.append(r.data_path["dirty_fraction"])
-            if "dedup_ratio" in r.data_path:
-                dedup_ratios.append(r.data_path["dedup_ratio"])
         strategies[strategy] = {
             "n_runs": len(runs),
             "n_failed_runs": sum(1 for r in runs if r.failures > 0),
@@ -317,7 +311,6 @@ def build_scorecard(ledger: CampaignLedger) -> Dict[str, Any]:
                 "checkpoint_frac": stats.summarize(ck_frac),
                 "wall_time_s": stats.summarize(walls),
                 "dirty_fraction": stats.summarize(dirty_fracs),
-                "dedup_ratio": stats.summarize(dedup_ratios),
             },
         }
     return stamp({
@@ -472,7 +465,7 @@ def format_scorecard(scorecard: Dict[str, Any]) -> str:
     header = (f"  {'strategy':<18} {'runs':>4} {'eff':>6}  "
               f"{'overhead%':>22}  {'recovery(s)':>22}  "
               f"{'recompute%':>10}  {'ckpt%':>6}  "
-              f"{'dirty%':>6}  {'dedup%':>6}  {'alerts':>6}  "
+              f"{'dirty%':>6}  {'alerts':>6}  "
               f"{'divrg':>5}")
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
@@ -499,7 +492,6 @@ def format_scorecard(scorecard: Dict[str, Any]) -> str:
             f"{m['recompute_frac']['mean'] * 100:>9.2f}%  "
             f"{m['checkpoint_frac']['mean'] * 100:>5.2f}%  "
             f"{pct(m.get('dirty_fraction', {'n': 0})):>6}  "
-            f"{pct(m.get('dedup_ratio', {'n': 0})):>6}  "
             f"{entry.get('total_alerts', 0):>6}  "
             f"{entry.get('divergent_cells', 0):>5}"
         )

@@ -98,22 +98,25 @@ class ParallelFileSystem:
 
     # -- timed operations --------------------------------------------------
 
-    def _pick_server(self) -> BandwidthPipe:
-        server = self.servers[self._rr % len(self.servers)]
-        self._rr += 1
-        return server
-
     def _pieces(self, nic: BandwidthPipe, nbytes: float) -> Iterator[Piece]:
         """The pieces moving ``nbytes`` through the node's ``nic`` half:
         at least one, each holding the NIC and the round-robin I/O server
-        picked as it starts."""
+        (``_rr``) picked as it starts.  Every piece of a flush comes
+        through here, so the arithmetic is inline: ``x if x <= y else y``
+        is ``min(x, y)``."""
         if nbytes < 0:
             raise SimulationError(f"negative write size: {nbytes}")
         remaining = float(nbytes)
+        chunk = self.spec.chunk_bytes
+        servers = self.servers
+        n_servers = len(servers)
+        nic_bw = nic.bandwidth
         while True:
-            piece = min(remaining, self.spec.chunk_bytes)
-            server = self._pick_server()
-            hold = server.latency + piece / min(server.bandwidth, nic.bandwidth)
+            piece = remaining if remaining <= chunk else chunk
+            server = servers[self._rr % n_servers]
+            self._rr += 1
+            bw = server.bandwidth
+            hold = server.latency + piece / (bw if bw <= nic_bw else nic_bw)
             yield nic, server, hold, piece
             remaining -= piece
             if remaining <= 0:
@@ -123,8 +126,8 @@ class ParallelFileSystem:
         self, key: Any, payload: Any, nbytes: float, stored_nbytes: float
     ) -> None:
         """Keep ``payload`` under ``key`` once its ``nbytes`` have moved;
-        a later read moves ``stored_nbytes`` back (more, when dedup moved
-        fewer bytes than the version holds)."""
+        a later read moves ``stored_nbytes`` back (more, when an
+        incremental checkpoint moved only its dirty bytes)."""
         self.bytes_written += float(nbytes)
         self._objects[key] = payload
         self._sizes[key] = float(stored_nbytes)

@@ -5,7 +5,7 @@ Two primitives cover every piece of modelled hardware:
 - :class:`BandwidthPipe` -- a serializing link with latency + bandwidth
   and a FIFO lock; the building block for NICs and PFS I/O servers.
 - :class:`PipeHold` -- "move these pieces, each through one or two
-  pipes", the single place lock requests nest.  NIC-to-NIC messages,
+  pipes", the one place pipe locks are taken.  NIC-to-NIC messages,
   PFS reads and writes, VeloC flushes and burst-buffer drains are all
   this, as a callback chain or (for callers that are processes) behind
   the :func:`hold_pipes` generator.  Large transfers are cut into
@@ -70,15 +70,8 @@ class BandwidthPipe:
         return min(1.0, self.busy_time / t)
 
     # -- the lock ----------------------------------------------------------
-
-    def request_cb(self, fn: Callable[[Any], None]) -> None:
-        """Ask for the pipe: ``fn(None)`` runs one zero-delay hop after
-        the grant, where a waiting process would have resumed."""
-        if self.in_use:
-            self._waiters.append(fn)
-        else:
-            self.in_use = 1
-            self.engine.call_soon(fn)
+    # A PipeHold grants and hands the pipe on inline; these two are what
+    # its cancel() calls.
 
     def release(self) -> None:
         if not self.in_use:
@@ -116,6 +109,13 @@ class PipeHold:
     starts.  With no pieces ``done`` runs at once.  Each step is an
     engine callback at the position the corresponding event of a
     ``yield``-ing process would have had, with no process and no event.
+
+    The hold takes each pipe's lock itself: a free pipe is marked in use
+    and the next step goes on the engine's ready queue (the entry
+    ``call_soon`` makes), a busy one gets the step in its waiter FIFO,
+    and a finished piece hands each pipe to its first waiter the same
+    way.  Steps are bound afresh each time, never kept on the hold: a
+    hold that named its own methods would be a reference cycle.
     """
 
     __slots__ = ("first", "second", "hold", "nbytes", "_pieces", "_done",
@@ -138,19 +138,29 @@ class PipeHold:
             self._state = _OVER
             self._done(self._arg)
             return
-        self.first, self.second, self.hold, nbytes = piece
+        first, self.second, self.hold, nbytes = piece
+        self.first = first
         self.nbytes = float(nbytes)
         self._state = _WAIT_FIRST
-        self.first.request_cb(self._got_first)
+        if first.in_use:
+            first._waiters.append(self._got_first)
+        else:
+            first.in_use = 1
+            first.engine._ready.append((self._got_first, None))
 
     def _got_first(self, _: Any) -> None:
+        second = self.second
         if self._state == _OVER:  # cancelled while the grant was on its way
             self.first.release()
-        elif self.second is None:
+        elif second is None:
             self._occupy(None)
         else:
             self._state = _WAIT_SECOND
-            self.second.request_cb(self._occupy)
+            if second.in_use:
+                second._waiters.append(self._occupy)
+            else:
+                second.in_use = 1
+                second.engine._ready.append((self._occupy, None))
 
     def _occupy(self, _: Any) -> None:
         if self._state == _OVER:
@@ -169,21 +179,31 @@ class PipeHold:
 
     def _finish(self, _: Any) -> None:
         if self._state == _HOLDING:  # else: cancelled, pipes already back
-            self._release()
+            self._state = _OVER
+            # BandwidthPipe.release inline, in reverse lock order: a pipe
+            # with a waiter goes straight to it (and stays in use)
+            second = self.second
+            if second is not None:
+                if second._waiters:
+                    second.engine._ready.append(
+                        (second._waiters.popleft(), None))
+                else:
+                    second.in_use = 0
+            first = self.first
+            if first._waiters:
+                first.engine._ready.append((first._waiters.popleft(), None))
+            else:
+                first.in_use = 0
             self._next()
-
-    def _release(self) -> None:
-        self._state = _OVER
-        if self.second is not None:
-            self.second.release()
-        self.first.release()
 
     def cancel(self) -> None:
         """Give back whatever is held or asked for, and move no further
         piece; no-op once finished."""
         state, self._state = self._state, _OVER
         if state == _HOLDING:
-            self._release()
+            if self.second is not None:
+                self.second.release()
+            self.first.release()
         elif state == _WAIT_SECOND:
             self.second.withdraw(self._occupy)
             self.first.release()

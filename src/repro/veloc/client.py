@@ -87,6 +87,8 @@ class VeloCClient:
             "checkpoints": 0.0,
             "checkpoint_bytes": 0.0,
             "dirty_bytes": 0.0,
+            # == dirty_bytes; benchmarks/e2e/probes.py reads it until
+            # ROADMAP item 9
             "novel_bytes": 0.0,
         }
         ctx.user.setdefault("veloc.clients", []).append(self)
@@ -131,44 +133,29 @@ class VeloCClient:
 
     # -- checkpoint -------------------------------------------------------------------
 
-    def _build_snapshot(self) -> Tuple[Dict[int, Any], float, float]:
+    def _build_snapshot(self) -> Tuple[Dict[int, Any], float]:
         """Host-side snapshot of every protected region.
 
-        Returns ``(snapshot, dirty_bytes, novel_bytes)`` in modelled
-        bytes: ``dirty_bytes`` is what the synchronous memcpy moves (full
-        size under the legacy full-copy path), ``novel_bytes`` what the
-        background flush must persist after chunk dedup.
+        Returns ``(snapshot, dirty_bytes)``: ``dirty_bytes`` is the
+        modelled size of the chunks the views report dirty (all of it
+        under the full-copy path), what both the synchronous memcpy and
+        the background flush move.
         """
-        total = self.protected_nbytes()
         if not self.config.incremental:
             snapshot = {
                 rid: view.copy_data() for rid, view in self._protected.items()
             }
-            return snapshot, total, total
-        dedup = self.config.dedup and self.config.flush_to_pfs
-        server = (
-            self.service.server_for(self.ctx.node) if dedup else None
-        )
+            return snapshot, self.protected_nbytes()
         snapshot: Dict[int, Any] = {}
         dirty_bytes = 0.0
-        novel_bytes = 0.0
         for rid, view in self._protected.items():
             snap, fresh = snapshot_view(view, prev=self._snapshots.get(rid))
-            n = max(1, snap.n_chunks)
-            dirty_frac = len(fresh) / n
-            if server is not None:
-                novel = server.register_chunks(
-                    snap.chunks[i] for i in fresh
-                )
-                novel_frac = novel / n
-            else:
-                novel_frac = dirty_frac
+            dirty_frac = len(fresh) / max(1, snap.n_chunks)
             dirty_bytes += view.modeled_nbytes * dirty_frac
-            novel_bytes += view.modeled_nbytes * novel_frac
             view.clear_dirty()
             snapshot[rid] = snap
             self._snapshots[rid] = snap
-        return snapshot, dirty_bytes, novel_bytes
+        return snapshot, dirty_bytes
 
     def checkpoint(self, version: int) -> Generator[Event, Any, None]:
         """Write version ``version`` of all protected regions.
@@ -176,7 +163,7 @@ class VeloCClient:
         Synchronous cost: one memory copy of the modelled *dirty* bytes
         into node-local scratch (all bytes on the first version, after a
         restore, or with ``incremental=False``).  The PFS flush of the
-        novel bytes is queued on the node server and proceeds in the
+        same bytes is queued on the node server and proceeds in the
         background.
         """
         if not self._protected:
@@ -189,13 +176,12 @@ class VeloCClient:
         # harness wall-clock, not simulated time, and must not sit between
         # the span start and the memcpy timeout where profile attribution
         # would count it against the checkpoint function twice
-        snapshot, dirty_bytes, novel_bytes = self._build_snapshot()
+        snapshot, dirty_bytes = self._build_snapshot()
         with tel.span(f"veloc.rank{self.veloc_rank}", "veloc.checkpoint",
                       version=int(version), nbytes=total,
                       wrank=self.ctx.rank) as sp:
             if sp is not None:
                 sp.fields["dirty_bytes"] = dirty_bytes
-                sp.fields["novel_bytes"] = novel_bytes
                 sp.fields["dirty_fraction"] = dirty_bytes / total if total else 0.0
                 sp.fields["incremental"] = self.config.incremental
             yield engine.timeout(self.ctx.node.memcpy_time(dirty_bytes))
@@ -205,13 +191,13 @@ class VeloCClient:
             if self.config.flush_to_pfs:
                 server = self.service.server_for(self.ctx.node)
                 done = self._flushes[int(version)] = server.submit(
-                    key, (snapshot, total), novel_bytes, stored_nbytes=total
+                    key, (snapshot, total), dirty_bytes, stored_nbytes=total
                 )
                 done.add_callback(partial(self._flushed, int(version)))
         self.stats["checkpoints"] += 1
         self.stats["checkpoint_bytes"] += total
         self.stats["dirty_bytes"] += dirty_bytes
-        self.stats["novel_bytes"] += novel_bytes
+        self.stats["novel_bytes"] += dirty_bytes
         dt = engine.now - t0
         self.cluster.trace.emit(
             engine.now,
@@ -228,7 +214,6 @@ class VeloCClient:
             rm.inc("veloc.checkpoint.count")
             rm.inc("veloc.checkpoint.bytes", total)
             rm.inc("veloc.checkpoint.dirty_bytes", dirty_bytes)
-            rm.inc("veloc.checkpoint.novel_bytes", novel_bytes)
             rm.observe("veloc.checkpoint.latency", dt)
             rm.observe("veloc.checkpoint.nbytes", total)
             rm.observe("veloc.checkpoint.dirty_fraction",

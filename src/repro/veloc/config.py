@@ -33,10 +33,8 @@ class VeloCConfig:
             clean chunks are shared with the previous version.  ``False``
             restores the original full-copy data path, byte- and
             cost-identical to the pre-incremental implementation.
-        dedup: content-addressed chunk dedup on the node server -- chunks
-            whose content is already resident (any rank, any version)
-            are not re-flushed to persistent storage.  Only
-            meaningful with ``incremental=True``.
+        dedup: always ``False``: a flush moves every dirty byte, as the
+            paper's VeloC does; there is no content addressing.
     """
 
     mode: str = MODE_COLLECTIVE
@@ -44,15 +42,15 @@ class VeloCConfig:
     flush_to_pfs: bool = True
     keep_versions: int = 2
     incremental: bool = True
-    dedup: bool = True
+    dedup: bool = False  # read by benchmarks/e2e/probes.py until ROADMAP item 9
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_COLLECTIVE, MODE_SINGLE):
             raise ConfigError(f"unknown VeloC mode {self.mode!r}")
         if self.keep_versions < 1:
             raise ConfigError("keep_versions must be >= 1")
-        if self.dedup and not self.incremental:
-            raise ConfigError("dedup requires incremental snapshots")
+        if self.dedup:
+            raise ConfigError("VeloC has no content dedup: dedup must be False")
 
     @property
     def collective(self) -> bool:

@@ -29,9 +29,9 @@ from repro.sim.resources import Piece, PipeHold
 class FlushJob:
     """One checkpoint version to persist for one rank.
 
-    ``nbytes`` is what the flush *moves* (novel bytes under the
-    incremental/dedup data path); ``stored_nbytes`` is the full logical
-    size of the version, which is what a later recovery has to read back.
+    ``nbytes`` is what the flush *moves* (the dirty bytes under the
+    incremental data path); ``stored_nbytes`` is the full logical size of
+    the version, which is what a later recovery has to read back.
     """
 
     key: Tuple
@@ -69,42 +69,7 @@ class VeloCServer:
         self._busy = True
         self.jobs_done = 0
         self.bytes_flushed = 0.0
-        # content-addressed chunk index: the address (see register_chunks)
-        # of every chunk this node's server has already accepted for
-        # persistence (any rank, any version).  Chunks found here need no
-        # re-flush -- the dedup half of the incremental data path.
-        self._chunk_index: set = set()
-        self.chunks_seen = 0
-        self.chunks_deduped = 0
         self.engine.call_soon(self._next)
-
-    def register_chunks(self, chunks) -> int:
-        """Offer chunks (``bytes``) to the content-addressed store;
-        returns how many were *novel* (not yet resident).  Idempotent per
-        content: re-offering a known chunk costs nothing.
-
-        A chunk's address is ``hash(chunk)``: the interpreter's keyed
-        64-bit SipHash of the bytes, computed on first use and cached in
-        the object, so a chunk shared between versions is read once.
-        The address is process-local (the key is ``PYTHONHASHSEED``) and
-        stays in this set: nothing persists, pickles, traces or reports
-        one, so no simulated number depends on the key.  Two different
-        chunks share an address with probability ~ n^2 / 2^65 over n
-        distinct chunks through one node server (3e-8 at a million
-        chunks, i.e. 64 GiB of real bytes in one process), and the whole
-        effect is one flush charged one chunk's modelled share too
-        little: a snapshot holds its own bytes, so nothing restored can
-        depend on this index."""
-        novel = 0
-        for chunk in chunks:
-            address = hash(chunk)
-            self.chunks_seen += 1
-            if address in self._chunk_index:
-                self.chunks_deduped += 1
-            else:
-                self._chunk_index.add(address)
-                novel += 1
-        return novel
 
     def submit(
         self,
@@ -163,8 +128,8 @@ class VeloCServer:
 
     def _flushed(self, job_span: Tuple[FlushJob, Any]) -> None:
         job, span = job_span
-        # a dedup'd version moved fewer bytes than it holds; a recovery
-        # still reads the full logical size
+        # an incremental version moved fewer bytes than it holds; a
+        # recovery still reads the full logical size
         self._target._store(job.key, job.payload, job.nbytes,
                             job.stored_nbytes)
         span.__exit__(None, None, None)
@@ -225,7 +190,8 @@ def _drain_pieces(pfs: ParallelFileSystem, nbytes: float) -> Iterator[Piece]:
     remaining = float(nbytes)
     while remaining > 0:
         piece = min(remaining, pfs.spec.chunk_bytes)
-        server = pfs._pick_server()
+        server = pfs.servers[pfs._rr % len(pfs.servers)]
+        pfs._rr += 1
         yield server, None, server.transfer_time(piece), piece
         remaining -= piece
 

@@ -12,7 +12,8 @@ nobody holding a snapshot can write into a chunk another version shares.
 Every snapshot is still self-contained --
 :meth:`ChunkedSnapshot.materialize` reassembles the full array from
 whatever mix of fresh and shared chunks it holds -- so restore
-correctness never depends on which chunks were deduplicated or shared.
+correctness never depends on which chunks were shared.  Nothing is
+content-addressed: sharing is by reference to the previous version only.
 
 Legacy full-copy snapshots remain plain ndarrays; :func:`payload_array`
 accepts both forms, which keeps old scratch/PFS payloads restorable.
@@ -81,17 +82,16 @@ def snapshot_view(
     incompatible or the view is conservative) are read out of the buffer
     as ``bytes``; the rest alias ``prev``'s chunk objects.  A dirty chunk
     whose bytes equal ``prev``'s copy keeps ``prev``'s object as well,
-    otherwise the bytes just read *are* the new chunk: the copy, the
-    thing compared and the thing the server's chunk index addresses are
-    one allocation, always taken from the buffer and never asked of the
-    view, so none of them can be stale.  The compare is over bytes, not
+    otherwise the bytes just read *are* the new chunk: the copy and the
+    thing compared are one allocation, always taken from the buffer and
+    never asked of the view, so neither can be stale.  The compare is over bytes, not
     values (``-0.0`` is not ``0.0``; equal NaN payloads are equal):
     sharing must keep the restore bit-identical.
 
     Returns ``(snapshot, fresh)`` where ``fresh`` lists the chunk indices
     the view reported dirty, whether or not their bytes turned out to
-    have changed -- what the incremental memcpy cost model charges for
-    and what the client offers the server's chunk index.
+    have changed -- what the incremental memcpy and flush cost model
+    charges for.
     """
     if not view.chunkable:
         # non-chunk-addressable buffer: single full chunk, C-order bytes

@@ -48,17 +48,18 @@ class TestAblationSweep:
         full, incr = by_arm["full"], by_arm["incremental"]
         # both arms survive the injected failure and pay a failure cost
         assert full.failure_cost > 0 and incr.failure_cost > 0
-        # the full arm reports an all-dirty path, no dedup accounting
+        # the full arm reports an all-dirty path
         assert full.data_path["dirty_fraction"] == pytest.approx(1.0)
         # heatdis mutates raw arrays: the incremental arm must stay
         # conservative (full copies), never under-report
         assert incr.data_path["dirty_fraction"] == pytest.approx(1.0)
-        assert 0.0 <= incr.data_path.get("dedup_ratio", 0.0) <= 1.0
+        assert "dedup_ratio" not in incr.data_path
         table = format_ablation(cells)
         assert "dirty%" in table and "incremental" in table
+        assert "dedup" not in table
 
     def test_warm_cache_prints_the_cold_table(self, tmp_path):
-        """dirty% / dedup% are the ablation's result columns: a sweep
+        """dirty% is the ablation's result column: a sweep
         served from the run cache must not print them as ``--``."""
         from repro.parallel import RunCache
 

@@ -1,12 +1,13 @@
 """Golden simulated statistics: bit-identity as a tier-1 gate.
 
 Host-side optimizations of the engine / MPI / data path must leave every
-simulated number untouched.  The Heatdis files beside this module were
-recorded on the commit *before* the zero-delay ready queue and the
-callback-chained message delivery landed, the MiniMD one on the commit
-that stopped handing the server stale chunk digests (a model fix: x/v/f
-are flushed every version); each job below must keep reproducing its
-file byte for byte.  A failure names the statistics that moved.
+simulated number untouched.  The files beside this module were
+recorded when content dedup left the VeloC data path (a model change:
+every flush carries its version's dirty bytes, as the paper's VeloC
+does), by the old two-call pipe lock; each job below must keep
+reproducing its file byte for byte.  All but ``heatdis_kill_none`` and
+``heatdis_kill_fenix_kr_imr`` moved then.  A failure names the
+statistics that moved.
 
 Regenerate (only for a change that is *meant* to move simulated time)::
 

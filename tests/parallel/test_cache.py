@@ -16,6 +16,7 @@ from repro.parallel import (
     code_fingerprint,
     run_cells,
 )
+from repro.parallel import cache as cache_mod
 from repro.parallel import spec as spec_mod
 
 
@@ -138,8 +139,36 @@ class TestCacheHit:
         spec = small_spec()
         run_cells([spec], jobs=1, cache=cache)
         entry = json.loads((tmp_path / f"{cache_key(spec)}.json").read_text())
-        assert entry["schema"] == 2
+        assert entry["schema"] == 3
         assert entry["report"]["strategy"] == "kr_veloc"
+        assert set(entry["report"]["data_path"]) == {
+            "checkpoints", "checkpoint_bytes", "dirty_bytes",
+            "dirty_fraction"}
+
+    def test_a_schema_2_entry_is_a_miss_and_never_served(
+            self, tmp_path, monkeypatch):
+        """Schema 2 carried the dedup keys in ``data_path``.  Its entries
+        sit under other keys, and one found under a schema-3 key is
+        skipped like a corrupt one: the cell re-simulates."""
+        cache = RunCache(tmp_path)
+        spec = small_spec()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "CACHE_SCHEMA", 2)
+            old = run_cells([spec], jobs=1, cache=cache)[0]
+            old_path = tmp_path / f"{cache_key(spec)}.json"
+        entry = json.loads(old_path.read_text())
+        assert entry["schema"] == 2
+        entry["report"]["data_path"].update(novel_bytes=0.0, dedup_ratio=1.0)
+        old_path.write_text(json.dumps(entry))
+        assert cache.get(spec) is None and cache.skipped == 0  # another key
+        (tmp_path / f"{cache_key(spec)}.json").write_text(json.dumps(entry))
+        assert cache.get(spec) is None and cache.skipped == 1
+        before = spec_mod.RUNS_EXECUTED
+        fresh = run_cells([spec], jobs=1, cache=cache)[0]
+        assert spec_mod.RUNS_EXECUTED == before + 1 and not fresh.cached
+        assert "dedup_ratio" not in fresh.report.data_path
+        assert fresh.report.to_dict() == old.report.to_dict()
+        assert cache.get(spec).report.to_dict() == fresh.report.to_dict()
 
     def test_hit_carries_the_whole_report(self, tmp_path, tight_rules):
         """A hit is the run it replaces: alerts, data-path volumes and

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import Engine, Interrupt
 from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
 from tests.sim.reference_engine import HeapOnlyEngine
+from tests.sim.reference_pipes import release, request_cb
 
 N_EVENTS = 4
 #: a coarse grid, so that programs are full of same-instant collisions
@@ -80,8 +81,8 @@ class Machine:
         elif kind == "request_cb":
             def granted(_):
                 self.note((tag, "granted"))
-                eng.call_later(op[1], lambda _: self.a.release())
-            self.a.request_cb(granted)
+                eng.call_later(op[1], lambda _: release(self.a))
+            request_cb(self.a, granted)
         elif kind == "hold_cb":
             PipeHold([(self.a, self.b, op[1], 1.0), (self.b, None, op[1], 1.0)],
                      self.note, (tag, "held"))

@@ -6,6 +6,7 @@ from repro.sim import Engine
 from repro.sim.engine import ProcessKilled
 from repro.sim.resources import BandwidthPipe, PipeHold, hold_pipes
 from repro.util.errors import SimulationError
+from tests.sim.reference_pipes import request_cb
 
 
 class TestResource:
@@ -44,11 +45,22 @@ class TestResource:
         assert pipe.in_use == 0
         assert pipe.queue_length == 0
 
+    def test_a_grant_is_one_hop_away(self):
+        eng = Engine()
+        pipe = BandwidthPipe(eng, bandwidth=1.0)
+        order = []
+        PipeHold([(pipe, None, 0.0, 0.0)], order.append, "held")
+        order.append("requested")
+        eng.call_soon(lambda _: order.append("later"))
+        eng.run()
+        # the grant hop runs before "later", the zero-second hold after it
+        assert order == ["requested", "later", "held"]
+
     def test_request_cb_grant_is_one_hop_away(self):
         eng = Engine()
         pipe = BandwidthPipe(eng, bandwidth=1.0)
         order = []
-        pipe.request_cb(lambda _: order.append("granted"))
+        request_cb(pipe, lambda _: order.append("granted"))
         order.append("requested")
         eng.call_soon(lambda _: order.append("later"))
         eng.run()
@@ -95,7 +107,7 @@ class TestResource:
             pipe.release()  # ... after this grant to the victim went out
 
         # a bare holder stands in for one whose hold ends at t=1
-        pipe.request_cb(lambda _: eng.call_later(1.0, kill_then_release))
+        request_cb(pipe, lambda _: eng.call_later(1.0, kill_then_release))
         victim = eng.process(worker("victim"))
         eng.process(worker("next"))
         eng.run()

@@ -25,12 +25,6 @@ def veloc_cluster(n_nodes=2, pfs_bw=1e8, n_servers=1):
     )
 
 
-def node_server():
-    """A one-node cluster's VeloC server, for offering chunks by hand."""
-    cluster = veloc_cluster(n_nodes=1)
-    return VeloCService(cluster).server_for(cluster.nodes[0])
-
-
 def run_veloc_ranks(n_ranks, body, mode="single", n_nodes=None, config=None,
                     **cluster_kwargs):
     """Run body(client, handle, runtime) on each rank; returns results."""

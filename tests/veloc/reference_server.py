@@ -40,12 +40,19 @@ class _Queue:
         return (yield ev)
 
 
+def _pick_server(pfs):
+    """The round-robin I/O server pick, as the PFS makes it per piece."""
+    server = pfs.servers[pfs._rr % len(pfs.servers)]
+    pfs._rr += 1
+    return server
+
+
 def _move(pfs, nic, nbytes):
     """At least one chunk, each holding ``nic`` and the next server."""
     remaining = float(nbytes)
     while True:
         piece = min(remaining, pfs.spec.chunk_bytes)
-        server = pfs._pick_server()
+        server = _pick_server(pfs)
         hold = server.latency + piece / min(server.bandwidth, nic.bandwidth)
         yield from hold_pipes(pfs.engine, [(nic, server, hold, piece)])
         remaining -= piece
@@ -137,7 +144,7 @@ class ReferenceServer:
                 remaining = float(job.nbytes)
                 while remaining > 0:
                     piece = min(remaining, pfs.spec.chunk_bytes)
-                    server = pfs._pick_server()
+                    server = _pick_server(pfs)
                     yield from hold_pipes(cluster.engine, [(
                         server, None, server.transfer_time(piece), piece)])
                     remaining -= piece

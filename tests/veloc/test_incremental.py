@@ -1,11 +1,10 @@
-"""Incremental, content-addressed checkpoint data path.
+"""Incremental checkpoint data path.
 
-Three layers under test: copy-on-write :class:`ChunkedSnapshot` building
-(only dirty chunks copied, clean chunks shared by reference), the node
-server's content-addressed chunk index (novel-chunk accounting and PFS
-flush sizing), and the client end to end -- with bit-for-bit restore
-equivalence between ``incremental=True`` and ``incremental=False`` as
-the correctness bar.
+Two layers under test: copy-on-write :class:`ChunkedSnapshot` building
+(only dirty chunks copied, clean chunks shared by reference) and the
+client end to end (the flush moves the dirty bytes, a recovery reads the
+whole version) -- with bit-for-bit restore equivalence between
+``incremental=True`` and ``incremental=False`` as the correctness bar.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.kokkos import KokkosRuntime
 from repro.util.errors import ConfigError
 from repro.veloc import VeloCConfig
 from repro.veloc.snapshot import ChunkedSnapshot, payload_array, snapshot_view
-from tests.veloc.conftest import node_server, run_veloc_ranks
+from tests.veloc.conftest import run_veloc_ranks
 
 
 @pytest.fixture
@@ -30,7 +29,7 @@ def small_view(rt, label="v"):
 
 def assert_chunks_hold(snap, view):
     """Every chunk is immutable ``bytes`` and holds exactly what the view
-    holds now -- so the address the server forms from it cannot be stale."""
+    holds now -- so what a version restores cannot be stale."""
     assert all(type(chunk) is bytes for chunk in snap.chunks)
     assert b"".join(snap.chunks) == view.copy_data().tobytes()
 
@@ -75,55 +74,45 @@ class TestSnapshotView:
         assert fresh == list(range(16))
 
     def test_digests_reused_for_clean_chunks(self, rt):
-        # a clean chunk's address is carried by the chunk object itself:
-        # offering the new version, the server sees one novel chunk
+        # a clean chunk is the previous version's object, not a copy
         v = small_view(rt)
         v[0:64] = np.arange(1024.0).reshape(64, 16)  # 16 distinct chunks
-        server = node_server()
         prev, _ = snapshot_view(v)
-        assert server.register_chunks(prev.chunks) == 16
         v.clear_dirty()
         v[0] = 4.0
         snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == [0]
         assert snap.chunks[0] != prev.chunks[0]
         assert all(snap.chunks[i] is prev.chunks[i] for i in range(1, 16))
-        assert server.register_chunks(snap.chunks) == 1
 
     def test_raw_write_after_snapshot_gets_a_fresh_digest(self, rt):
         # a kept .data reference writes behind the view's back: the view
-        # is raw-exposed (all chunks fresh), and what the server is
-        # offered must follow the bytes, not the previous version
+        # is raw-exposed (all chunks fresh), and what the snapshot holds
+        # must follow the bytes, not the previous version
         v = small_view(rt)
         raw = v.data
         raw[:] = 1.0
-        server = node_server()
         prev, _ = snapshot_view(v)
-        server.register_chunks(prev.chunks)
         v.clear_dirty()
         raw[:] = 2.0
         snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == list(range(16))
         assert_chunks_hold(snap, v)
-        # uniform content: one novel address, fifteen hits on it
-        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
-        assert server.chunks_deduped == 15 + 15
+        assert not any(a is b for a, b in zip(snap.chunks, prev.chunks))
 
     def test_write_through_parent_reaches_subview_digests(self, rt):
         # MiniMD's duplicate captures: the checkpointed view is a subview
         # and the writes go through the parent
         parent = small_view(rt)
         child = parent.subview(slice(None), label="capture")
-        server = node_server()
         prev, _ = snapshot_view(child)
-        server.register_chunks(prev.chunks)
         child.clear_dirty()
         parent[5] = 7.0
         snap, fresh = snapshot_view(child, prev=prev)
         assert_chunks_hold(snap, parent)
+        # chunk 1 is new, the other fifteen are the previous objects
         assert snap.chunks[1] != prev.chunks[1]
-        # chunk 1 is new to the server, the other fifteen are not
-        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
+        assert [i for i in fresh if snap.chunks[i] is not prev.chunks[i]] == [1]
         assert np.array_equal(snap.materialize(), parent.copy_data())
 
     def test_non_chunkable_single_chunk(self):
@@ -166,8 +155,7 @@ class TestSnapshotView:
 
 
 class TestBitwiseSharing:
-    """A dirty chunk shares the previous copy (and with it the address)
-    iff its *bytes* are equal -- numeric equality would break the
+    """A dirty chunk shares the previous copy iff its *bytes* are equal -- numeric equality would break the
     bit-identical restore."""
 
     NAN_A, NAN_B = 0x7FF8000000000000, 0x7FF8000000000001
@@ -198,10 +186,7 @@ class TestBitwiseSharing:
         v = rt.view("f8", shape=(30, 16), chunk_bytes=512)
         prev, snap = self.rewrite(v, first, then, np.uint64)
         assert (snap.chunks[1] is prev.chunks[1]) == shared
-        # the server sees the rewrite as known content iff it was shared
-        server = node_server()
-        server.register_chunks(prev.chunks)
-        assert server.register_chunks([snap.chunks[1]]) == (not shared)
+        assert (snap.chunks[1] == prev.chunks[1]) == shared
         assert len(snap.chunks[7]) == 2 * 16 * 8
 
     def test_short_last_chunk_is_compared_whole(self, rt):
@@ -236,7 +221,6 @@ class TestBitwiseSharing:
         assert (snap.chunks[1] is prev.chunks[1]) == shared
 
     def test_pure_cow_compares_too(self, rt):
-        # there is one snapshot_view, whatever the client's dedup setting:
         # a tracked rewrite of the bytes already there is listed dirty
         # (and charged) but keeps the previous chunk object
         v = small_view(rt)
@@ -248,9 +232,8 @@ class TestBitwiseSharing:
         assert snap.chunks[1] is prev.chunks[1]
 
     def test_any_compatible_snapshot_is_a_base(self, rt):
-        # a chunk carries all its address needs (its bytes), so a base
-        # that was never offered to a server still lends its chunks: the
-        # next version reads one chunk and offers the server only that
+        # a chunk is just its bytes, so any compatible base lends its
+        # chunks: the next version reads one chunk and shares the rest
         v = small_view(rt)
         v[0:64] = np.arange(1024.0).reshape(64, 16)
         prev, _ = snapshot_view(v)
@@ -259,15 +242,16 @@ class TestBitwiseSharing:
         snap, fresh = snapshot_view(v, prev=prev)
         assert fresh == [1]
         assert_chunks_hold(snap, v)
-        server = node_server()
-        assert server.register_chunks(snap.chunks[i] for i in fresh) == 1
-        assert server.chunks_seen == 1
+        assert all(snap.chunks[i] is prev.chunks[i] for i in range(16)
+                   if i != 1)
 
 
 class TestConfig:
-    def test_dedup_requires_incremental(self):
-        with pytest.raises(ConfigError):
-            VeloCConfig(incremental=False, dedup=True)
+    def test_dedup_is_rejected(self):
+        # VeloC has no content dedup; the field stays, False only
+        for incremental in (True, False):
+            with pytest.raises(ConfigError):
+                VeloCConfig(incremental=incremental, dedup=True)
 
     def test_full_copy_arm(self):
         cfg = VeloCConfig(incremental=False, dedup=False)
@@ -303,8 +287,7 @@ class TestClientIncremental:
                 yield from client.checkpoint(1)
                 return h.ctx.engine.now - t0
 
-            cfg = VeloCConfig(mode="single", incremental=incremental,
-                              dedup=incremental)
+            cfg = VeloCConfig(mode="single", incremental=incremental)
             results, _ = run_veloc_ranks(1, body, config=cfg)
             return results[0]
 
@@ -329,8 +312,7 @@ class TestClientIncremental:
                 yield from client.recover(3)
                 return v.copy_data()
 
-            cfg = VeloCConfig(mode="single", incremental=incremental,
-                              dedup=incremental)
+            cfg = VeloCConfig(mode="single", incremental=incremental)
             results, _ = run_veloc_ranks(1, body, config=cfg)
             return results[0]
 
@@ -374,66 +356,37 @@ class TestClientIncremental:
         assert np.array_equal(got, expected)
 
 
-class TestServerDedup:
-    def test_register_chunks_counts_novel_once(self):
-        def body(client, h, rt):
-            server = client.service.server_for(client.ctx.node)
-            novel1 = server.register_chunks([b"a", b"b", b"a"])
-            novel2 = server.register_chunks([b"a", b"c"])
-            return (novel1, novel2, server.chunks_seen,
-                    server.chunks_deduped)
-            yield  # pragma: no cover
+class TestFlush:
+    """The flush moves the dirty bytes -- whatever they hold -- and a
+    recovery reads the whole version back."""
 
-        results, _ = run_veloc_ranks(1, body)
-        novel1, novel2, seen, deduped = results[0]
-        assert novel1 == 2  # "a" counted once within the batch
-        assert novel2 == 1  # "a" already indexed
-        assert seen == 5
-        assert deduped == 2
-
-    def test_identical_content_across_versions_flushes_nothing_new(self):
+    def test_identical_content_is_flushed_again(self):
         def body(client, h, rt):
-            # distinct per-chunk content, so version 0 is fully novel
             content = np.arange(1024.0).reshape(64, 16)
             v = rt.view("x", shape=(64, 16), chunk_bytes=512,
                         modeled_nbytes=1e6)
             v.load_data(content)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            # rewrite identical content: dirty but not novel
-            v.load_data(content)
+            v.load_data(content)  # the same bytes, all dirty
             yield from client.checkpoint(1)
-            return dict(client.stats)
+            yield from client.wait_flushes()
+            server = client.service.server_for(client.ctx.node)
+            return dict(client.stats), server.bytes_flushed
 
         results, _ = run_veloc_ranks(1, body)
-        stats = results[0]
+        stats, flushed = results[0]
         assert stats["dirty_bytes"] == pytest.approx(2e6)
-        assert stats["novel_bytes"] == pytest.approx(1e6)
+        assert flushed == pytest.approx(2e6)
+        assert stats["novel_bytes"] == stats["dirty_bytes"]
 
-    def test_uniform_content_dedups_within_a_version(self):
-        def body(client, h, rt):
-            v = rt.view("x", shape=(64, 16), chunk_bytes=512,
-                        modeled_nbytes=1.6e6)
-            v.fill(2.0)  # all 16 chunks byte-identical
-            client.mem_protect(0, v)
-            yield from client.checkpoint(0)
-            return dict(client.stats)
-
-        results, _ = run_veloc_ranks(1, body)
-        stats = results[0]
-        assert stats["dirty_bytes"] == pytest.approx(1.6e6)
-        # one novel chunk out of 16: the store keeps a single copy
-        assert stats["novel_bytes"] == pytest.approx(1.6e6 / 16)
-
-    def test_pfs_read_cost_unchanged_by_dedup(self):
-        # dedup shrinks the flush, never the modelled recover read
+    def test_pfs_read_cost_is_the_whole_version(self):
         def body(client, h, rt):
             v = rt.view("x", shape=(64, 16), chunk_bytes=512,
                         modeled_nbytes=1e8)
-            v.fill(2.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            v.fill(2.0)  # dirty, fully deduped
+            v[5] = 2.0  # one of 16 chunks dirty: a 1/16 flush
             yield from client.checkpoint(1)
             yield from client.wait_flushes()
             client.ctx.node.wipe()
@@ -442,6 +395,6 @@ class TestServerDedup:
             return h.ctx.engine.now - t0
 
         results, _ = run_veloc_ranks(1, body, pfs_bw=1e8)
-        # reading version 1 from the PFS must charge the full logical
-        # size (~1s at 1e8 B/s), not the ~0 novel bytes it flushed
+        # reading version 1 from the PFS charges the full logical size
+        # (~1s at 1e8 B/s), not the 1/16 it flushed
         assert results[0] > 0.5

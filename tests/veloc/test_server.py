@@ -78,8 +78,7 @@ class TestCongestion:
         # two ranks on one node share the server; their flushes queue.
         def body(client, h, rt):
             v = rt.view("x", shape=(4,), modeled_nbytes=1e8)
-            # distinct content per rank: the shared server's chunk dedup
-            # must not turn the second flush into a no-op
+            # distinct content per rank: each flush moves its own bytes
             v.fill(float(h.rank) + 1.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)

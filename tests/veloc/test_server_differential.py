@@ -57,13 +57,13 @@ def execute(server_cls, burst_buffer, submits, traffic):
     servers, log = {}, []
 
     def submit(op_id):
-        _, node, nbytes, deduped = submits[op_id]
+        _, node, nbytes, partial = submits[op_id]
         server = servers.get(node)
         if server is None:  # built on first use, as VeloCService does
             server = servers[node] = server_cls(
                 cluster, cluster.node(node), use_burst_buffer=burst_buffer)
         done = server.submit(("v", op_id), op_id, nbytes,
-                             stored_nbytes=2 * nbytes + 1 if deduped else None)
+                             stored_nbytes=2 * nbytes + 1 if partial else None)
         done.add_callback(lambda _: persisted(op_id, node))
 
     def persisted(op_id, node):

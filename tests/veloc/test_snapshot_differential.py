@@ -6,13 +6,11 @@ through a kept ``.data`` reference, writes on either side of a
 parent/subview pair, ``load_data`` restores of earlier versions and
 ``reset_dirty_tracking()`` -- run against four views that are
 snapshotted, version after version, by the real
-:func:`repro.veloc.snapshot.snapshot_view` and by the always-copy,
-always-blake2b :func:`~tests.veloc.reference_snapshot.reference_snapshot_view`.
-Each chain has its own previous snapshot and its own chunk index (the
-real ``VeloCServer`` against the digest-set ``ReferenceIndex``); per
-version the two must agree on everything the model sees, and the real one
-must share a chunk object with its predecessor exactly when the bytes are
-equal -- whether or not dedup consults the index.
+:func:`repro.veloc.snapshot.snapshot_view` and by the always-copy
+:func:`~tests.veloc.reference_snapshot.reference_snapshot_view`.  Each
+chain has its own previous snapshot; per version the two must agree on
+everything the model sees, and the real one must share a chunk object
+with its predecessor exactly when the bytes are equal.
 """
 
 import numpy as np
@@ -21,11 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.kokkos import KokkosRuntime
 from repro.veloc import VeloCConfig
 from repro.veloc import client as client_module
-from repro.veloc.server import VeloCServer
 from repro.veloc.snapshot import snapshot_view
-from tests.veloc.conftest import node_server, run_veloc_ranks
-from tests.veloc.reference_snapshot import (
-    ReferenceIndex, blake, reference_snapshot_view)
+from tests.veloc.conftest import run_veloc_ranks
+from tests.veloc.reference_snapshot import reference_snapshot_view
 
 COLS = 16          # 128 B per float64 row
 CHUNK_BYTES = 512  # 4 rows per chunk
@@ -58,16 +54,11 @@ def same_bytes(a, b):
     return a.tobytes() == b.tobytes()
 
 
-def blake_of_bytes(chunk):
-    return blake(np.frombuffer(chunk, dtype=np.uint8))
-
-
 class Machine:
     """One program, one set of views, two snapshot chains."""
 
-    def __init__(self, dedup):
+    def __init__(self):
         rt = KokkosRuntime()
-        self.dedup = dedup
         # 30 and 26 rows: the last chunk of three of the views is short
         tracked = rt.view("tracked", shape=(30, COLS), chunk_bytes=CHUNK_BYTES)
         raw = rt.view("raw", shape=(30, COLS), chunk_bytes=CHUNK_BYTES)
@@ -75,8 +66,6 @@ class Machine:
         child = parent.subview(slice(2, 28), label="child")
         self.views = [tracked, raw, parent, child]
         self.raw_handle = raw.data  # kept across snapshots
-        self.server = node_server()
-        self.index = ReferenceIndex()
         self.prevs, self.oracle_prevs = {}, {}
         self.history = {i: [] for i in range(4)}
 
@@ -118,20 +107,9 @@ class Machine:
             prev = self.prevs.get(which)
             snap, fresh = snapshot_view(view, prev=prev)
             osnap, ofresh = reference_snapshot_view(
-                view, prev=self.oracle_prevs.get(which),
-                hash_chunks=self.dedup)
+                view, prev=self.oracle_prevs.get(which))
             self.prevs[which], self.oracle_prevs[which] = snap, osnap
             assert fresh == ofresh
-            if self.dedup:
-                # what the client offers the index: same count, same
-                # order, same content as the digests the oracle offers
-                offered = [snap.chunks[i] for i in fresh]
-                ooffered = [osnap.digests[i] for i in ofresh]
-                assert [blake_of_bytes(c) for c in offered] == ooffered
-                assert (self.server.register_chunks(iter(offered))
-                        == self.index.register_chunks(iter(ooffered)))
-                assert ((self.server.chunks_seen, self.server.chunks_deduped)
-                        == (self.index.chunks_seen, self.index.chunks_deduped))
             contents = view.copy_data()
             assert same_bytes(snap.materialize(), contents)
             assert same_bytes(osnap.materialize(), contents)
@@ -144,27 +122,22 @@ class Machine:
 
 
 @settings(max_examples=150, deadline=None)
-@given(PROGRAMS, st.booleans())
-def test_snapshot_chain_matches_oracle(program, dedup):
-    Machine(dedup).run(program)
+@given(PROGRAMS)
+def test_snapshot_chain_matches_oracle(program):
+    Machine().run(program)
 
 
 class TestClientAfterRecover:
     """checkpoint -> recover(latest) -> checkpoint: the view is all-dirty,
     every byte is what the latest snapshot holds, so every chunk of the
-    new version is the latest one's object (its address already cached)
-    and nothing is novel."""
+    new version is the latest one's object, and the whole view is still
+    charged and flushed."""
 
     @staticmethod
     def _job(monkeypatch, reference):
         if reference:
-            index = ReferenceIndex()
             monkeypatch.setattr(client_module, "snapshot_view",
                                 reference_snapshot_view)
-            monkeypatch.setattr(
-                VeloCServer, "register_chunks",
-                lambda server, chunks: index.register_chunks(
-                    map(blake, chunks)))
 
         def body(client, h, rt):
             v = rt.view("x", shape=(64, COLS), chunk_bytes=CHUNK_BYTES,
@@ -197,5 +170,5 @@ class TestClientAfterRecover:
         assert shared == [True] * 16
         assert delta == odelta
         assert delta["dirty_bytes"] == 1.6e6  # still charged as a full copy
-        assert delta["novel_bytes"] == 0.0    # and the server knows it all
+        assert delta["novel_bytes"] == 1.6e6  # and flushed as one
         assert now == onow
