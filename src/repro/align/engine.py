@@ -35,10 +35,10 @@ The first-divergence root-causer (:func:`first_divergence_report`)
 takes the earliest surviving divergence, attributes it to a resiliency
 layer, renders the causal record briefs around it (reusing
 :meth:`~repro.sim.trace.TraceRecord.brief`, the monitor's rendering),
-and reports the downstream deltas: wall time, recovery latency
-(kill -> first re-entry, the measurement :mod:`repro.monitor.explain`
-uses), and the per-layer recovery path timed along
-:data:`repro.vocabulary.RECOVERY_SPINE`.
+and reports the downstream deltas: wall time, recovery latency and the
+per-layer recovery path of each run's first failure, both
+:func:`repro.monitor.explain.recovery_path`'s (kill to the critical
+rank's re-entry, timed along :data:`repro.vocabulary.RECOVERY_SPINE`).
 """
 
 from __future__ import annotations
@@ -54,13 +54,9 @@ from repro.align.keying import (
     key_records,
     protocol_critical,
 )
+from repro.monitor.explain import recovery_path
 from repro.sim.trace import TraceRecord
-from repro.vocabulary import (
-    ANCHOR_KINDS,
-    KILL_KINDS,
-    LAYERS,
-    RECOVERY_SPINE,
-)
+from repro.vocabulary import ANCHOR_KINDS, LAYERS
 
 #: divergence categories, in blame order (a missing anchor is reported
 #: ahead of a value drift at the same simulated time)
@@ -377,31 +373,6 @@ def _drifted_fields(a: TraceRecord, b: TraceRecord) -> List[str]:
 # -- first-divergence root-causing ---------------------------------------
 
 
-def recovery_breakdown(records: Sequence[TraceRecord]) -> Dict[str, float]:
-    """Per-layer recovery time after the first kill (empty = no kill).
-
-    Walks the protocol spine kill -> detect/revoke -> repair ->
-    recover -> re-entry and charges each inter-stage gap to the stage's
-    layer, plus ``total`` (the recovery latency the live layer tracks).
-    """
-    kill = next((r for r in records if r.kind in KILL_KINDS), None)
-    if kill is None:
-        return {}
-    out: Dict[str, float] = {}
-    cursor = kill.time
-    tail = [r for r in records if r.time >= kill.time]
-    for layer, kinds in RECOVERY_SPINE:
-        hit = next(
-            (r for r in tail if r.kind in kinds and r.time >= cursor), None
-        )
-        if hit is None:
-            continue
-        out[layer] = out.get(layer, 0.0) + (hit.time - cursor)
-        cursor = hit.time
-    out["total"] = cursor - kill.time
-    return out
-
-
 def _context_briefs(
     records: Sequence[TraceRecord],
     at: float,
@@ -433,8 +404,8 @@ def first_divergence_report(
     out: Dict[str, Any] = alignment.to_dict()
     wall_a = records_a[-1].time if records_a else 0.0
     wall_b = records_b[-1].time if records_b else 0.0
-    path_a = recovery_breakdown(records_a)
-    path_b = recovery_breakdown(records_b)
+    path_a = recovery_path(records_a)
+    path_b = recovery_path(records_b)
     layers = sorted(set(path_a) | set(path_b))
     out["downstream"] = {
         "wall_time": {

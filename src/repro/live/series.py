@@ -17,7 +17,9 @@ protocol record stream:
 ``checkpoint_overhead_pct``       100 * checkpoint seconds / seconds
                                   since that rank's previous checkpoint
 ``recovery_latency_s``            rank kill -> first data recovery
-                                  (``recover`` / ``imr_restore``)
+                                  (``recover`` / ``imr_restore``), one
+                                  sample per failure (ranks that crash
+                                  of an open one join it)
 ``dropped_records``               trace ring evictions at observation
                                   time
 ``alive_ranks`` / ``spare_ranks`` process liveness and spare-pool depth
@@ -35,6 +37,7 @@ from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
 from repro.vocabulary import (
     ATTEMPT_WORLD,
+    CRASH_KIND,
     KILL_KINDS,
     RECOVERY_DONE_KINDS,
     RESILIENT_COMM,
@@ -218,7 +221,7 @@ class TimeSeriesAggregator(TraceListener):
         self._spares = 0
         #: slot -> world rank map of the current resilient communicator
         self._members: Sequence[int] = ()
-        #: open recovery episodes: kill time per (attempt-scoped) kill
+        #: open recovery episodes: kill time per failure
         self._open_kills: List[Tuple[float, Optional[int]]] = []
         self._last_ckpt_t: Dict[str, float] = {}
 
@@ -270,7 +273,8 @@ class TimeSeriesAggregator(TraceListener):
                 lane.kills += 1
             if rank is not None:
                 self._dead.add(rank)
-            self._open_kills.append((t, rank))
+            if kind != CRASH_KIND or not self._open_kills:
+                self._open_kills.append((t, rank))
             self._observe_alive(t, rec)
         elif kind == "rank_dead":
             if rank is not None and rank not in self._dead:
@@ -340,7 +344,7 @@ class TimeSeriesAggregator(TraceListener):
 
     @property
     def open_recoveries(self) -> int:
-        """Kills whose data recovery has not completed yet."""
+        """Failures whose data recovery has not completed yet."""
         return len(self._open_kills)
 
     def snapshot(self) -> Dict[str, Any]:

@@ -132,8 +132,8 @@ def _state(args: argparse.Namespace) -> int:
 
 
 def _explain(args: argparse.Namespace) -> int:
-    records, _meta = read_trace(args.trace)
-    print(explain_failure(records, rank=args.rank,
+    records, meta = read_trace(args.trace)
+    print(explain_failure(records, meta, rank=args.rank,
                           occurrence=args.occurrence))
     return 0
 

@@ -94,14 +94,18 @@ class RankContext:
     @contextmanager
     def recompute(self, iteration: int) -> Iterator[None]:
         """One re-executed iteration: charge the ``recompute`` bucket and
-        record a span + counter so failure timelines show the recompute
-        window the paper identifies as the bulk of recovery cost."""
+        record a span + counter, and a ``recompute`` record where the
+        span ends, so a recovery walk sees the recompute window the paper
+        identifies as the bulk of recovery cost."""
         tel = self.engine.telemetry
         if tel.enabled:
             tel.rank_metrics(self.rank).inc("recompute.iterations")
-        with tel.span(f"rank{self.rank}", "recompute", iteration=iteration):
+        source = f"rank{self.rank}"
+        with tel.span(source, "recompute", iteration=iteration):
             with self.account.label("recompute"):
                 yield
+        self.world.trace.emit(self.engine.now, source, "recompute",
+                              iteration=iteration)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "dead"

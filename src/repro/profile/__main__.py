@@ -1,11 +1,9 @@
-"""Profiler CLI: cost attribution, critical path, flame graphs, budgets.
+"""Profiler CLI: cost attribution, flame graphs, budgets.
 
 Usage (repository root, ``PYTHONPATH=src``)::
 
     python -m repro.profile report --strategy fenix_kr_veloc \
         --ranks 4 --kill-rank 2 --json ledger.json
-    python -m repro.profile critical-path --strategy fenix_kr_veloc \
-        --ranks 4 --kill-rank 2
     python -m repro.profile flamegraph --strategy fenix_kr_veloc \
         --ranks 4 --kill-rank 2 --out profile.folded
     python -m repro.profile diff baseline.json current.json --budget 0.05
@@ -28,10 +26,6 @@ from functools import partial
 from repro import cli
 from repro.cli import add_job_args, job_from_args, load_json
 from repro.profile.categories import CATEGORIES
-from repro.profile.critical_path import (
-    extract_critical_path,
-    format_critical_path,
-)
 from repro.profile.flamegraph import write_folded
 from repro.profile.ledger import ConservationError, build_ledger, format_ledger
 from repro.report.compare import (
@@ -45,8 +39,8 @@ from repro.util.errors import ConfigError
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    """Run-construction flags shared by report/critical-path/flamegraph
-    (the job scaffold's, plus this CLI's own two)."""
+    """Run-construction flags shared by report/flamegraph (the job
+    scaffold's, plus this CLI's own two)."""
     add_job_args(parser, default_strategy="fenix_kr_veloc")
     parser.add_argument("--bytes", type=float, default=16e6,
                         help="modelled checkpoint bytes per rank")
@@ -67,17 +61,6 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
                      help="print only the mean row")
     rep.add_argument("--allow-drops", action="store_true",
                      help="exit 0 even when trace records were dropped")
-
-    cp = sub.add_parser("critical-path",
-                        help="kill -> re-entry chain of one failure")
-    cp.set_defaults(run=_critical_path)
-    _add_run_args(cp)
-    cp.add_argument("--path-rank", type=int, default=None,
-                    help="analyze this rank's death (default: first kill)")
-    cp.add_argument("--occurrence", type=int, default=0,
-                    help="which kill of that rank (0 = first)")
-    cp.add_argument("--json", default=None,
-                    help="also write the chain as JSON to this path")
 
     fg = sub.add_parser("flamegraph",
                         help="folded-stack export (speedscope/flamegraph.pl)")
@@ -133,23 +116,6 @@ def _report(args: argparse.Namespace) -> int:
               "larger --max-records, or pass --allow-drops to accept)",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _critical_path(args: argparse.Namespace) -> int:
-    tel, _report_obj = _execute_run(args)
-    try:
-        cp = extract_critical_path(tel, rank=args.path_rank,
-                                   occurrence=args.occurrence)
-    except ValueError as exc:
-        print(f"no critical path: {exc} (did you pass --kill-rank?)",
-              file=sys.stderr)
-        return 1
-    print(format_critical_path(cp))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(cp.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
     return 0
 
 

@@ -49,22 +49,6 @@ CATEGORIES = [
     IDLE,
 ]
 
-#: layer label per category (critical-path edge attribution)
-LAYER_OF = {
-    COMPUTE: "app",
-    APP_MPI: "app",
-    CHECKPOINT_COPY: "data",
-    FLUSH_CONGESTION: "data",
-    FAILURE_DETECTION: "ulfm",
-    ULFM_AGREEMENT: "ulfm",
-    FENIX_REPAIR: "fenix",
-    KR_RESTORE: "kr",
-    VELOC_RECOVER: "veloc",
-    RECOMPUTE: "recompute",
-    RESILIENCE_INIT: "fenix",
-    IDLE: "other",
-}
-
 # span name -> (category, priority); priorities are spaced so new layers
 # can slot in without renumbering
 _EXACT = {

@@ -12,7 +12,8 @@ lens over a whole campaign:
 - :mod:`repro.report.stats` -- deterministic summary statistics and
   seeded bootstrap confidence intervals;
 - :mod:`repro.report.html` -- the self-contained HTML report (inline
-  CSS/SVG, embedded timelines and flame stacks, zero external assets);
+  CSS/SVG, embedded recovery walks and flame stacks, zero external
+  assets);
 - :mod:`repro.report.compare` -- the one comparison helper every diff
   CLI (telemetry / profile / report) routes through: shared
   ``--budget``/``--tolerance`` flags and exit codes;

@@ -17,8 +17,9 @@ Usage (repository root, ``PYTHONPATH=src``)::
         report-out/scorecard.json --budget 0.10
 
 ``run`` with no subcommand is the default.  The HTML report is fully
-self-contained (inline CSS/SVG, embedded timelines and flame stacks, no
-network), so it works as a CI artifact or over ``file://`` unchanged.
+self-contained (inline CSS/SVG, embedded recovery walks and flame
+stacks, no network), so it works as a CI artifact or over ``file://``
+unchanged.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--no-exemplars", action="store_true",
                      help="skip the per-strategy instrumented exemplar "
                           "runs (faster; report loses the embedded "
-                          "timeline/flame sections)")
+                          "recovery/flame sections)")
     run.add_argument("--determinism-audit", action="store_true",
                      help="run every cell twice from identical seeds and "
                           "align the traces (repro.align); divergent "

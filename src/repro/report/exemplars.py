@@ -2,7 +2,7 @@
 
 Campaign cells run in worker processes and hand back only aggregate
 reports -- the span stream never crosses the pool boundary.  For the
-report's embedded failure timeline and flame stacks we therefore run
+report's embedded recovery walk and flame stacks we therefore run
 *one* representative seeded-kill job per strategy in-process with full
 telemetry, and embed its artifacts verbatim.  Deliberately small (a few
 hundred simulated seconds) so report generation stays interactive.
@@ -10,11 +10,7 @@ hundred simulated seconds) so report generation stays interactive.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-#: timeline rows embedded per exemplar (the HTML is self-contained, so
-#: an unbounded timeline would bloat the artifact)
-TIMELINE_LIMIT = 80
+from typing import Dict, Sequence
 
 
 def collect_exemplars(
@@ -25,16 +21,16 @@ def collect_exemplars(
     kill_rank: int = 2,
     n_spares: int = 1,
     seed: int = 20220906,
-    timeline_limit: int = TIMELINE_LIMIT,
 ) -> Dict[str, Dict[str, str]]:
-    """``{strategy: {"timeline": text, "folded": text}}`` for each
-    strategy that can recover from a mid-run kill (``none`` is skipped:
-    a job with no resilience has no recovery story to show)."""
+    """``{strategy: {"timeline": the recovery walk, "folded": text}}``
+    for each strategy that can recover from a mid-run kill (``none`` is
+    skipped: a job with no resilience has no recovery story to show)."""
     from repro.cli import build_job
     from repro.harness.strategies import STRATEGIES
+    from repro.monitor.explain import explain_failure
+    from repro.monitor.trace_io import trace_meta
     from repro.profile.flamegraph import folded_stacks, format_folded
     from repro.telemetry import Telemetry
-    from repro.telemetry.timeline import failure_timeline
 
     out: Dict[str, Dict[str, str]] = {}
     for strategy in strategies:
@@ -48,8 +44,7 @@ def collect_exemplars(
             modeled_bytes_per_rank=16e6)
         job(telemetry=tel)
         out[strategy] = {
-            "timeline": failure_timeline(tel, trace=tel.trace,
-                                         limit=timeline_limit),
+            "timeline": explain_failure(tel.trace, trace_meta(tel.trace)),
             "folded": format_folded(folded_stacks(tel)),
         }
     return out

@@ -1,7 +1,7 @@
 """Self-contained HTML campaign report.
 
 One file, zero network: styles are an inline ``<style>`` block, charts
-are inline SVG, the failure timeline and flame stacks are embedded text.
+are inline SVG, the recovery walk and flame stacks are embedded text.
 The file renders identically from a CI artifact tab, ``file://``, or an
 air-gapped machine -- the whole point of a report you attach to a run.
 
@@ -339,14 +339,14 @@ def _exemplars(ledger: Any) -> str:
         return ""
     parts = ["<h2>Exemplar failure runs</h2>",
              '<p class="sub">One instrumented seeded kill per strategy: '
-             "the recovery timeline and the folded flame stacks "
-             "(speedscope-compatible) embedded verbatim.</p>"]
+             "the recovery walk (monitor explain) and the folded flame "
+             "stacks (speedscope-compatible) embedded verbatim.</p>"]
     for strategy, arts in ledger.exemplars.items():
         parts.append(f"<h3>{esc(strategy)}</h3>")
         timeline = arts.get("timeline")
         if timeline:
             parts.append(
-                "<details open><summary>failure timeline</summary>"
+                "<details open><summary>recovery walk</summary>"
                 f"<pre>{esc(timeline)}</pre></details>"
             )
         folded = arts.get("folded")

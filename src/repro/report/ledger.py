@@ -8,7 +8,7 @@ the stream into:
   wall time, attempts, failures, per-category buckets, violation count,
   cache provenance, host cost);
 - :class:`CampaignLedger` -- the ordered collection plus per-scale
-  failure-free baselines (``ideal``), exemplar artifacts (timeline /
+  failure-free baselines (``ideal``), exemplar artifacts (recovery walk /
   flame stacks) and the progress-stream accounting;
 - :func:`build_scorecard` -- per-strategy resilience metrics as
   distributions with bootstrap CIs (see :mod:`repro.report.stats`):
@@ -178,7 +178,7 @@ class CampaignLedger:
     ideal: Dict[int, float] = field(default_factory=dict)
     runs: List[RunRecord] = field(default_factory=list)
     #: per-strategy exemplar artifacts for the HTML report
-    #: ({strategy: {"timeline": text, "folded": text}})
+    #: ({strategy: {"timeline": monitor explain's text, "folded": text}})
     exemplars: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: progress-stream accounting ({"cells": N, "cache_hits": h, ...})
     progress: Dict[str, Any] = field(default_factory=dict)

@@ -12,7 +12,6 @@ package makes the reproduction's runs inspectable the same way:
   disabled default every cluster starts with.
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (open in
   Perfetto or chrome://tracing), metrics JSON, schema validation, diffs.
-- :mod:`repro.telemetry.timeline` -- plain-text failure timelines.
 - ``python -m repro.telemetry`` -- run an experiment with telemetry on,
   export/validate traces, diff metrics between runs.
 
@@ -32,7 +31,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import SpanRecord, Tracer
-from repro.telemetry.timeline import failure_timeline, render_timeline
 
 __all__ = [
     "Telemetry",
@@ -51,6 +49,4 @@ __all__ = [
     "write_metrics",
     "diff_metrics",
     "track_for_source",
-    "render_timeline",
-    "failure_timeline",
 ]

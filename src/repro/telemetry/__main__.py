@@ -3,15 +3,15 @@
 Usage (repository root, ``PYTHONPATH=src``)::
 
     python -m repro.telemetry run --app heatdis --strategy fenix_veloc \
-        --ranks 4 --kill-rank 2 --out /tmp/run1 --timeline
+        --ranks 4 --kill-rank 2 --out /tmp/run1
     python -m repro.telemetry validate /tmp/run1/trace.json
     python -m repro.telemetry diff /tmp/run1/metrics.json /tmp/run2/metrics.json
 
 ``run`` executes one named experiment with telemetry enabled, writes
 ``trace.json`` (Chrome trace-event format -- load it at https://ui.perfetto.dev
 or chrome://tracing) and ``metrics.json`` into ``--out``, validates the
-exported trace, and prints a metrics digest (plus the failure timeline
-with ``--timeline``).
+exported trace, and prints a metrics digest.  A failure's walk from
+kill to re-entry is ``python -m repro.monitor explain``'s.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.telemetry.timeline import failure_timeline
 
 
 def add_commands(parser: argparse.ArgumentParser) -> None:
@@ -50,9 +49,6 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
                      help="modelled checkpoint bytes per rank")
     run.add_argument("--out", default="telemetry-out",
                      help="output directory for trace.json / metrics.json")
-    run.add_argument("--timeline", action="store_true",
-                     help="print the failure timeline")
-    run.add_argument("--timeline-limit", type=int, default=120)
 
     val = sub.add_parser("validate",
                          help="validate an exported trace-event JSON file")
@@ -108,9 +104,6 @@ def _run(args: argparse.Namespace) -> int:
         print("counters:")
         for name, value in sorted(counters.items()):
             print(f"  {name} = {value:g}")
-    if args.timeline:
-        print()
-        print(failure_timeline(tel, trace=trace, limit=args.timeline_limit))
     return 0
 
 

@@ -75,7 +75,7 @@ class TimeAccount:
         return dict(self.buckets)
 
     def merge_max(self, other: "TimeAccount") -> None:
-        """Keep the per-bucket maximum (critical-path style aggregation)."""
+        """Keep the per-bucket maximum (the slowest rank bounds a bucket)."""
         for bucket, value in other.buckets.items():
             self.buckets[bucket] = max(self.buckets[bucket], value)
 

@@ -33,8 +33,9 @@ LAYERS = ("process", "ulfm", "fenix", "veloc", "kr", "recompute", "app")
 #: every record kind the stack emits -> (layer, recovery stage, span
 #: twin), row for row the table of docs/PROTOCOLS.md §7.  The *stage* is
 #: the step of §1's t0-t5 the kind belongs to; the *span twin* is the
-#: telemetry span that ends where the record is emitted, so a walker over
-#: spans (``repro.profile``) and one over records stop at the same step.
+#: telemetry span that ends where the record is emitted, so the span
+#: views (the Chrome trace, the profile ledger) and the record walker
+#: (``repro.monitor.explain``) mark the same step.
 #: A kind missing here is filed under ``app`` by :func:`layer_of` --
 #: right for an application's records, wrong for a backend that forgot
 #: to declare itself, which the completeness test fails
@@ -46,8 +47,8 @@ KINDS: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
     "rank_crashed": ("process", "failure", None),
     "rank_dead": ("process", "failure", None),
     # ULFM: communicator-level fault-tolerance collectives.  ``detect``
-    # is emitted by Fenix but charged to ULFM, as the profile critical
-    # path charges it; ``agree``/``shrink`` also exist at the Fenix
+    # is emitted by Fenix but charged to ULFM, as the recovery walker
+    # charges it; ``agree``/``shrink`` also exist at the Fenix
     # level, where the source decides (see layer_of)
     "comm_create": ("ulfm", None, None),
     "detect": ("ulfm", "detection", None),
@@ -75,21 +76,25 @@ KINDS: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
     # control flow: Kokkos Resilience checkpoint regions
     "kr_region_begin": ("kr", None, None),
     "kr_region_commit": ("kr", "reentry", "kr.commit"),
-    # a span name, never a record: listed so a span stream keyed like a
-    # record stream gets the critical path's layer for it
-    "recompute": ("recompute", None, None),
+    # one re-executed iteration completed (the rollback's lost work)
+    "recompute": ("recompute", "recompute", "recompute"),
 }
 
 #: the recovery protocol in order: stage -> every kind that belongs to it
 RECOVERY_STAGES: Dict[str, Tuple[str, ...]] = {
     stage: tuple(k for k, (_, s, _) in KINDS.items() if s == stage)
     for stage in ("failure", "detection", "rendezvous", "repair", "roles",
-                  "restore", "reentry")
+                  "restore", "recompute", "reentry")
 }
 SPAN_OF = {kind: span for kind, (_, _, span) in KINDS.items() if span}
 
-#: kinds that mark a failed process (they open a recovery episode)
+#: kinds that mark a failed process.  A kill opens a recovery episode;
+#: a crash opens one only when none is open, because under fail-restart
+#: the survivors die of the kill (``ProcFailedError``) a moment later and
+#: that cascade is the same failure.  An episode stays open until data
+#: recovery completes somewhere (:data:`RECOVERY_DONE_KINDS`)
 KILL_KINDS = ("rank_killed", "rank_crashed")
+CRASH_KIND = "rank_crashed"
 #: kinds that close a repair generation, one way or the other
 REPAIR_DONE_KINDS = ("repair", "abort")
 #: kinds whose arrival proves data recovery completed on a rank
@@ -97,18 +102,28 @@ RECOVERY_DONE_KINDS = ("recover", "imr_restore")
 #: kinds proving the first resumed protected step *completed* (restores
 #: happen inside that step, so the boundary must be its end)
 REENTRY_KINDS = RECOVERY_STAGES["reentry"]
-RECOVER_SPANS = tuple(SPAN_OF[kind] for kind in RECOVERY_DONE_KINDS)
-REENTRY_SPANS = tuple(SPAN_OF[kind] for kind in REENTRY_KINDS)
 
-#: the spine a recovery is *timed* along: per layer, in protocol order,
-#: the kinds whose first arrival after the previous stage ends that
-#: layer's share.  Decisions only -- the arrivals and transfers that
-#: precede one (``gate_arrive``, ``spare_activated``, ``imr_buddy_recv``)
-#: belong to its stage but do not end it
+#: the spine a recovery is *timed* along (:mod:`repro.monitor.explain`,
+#: docs/PROTOCOLS.md §1): per layer, in protocol order, the kinds that
+#: end that layer's share.  A share ends at the first arrival of its
+#: kinds after the previous share and runs on through further arrivals
+#: of them (a rank restores several IMR members, recomputes several
+#: iterations) until a later row's kind arrives; the last row ends at
+#: its first arrival, the re-entry.  Decisions only -- the arrivals and
+#: transfers that precede one (``gate_arrive``, ``spare_activated``,
+#: ``imr_buddy_recv``) belong to its stage but do not end it.
+#: ``process`` is fail-restart's abort, teardown and relaunch, ended by
+#: the ``comm_create`` of the next attempt's world (a name holding
+#: :data:`ATTEMPT_WORLD`; the other ``comm_create`` records are the
+#: communicators a repair builds inside Fenix's share).  The first three
+#: rows are the job's records (no world rank); the last three are each
+#: participant's own
 RECOVERY_SPINE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("ulfm", RECOVERY_STAGES["detection"]),
     ("fenix", REPAIR_DONE_KINDS + ("shrink", "role")),
+    ("process", ("comm_create",)),
     ("veloc", RECOVERY_DONE_KINDS),
+    ("recompute", RECOVERY_STAGES["recompute"]),
     ("kr", REENTRY_KINDS),
 )
 

@@ -2,13 +2,10 @@
 
 import copy
 
-from repro.align.engine import (
-    align,
-    audit_traces,
-    first_divergence_report,
-    recovery_breakdown,
-)
+from repro.align.engine import align, audit_traces, first_divergence_report
+from repro.monitor.explain import episodes, recovery_path
 from repro.sim.trace import TraceRecord
+from repro.vocabulary import RECOVERY_SPINE
 
 
 def rec(time=0.0, source="veloc.rank0", kind="checkpoint", **fields):
@@ -54,11 +51,15 @@ def test_first_divergence_report_carries_context_and_downstream(
     assert first["context_a"] and first["context_b"]
     down = report["downstream"]
     assert {"a", "b", "delta"} <= set(down["wall_time"])
-    assert down["recovery_latency"]["a"] is not None
+    # the recovery walker's numbers, not a second walk of the spine
+    assert down["recovery_latency"]["a"] == episodes(base_records)[0].total
+    assert down["recovery_latency"]["b"] == \
+        episodes(perturbed_records)[0].total
     # both runs recover, so the per-layer path has both sides
     assert down["recovery_path"]
-    for stage in down["recovery_path"].values():
+    for layer, stage in down["recovery_path"].items():
         assert {"a", "b", "delta"} <= set(stage)
+        assert stage["a"] == episodes(base_records)[0].by_layer().get(layer)
 
 
 # -- value drift ---------------------------------------------------------
@@ -123,17 +124,17 @@ def test_evicted_prefix_is_excused_not_divergent(base_records):
     assert any("ring-buffer" in note for note in alignment.notes)
 
 
-# -- recovery breakdown --------------------------------------------------
+# -- the recovery breakdown align reports ----------------------------------
 
 
 def test_recovery_breakdown_walks_the_protocol_spine(base_records):
-    path = recovery_breakdown(base_records)
-    assert path["total"] >= 0.0
-    assert set(path) <= {"ulfm", "fenix", "veloc", "kr", "total"}
+    path = recovery_path(base_records)
+    assert path["total"] > 0.0
+    assert set(path) <= {layer for layer, _ in RECOVERY_SPINE} | {"total"}
     charged = sum(v for k, v in path.items() if k != "total")
     assert abs(charged - path["total"]) < 1e-9
 
 
 def test_recovery_breakdown_empty_without_a_kill():
     records = [rec(time=float(i), version=i) for i in range(5)]
-    assert recovery_breakdown(records) == {}
+    assert recovery_path(records) == {}

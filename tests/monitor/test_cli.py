@@ -114,6 +114,20 @@ class TestExplain:
         assert main(["explain", veloc_trace_file, "--rank", "9"]) == 0
         assert "no failure found for rank 9" in capsys.readouterr().out
 
+    def test_explain_discloses_evicted_records(self, veloc_run, tmp_path,
+                                               capsys):
+        # a ring-buffered flight recorder: everything before the kill's
+        # detection was evicted, and the header says so
+        _, _, records = veloc_run
+        cut = next(i for i, r in enumerate(records) if r.kind == "revoke")
+        path = write_records(tmp_path / "ring.trace.jsonl", records[cut:],
+                             dropped=cut,
+                             window=(records[0].time, records[cut - 1].time))
+        for selection in ([], ["--rank", "2"], ["--rank", "9"]):
+            assert main(["explain", path, *selection]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"trace_dropped: {cut} records evicted")
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

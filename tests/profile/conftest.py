@@ -67,12 +67,13 @@ def shrink_run():
     from repro.harness.recompute import RecomputeTracker
     from repro.mpi import World
     from repro.sim import Cluster
+    from repro.sim.trace import Trace
     from tests.apps.conftest import app_cluster
 
     n_ranks = 3
     tel = Telemetry(enabled=True)
     base = app_cluster(n_ranks)
-    cluster = Cluster(base.spec, telemetry=tel)
+    cluster = Cluster(base.spec, telemetry=tel, trace=Trace())
     plan = IterationFailure([(1, 17)])
     world = World(cluster, n_ranks)
     system = FenixSystem(world, n_spares=0, spare_policy="shrink")
@@ -91,4 +92,5 @@ def shrink_run():
         world.spawn(r, wrapped(r), failure_plan=plan)
     cluster.engine.run()
     world.raise_job_errors()
+    tel.trace = cluster.trace
     return tel, system, results

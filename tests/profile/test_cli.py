@@ -1,4 +1,4 @@
-"""python -m repro.profile: all four subcommands, drop/budget exits."""
+"""python -m repro.profile: all three subcommands, drop/budget exits."""
 
 import json
 
@@ -31,22 +31,6 @@ class TestReport:
 
     def test_unknown_strategy_rejected(self, capsys):
         assert main(["report", "--strategy", "nope"]) == 2
-
-
-class TestCriticalPath:
-    def test_critical_path_prints_chain(self, tmp_path, capsys):
-        out = tmp_path / "cp.json"
-        assert main(["critical-path", *RUN, "--json", str(out)]) == 0
-        assert "critical path" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        assert doc["kill_rank"] == 2
-        assert doc["total"] > 0
-
-    def test_no_failure_exits_nonzero(self, capsys):
-        args = ["critical-path", "--strategy", "fenix_kr_veloc",
-                "--ranks", "4", "--iters", "20"]
-        assert main(args) == 1
-        assert "no critical path" in capsys.readouterr().err
 
 
 class TestFlamegraph:

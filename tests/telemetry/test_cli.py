@@ -14,12 +14,11 @@ class TestRunCommand:
             "run", "--app", "heatdis", "--strategy", "fenix_veloc",
             "--ranks", "4", "--iters", "20", "--interval", "10",
             "--bytes", "4e6", "--kill-rank", "2",
-            "--out", str(out), "--timeline",
+            "--out", str(out),
         ])
         assert rc == 0
         captured = capsys.readouterr().out
         assert "wall=" in captured
-        assert "rank_killed" in captured  # timeline printed
         trace = json.loads((out / "trace.json").read_text())
         assert trace["traceEvents"]
         metrics = json.loads((out / "metrics.json").read_text())

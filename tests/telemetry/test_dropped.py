@@ -3,7 +3,7 @@
 ``tests/telemetry/test_export.py`` covers drop annotations on synthetic
 traces; these tests run a *real* failing job with a tiny
 ``trace_max_records`` and assert the whole observability path -- Chrome
-export, text timelines, the profile flame stacks -- stays valid and
+export, the recovery walk, the profile flame stacks -- stays valid and
 says so, instead of silently presenting a truncated story.
 """
 
@@ -12,6 +12,8 @@ import pytest
 from repro.apps.heatdis import HeatdisConfig
 from repro.experiments.common import paper_env
 from repro.harness.runner import run_heatdis_job
+from repro.monitor.explain import explain_failure
+from repro.monitor.trace_io import trace_meta
 from repro.sim.failures import IterationFailure
 from repro.telemetry import Telemetry
 from repro.telemetry.export import (
@@ -19,7 +21,6 @@ from repro.telemetry.export import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.telemetry.timeline import failure_timeline
 
 #: small enough that a 4-rank failing run must evict records
 TINY_BUFFER = 8
@@ -67,20 +68,22 @@ class TestEndToEndDrops:
 
     def test_failure_timeline_discloses_eviction(self, dropped_run):
         tel, _ = dropped_run
-        text = failure_timeline(tel, trace=tel.trace)
-        assert "trace_dropped" in text
+        text = explain_failure(tel.trace, trace_meta(tel.trace))
+        assert text.startswith("trace_dropped")
         assert f"{tel.trace.dropped} records evicted" in text
 
-    def test_timeline_limit_does_not_hide_annotation(self, dropped_run):
+    def test_selection_does_not_hide_annotation(self, dropped_run):
         tel, _ = dropped_run
-        text = failure_timeline(tel, trace=tel.trace, limit=5)
-        assert "trace_dropped" in text
+        for selection in ({"rank": 9}, {"occurrence": 5}):
+            text = explain_failure(tel.trace, trace_meta(tel.trace),
+                                   **selection)
+            assert text.startswith("trace_dropped")
 
     def test_unbounded_trace_same_job_has_no_drops(self):
         tel, _ = run_failing_job(max_records=None)
         assert tel.trace.dropped == 0
-        assert "trace_dropped" not in failure_timeline(tel,
-                                                       trace=tel.trace)
+        assert "trace_dropped" not in explain_failure(
+            tel.trace, trace_meta(tel.trace))
 
 
 class TestDropsInDownstreamLayers:
@@ -102,7 +105,7 @@ class TestDropsInDownstreamLayers:
         from repro.profile.flamegraph import folded_stacks, format_folded
 
         tel, _ = dropped_run
-        timeline = failure_timeline(tel, trace=tel.trace, limit=40)
+        walk = explain_failure(tel.trace, trace_meta(tel.trace))
         folded = format_folded(folded_stacks(tel))
-        assert "trace_dropped" in timeline
+        assert "trace_dropped" in walk
         assert folded.strip()

@@ -1,7 +1,9 @@
-"""Exporter tests: Chrome trace-event JSON, validator, timeline text."""
+"""Exporter tests: Chrome trace-event JSON, validator, drop disclosure."""
 
 import json
 
+from repro.monitor.explain import explain_failure
+from repro.monitor.trace_io import trace_meta
 from repro.sim.trace import Trace
 from repro.telemetry.collector import Telemetry
 from repro.telemetry.export import (
@@ -13,7 +15,6 @@ from repro.telemetry.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.telemetry.timeline import failure_timeline, render_timeline
 
 
 class FakeClock:
@@ -143,37 +144,6 @@ class TestValidator:
         assert any("scope" in e for e in validate_chrome_trace(doc))
 
 
-class TestTimeline:
-    def test_renders_rows_in_time_order(self):
-        tel, _ = make_telemetry()
-        text = render_timeline(tel)
-        lines = text.splitlines()
-        assert "event" in lines[0]
-        body = lines[1:]
-        times = [float(line.split()[0]) for line in body]
-        assert times == sorted(times)
-        assert any("+ veloc.checkpoint" in line for line in body)
-        assert any("- recompute" in line for line in body)
-
-    def test_failure_filter(self):
-        tel, clock = make_telemetry()
-        tel.instant("rank0", "unrelated_marker")
-        text = failure_timeline(tel)
-        assert "rank_killed" in text
-        assert "unrelated_marker" not in text
-
-    def test_sources_and_limit(self):
-        tel, _ = make_telemetry()
-        text = render_timeline(tel, sources=["rank1"], limit=1)
-        body = text.splitlines()[1:]
-        assert len(body) == 1
-        assert "rank1" in body[0]
-
-    def test_empty(self):
-        tel = Telemetry(enabled=True)
-        assert render_timeline(tel) == "(no events)"
-
-
 class TestMetricsExport:
     def test_diff_detects_changes(self):
         a = Telemetry(enabled=True)
@@ -227,18 +197,24 @@ class TestDroppedAnnotations:
         assert not any(e.get("name") == "trace_dropped" for e in events)
 
     def test_timeline_annotation_row(self):
-        tel, _ = make_telemetry()
-        text = render_timeline(tel, trace=self.make_dropped_trace())
-        assert "trace_dropped" in text
-        assert "3 records evicted" in text
+        # the recovery walk says what the ring evicted before anything else
+        trace = self.make_dropped_trace()
+        text = explain_failure(trace, trace_meta(trace))
+        assert text.startswith("trace_dropped: 3 records evicted in "
+                               "t=[0.000000, 2.000000]")
 
     def test_annotation_survives_failure_filter(self):
-        tel, _ = make_telemetry()
-        text = failure_timeline(tel, trace=self.make_dropped_trace())
+        # the walk keeps only the failure's protocol records
+        trace = self.make_dropped_trace()
+        trace.emit(5.0, "rank0", "unrelated_marker")
+        text = explain_failure(trace, trace_meta(trace))
+        assert "unrelated_marker" not in text
         assert "trace_dropped" in text
 
     def test_annotation_survives_sources_filter(self):
-        tel, _ = make_telemetry()
-        text = render_timeline(tel, trace=self.make_dropped_trace(),
-                               sources=["rank1"])
-        assert "trace_dropped" in text
+        # selecting a rank (with or without a failure) keeps it too
+        trace = self.make_dropped_trace()
+        for rank in (3, 0):
+            text = explain_failure(trace, trace_meta(trace), rank=rank)
+            assert text.startswith("trace_dropped")
+        assert "no failure found for rank 0" in text

@@ -6,13 +6,13 @@ import pytest
 from repro.apps.heatdis import HeatdisConfig
 from repro.experiments.common import paper_env
 from repro.harness.runner import run_heatdis_job
+from repro.monitor.explain import explain_failure
 from repro.sim.failures import IterationFailure
 from repro.telemetry import (
     Telemetry,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.telemetry.timeline import failure_timeline
 
 RANKS = 4
 INTERVAL = 10
@@ -113,10 +113,10 @@ class TestAcceptanceTrace:
 
     def test_failure_timeline_renders(self, telemetered_run):
         tel, _ = telemetered_run
-        text = failure_timeline(tel, trace=tel.trace)
+        text = explain_failure(tel.trace)
         assert "rank_killed" in text
         assert "revoke" in text
-        assert "recompute" in text
+        assert "rank4 recompute" in text  # the spare re-runs the lost work
 
 
 class TestKRStrategyTrace:

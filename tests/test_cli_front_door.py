@@ -63,7 +63,6 @@ TABLE = [
     Row("monitor", ["explain", "{trace}"], ["explain", "{bad}"]),
     Row("monitor", ["smoke", "--iters", "20", "--out", "{tmp}/smoke"]),
     Row("profile", ["report", *KILL, "--json", "{tmp}/ledger2.json"]),
-    Row("profile", ["critical-path", *KILL]),
     Row("profile", ["flamegraph", *KILL, "--out", "{tmp}/p.folded"]),
     Row("profile", ["diff", "{ledger}", "{ledger}"],
         ["diff", "{ledger}", "{bad}"]),
@@ -168,7 +167,7 @@ def test_the_table_has_a_row_for_every_subcommand():
             elif action.dest == "what":  # experiments' targets
                 declared |= {(tool, name) for name in action.choices}
     assert declared == {(row.tool, row.argv[0]) for row in TABLE}
-    assert len(declared) == 22 + 9
+    assert len(declared) == 21 + 9
 
 
 def test_report_without_a_command_is_run_with_its_defaults(monkeypatch):

@@ -277,10 +277,19 @@ def test_every_named_set_draws_from_the_declared_kinds():
     assert set(V.KILL_KINDS) < set(stages["failure"])
     assert set(V.REPAIR_DONE_KINDS) < set(stages["repair"])
     assert set(V.RECOVERY_DONE_KINDS) < set(stages["restore"])
-    assert {k for _layer, kinds in V.RECOVERY_SPINE for k in kinds} \
-        <= {k for kinds in stages.values() for k in kinds}
-    assert [layer for layer, _ in V.RECOVERY_SPINE] == [
-        layer for layer in V.LAYERS if layer in dict(V.RECOVERY_SPINE)]
+    # the spine: one row per layer, in protocol order -- every row's
+    # kinds come from stages no earlier than the row before's; the
+    # relaunch's comm_create is the one kind that belongs to no stage
+    order = list(stages)
+    spine_layers = [layer for layer, _ in V.RECOVERY_SPINE]
+    assert len(set(spine_layers)) == len(spine_layers)
+    assert set(spine_layers) <= set(V.LAYERS)
+    spine_kinds = {k for _layer, kinds in V.RECOVERY_SPINE for k in kinds}
+    assert spine_kinds - {k for kinds in stages.values() for k in kinds} \
+        == {"comm_create"} == set(dict(V.RECOVERY_SPINE)["process"])
+    firsts = [min(order.index(V.KINDS[k][1]) for k in kinds)
+              for layer, kinds in V.RECOVERY_SPINE if layer != "process"]
+    assert firsts == sorted(firsts)
     for monitor in standard_monitors():
         assert monitor.KINDS <= declared, type(monitor).__name__
         assert all(protocol_critical(k) for k in monitor.KINDS)
@@ -405,5 +414,5 @@ def test_nothing_runs_on_a_rank_track_after_its_kill(strategy):
     assert late == []
     # and the spare's recovery is on the spare's row
     spare = [e["name"] for e in events if track[e["tid"]] == "rank4"]
-    assert set(V.RECOVER_SPANS) & set(spare)
+    assert {V.SPAN_OF[k] for k in V.RECOVERY_DONE_KINDS} & set(spare)
     assert set(V.RECOVERY_DONE_KINDS) & set(spare)
