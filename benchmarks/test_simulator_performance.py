@@ -145,6 +145,8 @@ def test_contended_flush_rate(benchmark):
     assert cluster.network.messages_sent == messages
     assert cluster.pfs.bytes_written == pytest.approx(
         FLUSH_NODES * FLUSHES_PER_NODE * FLUSH_BYTES)
+    if benchmark.stats is None:  # --benchmark-disable times nothing
+        return
     # the best round: this host's noise only ever adds
     per_piece = benchmark.stats.stats.min / (flush_pieces + messages)
     benchmark.extra_info["us_per_piece"] = per_piece * 1e6

@@ -1,4 +1,12 @@
-"""Benchmark applications: Heatdis and MiniMD.
+"""Benchmark applications: Heatdis and MiniMD, the two the paper runs
+(Section VI).
+
+Heatdis has three mains over one state and one halo exchange: the
+KR-integrated one (:mod:`repro.apps.heatdis`), the hand-integrated VeloC
+arms (:mod:`repro.apps.heatdis_manual`) and the elastic shrink-and-
+rebalance continuation (:mod:`repro.apps.heatdis_elastic`).  Every main
+hands its per-iteration recompute bookkeeping to
+:meth:`repro.mpi.world.RankContext.iteration`.
 
 Both applications follow the guide's split between correctness and cost:
 the numerics run for real on laptop-scale numpy arrays (vectorized, in
@@ -21,12 +29,6 @@ from repro.apps.heatdis import (
     HeatdisState,
     heatdis_reference,
     make_heatdis_main,
-)
-from repro.apps.heatdis2d import (
-    Heatdis2DConfig,
-    Heatdis2DState,
-    heatdis2d_reference,
-    make_heatdis2d_main,
 )
 from repro.apps.heatdis_elastic import (
     gather_elastic,
@@ -122,8 +124,6 @@ def _heatdis_main(cfg, strategy, ckpt_interval, runner, imr, plan, results,
 
 APPS: Dict[str, AppSpec] = {
     "heatdis": AppSpec(HeatdisConfig, "n_iters", False, _heatdis_main),
-    "heatdis2d": AppSpec(Heatdis2DConfig, "n_iters", True,
-                         _kr_app(make_heatdis2d_main)),
     "minimd": AppSpec(MiniMDConfig, "n_steps", True,
                       _kr_app(make_minimd_main)),
 }
@@ -149,10 +149,6 @@ __all__ = [
     "HeatdisState",
     "heatdis_reference",
     "make_heatdis_main",
-    "Heatdis2DConfig",
-    "Heatdis2DState",
-    "heatdis2d_reference",
-    "make_heatdis2d_main",
     "make_manual_heatdis_main",
     "make_elastic_heatdis_main",
     "gather_elastic",

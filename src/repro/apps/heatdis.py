@@ -286,14 +286,8 @@ def make_heatdis_main(
                     state.progress[1] = result
                 state.progress[0] = float(i)
 
-            is_recompute = tracker is not None and tracker.is_recompute(h.rank, i)
-            if is_recompute:
-                with ctx.recompute(i):
-                    executed = yield from kr.checkpoint("heatdis", i, region)
-            else:
+            with ctx.iteration(i, tracker, h.rank):
                 executed = yield from kr.checkpoint("heatdis", i, region)
-                if tracker is not None:
-                    tracker.advance(h.rank, i)
             if check_convergence:
                 if executed:
                     delta = float(state.progress[1])

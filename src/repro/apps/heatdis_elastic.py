@@ -15,19 +15,28 @@ implements the shrinking half end-to-end:
 - computation then continues with the same numerics, so the final answer
   is bit-identical to a fault-free run -- only the decomposition changed.
 
-Checkpoints are stored with explicit row-range metadata (via a raw PFS
-object per rank) precisely so a *different* decomposition can consume
-them -- the capability fixed-shape ``mem_protect`` registration cannot
-express, which is why this main integrates VeloC-style storage manually.
+A rank's slab is Heatdis's :class:`~repro.apps.heatdis.HeatdisState`,
+sized to its partition, and its halo is Heatdis's ``halo_exchange``.
+Only the checkpoint differs: it is stored with explicit row-range
+metadata (via a raw PFS object per rank) precisely so a *different*
+decomposition can consume it -- the capability fixed-shape
+``mem_protect`` registration cannot express, which is why this main
+integrates VeloC-style storage manually.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.heatdis import HOT_EDGE, HeatdisConfig, stencil_sweep
+from repro.apps.heatdis import (
+    HeatdisConfig,
+    HeatdisState,
+    halo_exchange,
+    stencil_sweep,
+)
 from repro.fenix.roles import Role
 from repro.kokkos import KokkosRuntime
 from repro.mpi import MIN
@@ -44,51 +53,23 @@ def partition_rows(total_rows: int, size: int, rank: int) -> Tuple[int, int]:
     return lo, hi
 
 
-class ElasticState:
-    """A rank's slab for the *current* decomposition."""
-
-    def __init__(self, cfg: HeatdisConfig, total_rows: int, comm_rank: int,
-                 comm_size: int) -> None:
-        self.cfg = cfg
-        self.total_rows = total_rows
-        self.row_lo, self.row_hi = partition_rows(total_rows, comm_size,
-                                                  comm_rank)
-        self.runtime = KokkosRuntime()
-        rows = self.row_hi - self.row_lo
-        self.current = self.runtime.view(
-            "elastic.grid", shape=(rows + 2, cfg.cols),
-            modeled_nbytes=cfg.checkpoint_bytes,
-        )
-        self.next = self.runtime.view(
-            "elastic.grid_next", shape=(rows + 2, cfg.cols),
-            modeled_nbytes=cfg.checkpoint_bytes,
-        )
-        self.runtime.declare_alias("elastic.grid_next", "elastic.grid")
-        if self.row_lo == 0:
-            self.current.data[0, :] = HOT_EDGE
-            self.next.data[0, :] = HOT_EDGE
-
-    @property
-    def owned(self) -> np.ndarray:
-        return self.current.data[1:-1, :]
-
-
 def _ckpt_key(version: int, rank: int) -> Tuple:
     return ("elastic", int(version), int(rank))
 
 
 def _checkpoint(
-    h: CommHandle, state: ElasticState, version: int, cluster: Any
+    h: CommHandle, state: HeatdisState, rows: Tuple[int, int], version: int,
+    cluster: Any,
 ) -> Generator[Event, Any, None]:
-    """Store this rank's owned rows + row-range metadata on the PFS.
+    """Store this rank's owned ``rows`` + row-range metadata on the PFS.
 
     Synchronous write (elastic restart needs globally visible data, and
     redistribution reads arbitrary ranks' objects)."""
     ctx = h.ctx
     t0 = ctx.engine.now
     payload = {
-        "rows": state.owned.copy(),
-        "range": (state.row_lo, state.row_hi),
+        "rows": state.current.data[1:-1, :].copy(),
+        "range": rows,
         "size": h.size,
     }
     yield from cluster.pfs.write(
@@ -120,13 +101,15 @@ def _complete_versions(cluster: Any, total_rows: int) -> List[int]:
 
 
 def _redistribute(
-    h: CommHandle, state: ElasticState, version: int, cluster: Any
+    h: CommHandle, state: HeatdisState, rows: Tuple[int, int], version: int,
+    cluster: Any,
 ) -> Generator[Event, Any, None]:
-    """Rebuild this rank's (new) slab from the old decomposition's
-    checkpoint objects overlapping its row range."""
+    """Rebuild this rank's (new) slab, global ``rows``, from the old
+    decomposition's checkpoint objects overlapping it."""
     ctx = h.ctx
     t0 = ctx.engine.now
-    needed = range(state.row_lo, state.row_hi)
+    owned = state.current.data[1:-1, :]
+    needed = range(*rows)
     # find every stored block of this version (any old rank id)
     keys = [
         key for key in cluster.pfs.keys()
@@ -144,7 +127,7 @@ def _redistribute(
         src_rows = payload["rows"]
         src_lo = max(lo, needed.start)
         src_hi = min(hi, needed.stop)
-        state.owned[src_lo - state.row_lo:src_hi - state.row_lo, :] = (
+        owned[src_lo - needed.start:src_hi - needed.start, :] = (
             src_rows[src_lo - lo:src_hi - lo, :]
         )
         filled += src_hi - src_lo
@@ -153,33 +136,6 @@ def _redistribute(
             f"elastic restart: recovered {filled}/{len(needed)} rows"
         )
     ctx.account.charge(DATA_RECOVERY, ctx.engine.now - t0)
-
-
-def _halo(
-    h: CommHandle, state: ElasticState, cfg: HeatdisConfig
-) -> Generator[Event, Any, None]:
-    grid = state.current.data
-    rank, size = h.rank, h.size
-    nbytes = cfg.modeled_halo_bytes
-    if size == 1:
-        return
-    up, down = rank - 1, rank + 1
-    if up >= 0 and down < size:
-        got = yield from h.sendrecv(grid[1, :].copy(), dest=up, source=down,
-                                    sendtag=40, nbytes=nbytes)
-        grid[-1, :] = got
-    elif up >= 0:
-        yield from h.send(grid[1, :].copy(), dest=up, tag=40, nbytes=nbytes)
-    elif down < size:
-        grid[-1, :] = yield from h.recv(source=down, tag=40)
-    if down < size and up >= 0:
-        got = yield from h.sendrecv(grid[-2, :].copy(), dest=down, source=up,
-                                    sendtag=41, nbytes=nbytes)
-        grid[0, :] = got
-    elif down < size:
-        yield from h.send(grid[-2, :].copy(), dest=down, tag=41, nbytes=nbytes)
-    elif up >= 0:
-        grid[0, :] = yield from h.recv(source=up, tag=41)
 
 
 def make_elastic_heatdis_main(
@@ -211,12 +167,17 @@ def make_elastic_heatdis_main(
         # state is rebuilt whenever this rank's partition changed (the
         # post-failure load rebalance)
         persistent = ctx.user.setdefault("elastic", {})
-        state: Optional[ElasticState] = persistent.get("state")
-        my_partition = partition_rows(total_rows, h.size, h.rank)
+        state: Optional[HeatdisState] = persistent.get("state")
+        rows = partition_rows(total_rows, h.size, h.rank)
         rebuilt = False
-        if state is None or (state.row_lo, state.row_hi) != my_partition:
-            state = ElasticState(cfg, total_rows, h.rank, h.size)
+        if state is None or persistent["rows"] != rows:
+            # the slab is a Heatdis grid of this partition's height; its
+            # hot edge goes to comm rank 0, the rank whose rows start at 0
+            state = HeatdisState(KokkosRuntime(),
+                                 replace(cfg, local_rows=rows[1] - rows[0]),
+                                 h.rank, h.size)
             persistent["state"] = state
+            persistent["rows"] = rows
             rebuilt = True
 
         # agree on the newest complete version (every rank sees the same
@@ -225,39 +186,29 @@ def make_elastic_heatdis_main(
         local_best = complete[-1] if complete else -1
         latest = int((yield from h.allreduce(local_best, op=MIN, nbytes=8.0)))
         if latest >= 0 and (rebuilt or role is not Role.INITIAL):
-            yield from _redistribute(h, state, latest, cluster)
+            yield from _redistribute(h, state, rows, latest, cluster)
             start = latest + 1
         else:
             start = 0
 
-        def iteration(i):
-            yield from _halo(h, state, cfg)
-            stencil_sweep(state.current.data, state.next.data)
-            yield from ctx.compute(
-                work=per_row_work * state.owned.shape[0],
-                jitter=cfg.compute_jitter,
-            )
-            state.current.data, state.next.data = (
-                state.next.data, state.current.data,
-            )
-            if i > 0 and i % ckpt_interval == 0:
-                yield from _checkpoint(h, state, i, cluster)
-
+        work = per_row_work * (rows[1] - rows[0])
         for i in range(start, cfg.n_iters):
             if failure_plan is not None:
                 failure_plan.check(ctx.rank, i)
-            if tracker is not None and tracker.is_recompute(ctx.rank, i):
-                with ctx.recompute(i):
-                    yield from iteration(i)
-            else:
-                yield from iteration(i)
-                if tracker is not None:
-                    tracker.advance(ctx.rank, i)
+            with ctx.iteration(i, tracker, ctx.rank):
+                yield from halo_exchange(h, state, cfg)
+                stencil_sweep(state.current.data, state.next.data)
+                yield from ctx.compute(work=work, jitter=cfg.compute_jitter)
+                state.current.data, state.next.data = (
+                    state.next.data, state.current.data,
+                )
+                if i > 0 and i % ckpt_interval == 0:
+                    yield from _checkpoint(h, state, rows, i, cluster)
         outcome = {
             "rank": h.rank,
             "size": h.size,
-            "range": (state.row_lo, state.row_hi),
-            "rows": state.owned.copy(),
+            "range": rows,
+            "rows": state.current.data[1:-1, :].copy(),
         }
         if results is not None:
             results[h.rank] = outcome

@@ -90,14 +90,8 @@ def make_manual_heatdis_main(
         for i in range(start, cfg.n_iters):
             if failure_plan is not None:
                 failure_plan.check(ctx.rank, i)
-            is_recompute = tracker is not None and tracker.is_recompute(h.rank, i)
-            if is_recompute:
-                with ctx.recompute(i):
-                    yield from heatdis_iteration(h, state, cfg, reduce_error=False)
-            else:
+            with ctx.iteration(i, tracker, h.rank):
                 yield from heatdis_iteration(h, state, cfg, reduce_error=False)
-                if tracker is not None:
-                    tracker.advance(h.rank, i)
             state.progress[0] = float(i)
             if i > 0 and i % ckpt_interval == 0:
                 yield from client.checkpoint(i)

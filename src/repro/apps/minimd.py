@@ -459,16 +459,8 @@ def make_minimd_main(
             # NOTE: MiniMD's phase labels override the recompute label, so
             # re-executed work appears as extra time inside the compute
             # phases -- exactly how Figure 6 presents it.
-            is_recompute = tracker is not None and tracker.is_recompute(
-                h.rank, step
-            )
-            if is_recompute:
-                with ctx.recompute(step):
-                    yield from kr.checkpoint("minimd", step, region)
-            else:
+            with ctx.iteration(step, tracker, h.rank):
                 yield from kr.checkpoint("minimd", step, region)
-                if tracker is not None:
-                    tracker.advance(h.rank, step)
         outcome = {
             "rank": h.rank,
             "steps": cfg.n_steps,

@@ -25,7 +25,6 @@ from repro.harness.runner import (
     JobCosts,
     RunReport,
     run_job,
-    run_heatdis2d_job,
     run_heatdis_job,
     run_minimd_job,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "RunReport",
     "run_job",
     "run_heatdis_job",
-    "run_heatdis2d_job",
     "run_minimd_job",
     "format_report_table",
     "summarize_categories",

@@ -5,6 +5,7 @@ the last checkpoint" (Section VI-D2).  The tracker keeps, per communicator
 slot, the highest iteration whose region has *ever* executed in this
 experiment -- across Fenix re-entries and across whole job relaunches --
 so re-executed iterations can be charged to the ``recompute`` bucket.
+Ranks consult it through one call, ``RankContext.iteration``.
 
 This is measurement instrumentation, not application state: it lives in
 the harness, outside any simulated process, exactly like the paper's

@@ -604,7 +604,7 @@ def run_job(
 
 
 #: the per-application names the front door used to be written under,
-#: kept because ``benchmarks/e2e`` (frozen) and most tests call them
+#: kept because the frozen ``benchmarks/e2e/adapter.py`` imports them
+#: (ROADMAP item 9 moves it to ``run_job``) and most tests call them
 run_heatdis_job = partial(run_job, "heatdis")
-run_heatdis2d_job = partial(run_job, "heatdis2d")
 run_minimd_job = partial(run_job, "minimd")

@@ -40,14 +40,15 @@ from repro.monitor.trace_io import JsonlTraceSink, read_trace, write_trace
 from repro.util.errors import ReproError
 
 #: the smoke campaign: (app, strategy, kill rank).  One rank kill,
-#: replaced from the spare pool, on each of the three apps and under
-#: fenix_veloc, fenix_kr_veloc and fenix_kr_imr; no row runs
-#: fenix_kr_partial or the elastic shrink path
+#: replaced from the spare pool, on both apps and under fenix_veloc,
+#: fenix_kr_veloc and fenix_kr_imr.  One row kills rank 0, so a spare
+#: adopts comm rank 0; no row runs fenix_kr_partial or the elastic
+#: shrink path
 SMOKE_SCENARIOS: Tuple[Tuple[str, str, int], ...] = (
     ("heatdis", "fenix_veloc", 1),
     ("heatdis", "fenix_kr_veloc", 2),
     ("heatdis", "fenix_kr_imr", 1),
-    ("heatdis2d", "fenix_kr_veloc", 0),
+    ("minimd", "fenix_kr_veloc", 0),
     ("minimd", "fenix_kr_imr", 1),
 )
 

@@ -107,6 +107,24 @@ class RankContext:
         self.world.trace.emit(self.engine.now, source, "recompute",
                               iteration=iteration)
 
+    @contextmanager
+    def iteration(self, iteration: int, tracker: Any,
+                  slot: int) -> Iterator[None]:
+        """One application iteration under a recompute ``tracker`` (the
+        harness's per-slot high-watermark): an iteration ``slot`` has
+        already executed runs under :meth:`recompute`; a first execution
+        advances the watermark once its body has completed, so a body
+        the kill interrupts advances nothing.  No ``tracker``, no
+        bookkeeping."""
+        if tracker is None:
+            yield
+        elif tracker.is_recompute(slot, iteration):
+            with self.recompute(iteration):
+                yield
+        else:
+            yield
+            tracker.advance(slot, iteration)
+
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "dead"
         return f"<RankContext rank={self.rank} on {self.node.name} {state}>"

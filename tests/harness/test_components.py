@@ -1,9 +1,14 @@
-"""Unit tests for harness components: strategies, recompute tracker, report."""
+"""Unit tests for harness components: strategies, recompute tracker and
+the rank-side iteration that consults it, report."""
 
 import pytest
 
 from repro.harness import STRATEGIES, RecomputeTracker, StrategySpec
 from repro.harness.runner import RunReport
+from repro.mpi import World
+from repro.sim import Cluster, ClusterSpec
+from repro.sim.failures import RankKilledError
+from repro.sim.trace import Trace
 from repro.util.errors import ConfigError
 
 
@@ -28,6 +33,59 @@ class TestStrategies:
 
     def test_partial_scope(self):
         assert STRATEGIES["fenix_kr_partial"].scope == "recovered_only"
+
+
+class TestRankIteration:
+    """``RankContext.iteration``: the one home of the recompute decision."""
+
+    @pytest.fixture
+    def ctx(self):
+        cluster = Cluster(ClusterSpec(n_nodes=1), trace=Trace())
+        return World(cluster, 1).context(0)
+
+    @staticmethod
+    def recompute_records(ctx):
+        return ctx.world.trace.records(kind="recompute")
+
+    def test_first_execution_advances_after_the_body(self, ctx):
+        tr = RecomputeTracker()
+        with ctx.iteration(4, tr, slot=0):
+            assert tr.watermark(0) == -1
+            ctx.account.charge("compute", 1.0)
+        assert tr.watermark(0) == 4
+        assert ctx.account.get("recompute") == 0.0
+        assert self.recompute_records(ctx) == []
+
+    def test_reexecution_charges_recompute_without_advancing(self, ctx):
+        tr = RecomputeTracker()
+        tr.advance(0, 5)
+        with ctx.iteration(3, tr, slot=0):
+            ctx.account.charge("compute", 1.0)
+        assert tr.watermark(0) == 5
+        assert ctx.account.get("recompute") == 1.0
+        [record] = self.recompute_records(ctx)
+        assert record.source == "rank0"
+        assert record.fields["iteration"] == 3
+
+    def test_a_killed_body_advances_nothing(self, ctx):
+        tr = RecomputeTracker()
+        with pytest.raises(RankKilledError):
+            with ctx.iteration(2, tr, slot=0):
+                raise RankKilledError(0)
+        assert tr.watermark(0) == -1
+        assert self.recompute_records(ctx) == []
+
+    def test_each_slot_keeps_its_own_watermark(self, ctx):
+        tr = RecomputeTracker()
+        with ctx.iteration(7, tr, slot=3):
+            pass
+        assert (tr.watermark(3), tr.watermark(0)) == (7, -1)
+
+    def test_no_tracker_no_bookkeeping(self, ctx):
+        with ctx.iteration(0, None, slot=0):
+            ctx.account.charge("compute", 1.0)
+        assert ctx.account.get("recompute") == 0.0
+        assert self.recompute_records(ctx) == []
 
 
 class TestRecomputeTracker:

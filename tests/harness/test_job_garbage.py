@@ -22,7 +22,7 @@ JOBS = [
     ("heatdis", "fenix_kr_veloc", 2),
     ("heatdis", "fenix_kr_imr", 2),
     ("heatdis", "kr_veloc", 2),  # the kill is a relaunch
-    ("heatdis2d", "fenix_kr_veloc", None),
+    ("heatdis", "fenix_veloc", None),  # the manual main, no KR
     ("minimd", "fenix_kr_veloc", 2),
 ]
 

@@ -122,33 +122,6 @@ class TestRelaunchAfterKilledLockWaiter:
         assert rep.attempts == rep.failures + 1
 
 
-class TestHeatdis2DJobs:
-    def test_2d_runs_under_full_stack(self):
-        from repro.apps import Heatdis2DConfig
-        from repro.harness import run_heatdis2d_job
-
-        cfg = Heatdis2DConfig(local_rows=6, local_cols=6, n_iters=18)
-        rep = run_heatdis2d_job(small_env(), "fenix_kr_veloc", 4, cfg, 5)
-        assert rep.attempts == 1
-        assert len(rep.results) == 4
-
-    def test_2d_failure_recovery_through_harness(self):
-        from repro.apps import Heatdis2DConfig
-        from repro.apps.heatdis2d import gather_blocks
-        from repro.harness import run_heatdis2d_job
-        from repro.sim import IterationFailure
-
-        cfg = Heatdis2DConfig(local_rows=6, local_cols=6, n_iters=18)
-        clean = run_heatdis2d_job(small_env(), "fenix_kr_veloc", 4, cfg, 5)
-        failed = run_heatdis2d_job(
-            small_env(), "fenix_kr_veloc", 4, cfg, 5,
-            plan=IterationFailure([(3, 13)]),
-        )
-        np.testing.assert_array_equal(
-            gather_blocks(clean.results, 4), gather_blocks(failed.results, 4)
-        )
-
-
 class TestCLI:
     def test_cli_fig7(self, capsys):
         from repro.experiments.__main__ import main
