@@ -49,8 +49,8 @@ TOOLS: Dict[str, str] = {
     "monitor": "Check, reconstruct, and explain resilience-protocol "
                "traces.",
     "profile": "Per-layer cost attribution over the telemetry stream.",
-    "live": "Live dashboards, SLO checks, and OpenMetrics exports over "
-            "trace and progress streams.",
+    "live": "Live dashboards and SLO checks over trace and progress "
+            "streams.",
     "align": "Cross-run trace alignment, first-divergence root-causing, "
              "and determinism auditing.",
     "report": "Cross-run campaign scorecards and HTML reports.",

@@ -7,14 +7,17 @@ this one watches it happen.  Three pieces, all driven by
 
 - :mod:`repro.live.series` -- windowed time-series (tumbling windows on
   simulated time, bounded memory) deriving flush backlog, checkpoint
-  overhead, recovery latency, liveness and drop counts from the
+  share, kill-to-restore time, liveness and drop counts from the
   protocol record stream;
 - :mod:`repro.live.rules` -- declarative SLO/alert rules evaluated over
   those series as the run executes; fired :class:`Alert` objects land
   in ``RunReport.alerts`` (``python -m repro.live check`` exits 1 on one);
-- :mod:`repro.live.dashboard` / :mod:`repro.live.openmetrics` -- the
-  presentation edges: live TTY frames (``python -m repro.live tail``)
-  and OpenMetrics text snapshots (``... export``).
+- :mod:`repro.live.dashboard` -- live TTY frames (``python -m repro.live
+  tail``); the rank strip is :mod:`repro.monitor.state`'s per-rank
+  state, drawn.
+
+A run's metrics are ``telemetry run``'s ``metrics.json`` and ``live
+check --json``'s ``snapshot``; this layer keeps no second export format.
 """
 
 from repro.live.dashboard import (
@@ -22,13 +25,6 @@ from repro.live.dashboard import (
     render_campaign_frame,
     render_trace_frame,
     sparkline,
-)
-from repro.live.openmetrics import (
-    Family,
-    from_aggregator,
-    from_metrics_snapshot,
-    parse_openmetrics,
-    render_openmetrics,
 )
 from repro.live.rules import (
     Alert,
@@ -42,7 +38,6 @@ from repro.live.rules import (
 from repro.live.series import (
     AGGREGATIONS,
     STANDARD_SERIES,
-    RankLane,
     TimeSeriesAggregator,
     WindowedSeries,
 )
@@ -54,19 +49,13 @@ __all__ = [
     "AlertEngine",
     "AlertRule",
     "CampaignView",
-    "Family",
     "LiveSession",
-    "RankLane",
     "RuleSet",
     "TimeSeriesAggregator",
     "WindowedSeries",
-    "from_aggregator",
-    "from_metrics_snapshot",
     "load_rules",
-    "parse_openmetrics",
     "parse_rules",
     "render_campaign_frame",
-    "render_openmetrics",
     "render_trace_frame",
     "sparkline",
 ]

@@ -13,9 +13,6 @@ Usage (repository root, ``PYTHONPATH=src``)::
     # evaluate an SLO rules file against a recorded trace
     python -m repro.live check run.trace.jsonl --rules examples/slo_rules.json
 
-    # OpenMetrics snapshot from a trace file or a metrics.json snapshot
-    python -m repro.live export run.trace.jsonl --out metrics.prom
-
 Exit codes follow :mod:`repro.report.compare`: 0 clean, 1 SLO alerts
 fired (``check``), 2 usage/load errors.
 """
@@ -30,21 +27,15 @@ from functools import partial
 from typing import Any, Dict, Optional
 
 from repro import cli
-from repro.cli import EXIT_OK, EXIT_REGRESSION, load_json, open_input
+from repro.cli import EXIT_OK, EXIT_REGRESSION, open_input
 from repro.live.dashboard import (
     CampaignView,
     render_campaign_frame,
     render_trace_frame,
 )
-from repro.live.openmetrics import (
-    from_aggregator,
-    from_metrics_snapshot,
-    parse_openmetrics,
-    render_openmetrics,
-)
 from repro.live.rules import LiveSession, RuleSet, load_rules
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import TraceRecord
-from repro.util.errors import ConfigError
 from repro.util.schema import warn_on_mismatch
 
 
@@ -80,17 +71,6 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
     check.add_argument("--json", action="store_true",
                        help="machine-readable result on stdout")
 
-    export = sub.add_parser(
-        "export", help="OpenMetrics text snapshot from a trace file or a "
-                       "metrics snapshot JSON")
-    export.set_defaults(run=_export)
-    export.add_argument("source", help="trace JSONL, or JSON with "
-                                       "counters/gauges/histograms")
-    export.add_argument("--out", default=None,
-                        help="write here instead of stdout")
-    export.add_argument("--window", type=float, default=1.0)
-    export.add_argument("--prefix", default="repro_")
-
 
 # -- tail -----------------------------------------------------------------
 
@@ -102,6 +82,7 @@ class _TailState:
         self.mode: Optional[str] = None  # "progress" | "trace"
         self.view = CampaignView()
         self.session = LiveSession(rules=rules, window_s=window_s)
+        self.tracker = ProtocolStateTracker()
         self.meta: Dict[str, Any] = {}
         self.dirty = False
 
@@ -136,6 +117,10 @@ class _TailState:
         except (KeyError, TypeError, ValueError):
             return  # foreign line in the stream; a viewer keeps going
         self.session.feed(rec)
+        try:
+            self.tracker.feed(rec)
+        except (KeyError, TypeError, ValueError):
+            pass  # a record missing a field: the strip skips it
         self.dirty = True
 
     @property
@@ -146,8 +131,8 @@ class _TailState:
         if self.mode == "progress":
             return render_campaign_frame(self.view, width=width)
         return render_trace_frame(
-            self.session.aggregator, alerts=self.session.alerts,
-            meta=self.meta, width=width)
+            self.session.aggregator, self.tracker,
+            alerts=self.session.alerts, meta=self.meta, width=width)
 
 
 def _tail(args: argparse.Namespace) -> int:
@@ -248,51 +233,6 @@ def _check(args: argparse.Namespace) -> int:
             for brief in alert.records:
                 print("      " + brief)
     return EXIT_REGRESSION if alerts else EXIT_OK
-
-
-# -- export ---------------------------------------------------------------
-
-
-def _load_source(path: str, window_s: float):
-    """Returns metric families from whichever source ``path`` is."""
-    try:
-        doc = load_json(path)
-    except ConfigError:
-        doc = {}  # not one JSON object: read_trace says what it is
-    if isinstance(doc.get("telemetry"), dict):
-        doc = doc["telemetry"]  # a RunReport dump
-    if isinstance(doc.get("merged"), dict):
-        # telemetry run's metrics.json, and a report's telemetry section,
-        # keep the job-wide snapshot under "merged" (telemetry diff reads
-        # the same key)
-        doc = doc["merged"]
-    if {"counters", "gauges", "histograms"} & set(doc):
-        return from_metrics_snapshot(doc), "metrics snapshot"
-    # fall through: treat as a flight-recorder trace
-    from repro.monitor.trace_io import read_trace
-
-    from repro.live.series import TimeSeriesAggregator
-    records, _meta = read_trace(path)
-    agg = TimeSeriesAggregator(window_s=window_s).replay(records)
-    return from_aggregator(agg), f"trace ({len(records)} records)"
-
-
-def _export(args: argparse.Namespace) -> int:
-    families, what = _load_source(args.source, args.window)
-    if args.prefix != "repro_":
-        for fam in families:
-            fam.name = fam.name.replace("repro_", args.prefix, 1)
-    text = render_openmetrics(families)
-    # self-check before anything scrapes it
-    parse_openmetrics(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(families)} families from {what} to {args.out}",
-              file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
 
 
 main = partial(cli.main, tool="live")

@@ -7,9 +7,10 @@ produces:
   events (``campaign_start`` / ``cell_done`` / ``campaign_end``) into a
   progress bar, cache/worker stats, ETA, and a lane of recent cells;
 - :func:`render_trace_frame` renders a
-  :class:`~repro.live.series.TimeSeriesAggregator` (fed from a
-  flight-recorder stream or a live trace) as per-rank lanes, metric
-  sparklines, and the currently-firing alerts.
+  :class:`~repro.live.series.TimeSeriesAggregator` and a
+  :class:`~repro.monitor.state.ProtocolStateTracker` fed the same
+  flight-recorder stream as a rank strip, metric sparklines, and the
+  currently-firing alerts.
 
 Both return a complete frame as one string; the CLI (``repro.live
 tail``) handles clearing/redrawing, and CI captures the final frame as
@@ -24,19 +25,23 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.live.rules import Alert
 from repro.live.series import TimeSeriesAggregator
+from repro.monitor.state import ProtocolStateTracker, RankState
 
 #: eighth-block ramp used for sparklines
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: rank-lane state glyphs
-LANE_GLYPHS = {
-    "alive": "●",      # ●
-    "dead": "✕",       # ✕
-    "spare": "○",      # ○
-    "recovered": "◐",  # ◐
-}
+#: the rank strip's glyph per Fenix role (a dead rank is ✕, any other
+#: living one ●)
+ROLE_GLYPHS = {"SPARE": "○", "RECOVERED": "◐"}
 
 SEVERITY_MARKS = {"info": "i", "warning": "!", "critical": "!!"}
+
+
+def rank_glyph(st: RankState) -> str:
+    """One rank's place in the strip, read off its protocol state."""
+    if not st.alive:
+        return "✕"
+    return ROLE_GLYPHS.get(st.role, "●")
 
 
 def sparkline(values: List[float], width: int = 16) -> str:
@@ -164,6 +169,7 @@ def render_campaign_frame(view: CampaignView, width: int = 78) -> str:
 
 def render_trace_frame(
     agg: TimeSeriesAggregator,
+    tracker: ProtocolStateTracker,
     alerts: Optional[List[Alert]] = None,
     meta: Optional[Dict[str, Any]] = None,
     width: int = 78,
@@ -178,21 +184,18 @@ def render_trace_frame(
         if dropped:
             lines.append(f"drops: ring={dropped}"
                          f" (window {meta.get('dropped_window')})")
-    if agg.lanes:
-        glyphs = "".join(
-            LANE_GLYPHS.get(agg.lanes[r].state, "?")
-            for r in sorted(agg.lanes))
-        lines.append(f"ranks [{glyphs}]  "
-                     "(● alive ✕ dead ○ spare "
-                     "◐ recovered)")
-        busiest = sorted(agg.lanes.values(),
-                         key=lambda l: -l.kills)[:4]
-        for lane in busiest:
-            if lane.kills or lane.state != "alive":
-                lines.append(
-                    f"  rank {lane.rank}: {lane.state}, "
-                    f"{lane.checkpoints} ckpt, {lane.kills} kill(s), "
-                    f"last {lane.last_kind}@{lane.last_t:.3f}")
+    if tracker.ranks:
+        ranks = [tracker.ranks[r] for r in sorted(tracker.ranks)]
+        lines.append(f"ranks [{''.join(map(rank_glyph, ranks))}]  "
+                     "(● alive ✕ dead ○ spare ◐ recovered)")
+        stopped = [st for st in ranks if st.describe() != "RUNNING"]
+        for st in sorted(stopped, key=lambda st: st.alive)[:6]:
+            ckpt = (f"v{st.last_checkpoint}"
+                    if st.last_checkpoint is not None else "-")
+            lines.append(
+                f"  rank {st.world_rank}: {st.describe()}, "
+                f"{st.role or '-'}, last ckpt {ckpt}, "
+                f"last restore {st.last_recover or '-'}")
     name_w = max(len(n) for n in agg.series)
     for name, series in agg.series.items():
         if not series.total_count:

@@ -7,10 +7,10 @@ fires.  Rules live in JSON files::
 
     {"rules": [
       {"name": "recovery-latency-slo",
-       "metric": "recovery_latency_s", "agg": "p99",
+       "metric": "kill_to_restore_s", "agg": "p99",
        "op": "<=", "threshold": 5.0,
        "window_s": 1e9, "for_s": 0, "severity": "critical",
-       "description": "p99 recovery latency within budget"},
+       "description": "p99 kill-to-restore time within budget"},
       {"name": "no-invariant-violations",
        "metric": "invariant_violations", "agg": "last",
        "op": "==", "threshold": 0, "severity": "critical"},

@@ -14,9 +14,9 @@ protocol record stream:
 ``flush_backlog_bytes``           bytes in flight on the VeloC servers
                                   (``flush_submit`` adds, ``flush_done``
                                   subtracts)
-``checkpoint_overhead_pct``       100 * checkpoint seconds / seconds
-                                  since that rank's previous checkpoint
-``recovery_latency_s``            rank kill -> first data recovery
+``checkpoint_share_pct``          100 * checkpoint seconds / seconds
+                                  since that source's previous checkpoint
+``kill_to_restore_s``             rank kill -> first data recovery
                                   (``recover`` / ``imr_restore``), one
                                   sample per failure (ranks that crash
                                   of an open one join it)
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
@@ -40,15 +40,13 @@ from repro.vocabulary import (
     CRASH_KIND,
     KILL_KINDS,
     RECOVERY_DONE_KINDS,
-    RESILIENT_COMM,
-    world_rank,
 )
 
 #: the aggregator's standard global series
 STANDARD_SERIES = (
     "flush_backlog_bytes",
-    "checkpoint_overhead_pct",
-    "recovery_latency_s",
+    "checkpoint_share_pct",
+    "kill_to_restore_s",
     "dropped_records",
     "alive_ranks",
     "spare_ranks",
@@ -175,32 +173,12 @@ class WindowedSeries:
         return [w.last for w in list(self.windows)[-n:]]
 
 
-@dataclass
-class RankLane:
-    """Dashboard state of one simulated rank."""
-
-    rank: int
-    state: str = "alive"  # alive | dead | spare | recovered
-    checkpoints: int = 0
-    kills: int = 0
-    last_kind: str = ""
-    last_t: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rank": self.rank, "state": self.state,
-            "checkpoints": self.checkpoints, "kills": self.kills,
-            "last_kind": self.last_kind, "last_t": self.last_t,
-        }
-
-
 class TimeSeriesAggregator(TraceListener):
-    """Trace listener maintaining the standard live series + rank lanes.
+    """Trace listener maintaining the standard live series.
 
-    A lane is a *world* rank: a layer record (``veloc.rank1``) lands on
-    the process holding that slot when it was emitted, so a substituted
-    spare's checkpoints are the spare's and the rank it replaced stays
-    dead (:func:`repro.vocabulary.world_rank`).
+    Who is dead, spare or recovered, rank by rank, is
+    :class:`repro.monitor.state.ProtocolStateTracker`'s to say; this
+    listener only counts the living and the spares.
     """
 
     def __init__(self, window_s: float = 1.0, max_windows: int = 256,
@@ -211,7 +189,6 @@ class TimeSeriesAggregator(TraceListener):
                                  max_windows=max_windows)
             for name in STANDARD_SERIES
         }
-        self.lanes: Dict[int, RankLane] = {}
         self.now = 0.0
         self.records_seen = 0
         self._trace = trace
@@ -219,10 +196,8 @@ class TimeSeriesAggregator(TraceListener):
         self._world_size = 0
         self._dead: set = set()
         self._spares = 0
-        #: slot -> world rank map of the current resilient communicator
-        self._members: Sequence[int] = ()
         #: open recovery episodes: kill time per failure
-        self._open_kills: List[Tuple[float, Optional[int]]] = []
+        self._open_kills: List[float] = []
         self._last_ckpt_t: Dict[str, float] = {}
 
     # -- the listener -------------------------------------------------------
@@ -233,19 +208,6 @@ class TimeSeriesAggregator(TraceListener):
         if t > self.now:
             self.now = t
         kind = rec.kind
-        try:  # best-effort world-rank attribution (files come from outside)
-            rank = rec.fields.get("rank")
-            rank = (world_rank(rec.source, rec.fields, self._members)
-                    if rank is None else int(rank))
-        except (TypeError, ValueError):
-            rank = None
-        lane = None
-        if rank is not None:
-            lane = self.lanes.get(rank)
-            if lane is None:
-                lane = self.lanes[rank] = RankLane(rank)
-            lane.last_kind = kind
-            lane.last_t = t
 
         if kind == "flush_submit":
             self._backlog_bytes += float(rec.fields.get("nbytes", 0.0))
@@ -257,72 +219,43 @@ class TimeSeriesAggregator(TraceListener):
             self.series["flush_backlog_bytes"].observe(
                 t, self._backlog_bytes, rec)
         elif kind == "checkpoint":
-            if lane is not None:
-                lane.checkpoints += 1
-                if lane.state == "dead":
-                    lane.state = "recovered"
             seconds = rec.fields.get("seconds")
             prev = self._last_ckpt_t.get(rec.source)
             self._last_ckpt_t[rec.source] = t
             if seconds is not None and prev is not None and t > prev:
-                self.series["checkpoint_overhead_pct"].observe(
+                self.series["checkpoint_share_pct"].observe(
                     t, 100.0 * float(seconds) / (t - prev), rec)
         elif kind in KILL_KINDS:
-            if lane is not None:
-                lane.state = "dead"
-                lane.kills += 1
-            if rank is not None:
-                self._dead.add(rank)
+            if rec.fields.get("rank") is not None:
+                self._dead.add(rec.fields["rank"])
             if kind != CRASH_KIND or not self._open_kills:
-                self._open_kills.append((t, rank))
+                self._open_kills.append(t)
             self._observe_alive(t, rec)
         elif kind == "rank_dead":
+            rank = rec.fields.get("rank")
             if rank is not None and rank not in self._dead:
                 self._dead.add(rank)
-                if lane is not None and lane.state != "dead":
-                    lane.state = "dead"
                 self._observe_alive(t, rec)
         elif kind in RECOVERY_DONE_KINDS:
-            if lane is not None and lane.state == "dead":
-                lane.state = "recovered"
-            for t_kill, _ in self._open_kills:
-                self.series["recovery_latency_s"].observe(t, t - t_kill, rec)
+            for t_kill in self._open_kills:
+                self.series["kill_to_restore_s"].observe(t, t - t_kill, rec)
             self._open_kills.clear()
         elif kind == "comm_create":
             members = rec.fields.get("members") or []
-            if rec.source.startswith(RESILIENT_COMM):
-                self._members = members
             if len(members) > self._world_size:
                 self._world_size = len(members)
                 self._observe_alive(t, rec)
             if ATTEMPT_WORLD in rec.source and members:
                 # a relaunch: every rank of the new attempt is alive again
                 self._dead.clear()
-                for m in members:
-                    lane = self.lanes.setdefault(int(m), RankLane(int(m)))
-                    if lane.state == "dead":
-                        lane.state = "recovered"
                 self._observe_alive(t, rec)
         elif kind == "role":
-            role = str(rec.fields.get("role", "")).upper()
-            if lane is not None:
-                if role == "SPARE":
-                    lane.state = "spare"
-                elif role == "RECOVERED":
-                    lane.state = "recovered"
-                elif lane.state in ("spare",):
-                    lane.state = "alive"
-            if role == "SPARE":
+            if str(rec.fields.get("role", "")).upper() == "SPARE":
                 self._spares += 1
                 self.series["spare_ranks"].observe(t, self._spares, rec)
         elif kind == "spare_activated":
             self._spares = max(0, self._spares - 1)
             self.series["spare_ranks"].observe(t, self._spares, rec)
-            spare = rec.fields.get("spare")
-            if spare is not None:
-                lane = self.lanes.setdefault(int(spare), RankLane(int(spare)))
-                lane.state = "recovered"
-                lane.last_kind, lane.last_t = kind, t
 
         drops = self._current_drops()
         if drops != (self.series["dropped_records"].latest() or 0.0):
@@ -354,8 +287,6 @@ class TimeSeriesAggregator(TraceListener):
             "records_seen": self.records_seen,
             "open_recoveries": self.open_recoveries,
             "series": {},
-            "lanes": {str(r): lane.to_dict()
-                      for r, lane in sorted(self.lanes.items())},
         }
         for name, series in self.series.items():
             out["series"][name] = {

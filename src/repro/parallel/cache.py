@@ -7,7 +7,9 @@ A cell's identity is the SHA-256 of:
 
 - the canonical JSON form of its :class:`~repro.parallel.spec.CellSpec`
   (every field that affects the simulation, including all seeds; the
-  cosmetic ``label`` is excluded), and
+  cosmetic ``label`` is excluded),
+- the parsed SLO rules the spec's ``rules`` file holds, so editing a
+  rule re-simulates the cells that evaluate it,
 - the *code fingerprint*: a digest over the source bytes of every module
   in the ``repro`` package, so any code change -- an engine fix, a cost
   model tweak -- invalidates the whole cache automatically, and
@@ -42,6 +44,7 @@ import pathlib
 from typing import Optional
 
 from repro.harness.runner import RunReport
+from repro.live.rules import load_rules
 from repro.parallel.spec import CellResult, CellSpec, spec_to_dict
 
 #: bump when the on-disk entry layout changes; part of the key, so
@@ -71,15 +74,15 @@ def code_fingerprint() -> str:
 
 def cache_key(spec: CellSpec) -> str:
     """The content address of one cell."""
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA,
-            "code": code_fingerprint(),
-            "spec": spec_to_dict(spec),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    doc = {
+        "schema": CACHE_SCHEMA,
+        "code": code_fingerprint(),
+        "spec": spec_to_dict(spec),
+    }
+    if spec.rules:
+        # ``spec.rules`` is a path: the rules it holds are the identity
+        doc["rules"] = load_rules(spec.rules).to_dict()
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -54,7 +54,7 @@ def tight_rules_file(tmp_path):
     path = tmp_path / "tight.json"
     path.write_text(
         '{"rules": [{"name": "recovery-latency-tight",'
-        ' "metric": "recovery_latency_s", "agg": "p99",'
+        ' "metric": "kill_to_restore_s", "agg": "p99",'
         ' "op": "<=", "threshold": 0.001, "window_s": 1e6,'
         ' "severity": "critical"}]}'
     )

@@ -1,10 +1,9 @@
-"""python -m repro.live: tail, check, export (exit codes + artifacts)."""
+"""python -m repro.live: tail and check (exit codes + artifacts)."""
 
 import json
 
-from repro import cli
 from repro.live.__main__ import main
-from repro.live.openmetrics import parse_openmetrics, sanitize_name
+from repro.monitor.__main__ import main as monitor_main
 
 EXIT_OK, EXIT_REGRESSION, EXIT_BAD_INPUT = 0, 1, 2
 
@@ -44,59 +43,6 @@ class TestCheck:
         capsys.readouterr()
 
 
-class TestExport:
-    def test_trace_export_parses(self, kill_trace_file, tmp_path, capsys):
-        out = tmp_path / "metrics.om"
-        assert main(["export", kill_trace_file, "--out", str(out)]) \
-            == EXIT_OK
-        samples = parse_openmetrics(out.read_text())
-        assert "repro_live_records_seen_total" in samples
-        assert "repro_live_recovery_latency_s" in samples
-        capsys.readouterr()
-
-    def test_metrics_snapshot_export(self, tmp_path, capsys):
-        snapshot = {"counters": {"mpi.ranks_died": 1},
-                    "gauges": {}, "histograms": {}}
-        src = tmp_path / "metrics.json"
-        src.write_text(json.dumps(snapshot))
-        out = tmp_path / "metrics.om"
-        assert main(["export", str(src), "--out", str(out)]) == EXIT_OK
-        samples = parse_openmetrics(out.read_text())
-        assert samples["repro_mpi_ranks_died_total"] == [({}, 1.0)]
-        capsys.readouterr()
-
-    def test_telemetry_runs_own_metrics_export(self, tmp_path, capsys):
-        """``telemetry run`` writes its snapshot under ``merged``, as a
-        report's telemetry section does: every merged counter of either
-        comes back out of the exposition."""
-        run_dir = tmp_path / "run"
-        assert cli.main(["telemetry", "run", "--ranks", "2", "--iters", "8",
-                         "--interval", "4", "--kill-rank", "1",
-                         "--out", str(run_dir)]) == EXIT_OK
-        metrics = json.loads((run_dir / "metrics.json").read_text())
-        report = tmp_path / "report.json"
-        report.write_text(json.dumps({"telemetry": metrics}))
-        counters = metrics["merged"]["counters"]
-        assert counters["mpi.ranks_died"] == 1
-        for src in (run_dir / "metrics.json", report):
-            out = tmp_path / "metrics.om"
-            assert main(["export", str(src), "--out", str(out)]) == EXIT_OK
-            samples = parse_openmetrics(out.read_text())
-            assert {name: values for name, values in samples.items()
-                    if name.endswith("_total")} == {
-                f"repro_{sanitize_name(name)}_total": [({}, float(value))]
-                for name, value in counters.items()}
-        capsys.readouterr()
-
-    def test_export_to_stdout_and_bad_input(self, kill_trace_file,
-                                            tmp_path, capsys):
-        assert main(["export", kill_trace_file]) == EXIT_OK
-        text = capsys.readouterr().out
-        parse_openmetrics(text)
-        assert main(["export", str(tmp_path / "absent")]) == EXIT_BAD_INPUT
-        capsys.readouterr()
-
-
 class TestTail:
     def test_trace_mode_final_frame(self, kill_trace_file, tight_rules_file,
                                     tmp_path, capsys):
@@ -105,9 +51,23 @@ class TestTail:
                    "--rules", tight_rules_file, "--out", str(out)])
         assert rc == EXIT_OK
         frame = out.read_text()
-        assert "recovery_latency_s" in frame
+        assert "kill_to_restore_s" in frame
         assert "recovery-latency-tight" in frame
         capsys.readouterr()
+
+    def test_after_a_relaunch_the_strip_is_the_new_world(self, tmp_path,
+                                                          capsys):
+        """Fail-restart under ``kr_veloc``: the strip shows attempt 2's
+        four living ranks, not the first world's kill."""
+        trace = str(tmp_path / "relaunch.trace.jsonl")
+        assert monitor_main(["check", "--strategy", "kr_veloc", "--ranks",
+                             "4", "--kill-rank", "1", "--save-trace",
+                             trace]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["tail", trace, "--once"]) == EXIT_OK
+        (strip,) = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("ranks [")]
+        assert strip.split("]")[0] == "ranks [●●●●"
 
     def test_progress_mode_auto_detected(self, tmp_path, capsys):
         events = [
@@ -137,6 +97,9 @@ class TestTail:
         torn = tmp_path / "torn.jsonl"
         with open(torn, "w") as fh:
             fh.writelines(lines[:-1])
+            # a well-formed record missing a field the strip reads
+            fh.write(json.dumps({"time": 9.0, "source": "x",
+                                 "kind": "rank_dead"}) + "\n")
             fh.write(lines[-1][: len(lines[-1]) // 2])
         assert main(["tail", str(torn), "--once"]) == EXIT_OK
         assert main(["tail", str(tmp_path / "absent"), "--once"]) \

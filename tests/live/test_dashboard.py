@@ -9,6 +9,7 @@ from repro.live.dashboard import (
 )
 from repro.live.rules import Alert
 from repro.live.series import TimeSeriesAggregator
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import Trace
 
 
@@ -70,23 +71,32 @@ def test_campaign_frame_renders():
 
 def test_trace_frame_renders_lanes_series_and_alerts():
     tr = Trace(enabled=True)
-    agg = TimeSeriesAggregator()
+    agg, tracker = TimeSeriesAggregator(), ProtocolStateTracker()
     agg.attach(tr)
-    tr.emit(0.0, "app.attempt1", "comm_create", members=[0, 1, 2])
-    tr.emit(1.0, "veloc.rank0", "checkpoint", seconds=0.1)
-    tr.emit(2.0, "veloc.rank0", "checkpoint", seconds=0.1)
+    tr.subscribe(tracker.feed)
+    tr.emit(0.0, "app.attempt1", "comm_create", members=[0, 1, 2, 3])
+    tr.emit(0.1, "fenix", "role", rank=3, role="SPARE", generation=0)
+    tr.emit(1.0, "veloc.rank0", "checkpoint", seconds=0.1, version=1)
+    tr.emit(2.0, "veloc.rank0", "checkpoint", seconds=0.1, version=2)
+    tr.emit(2.0, "veloc.rank1", "checkpoint", seconds=0.1, version=2)
     tr.emit(4.0, "app.attempt1", "rank_killed", rank=1)
-    alert = Alert(rule="tight", metric="recovery_latency_s",
+    tr.emit(4.0, "app.attempt1", "rank_dead", rank=1)
+    tr.emit(4.2, "fenix", "role", rank=2, role="RECOVERED", generation=1)
+    alert = Alert(rule="tight", metric="kill_to_restore_s",
                   severity="critical", time=4.5, value=0.5,
                   threshold=0.001, op="<=", agg="p99")
-    frame = render_trace_frame(agg, alerts=[alert],
+    frame = render_trace_frame(agg, tracker, alerts=[alert],
                                meta={"dropped": 3})
-    assert "records=4" in frame
+    assert "records=8" in frame
     assert "open recoveries=1" in frame
     assert "ring=3" in frame
-    assert "●" in frame and "✕" in frame
-    assert "checkpoint_overhead_pct" in frame
+    # one glyph per rank, read off its protocol state
+    assert "ranks [●✕◐○]" in frame
+    # the rank that is not running gets its render_state columns
+    assert "rank 1: DEAD, -, last ckpt v2, last restore -" in frame
+    assert "rank 0:" not in frame
+    assert "checkpoint_share_pct" in frame
     assert "alerts (1):" in frame and "tight" in frame
     assert all(len(line) <= 78 for line in frame.splitlines())
     # alert-free frames say so explicitly
-    assert "alerts: none" in render_trace_frame(agg)
+    assert "alerts: none" in render_trace_frame(agg, tracker)

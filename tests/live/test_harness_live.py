@@ -14,7 +14,7 @@ CFG = HeatdisConfig(n_iters=30, modeled_bytes_per_rank=16e6)
 
 def tight_rules():
     return RuleSet([AlertRule(
-        name="recovery-latency-tight", metric="recovery_latency_s",
+        name="recovery-latency-tight", metric="kill_to_restore_s",
         op="<=", threshold=0.001, agg="p99", window_s=1e6,
         severity="critical")])
 

@@ -157,7 +157,7 @@ class TestLiveSession:
 
     def tight_rules(self):
         return RuleSet([AlertRule(
-            name="recovery-tight", metric="recovery_latency_s",
+            name="recovery-tight", metric="kill_to_restore_s",
             op="<=", threshold=0.001, agg="p99", window_s=1e6,
             severity="critical")])
 

@@ -9,6 +9,7 @@ from repro.live.series import (
     TimeSeriesAggregator,
     WindowedSeries,
 )
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import Trace
 from repro.util.errors import ConfigError
 
@@ -104,10 +105,10 @@ class TestAggregator:
             (2.0, "veloc.rank0", "checkpoint", {"seconds": 0.1}),
         ))
         # 0.1 s of checkpoint over a 1.0 s interval = 10%
-        assert agg.series["checkpoint_overhead_pct"].latest() == \
+        assert agg.series["checkpoint_share_pct"].latest() == \
             pytest.approx(10.0)
         # the first checkpoint has no predecessor: one observation only
-        assert agg.series["checkpoint_overhead_pct"].total_count == 1
+        assert agg.series["checkpoint_share_pct"].total_count == 1
 
     def test_recovery_episode_kill_to_recover(self):
         agg = TimeSeriesAggregator()
@@ -117,23 +118,29 @@ class TestAggregator:
         agg.replay(records(
             (4.5, "veloc.rank2", "recover", {"version": 10})))
         assert agg.open_recoveries == 0
-        assert agg.series["recovery_latency_s"].latest() == \
+        assert agg.series["kill_to_restore_s"].latest() == \
             pytest.approx(0.5)
 
     def test_alive_and_spare_population(self):
-        agg = TimeSeriesAggregator()
-        agg.replay(records(
+        stream = records(
             (0.0, "app.attempt1", "comm_create",
              {"members": [0, 1, 2, 3]}),
-            (0.1, "fenix", "role", {"rank": 3, "role": "SPARE"}),
+            (0.1, "fenix", "role",
+             {"rank": 3, "role": "SPARE", "generation": 0}),
             (1.0, "app.attempt1", "rank_killed", {"rank": 1}),
+            (1.0, "app.attempt1", "rank_dead", {"rank": 1}),
             (1.2, "fenix", "spare_activated",
              {"spare": 3, "replaces": 1}),
-        ))
+            (1.3, "fenix", "role",
+             {"rank": 3, "role": "RECOVERED", "generation": 1}),
+        )
+        agg = TimeSeriesAggregator().replay(stream)
         assert agg.series["alive_ranks"].latest() == 3.0
         assert agg.series["spare_ranks"].latest() == 0.0
-        assert agg.lanes[3].state == "recovered"
-        assert agg.lanes[1].state == "dead"
+        # who is dead and who recovered is the state tracker's to say
+        ranks = ProtocolStateTracker().replay(stream).ranks
+        assert ranks[3].role == "RECOVERED" and ranks[3].alive
+        assert not ranks[1].alive
 
     def test_dropped_records_series_follows_the_trace(self):
         tr = Trace(enabled=True, max_records=4)
@@ -151,7 +158,7 @@ class TestAggregator:
         snap = agg.snapshot()
         assert snap["records_seen"] == 1
         assert snap["series"]["flush_backlog_bytes"]["latest"] == 10.0
-        assert snap["series"]["recovery_latency_s"]["latest"] is None
+        assert snap["series"]["kill_to_restore_s"]["latest"] is None
         assert math.isfinite(snap["now"])
 
     def test_attach_replays_held_records_then_subscribes(self):

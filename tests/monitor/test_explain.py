@@ -80,7 +80,7 @@ class TestRelaunch:
         assert all(c in ep.stage("failure") for c in crashes)
         agg = TimeSeriesAggregator()
         agg.replay(records)
-        assert agg.series["recovery_latency_s"].total_count == 1
+        assert agg.series["kill_to_restore_s"].total_count == 1
 
 
 class TestSelection:

@@ -23,9 +23,11 @@ from repro.parallel import spec as spec_mod
 #: CI's deliberately tight SLO: recovery takes ~0.5 simulated seconds, so
 #: a 1 ms budget fires exactly once per killed run
 TIGHT_RULES = {"rules": [{
-    "name": "recovery-latency-tight", "metric": "recovery_latency_s",
+    "name": "recovery-latency-tight", "metric": "kill_to_restore_s",
     "agg": "p99", "op": "<=", "threshold": 0.001,
     "window_s": 1000000.0, "severity": "critical"}]}
+#: the same rule loosened so far that no run violates it
+LOOSE_RULES = {"rules": [dict(TIGHT_RULES["rules"][0], threshold=1e9)]}
 
 
 @pytest.fixture
@@ -65,6 +67,32 @@ class TestCacheKey:
 
     def test_seed_change_changes_key(self):
         assert cache_key(small_spec(seed=1)) != cache_key(small_spec(seed=2))
+
+    def test_an_edited_rules_file_changes_the_key(self, tight_rules):
+        spec = dataclasses.replace(small_spec(), rules=tight_rules)
+        before = cache_key(spec)
+        with open(tight_rules, "w") as fh:
+            json.dump(LOOSE_RULES, fh)
+        assert cache_key(spec) != before
+
+    def test_a_whitespace_rewrite_keeps_the_key(self, tight_rules):
+        spec = dataclasses.replace(small_spec(), rules=tight_rules)
+        before = cache_key(spec)
+        with open(tight_rules, "w") as fh:
+            json.dump(TIGHT_RULES, fh, indent=4)
+        assert cache_key(spec) == before
+
+    def test_a_loosened_rule_reruns_and_fires_nothing(self, tmp_path,
+                                                      tight_rules):
+        cache = RunCache(tmp_path / "cache")
+        spec = dataclasses.replace(small_spec(), rules=tight_rules)
+        (tight,) = run_cells([spec], jobs=1, cache=cache)
+        assert len(tight.report.alerts) == 1
+        with open(tight_rules, "w") as fh:
+            json.dump(LOOSE_RULES, fh)
+        (rerun,) = run_cells([spec], jobs=1, cache=cache)
+        assert not rerun.cached
+        assert rerun.report.alerts == []
 
     def test_code_fingerprint_feeds_key(self):
         # the fingerprint is a stable digest of the package sources
@@ -109,7 +137,7 @@ class TestCacheHit:
             id="report-missing-buckets"),
         pytest.param(
             lambda entry: json.dumps(dict(entry, report=dict(
-                entry["report"], alerts=[{"metric": "recovery_latency_s"}]))),
+                entry["report"], alerts=[{"metric": "kill_to_restore_s"}]))),
             id="alert-missing-rule"),
     ])
     def test_corrupt_entry_treated_as_miss(self, tmp_path, damage):

@@ -72,7 +72,6 @@ TABLE = [
         ["tail", "{trace}", "--once", "--rules", "{bad}"]),
     Row("live", ["check", "{trace}", "--rules", "{rules}"],
         ["check", "{bad}", "--rules", "{rules}"]),
-    Row("live", ["export", "{trace}"], ["export", "{bad}"]),
     Row("align", ["diff", "{trace}", "{trace}"], ["diff", "{trace}", "{bad}"]),
     Row("align", ["check", "--replay", *KILL]),
     Row("align", ["record", *KILL, "--out", "{tmp}/rec.trace.jsonl"]),
@@ -167,7 +166,7 @@ def test_the_table_has_a_row_for_every_subcommand():
             elif action.dest == "what":  # experiments' targets
                 declared |= {(tool, name) for name in action.choices}
     assert declared == {(row.tool, row.argv[0]) for row in TABLE}
-    assert len(declared) == 21 + 9
+    assert len(declared) == 20 + 9
 
 
 def test_report_without_a_command_is_run_with_its_defaults(monkeypatch):

@@ -5,8 +5,9 @@ belongs to, which recovery stage it marks and whose record it is.  These
 tests tie it to (a) what the stack really emits and what
 docs/PROTOCOLS.md §7 tells readers, (b) the observer packages, which may
 not grow a second copy, (d) the per-iteration kinds -- and check that the
-views built on the resolver (``monitor state``, the ``live`` lanes, the
-Chrome export) tell one story about a substituted spare.
+views built on the resolver (the state tracker behind ``monitor state``
+and ``live tail``'s rank strip, the Chrome export) tell one story about
+a substituted spare.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 from repro import vocabulary as V
 from repro.align.keying import protocol_critical
 from repro.cli import build_job
-from repro.live.series import TimeSeriesAggregator
+from repro.live.dashboard import rank_glyph
 from repro.monitor import MonitorSuite, standard_monitors
 from repro.monitor.__main__ import SMOKE_SCENARIOS
 from repro.monitor.__main__ import main as monitor_main
@@ -352,48 +353,50 @@ def test_track_folding_follows_the_resolver():
 
 def record_and_replay(tmp_path, strategy):
     """The reproducer, end to end: ``monitor check --save-trace``, then
-    the state tracker and the live aggregator over the same records."""
+    the state tracker that ``monitor state`` prints and ``live tail``
+    draws over the same records."""
     path = str(tmp_path / f"{strategy}.trace.jsonl")
     assert monitor_main(["check", "--strategy", strategy, "--ranks", "4",
                          "--kill-rank", "1", "--save-trace", path]) == 0
     records, _meta = read_trace(path)
-    tracker = ProtocolStateTracker().replay(records)
-    lanes = TimeSeriesAggregator().replay(records).lanes
-    return records, tracker.ranks, lanes
+    states = ProtocolStateTracker().replay(records).ranks
+    strip = "".join(rank_glyph(states[r]) for r in sorted(states))
+    return records, states, strip
 
 
-def assert_views_agree(records, states, lanes):
-    assert set(states) == set(lanes)
-    assert {r for r, st in states.items() if not st.alive} \
-        == {r for r, lane in lanes.items() if lane.state == "dead"}
-    for r, st in states.items():
-        assert (st.last_checkpoint is not None) \
-            == (lanes[r].checkpoints > 0), r
-    assert sum(lane.checkpoints for lane in lanes.values()) \
-        == sum(1 for rec in records if rec.kind == "checkpoint")
+def saved_version(st):
+    """The newest version a rank saved, in whichever store it uses."""
+    return (st.last_checkpoint if st.last_checkpoint is not None
+            else st.last_imr_store)
 
 
 @pytest.mark.parametrize("strategy", ["fenix_kr_veloc", "fenix_kr_imr"])
 def test_a_substituted_spare_is_one_process_in_every_view(tmp_path, strategy):
-    records, states, lanes = record_and_replay(tmp_path, strategy)
-    assert_views_agree(records, states, lanes)
-    assert {r for r, st in states.items() if st.role == "RECOVERED"} \
-        == {r for r, lane in lanes.items() if lane.state == "recovered"} \
-        == {4}
-    # rank 1 died and never ran again; what slot 1 did next was rank 4
-    assert (lanes[1].state, lanes[1].kills) == ("dead", 1)
-    assert lanes[1].last_kind == "rank_dead"
-    if strategy == "fenix_kr_veloc":
-        assert [lanes[r].checkpoints for r in sorted(lanes)] == [2, 1, 2, 2, 1]
+    records, states, strip = record_and_replay(tmp_path, strategy)
+    assert strip == "●✕●●◐"
+    assert {r for r, st in states.items() if not st.alive} == {1}
+    assert {r for r, st in states.items() if st.role == "RECOVERED"} == {4}
+    # rank 1 died and never ran again; what slot 1 saved next was rank 4's
+    (kill,) = [rec for rec in records if rec.kind == "rank_killed"]
+    saved = [rec["version"] for rec in records
+             if rec.kind in ("checkpoint", "imr_store")]
+    before = [rec["version"] for rec in records
+              if rec.kind in ("checkpoint", "imr_store")
+              and rec.time < kill.time]
+    assert saved_version(states[1]) == max(before) < max(saved)
+    assert saved_version(states[4]) == max(saved)
 
 
 def test_after_a_relaunch_every_rank_is_alive_again_in_every_view(tmp_path):
-    records, states, lanes = record_and_replay(tmp_path, "kr_veloc")
-    assert_views_agree(records, states, lanes)
-    assert sorted(lanes) == [0, 1, 2, 3]
+    records, states, strip = record_and_replay(tmp_path, "kr_veloc")
+    # the tracker is per MPI world: attempt 2's ranks, none of them dead
+    assert strip == "●●●●"
+    assert sorted(states) == [0, 1, 2, 3]
     assert all(st.alive and st.exited for st in states.values())
-    assert [lane.checkpoints for lane in lanes.values()] == [2, 2, 2, 2]
-    assert lanes[1].kills == 1
+    newest = max(rec["version"] for rec in records
+                 if rec.kind == "checkpoint")
+    assert [st.last_checkpoint for st in states.values()] == [newest] * 4
+    assert sum(rec.kind == "rank_killed" for rec in records) == 1
 
 
 @pytest.mark.parametrize("strategy", ["fenix_veloc", "fenix_kr_veloc",
