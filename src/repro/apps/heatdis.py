@@ -156,24 +156,25 @@ def halo_exchange(
     nbytes = cfg.modeled_halo_bytes
     if size == 1:
         return
+    # rows go out as views: send_op snapshots every payload it is given
     # phase 1: send first owned row up / receive ghost from below
     if up >= 0 and down < size:
         got = yield from h.sendrecv(
-            grid[1, :].copy(), dest=up, source=down, sendtag=10, nbytes=nbytes
+            grid[1, :], dest=up, source=down, sendtag=10, nbytes=nbytes
         )
         grid[-1, :] = got
     elif up >= 0:
-        yield from h.send(grid[1, :].copy(), dest=up, tag=10, nbytes=nbytes)
+        yield from h.send(grid[1, :], dest=up, tag=10, nbytes=nbytes)
     elif down < size:
         grid[-1, :] = yield from h.recv(source=down, tag=10)
     # phase 2: send last owned row down / receive ghost from above
     if down < size and up >= 0:
         got = yield from h.sendrecv(
-            grid[-2, :].copy(), dest=down, source=up, sendtag=11, nbytes=nbytes
+            grid[-2, :], dest=down, source=up, sendtag=11, nbytes=nbytes
         )
         grid[0, :] = got
     elif down < size:
-        yield from h.send(grid[-2, :].copy(), dest=down, tag=11, nbytes=nbytes)
+        yield from h.send(grid[-2, :], dest=down, tag=11, nbytes=nbytes)
     elif up >= 0:
         grid[0, :] = yield from h.recv(source=up, tag=11)
 

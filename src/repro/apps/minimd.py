@@ -296,7 +296,7 @@ class MiniMDState:
         x = self.x.data
         near_lo = x[:, 2] - self.slab_lo < self.cfg.cutoff
         near_hi = self.slab_hi - x[:, 2] < self.cfg.cutoff
-        return x[near_lo | near_hi].copy()
+        return x[near_lo | near_hi]
 
     def kinetic_energy(self) -> float:
         return 0.5 * float(np.sum(self.v.data**2))

@@ -28,7 +28,7 @@ from repro.experiments.fig6_minimd import FIG6_STRATEGIES, run_fig6_cell, run_fi
 from repro.experiments.fig7_views import run_fig7_census
 from repro.experiments.partial_rollback import run_partial_rollback_comparison
 from repro.experiments.complexity import analyze_complexity
-from repro.experiments.campaign import format_campaign, run_campaign
+from repro.experiments.campaign import campaign_table, run_campaign_grid
 
 __all__ = [
     "paper_env",
@@ -42,6 +42,6 @@ __all__ = [
     "run_fig7_census",
     "run_partial_rollback_comparison",
     "analyze_complexity",
-    "run_campaign",
-    "format_campaign",
+    "run_campaign_grid",
+    "campaign_table",
 ]

@@ -31,7 +31,7 @@ from repro.experiments.ablation_checkpoint import (
     run_checkpoint_ablation,
     verify_restore_equivalence,
 )
-from repro.experiments.campaign import format_campaign, run_campaign
+from repro.experiments.campaign import campaign_table, run_campaign_grid
 from repro.experiments.complexity import analyze_complexity, format_complexity
 from repro.experiments.fig5_heatdis import (
     format_fig5,
@@ -94,21 +94,22 @@ def _overhead(args) -> None:
 
 
 def _campaign(args) -> None:
-    study = run_campaign(
-        n_ranks=args.ranks or 8,
+    ledger = run_campaign_grid(
+        scales=(args.ranks or 8,),
+        seeds=(7,),
         jobs=args.jobs,
         cache=args.cache,
         trace_max_records=args.max_records,
         progress=args.progress,
         rules=args.rules,
     )
-    print(format_campaign(study))
+    print(campaign_table(ledger))
     if args.rules:
-        fired = sum(len(r.report.alerts) for r in study.results)
-        print(f"\nSLO rules ({args.rules}): {fired} alert(s) fired")
-        for r in study.results:
-            for alert in r.report.alerts:
-                print(f"  [{r.strategy}] {alert.render()}")
+        fired = [r for r in ledger.runs if r.strategy != "none" and r.alerts]
+        total = sum(r.alerts for r in fired)
+        print(f"\nSLO rules ({args.rules}): {total} alert(s) fired")
+        for r in fired:
+            print(f"  [{r.label}] {r.alerts} alert(s)")
 
 
 def _ablation(args) -> None:
@@ -151,8 +152,8 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
                              "campaigns at bounded memory)")
     parser.add_argument("--rules", default=None, metavar="PATH",
                         help="SLO rules file (repro.live) evaluated live "
-                             "inside each campaign cell; fired alerts are "
-                             "printed and land in the reports")
+                             "inside each campaign cell; alert counts are "
+                             "printed per run and land in the reports")
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -8,26 +8,24 @@ and compare relaunch-based vs Fenix-based recovery over a whole campaign
 of failures rather than one.
 
 The headline quantity is *efficiency*: ideal (failure-free, no-resilience)
-wall time divided by achieved wall time.
+wall time divided by achieved wall time (``RunRecord.efficiency``).
 
-Campaign cells are independent simulations, so the strategy sweep runs
-through :mod:`repro.parallel` -- fan out over worker processes with
-``jobs``, skip unchanged cells with the run cache -- with results
-bit-identical to a sequential in-process run.
+:func:`run_campaign_grid` is the one campaign engine: its ledger is what
+``repro.report run`` scores and what :func:`campaign_table` renders as
+``results/campaign.txt``.  Cells run through :mod:`repro.parallel`
+(``jobs`` worker processes, the run cache), bit-identical to a
+sequential in-process run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from repro.apps import HeatdisConfig
 from repro.experiments.common import paper_env
-from repro.harness import RunReport
 from repro.parallel import (
     CampaignProgress,
-    CellResult,
     CellSpec,
     PlanSpec,
     RunCache,
@@ -43,68 +41,38 @@ DEFAULT_STRATEGIES = ["kr_veloc", "fenix_kr_veloc"]
 DEFAULT_SEEDS = (7, 11, 13)
 
 
-@dataclass
-class CampaignResult:
-    strategy: str
-    report: RunReport
-    failures: int
-
-    @property
-    def wall_time(self) -> float:
-        return self.report.wall_time
-
-
-@dataclass
-class CampaignStudy:
-    ideal_wall: float
-    results: List[CampaignResult]
-
-    def _lookup(self, strategy: str) -> CampaignResult:
-        for r in self.results:
-            if r.strategy == strategy:
-                return r
-        known = sorted(r.strategy for r in self.results)
-        raise KeyError(
-            f"unknown strategy {strategy!r}; this study ran {known}"
-        )
-
-    def efficiency(self, strategy: str) -> float:
-        return self.ideal_wall / self._lookup(strategy).wall_time
-
-    def result(self, strategy: str) -> CampaignResult:
-        return self._lookup(strategy)
-
-
-def _baselines_then_grid(
-    scales: Sequence[int],
-    strategies: Sequence[str],
-    seeds: Sequence[int],
-    label: Callable[[str, int, Optional[int]], str],
-    *,
-    n_iters: int,
-    ckpt_interval: int,
-    mtbf_per_rank: Optional[float],
-    max_failures: int,
-    n_spares: int,
-    jobs: int,
-    cache: Optional[RunCache],
-    progress: Optional[CampaignProgress],
+def run_campaign_grid(
+    scales: Sequence[int] = (8,),
+    seeds: Sequence[int] = DEFAULT_SEEDS,
+    strategies: Optional[Sequence[str]] = None,
+    n_iters: int = 120,
+    mtbf_per_rank: Optional[float] = None,
+    max_failures: int = 3,
+    n_spares: int = 4,
+    ckpt_interval: int = CKPT_INTERVAL,
+    jobs: int = 1,
+    cache: Optional[RunCache] = None,
+    progress: Optional[CampaignProgress] = None,
     **observe: Any,
-) -> Tuple[Dict[int, CellResult], Dict[int, float],
-           List[Tuple[int, CellResult]]]:
-    """The pass under both drivers: per scale the failure-free ``none``
-    cell first -- the efficiency baseline and, when ``mtbf_per_rank`` is
-    None, the calibrator that makes about ``max_failures`` failures
-    strike during the job -- then the (scale x strategy x seed) failure
-    grid in one parallel batch.  Returns the ideal result and the MTBF
-    per scale, and the grid as ``(seed, result)`` pairs.
+):
+    """(strategy x scale x seed) under random failures, folded into a
+    :class:`~repro.report.CampaignLedger`.
 
-    Every cell, baselines included, goes through
+    Per scale the failure-free ``none`` cell runs first: the efficiency
+    baseline (``ledger.ideal``; its record is seed 0) and, when
+    ``mtbf_per_rank`` is None, the calibrator that makes about
+    ``max_failures`` failures strike during the job.  Then the failure
+    grid runs in one batch.  Every cell goes through
     :func:`~repro.parallel.run_cells` with the shared ``cache`` and
-    ``progress``, so a progress stream's cell count reconciles with what
-    the caller folds.  ``observe`` is handed to :class:`~repro.parallel
-    .CellSpec` as given: an observer field added there needs no edit here.
+    ``progress``, so a progress stream's cell count reconciles with the
+    ledger.  ``observe`` is handed to :class:`~repro.parallel.CellSpec`
+    as given: an observer field added there needs no edit here.
     """
+    from repro.report.ledger import CampaignLedger, RunRecord
+
+    strategies = list(strategies or DEFAULT_STRATEGIES)
+    scales = list(scales)
+    seeds = list(seeds)
     cfg = HeatdisConfig(
         local_rows=8, cols=16, modeled_bytes_per_rank=256e6,
         n_iters=n_iters, work_multiplier=2000.0,
@@ -121,7 +89,8 @@ def _baselines_then_grid(
             env=paper_env(n_ranks + n_spares, n_spares=spares,
                           pfs_servers=1),
             plan=plan,
-            label=label(strategy, n_ranks, seed),
+            label=f"{strategy}/r{n_ranks}" + (
+                "" if seed is None else f"/s{seed}"),
             **observe,
         )
 
@@ -141,77 +110,6 @@ def _baselines_then_grid(
         for n_ranks in scales for strategy in strategies for seed in seeds
     ]
     executed = run([spec for _, spec in grid])
-    return ideals, mtbf, [(seed, res)
-                          for (seed, _), res in zip(grid, executed)]
-
-
-def run_campaign(
-    n_ranks: int = 8,
-    mtbf_per_rank: Optional[float] = None,
-    n_iters: int = 120,
-    seed: int = 7,
-    strategies: Optional[List[str]] = None,
-    n_spares: int = 4,
-    max_failures: int = 3,
-    jobs: int = 1,
-    cache: Optional[RunCache] = None,
-    progress: Optional[CampaignProgress] = None,
-    **observe: Any,
-) -> CampaignStudy:
-    """Run the campaign; by default the MTBF is chosen so a handful of
-    failures strike during the job.
-
-    ``jobs`` fans the strategy cells out across worker processes;
-    ``cache`` (a :class:`~repro.parallel.RunCache`) skips cells whose
-    (config, seed, code) content address already has a stored report.
-    ``observe`` is any observer field of :class:`~repro.parallel
-    .CellSpec` (``telemetry``, ``rules``, ``determinism_audit``,
-    ``trace_max_records`` -- telemetered cells
-    default to Trace ring-buffer mode so long sweeps keep bounded
-    memory).
-    """
-    ideals, _mtbf, grid = _baselines_then_grid(
-        (n_ranks,), strategies or DEFAULT_STRATEGIES, (seed,),
-        lambda strategy, _n_ranks, _seed: strategy,
-        n_iters=n_iters, ckpt_interval=CKPT_INTERVAL,
-        mtbf_per_rank=mtbf_per_rank, max_failures=max_failures,
-        n_spares=n_spares, jobs=jobs, cache=cache, progress=progress,
-        **observe,
-    )
-    return CampaignStudy(
-        ideal_wall=ideals[n_ranks].report.wall_time,
-        results=[
-            CampaignResult(strategy=res.spec.strategy, report=res.report,
-                           failures=res.failures)
-            for _seed, res in grid
-        ],
-    )
-
-
-def run_campaign_grid(
-    scales: Sequence[int] = (8,),
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    strategies: Optional[Sequence[str]] = None,
-    n_iters: int = 120,
-    mtbf_per_rank: Optional[float] = None,
-    max_failures: int = 3,
-    n_spares: int = 4,
-    ckpt_interval: int = CKPT_INTERVAL,
-    jobs: int = 1,
-    cache: Optional[RunCache] = None,
-    progress: Optional[CampaignProgress] = None,
-    **observe: Any,
-):
-    """The cross-run campaign: (strategy x scale x seed) under random
-    failures, folded into a :class:`~repro.report.CampaignLedger`
-    (baselines included, as seed 0).  ``observe`` as in
-    :func:`run_campaign`.
-    """
-    from repro.report.ledger import CampaignLedger, RunRecord
-
-    strategies = list(strategies or DEFAULT_STRATEGIES)
-    scales = list(scales)
-    seeds = list(seeds)
 
     ledger = CampaignLedger(meta={
         "app": "heatdis",
@@ -221,23 +119,13 @@ def run_campaign_grid(
         "scales": scales,
         "seeds": seeds,
         "max_failures": max_failures,
+        "mtbf_per_rank": mtbf[scales[0]],
     })
-    ideals, mtbf, grid = _baselines_then_grid(
-        scales, strategies, seeds,
-        lambda strategy, n_ranks, seed: f"{strategy}/r{n_ranks}" + (
-            "" if seed is None else f"/s{seed}"),
-        n_iters=n_iters, ckpt_interval=ckpt_interval,
-        mtbf_per_rank=mtbf_per_rank, max_failures=max_failures,
-        n_spares=n_spares, jobs=jobs, cache=cache, progress=progress,
-        **observe,
-    )
     for n_ranks, res in ideals.items():
         ledger.add_ideal(n_ranks, res.report.wall_time)
         ledger.add_run(RunRecord.from_cell_result(res, seed=0))
-    for seed, res in grid:
+    for (seed, _), res in zip(grid, executed):
         ledger.add_run(RunRecord.from_cell_result(res, seed=seed))
-
-    ledger.meta["mtbf_per_rank"] = mtbf[scales[0]]
     ledger.progress = {
         "cells": ledger.cells(),
         "cache_hits": sum(1 for r in ledger.runs if r.cached),
@@ -247,16 +135,23 @@ def run_campaign_grid(
     return ledger
 
 
-def format_campaign(study: CampaignStudy) -> str:
+def campaign_table(ledger) -> str:
+    """``results/campaign.txt``: a one-scale ledger's failure-grid runs
+    (every record but the ``none`` baseline, as ``CampaignLedger
+    .strategies`` counts them, in grid order) against its ideal."""
+    (n_ranks,) = ledger.ideal
+    ideal = ledger.ideal_for(n_ranks)
     lines = [
         "Failure campaign: exponential per-rank failures "
         "(Blue-Waters-style MTBF model)",
-        f"  ideal (no failures, no resilience): {study.ideal_wall:8.2f} s",
+        f"  ideal (no failures, no resilience): {ideal:8.2f} s",
         "  strategy         wall(s)  failures  attempts  efficiency",
     ]
-    for r in study.results:
+    for r in ledger.runs:
+        if r.strategy == "none":
+            continue
         lines.append(
             f"  {r.strategy:<15} {r.wall_time:8.2f}  {r.failures:8d}  "
-            f"{r.report.attempts:8d}  {study.ideal_wall / r.wall_time:9.1%}"
+            f"{r.attempts:8d}  {r.efficiency(ideal):9.1%}"
         )
     return "\n".join(lines)

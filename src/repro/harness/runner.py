@@ -140,12 +140,6 @@ class RunReport:
     def category(self, name: str) -> float:
         return self.buckets.get(name, 0.0)
 
-    def as_row(self) -> Dict[str, float]:
-        row = dict(self.buckets)
-        row["other"] = self.other
-        row["wall_time"] = self.wall_time
-        return row
-
     def to_dict(self) -> Dict[str, Any]:
         """Every field but ``results`` (live per-rank objects), in
         declaration order and JSON-ready.  Derived from the dataclass, so

@@ -116,19 +116,6 @@ def read_trace(path: str) -> Tuple[List[TraceRecord], Dict[str, Any]]:
     return records, meta
 
 
-def load_trace(path: str) -> Trace:
-    """Load a file into a live :class:`Trace` (queryable, exportable)."""
-    records, meta = read_trace(path)
-    trace = Trace(enabled=True)
-    for rec in records:
-        trace.emit(rec.time, rec.source, rec.kind, **rec.fields)
-    trace.dropped = int(meta.get("dropped") or 0)
-    window = meta.get("dropped_window")
-    if window:
-        trace._dropped_first, trace._dropped_last = window[0], window[1]
-    return trace
-
-
 class JsonlTraceSink(TraceListener):
     """Streaming flight recorder: records hit disk *as they are emitted*.
 

@@ -47,7 +47,9 @@ def try_fail(event: Event, exc: BaseException) -> None:
         event.fail(exc)
 
 
-@dataclass
+# the queue entries compare by identity (``eq=False``): ``list.remove``
+# takes out the entry itself, without comparing payloads field by field
+@dataclass(eq=False)
 class PendingSend:
     """A sent message not yet matched by a receive (the unexpected queue)."""
 
@@ -59,7 +61,7 @@ class PendingSend:
     done: Event
 
 
-@dataclass
+@dataclass(eq=False)
 class PostedRecv:
     """A receive posted before its matching send arrived."""
 

@@ -49,10 +49,6 @@ class PFSSpec:
         if self.chunk_bytes <= 0:
             raise ConfigError("PFS chunk size must be positive")
 
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return self.n_servers * self.server_bandwidth
-
 
 class ParallelFileSystem:
     """The shared, persistent object store + its contention model."""

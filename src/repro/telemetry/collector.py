@@ -93,12 +93,6 @@ class Telemetry:
             reg = self._rank_metrics[rank] = MetricsRegistry()
         return reg
 
-    def reset_rank(self, rank: int) -> None:
-        """Restart semantics: zero one rank's metrics, keeping handles live."""
-        reg = self._rank_metrics.get(rank)
-        if reg is not None:
-            reg.reset()
-
     @property
     def ranks(self) -> Dict[int, MetricsRegistry]:
         return dict(self._rank_metrics)

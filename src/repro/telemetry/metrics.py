@@ -15,7 +15,7 @@ without cycles.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.util.errors import ConfigError
 
@@ -56,9 +56,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
     def reset(self) -> None:
         self.value = 0.0
         self.high = 0.0
@@ -91,12 +88,6 @@ class Histogram:
         if value <= 0.0:
             return None
         return math.ceil(math.log(value, self.base) - 1e-12)
-
-    def bucket_bounds(self, index: Optional[int]) -> Tuple[float, float]:
-        """The ``(lo, hi]`` range of one bucket (underflow: ``(-inf, 0]``)."""
-        if index is None:
-            return (-math.inf, 0.0)
-        return (self.base ** (index - 1), self.base ** index)
 
     def observe(self, value: float) -> None:
         idx = self.bucket_index(value)

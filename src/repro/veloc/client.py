@@ -289,9 +289,6 @@ class VeloCClient:
 
     # -- recovery -----------------------------------------------------------------------
 
-    def can_recover_locally(self, version: int) -> bool:
-        return self._key(version) in self.ctx.node.scratch
-
     def recover(self, version: int) -> Generator[Event, Any, None]:
         """Restore all protected regions from ``version``.
 

@@ -138,8 +138,3 @@ class TestRunReport:
 
     def test_category_missing_is_zero(self):
         assert self.make_report().category("recompute") == 0.0
-
-    def test_as_row(self):
-        row = self.make_report().as_row()
-        assert row["wall_time"] == 10.0
-        assert row["other"] == 3.0

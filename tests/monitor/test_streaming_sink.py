@@ -6,7 +6,6 @@ import pytest
 
 from repro.monitor.trace_io import (
     JsonlTraceSink,
-    load_trace,
     read_trace,
     write_trace,
 )
@@ -63,10 +62,6 @@ def test_trailing_meta_wins_and_restores_drop_accounting(tmp_path):
     # ... and the trailing meta carries the ring's final drop accounting
     assert meta["dropped"] == 3
     assert meta["dropped_window"] == [0.0, 2.0]
-
-    loaded = load_trace(str(path))
-    assert loaded.dropped == 3
-    assert loaded.dropped_window == (0.0, 2.0)
 
 
 def test_a_torn_final_line_keeps_every_whole_record(tmp_path):

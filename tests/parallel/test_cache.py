@@ -236,19 +236,27 @@ class TestCacheHit:
         assert cache.hits == 1
 
 
+def simulated(ledger):
+    """A ledger's records with provenance (cache hit, host cost) blanked."""
+    return [dict(r.to_dict(), cached=None, host_seconds=None)
+            for r in ledger.runs]
+
+
 class TestCampaignIntegration:
     def test_campaign_with_cache_and_jobs_matches_plain(self, tmp_path):
-        from repro.experiments.campaign import run_campaign
+        from repro.experiments.campaign import campaign_table, run_campaign_grid
 
-        kwargs = dict(n_ranks=2, n_iters=12, n_spares=1, max_failures=1)
-        plain = run_campaign(**kwargs)
-        cached = run_campaign(**kwargs, jobs=2, cache=RunCache(tmp_path))
-        again = run_campaign(**kwargs, jobs=2, cache=RunCache(tmp_path))
-        for study in (cached, again):
-            assert study.ideal_wall == plain.ideal_wall
-            for a, b in zip(plain.results, study.results):
-                assert (a.strategy, a.failures) == (b.strategy, b.failures)
-                assert a.report.to_dict() == b.report.to_dict()
+        kwargs = dict(scales=(2,), seeds=(7,), n_iters=12, n_spares=1,
+                      max_failures=1)
+        plain = run_campaign_grid(**kwargs)
+        cached = run_campaign_grid(**kwargs, jobs=2, cache=RunCache(tmp_path))
+        again = run_campaign_grid(**kwargs, jobs=2, cache=RunCache(tmp_path))
+        assert not any(r.cached for r in plain.runs + cached.runs)
+        assert all(r.cached for r in again.runs)
+        for ledger in (cached, again):
+            assert ledger.ideal == plain.ideal
+            assert simulated(ledger) == simulated(plain)
+            assert campaign_table(ledger) == campaign_table(plain)
 
     def test_campaign_grid_cold_equals_warm(self, tmp_path, tight_rules):
         from repro.experiments.campaign import run_campaign_grid
@@ -261,11 +269,6 @@ class TestCampaignIntegration:
         assert all(r.cached for r in warm.runs)
         assert not any(r.cached for r in cold.runs)
         assert sum(r.alerts for r in cold.runs) > 0
-
-        def simulated(ledger):  # everything but provenance
-            return [dict(r.to_dict(), cached=None, host_seconds=None)
-                    for r in ledger.runs]
-
         assert simulated(warm) == simulated(cold)
         cold_card, warm_card = build_scorecard(cold), build_scorecard(warm)
         assert flatten_scorecard(warm_card).keys() == \
@@ -273,23 +276,3 @@ class TestCampaignIntegration:
         assert any("dirty_fraction" in key
                    for key in flatten_scorecard(cold_card))
         assert warm_card == cold_card  # provenance lives in the ledger
-
-    def test_unknown_strategy_keyerror_names_known(self):
-        import pytest
-
-        from repro.experiments.campaign import CampaignResult, CampaignStudy
-        from repro.harness import RunReport
-
-        rep = RunReport(strategy="kr_veloc", app="heatdis", n_ranks=2,
-                        wall_time=2.0, attempts=1, failures=0, buckets={},
-                        results={})
-        study = CampaignStudy(
-            ideal_wall=1.0,
-            results=[CampaignResult("kr_veloc", rep, failures=0)],
-        )
-        with pytest.raises(KeyError, match="warp-drive") as exc_info:
-            study.efficiency("warp-drive")
-        assert "kr_veloc" in str(exc_info.value)
-        with pytest.raises(KeyError, match="warp-drive"):
-            study.result("warp-drive")
-        assert study.efficiency("kr_veloc") == 0.5

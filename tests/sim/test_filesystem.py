@@ -163,7 +163,3 @@ class TestSpecValidation:
             PFSSpec(server_bandwidth=0)
         with pytest.raises(ConfigError):
             PFSSpec(chunk_bytes=0)
-
-    def test_aggregate_bandwidth(self):
-        spec = PFSSpec(n_servers=4, server_bandwidth=10.0)
-        assert spec.aggregate_bandwidth == 40.0

@@ -204,12 +204,6 @@ class TestTelemetryFacade:
         assert merged.counter("bytes").value == 30
         assert merged.counter("revokes").value == 1
 
-    def test_reset_rank(self):
-        tel = Telemetry(enabled=True)
-        tel.rank_metrics(0).inc("bytes", 10)
-        tel.reset_rank(0)
-        assert tel.rank_metrics(0).counter("bytes").value == 0.0
-
     def test_metrics_summary_shape(self):
         tel = Telemetry(enabled=True)
         tel.rank_metrics(2).inc("x")

@@ -122,7 +122,7 @@ class TestCheckpointRecover:
             yield from client.wait_flushes()
             client.ctx.node.wipe()
             yield from client.recover(0)
-            return client.can_recover_locally(0)
+            return client._key(0) in client.ctx.node.scratch
 
         results, _ = run_veloc_ranks(1, body)
         assert results[0] is True
