@@ -1,6 +1,6 @@
 """Alignment-engine throughput on large synthetic trace pairs.
 
-The differential layer is post-mortem tooling, but ``check --replay``
+The differential layer is post-mortem tooling, but ``align check``
 runs inside CI and campaign audits align every cell, so keying and
 alignment must stay linear and fast on traces far larger than the
 figure runs produce.  The streams here tile the Section 4 shrink

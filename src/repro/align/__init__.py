@@ -19,11 +19,11 @@ totals moved".  :mod:`repro.align` compares *structure*:
   event to a layer (process/ulfm/fenix/kr/veloc/recompute/app), renders
   its causal record briefs, and reports the downstream deltas on the
   recovery path;
-- ``python -m repro.align`` exposes ``diff`` / ``check --replay`` /
-  ``record`` / ``bisect``;
 - the harness integrates it as ``determinism_audit=`` on the
-  ``run_*_job`` entry points (run, replay, align, attach
-  ``RunReport.divergences``).
+  ``run_*_job`` entry points (run, replay, align, compare the two
+  reports, attach ``RunReport.divergences``);
+- ``python -m repro.align`` exposes ``diff`` (two or more recorded
+  traces) and ``check`` (that harness audit on one seeded cell).
 """
 
 from repro.align.engine import (

@@ -12,7 +12,7 @@ function with ``set_defaults(run=fn)``.  What surrounds a command is here:
   file-taking commands, whose failures are bad input;
 - :func:`add_job_args` / :func:`build_job` / :func:`job_from_args`: the
   job scaffold of the run commands (``telemetry run``, ``monitor check``,
-  ``profile report|flamegraph``, ``align check|record``) --
+  ``profile report|flamegraph``, ``align check``) --
   nine flags in, a ready-to-run job out, one validation;
 - :func:`add_sweep_args` / :func:`sweep_from_args`: the worker, cache and
   progress flags of the sweep commands (``experiments``, ``report run``).

@@ -22,13 +22,3 @@ class Role(enum.Enum):
     SURVIVOR = "survivor"
     RECOVERED = "recovered"
     SPARE = "spare"
-
-    @property
-    def needs_full_init(self) -> bool:
-        """Only initial ranks run the communicative init path (Figure 2)."""
-        return self is Role.INITIAL
-
-    @property
-    def needs_data_recovery(self) -> bool:
-        """Recovered ranks must restore data from a checkpoint."""
-        return self is Role.RECOVERED

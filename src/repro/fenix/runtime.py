@@ -13,7 +13,7 @@ On failure, survivors long-jump back into run(), spares wake on the world
 failure event, and everyone rendezvouses at the **repair gate**.  The
 repair builds a same-size communicator with spares substituted in-place
 for the dead (keeping rank ids stable for checkpoint keys), assigns roles,
-invokes registered callbacks, and re-enters the application main.
+and re-enters the application main.
 """
 
 from __future__ import annotations
@@ -113,16 +113,7 @@ class FenixSystem:
         # corpse, finalize fails on every member already waiting
         world.add_death_listener(lambda _rank: (
             self._repair_gate.recheck(), self._finalize_gate.recheck()))
-        self._callbacks: List[Callable[[Any, RankContext], None]] = []
         self.detections: List[Dict[str, Any]] = []
-
-    # -- public configuration ------------------------------------------------
-
-    def register_callback(self, fn: Callable[[Any, RankContext], None]) -> None:
-        """Register an application recovery callback, invoked on every rank
-        after each repair, before the application main is re-entered
-        (Fenix_Callback_register analogue)."""
-        self._callbacks.append(fn)
 
     # -- error-handler hook ----------------------------------------------------
 
@@ -285,8 +276,6 @@ class FenixSystem:
             else:
                 # -- active rank: run the application main, then finalize --
                 handle = FenixCommHandle(self.resilient_comm, ctx)
-                for cb in self._callbacks:
-                    cb(role, ctx)
                 try:
                     result = yield from main(role, handle)
                     yield from self._finalize(handle)

@@ -37,7 +37,7 @@ from repro.monitor.base import MonitorSuite
 from repro.monitor.explain import explain_failure
 from repro.monitor.state import ProtocolStateTracker, render_state
 from repro.monitor.trace_io import JsonlTraceSink, read_trace, write_trace
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigError, ReproError
 
 #: the smoke campaign: (app, strategy, kill rank).  One rank kill,
 #: replaced from the spare pool, on both apps and under fenix_veloc,
@@ -99,6 +99,9 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
 def _check(args: argparse.Namespace) -> int:
     suite = MonitorSuite()
     if args.trace is not None:
+        if args.save_trace:
+            raise ConfigError("--save-trace records a live run; "
+                              "omit the trace file to run one")
         records, meta = read_trace(args.trace)
         suite.replay(records)
         suite.finish()

@@ -74,15 +74,6 @@ class TimeAccount:
     def snapshot(self) -> Dict[str, float]:
         return dict(self.buckets)
 
-    def merge_max(self, other: "TimeAccount") -> None:
-        """Keep the per-bucket maximum (the slowest rank bounds a bucket)."""
-        for bucket, value in other.buckets.items():
-            self.buckets[bucket] = max(self.buckets[bucket], value)
-
-    def merge_sum(self, other: "TimeAccount") -> None:
-        for bucket, value in other.buckets.items():
-            self.buckets[bucket] += value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.buckets.items()))
         return f"<TimeAccount {parts}>"

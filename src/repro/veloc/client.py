@@ -25,8 +25,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.cluster import Cluster
@@ -113,11 +111,6 @@ class VeloCClient:
         if region_id not in self._protected:
             self._protected_nbytes = None
         self._protected[region_id] = view
-
-    def mem_unprotect(self, region_id: int) -> None:
-        self._protected.pop(region_id, None)
-        self._snapshots.pop(region_id, None)
-        self._protected_nbytes = None
 
     def protected_nbytes(self) -> float:
         if self._protected_nbytes is None:

@@ -83,45 +83,66 @@ def test_diff_missing_file_is_bad_input(trace_files, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
-# -- check --replay ------------------------------------------------------
+# -- check ---------------------------------------------------------------
 
 
 def test_check_replay_seeded_kill_cell_is_deterministic(capsys):
-    rc = main(["check", "--replay", "--kill-rank", "2", "--json"])
+    rc = main(["check", "--kill-rank", "2", "--json"])
     assert rc == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == ALIGN_SCHEMA
     assert doc["mode"] == "check-replay"
     assert doc["divergent"] is False
-    assert doc["counts"]["missing"] == 0
-    assert doc["records_a"] == doc["records_b"] > 0
+    assert doc["divergences"] == []
+    assert doc["spec"]["kill_rank"] == 2
+    assert doc["spec"]["failure_seed"] is None
 
 
-def test_check_without_replay_is_usage_error(capsys):
-    rc = main(["check"])
-    assert rc == EXIT_BAD_INPUT
-    assert "--replay" in capsys.readouterr().err
+def test_check_fails_on_a_run_report_drift(monkeypatch, capsys):
+    """The audit is the harness's: a replay whose report differs (here,
+    its result arrays) fails it even when the traces align."""
+    import repro.harness.runner as runner
+
+    monkeypatch.setattr(runner, "_report_drift",
+                        lambda report, replayed: ["results"])
+    rc = main(["check", "--kill-rank", "2", "--json"])
+    assert rc == EXIT_REGRESSION
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["divergent"] is True
+    assert [d["key"]["kind"] for d in doc["divergences"]] == ["run_report"]
+    rc = main(["check", "--kill-rank", "2"])
+    assert rc == EXIT_REGRESSION
+    out = capsys.readouterr().out
+    assert ": 1 divergence(s)" in out
+    assert "first divergence [app]" in out
+
+
+@pytest.mark.parametrize("argv", [["check", "--replay"],
+                                  ["record", "--out", "x.trace.jsonl"],
+                                  ["bisect", "a.jsonl", "b.jsonl"]],
+                         ids=["check-replay", "record", "bisect"])
+def test_deleted_commands_and_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == EXIT_BAD_INPUT
 
 
 def test_check_unknown_strategy_is_bad_input(capsys):
-    rc = main(["check", "--replay", "--strategy", "nope"])
+    rc = main(["check", "--strategy", "nope"])
     assert rc == EXIT_BAD_INPUT
     assert "unknown strategy" in capsys.readouterr().err
 
 
-# -- bisect --------------------------------------------------------------
+# -- diff over a series --------------------------------------------------
 
 
-def test_bisect_finds_first_divergent_trace(trace_files, capsys):
-    rc = main(["bisect", trace_files["base"], trace_files["replay"],
+def test_diff_series_reports_every_pair_in_order(trace_files, capsys):
+    rc = main(["diff", trace_files["base"], trace_files["replay"],
                trace_files["perturbed"], "--json"])
     assert rc == EXIT_REGRESSION
     doc = json.loads(capsys.readouterr().out)
-    assert doc["first_divergent_index"] == 2
-    assert doc["first_divergent_trace"] == trace_files["perturbed"]
-    assert doc["report"]["first"]["layer"] == "process"
-
-
-def test_bisect_all_aligned_exits_clean(trace_files, capsys):
-    rc = main(["bisect", trace_files["base"], trace_files["replay"]])
-    assert rc == EXIT_OK
-    assert "align with" in capsys.readouterr().out
+    assert [pair["b"] for pair in doc["pairs"]] \
+        == [trace_files["replay"], trace_files["perturbed"]]
+    assert doc["pairs"][0]["divergent"] is False
+    assert doc["pairs"][1]["divergent"] is True
+    assert doc["pairs"][1]["first"]["layer"] == "process"

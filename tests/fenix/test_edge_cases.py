@@ -1,4 +1,4 @@
-"""Fenix edge cases: spare death, failure timing, role predicates."""
+"""Fenix edge cases: spare death, failure timing."""
 
 import pytest
 
@@ -6,17 +6,6 @@ from repro.fenix import FenixSystem, Role
 from repro.mpi import SUM, World
 from repro.sim import IterationFailure, TimedFailure
 from tests.fenix.conftest import fenix_cluster, run_fenix
-
-
-class TestRolePredicates:
-    def test_needs_full_init(self):
-        assert Role.INITIAL.needs_full_init
-        assert not Role.SURVIVOR.needs_full_init
-        assert not Role.RECOVERED.needs_full_init
-
-    def test_needs_data_recovery(self):
-        assert Role.RECOVERED.needs_data_recovery
-        assert not Role.SURVIVOR.needs_data_recovery
 
 
 class TestSpareDeath:

@@ -179,6 +179,7 @@ class TestCallbacks:
         plan = IterationFailure([(1, 2)])
 
         def main(role, h):
+            calls.append((h.ctx.rank, role))
             for i in range(4):
                 plan.check(h.ctx.rank, i)
                 yield from h.allreduce(1, op=SUM)
@@ -189,7 +190,6 @@ class TestCallbacks:
 
         world = World(cluster, 4)
         system = FenixSystem(world, n_spares=1)
-        system.register_callback(lambda role, ctx: calls.append((ctx.rank, role)))
         system.spawn_all(main, failure_plan=plan)
         cluster.engine.run()
         world.raise_job_errors()

@@ -141,7 +141,7 @@ RUN_COMMANDS = [
     ["telemetry", "run"],
     ["monitor", "check"],
     ["profile", "report"],
-    ["align", "check", "--replay"],
+    ["align", "check"],
 ]
 
 

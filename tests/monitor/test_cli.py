@@ -82,6 +82,19 @@ class TestCheck:
         # the saved trace replays clean through the same CLI
         assert main(["check", str(path)]) == 0
 
+    def test_save_trace_of_a_trace_file_is_a_usage_error(
+            self, veloc_trace_file, tmp_path, capsys):
+        """Only a live run records: replaying a file with --save-trace
+        would silently write nothing."""
+        path = tmp_path / "copy.trace.jsonl"
+        assert main(["check", veloc_trace_file,
+                     "--save-trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--save-trace" in captured.err
+        assert not path.exists()
+
     def test_live_unknown_strategy_exits_two(self, capsys):
         rc = main(["check", "--strategy", "no_such_strategy",
                    "--ranks", "2", "--iters", "4"])

@@ -73,10 +73,7 @@ TABLE = [
     Row("live", ["check", "{trace}", "--rules", "{rules}"],
         ["check", "{bad}", "--rules", "{rules}"]),
     Row("align", ["diff", "{trace}", "{trace}"], ["diff", "{trace}", "{bad}"]),
-    Row("align", ["check", "--replay", *KILL]),
-    Row("align", ["record", *KILL, "--out", "{tmp}/rec.trace.jsonl"]),
-    Row("align", ["bisect", "{trace}", "{trace}", "{trace}"],
-        ["bisect", "{trace}", "{trace}", "{bad}"]),
+    Row("align", ["check", *KILL]),
     Row("report", ["run", *CAMPAIGN, "--out", "{tmp}/report2"]),
     Row("report", ["render", "{campaign}", "--out", "{tmp}/r.html"],
         ["render", "{bad}", "--out", "{tmp}/r.html"]),
@@ -166,7 +163,7 @@ def test_the_table_has_a_row_for_every_subcommand():
             elif action.dest == "what":  # experiments' targets
                 declared |= {(tool, name) for name in action.choices}
     assert declared == {(row.tool, row.argv[0]) for row in TABLE}
-    assert len(declared) == 20 + 9
+    assert len(declared) == 18 + 9
 
 
 def test_report_without_a_command_is_run_with_its_defaults(monkeypatch):

@@ -68,22 +68,6 @@ class TestLabels:
 
 
 class TestMerge:
-    def test_merge_max(self):
-        a, b = TimeAccount(), TimeAccount()
-        a.charge("compute", 1.0)
-        b.charge("compute", 3.0)
-        b.charge("mpi", 1.0)
-        a.merge_max(b)
-        assert a.get(APP_COMPUTE) == 3.0
-        assert a.get(APP_MPI) == 1.0
-
-    def test_merge_sum(self):
-        a, b = TimeAccount(), TimeAccount()
-        a.charge("compute", 1.0)
-        b.charge("compute", 2.0)
-        a.merge_sum(b)
-        assert a.get(APP_COMPUTE) == 3.0
-
     def test_snapshot_is_copy(self):
         acct = TimeAccount()
         acct.charge("compute", 1.0)
@@ -138,38 +122,3 @@ class TestRecomputeNesting:
             acct.charge("compute", 1.0)
         assert acct.get(RECOMPUTE) == 2.0
 
-
-class TestMergeIdempotence:
-    def test_merge_max_idempotent(self):
-        a, b = TimeAccount(), TimeAccount()
-        a.charge("compute", 1.0)
-        b.charge("compute", 3.0)
-        b.charge("mpi", 1.0)
-        a.merge_max(b)
-        first = a.snapshot()
-        a.merge_max(b)
-        assert a.snapshot() == first
-
-    def test_merge_max_with_self_is_identity(self):
-        a = TimeAccount()
-        a.charge("compute", 2.0)
-        a.charge("mpi", 1.0)
-        before = a.snapshot()
-        a.merge_max(a)
-        assert a.snapshot() == before
-
-    def test_merge_sum_accumulates_not_idempotent(self):
-        a, b = TimeAccount(), TimeAccount()
-        a.charge("compute", 1.0)
-        b.charge("compute", 2.0)
-        a.merge_sum(b)
-        a.merge_sum(b)
-        assert a.get(APP_COMPUTE) == 5.0
-
-    def test_merge_empty_is_noop(self):
-        a = TimeAccount()
-        a.charge("compute", 1.0)
-        before = a.snapshot()
-        a.merge_max(TimeAccount())
-        a.merge_sum(TimeAccount())
-        assert a.snapshot() == before
