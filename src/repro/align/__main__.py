@@ -164,6 +164,9 @@ def _diff(args: argparse.Namespace) -> int:
 
 def _check(args: argparse.Namespace) -> int:
     observe: Dict[str, Any] = {}
+    if args.failure_seed is not None and args.kill_rank is not None:
+        raise ConfigError("--kill-rank and --failure-seed are two failure "
+                          "plans; give one")
     if args.failure_seed is not None:
         observe["plan"] = ExponentialFailures(
             args.mtbf, seed=args.failure_seed,

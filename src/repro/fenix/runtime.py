@@ -320,16 +320,3 @@ class FenixSystem:
         except MPIError as exc:
             handle._on_mpi_error(exc)
             raise
-
-    def spawn_all(
-        self,
-        main: Callable[..., Generator],
-        failure_plan: Optional[Any] = None,
-    ) -> None:
-        """Convenience: spawn run(main) on every world rank."""
-        for r in range(self.world.n_ranks):
-            ctx = self.world.context(r)
-            self.world.spawn(
-                r, self.run(ctx, main), failure_plan=failure_plan,
-                name=f"fenix:rank{r}",
-            )

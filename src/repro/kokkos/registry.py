@@ -75,14 +75,6 @@ class ViewRegistry:
         self._views.append(view)
         _bump_generation()
 
-    def unregister(self, view: View) -> None:
-        try:
-            self._views.remove(view)
-        except ValueError:
-            pass
-        else:
-            _bump_generation()
-
     def __len__(self) -> int:
         return len(self._views)
 

@@ -34,7 +34,6 @@ from repro.live.dashboard import (
     render_trace_frame,
 )
 from repro.live.rules import LiveSession, RuleSet, load_rules
-from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import TraceRecord
 from repro.util.schema import warn_on_mismatch
 
@@ -82,7 +81,6 @@ class _TailState:
         self.mode: Optional[str] = None  # "progress" | "trace"
         self.view = CampaignView()
         self.session = LiveSession(rules=rules, window_s=window_s)
-        self.tracker = ProtocolStateTracker()
         self.meta: Dict[str, Any] = {}
         self.dirty = False
 
@@ -117,10 +115,6 @@ class _TailState:
         except (KeyError, TypeError, ValueError):
             return  # foreign line in the stream; a viewer keeps going
         self.session.feed(rec)
-        try:
-            self.tracker.feed(rec)
-        except (KeyError, TypeError, ValueError):
-            pass  # a record missing a field: the strip skips it
         self.dirty = True
 
     @property
@@ -131,8 +125,8 @@ class _TailState:
         if self.mode == "progress":
             return render_campaign_frame(self.view, width=width)
         return render_trace_frame(
-            self.session.aggregator, self.tracker,
-            alerts=self.session.alerts, meta=self.meta, width=width)
+            self.session.aggregator, alerts=self.session.alerts,
+            meta=self.meta, width=width)
 
 
 def _tail(args: argparse.Namespace) -> int:

@@ -7,10 +7,10 @@ produces:
   events (``campaign_start`` / ``cell_done`` / ``campaign_end``) into a
   progress bar, cache/worker stats, ETA, and a lane of recent cells;
 - :func:`render_trace_frame` renders a
-  :class:`~repro.live.series.TimeSeriesAggregator` and a
-  :class:`~repro.monitor.state.ProtocolStateTracker` fed the same
-  flight-recorder stream as a rank strip, metric sparklines, and the
-  currently-firing alerts.
+  :class:`~repro.live.series.TimeSeriesAggregator` fed a flight-recorder
+  stream -- its :class:`~repro.monitor.state.ProtocolStateTracker` as a
+  rank strip, its series as metric sparklines -- and the currently-firing
+  alerts.
 
 Both return a complete frame as one string; the CLI (``repro.live
 tail``) handles clearing/redrawing, and CI captures the final frame as
@@ -25,7 +25,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.live.rules import Alert
 from repro.live.series import TimeSeriesAggregator
-from repro.monitor.state import ProtocolStateTracker, RankState
+from repro.monitor.state import RankState
 
 #: eighth-block ramp used for sparklines
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -169,7 +169,6 @@ def render_campaign_frame(view: CampaignView, width: int = 78) -> str:
 
 def render_trace_frame(
     agg: TimeSeriesAggregator,
-    tracker: ProtocolStateTracker,
     alerts: Optional[List[Alert]] = None,
     meta: Optional[Dict[str, Any]] = None,
     width: int = 78,
@@ -177,13 +176,14 @@ def render_trace_frame(
     """One frame of the run dashboard (flight-recorder / trace mode)."""
     lines = [
         f"t={agg.now:.3f}s  records={agg.records_seen}"
-        f"  open recoveries={agg.open_recoveries}"
+        f"  open recoveries={len(agg.state.failures)}"
     ]
     if meta:
         dropped = int(meta.get("dropped") or 0)
         if dropped:
             lines.append(f"drops: ring={dropped}"
                          f" (window {meta.get('dropped_window')})")
+    tracker = agg.state
     if tracker.ranks:
         ranks = [tracker.ranks[r] for r in sorted(tracker.ranks)]
         lines.append(f"ranks [{''.join(map(rank_glyph, ranks))}]  "

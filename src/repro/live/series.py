@@ -22,7 +22,8 @@ protocol record stream:
                                   of an open one join it)
 ``dropped_records``               trace ring evictions at observation
                                   time
-``alive_ranks`` / ``spare_ranks`` process liveness and spare-pool depth
+``alive_ranks`` / ``spare_ranks`` living processes of the world, and
+                                  living spares no repair has activated
 ================================  ======================================
 """
 
@@ -33,14 +34,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
-from repro.vocabulary import (
-    ATTEMPT_WORLD,
-    CRASH_KIND,
-    KILL_KINDS,
-    RECOVERY_DONE_KINDS,
-)
+from repro.vocabulary import ATTEMPT_WORLD, RECOVERY_DONE_KINDS
 
 #: the aggregator's standard global series
 STANDARD_SERIES = (
@@ -176,9 +173,9 @@ class WindowedSeries:
 class TimeSeriesAggregator(TraceListener):
     """Trace listener maintaining the standard live series.
 
-    Who is dead, spare or recovered, rank by rank, is
-    :class:`repro.monitor.state.ProtocolStateTracker`'s to say; this
-    listener only counts the living and the spares.
+    Who is alive, an idle spare or still failed is read off :attr:`state`,
+    a :class:`repro.monitor.state.ProtocolStateTracker` fed every record
+    (the dashboard's rank strip draws it); this listener only counts.
     """
 
     def __init__(self, window_s: float = 1.0, max_windows: int = 256,
@@ -192,12 +189,8 @@ class TimeSeriesAggregator(TraceListener):
         self.now = 0.0
         self.records_seen = 0
         self._trace = trace
+        self.state = ProtocolStateTracker()
         self._backlog_bytes = 0.0
-        self._world_size = 0
-        self._dead: set = set()
-        self._spares = 0
-        #: open recovery episodes: kill time per failure
-        self._open_kills: List[float] = []
         self._last_ckpt_t: Dict[str, float] = {}
 
     # -- the listener -------------------------------------------------------
@@ -208,6 +201,14 @@ class TimeSeriesAggregator(TraceListener):
         if t > self.now:
             self.now = t
         kind = rec.kind
+        state = self.state
+        if kind in RECOVERY_DONE_KINDS:
+            # one sample per failure the record closes, read before the
+            # tracker closes them
+            for kill in state.failures:
+                self.series["kill_to_restore_s"].observe(t, t - kill.time, rec)
+        world = state.world
+        state.feed(rec)
 
         if kind == "flush_submit":
             self._backlog_bytes += float(rec.fields.get("nbytes", 0.0))
@@ -225,37 +226,21 @@ class TimeSeriesAggregator(TraceListener):
             if seconds is not None and prev is not None and t > prev:
                 self.series["checkpoint_share_pct"].observe(
                     t, 100.0 * float(seconds) / (t - prev), rec)
-        elif kind in KILL_KINDS:
-            if rec.fields.get("rank") is not None:
-                self._dead.add(rec.fields["rank"])
-            if kind != CRASH_KIND or not self._open_kills:
-                self._open_kills.append(t)
-            self._observe_alive(t, rec)
         elif kind == "rank_dead":
-            rank = rec.fields.get("rank")
-            if rank is not None and rank not in self._dead:
-                self._dead.add(rank)
+            st = state.ranks.get(rec.fields.get("rank"))
+            if st is not None and st.dead is rec:  # a death, not a repeat
                 self._observe_alive(t, rec)
-        elif kind in RECOVERY_DONE_KINDS:
-            for t_kill in self._open_kills:
-                self.series["kill_to_restore_s"].observe(t, t - t_kill, rec)
-            self._open_kills.clear()
-        elif kind == "comm_create":
-            members = rec.fields.get("members") or []
-            if len(members) > self._world_size:
-                self._world_size = len(members)
+                if st.role == "SPARE":  # a spare left the pool
+                    self._observe_spares(t, rec)
+        elif kind == "comm_create" and ATTEMPT_WORLD in rec.source:
+            # a (re)launch: every rank of it is alive; one that sizes the
+            # world anew is observed once more, as the new size
+            if len(state.world) > len(world):
                 self._observe_alive(t, rec)
-            if ATTEMPT_WORLD in rec.source and members:
-                # a relaunch: every rank of the new attempt is alive again
-                self._dead.clear()
-                self._observe_alive(t, rec)
-        elif kind == "role":
-            if str(rec.fields.get("role", "")).upper() == "SPARE":
-                self._spares += 1
-                self.series["spare_ranks"].observe(t, self._spares, rec)
-        elif kind == "spare_activated":
-            self._spares = max(0, self._spares - 1)
-            self.series["spare_ranks"].observe(t, self._spares, rec)
+            self._observe_alive(t, rec)
+        elif kind == "spare_activated" or (
+                kind == "role" and rec.fields.get("role") == "SPARE"):
+            self._observe_spares(t, rec)
 
         drops = self._current_drops()
         if drops != (self.series["dropped_records"].latest() or 0.0):
@@ -268,24 +253,22 @@ class TimeSeriesAggregator(TraceListener):
             return 0.0
         return float(self._trace.dropped)
 
-    def _observe_alive(self, t: float,
-                       rec: Optional[TraceRecord] = None) -> None:
-        if self._world_size <= 0:
-            return
-        alive = max(0, self._world_size - len(self._dead))
-        self.series["alive_ranks"].observe(t, alive, rec)
+    def _observe_alive(self, t: float, rec: TraceRecord) -> None:
+        world, ranks = self.state.world, self.state.ranks
+        if world:
+            alive = sum(1 for w in world if w not in ranks or ranks[w].alive)
+            self.series["alive_ranks"].observe(t, alive, rec)
 
-    @property
-    def open_recoveries(self) -> int:
-        """Failures whose data recovery has not completed yet."""
-        return len(self._open_kills)
+    def _observe_spares(self, t: float, rec: TraceRecord) -> None:
+        spares = sum(st.spare for st in self.state.ranks.values())
+        self.series["spare_ranks"].observe(t, spares, rec)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready state (the export/check surface)."""
         out: Dict[str, Any] = {
             "now": self.now,
             "records_seen": self.records_seen,
-            "open_recoveries": self.open_recoveries,
+            "open_recoveries": len(self.state.failures),
             "series": {},
         }
         for name, series in self.series.items():

@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import takewhile
 from typing import List, Tuple
 
 from repro import cli
@@ -130,7 +131,9 @@ def _check(args: argparse.Namespace) -> int:
 
 def _state(args: argparse.Namespace) -> int:
     records, _meta = read_trace(args.trace)
-    tracker = ProtocolStateTracker().replay(records, at=args.at)
+    if args.at is not None:
+        records = takewhile(lambda rec: rec.time <= args.at, records)
+    tracker = ProtocolStateTracker().replay(records)
     print(render_state(tracker, at=args.at))
     return 0
 

@@ -23,6 +23,7 @@ from typing import (
     Tuple,
 )
 
+from repro.monitor.state import ProtocolStateTracker
 from repro.monitor.violations import InvariantViolation
 from repro.sim.trace import TraceListener, TraceRecord
 from repro.vocabulary import ATTEMPT_WORLD
@@ -35,15 +36,18 @@ class ProtocolMonitor:
     #: no other record; None (the default) asks for every record
     KINDS: Optional[FrozenSet[str]] = None
 
+    #: who is dead, exited, a spare or a member: the suite's tracker
+    state: ProtocolStateTracker
+
     def __init__(self) -> None:
         self.violations: List[InvariantViolation] = []
         self.begin_world()
 
     def begin_world(self) -> None:
-        """(Re)initialise what is scoped to one MPI world -- dead ranks,
-        roles, communicators, process memory.  Called at construction and
-        again by the suite at every relaunch; history that outlives a
-        world (what reached the PFS) belongs in ``__init__``."""
+        """(Re)initialise what is scoped to one MPI world -- roles, revoked
+        communicators, process memory.  Called at construction and again
+        by the suite at every relaunch; history that outlives a world
+        (what reached the PFS) belongs in ``__init__``."""
 
     def feed(self, rec: TraceRecord) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -85,12 +89,17 @@ class MonitorSuite(TraceListener):
             monitors = standard_monitors()
         #: a tuple: the dispatch table below is built from it once
         self.monitors = monitors = tuple(monitors)
-        #: kind -> the feeds consuming it, in suite order, built once;
-        #: kinds nobody declared go to the monitors that want everything
-        declared = set().union(*(m.KINDS or () for m in monitors))
+        #: the one per-rank reconstruction every monitor reads
+        self.state = ProtocolStateTracker()
+        for mon in monitors:
+            mon.state = self.state
+        #: kind -> the feeds consuming it, tracker first, built once; kinds
+        #: nobody declared go to the monitors that want everything
+        feeders = (self.state,) + monitors
+        declared = set().union(*(f.KINDS or () for f in feeders))
         self._feeds_of: Dict[str, Tuple[Callable, ...]] = {
-            kind: tuple(m.feed for m in monitors
-                        if m.KINDS is None or kind in m.KINDS)
+            kind: tuple(f.feed for f in feeders
+                        if f.KINDS is None or kind in f.KINDS)
             for kind in declared
         }
         self._feeds_of_any = tuple(

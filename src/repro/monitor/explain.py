@@ -28,15 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import TraceRecord
 from repro.vocabulary import (
     ATTEMPT_WORLD,
-    CRASH_KIND,
-    KILL_KINDS,
-    RECOVERY_DONE_KINDS,
     RECOVERY_SPINE,
     RECOVERY_STAGES,
-    RESILIENT_COMM,
     world_rank,
 )
 
@@ -124,32 +121,23 @@ def _walk(window: Sequence[TraceRecord], owners: Sequence[Optional[int]],
 
 
 def episodes(records: Sequence[TraceRecord]) -> List[Episode]:
-    """One :class:`Episode` per failure, in trace order."""
+    """One :class:`Episode` per failure, in trace order: each opens where
+    :class:`~repro.monitor.state.ProtocolStateTracker` opens a failure."""
     records = list(records)
+    state = ProtocolStateTracker()
     owners: List[Optional[int]] = []
-    #: members of the newest resilient communicator or attempt world
+    #: members of the newest resilient communicator, else of the world
     groups: List[Sequence[int]] = []
     starts: List[int] = []
-    members: Sequence[int] = ()
-    group: Sequence[int] = ()
-    is_open = False
     for i, rec in enumerate(records):
-        kind = rec.kind
-        if kind == "comm_create" and (rec.source.startswith(RESILIENT_COMM)
-                                      or ATTEMPT_WORLD in rec.source):
-            group = rec.fields.get("members") or ()
-            if rec.source.startswith(RESILIENT_COMM):
-                members = group
+        state.feed(rec)
         try:  # best-effort attribution: trace files come from outside
-            owners.append(world_rank(rec.source, rec.fields, members))
+            owners.append(world_rank(rec.source, rec.fields, state.slots))
         except (TypeError, ValueError):
             owners.append(None)
-        groups.append(group)
-        if kind in KILL_KINDS and (kind != CRASH_KIND or not is_open):
+        groups.append(state.slots or state.world)
+        if state.failures and state.failures[-1] is rec:
             starts.append(i)
-            is_open = True
-        elif kind in RECOVERY_DONE_KINDS:
-            is_open = False
     bounds = starts + [len(records)]
     return [_episode(records[lo:hi], owners[lo:hi], groups[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])]

@@ -42,30 +42,20 @@ def _as_key(value) -> Tuple:
 class ULFMOrderMonitor(ProtocolMonitor):
     """Revoke-before-shrink/agree ordering on failed communicators."""
 
-    KINDS = frozenset({"comm_create", "rank_dead", "revoke", "agree", "shrink",
-                       "repair"})
+    KINDS = frozenset({"revoke", "agree", "shrink", "repair"})
 
     def begin_world(self) -> None:
-        #: comm name -> world-rank membership (from comm_create)
-        self._members: Dict[str, List[int]] = {}
         #: comm name -> the revoke record
         self._revoked: Dict[str, TraceRecord] = {}
-        #: world rank -> rank_dead record
-        self._dead: Dict[int, TraceRecord] = {}
         #: comm name -> the repair record that retired it
         self._retired: Dict[str, TraceRecord] = {}
 
     def _dead_members(self, comm: str) -> List[TraceRecord]:
-        return [self._dead[w] for w in self._members.get(comm, [])
-                if w in self._dead]
+        return self.state.dead(self.state.comms.get(comm, ()))
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        if kind == "comm_create":
-            self._members[rec.source] = list(rec["members"])
-        elif kind == "rank_dead":
-            self._dead[rec["rank"]] = rec
-        elif kind == "revoke":
+        if kind == "revoke":
             retired = self._retired.get(rec.source)
             if retired is not None:
                 self.violate(
@@ -74,7 +64,8 @@ class ULFMOrderMonitor(ProtocolMonitor):
                     "replaced it",
                     [retired, rec],
                 )
-            if rec.source in self._members and not self._dead_members(rec.source):
+            if (rec.source in self.state.comms
+                    and not self._dead_members(rec.source)):
                 self.violate(
                     "revoke-without-failure",
                     f"{rec.source} revoked but no member had died",
@@ -138,30 +129,25 @@ _ROLE_EDGES: Dict[Optional[str], Set[str]] = {
 class RoleTransitionMonitor(ProtocolMonitor):
     """Per-rank Fenix role state machine legality."""
 
-    KINDS = frozenset({"rank_dead", "spare_activated", "role"})
+    KINDS = frozenset({"role"})
 
     def begin_world(self) -> None:
+        #: world rank -> its previous role record
         self._role: Dict[int, TraceRecord] = {}
-        self._dead: Dict[int, TraceRecord] = {}
-        #: world rank -> its latest spare_activated record
-        self._activated: Dict[int, TraceRecord] = {}
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        if kind == "rank_dead":
-            self._dead[rec["rank"]] = rec
-        elif kind == "spare_activated":
-            self._activated[rec["spare"]] = rec
-        elif kind == "role" and rec.source == "fenix":
+        if kind == "role" and rec.source == "fenix":
             rank = rec["rank"]
             role = rec["role"]
             prev = self._role.get(rank)
             prev_name = prev["role"] if prev is not None else None
-            if rank in self._dead:
+            deaths = self.state.dead([rank])
+            if deaths:
                 self.violate(
                     "role-on-dead-rank",
                     f"role {role} assigned to dead rank {rank}",
-                    [self._dead[rank], rec],
+                    deaths + [rec],
                 )
             if role not in _ROLE_EDGES.get(prev_name, set()):
                 chain = ([prev] if prev is not None else []) + [rec]
@@ -172,7 +158,7 @@ class RoleTransitionMonitor(ProtocolMonitor):
                     chain,
                 )
             elif prev_name == "SPARE" and role == "RECOVERED":
-                act = self._activated.get(rank)
+                act = self.state.ranks[rank].activated
                 if act is None or act["generation"] != rec["generation"]:
                     self.violate(
                         "recovered-without-activation",
@@ -187,38 +173,26 @@ class RoleTransitionMonitor(ProtocolMonitor):
 class RepairGateMonitor(ProtocolMonitor):
     """Repair-gate rendezvous completeness and generation sequencing."""
 
-    KINDS = frozenset({"rank_dead", "rank_exit", "role", "shrink", "repair",
-                       "abort"})
+    KINDS = frozenset({"rank_dead", "shrink", "repair", "abort"})
 
     def begin_world(self) -> None:
         self._generation = 0
-        self._seen_ranks: Set[int] = set()
-        self._dead: Dict[int, TraceRecord] = {}
-        self._exited: Set[int] = set()
         self._deaths_since_repair: List[TraceRecord] = []
         self._last_repair: Optional[TraceRecord] = None
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
         if kind == "rank_dead":
-            self._dead[rec["rank"]] = rec
             self._deaths_since_repair.append(rec)
-        elif kind == "rank_exit":
-            # the only retirement: a rank waiting in Fenix_Finalize is
-            # called back to the gate by a death (PROTOCOLS.md §1)
-            self._exited.add(rec["rank"])
-        elif kind == "role" and rec.source == "fenix":
-            # any rank with a role record has entered the Fenix protocol
-            self._seen_ranks.add(rec["rank"])
         elif kind == "shrink" and rec.source == "fenix":
-            corpses = [w for w in rec.fields.get("survivors", [])
-                       if w in self._dead]
-            if corpses:
+            deaths = self.state.dead(rec.fields.get("survivors", []))
+            if deaths:
                 self.violate(
                     "dead-survivor",
                     f"shrink for generation {rec.fields.get('generation')} "
-                    f"kept dead rank(s) {corpses} in the survivor set",
-                    [self._dead[w] for w in corpses] + [rec],
+                    f"kept dead rank(s) {[d['rank'] for d in deaths]} in "
+                    "the survivor set",
+                    deaths + [rec],
                 )
         elif kind in ("repair", "abort") and rec.source == "fenix":
             generation = rec["generation"]
@@ -244,21 +218,24 @@ class RepairGateMonitor(ProtocolMonitor):
             self._deaths_since_repair = []
 
     def _check_repair(self, rec: TraceRecord) -> None:
-        members = list(rec.fields.get("members", []))
         contributors = set(rec.fields.get("contributors", []))
-        corpses = [w for w in members if w in self._dead]
-        if corpses:
+        deaths = self.state.dead(rec.fields.get("members", []))
+        if deaths:
             self.violate(
                 "dead-member-in-repair",
                 f"repair generation {rec['generation']} admitted dead "
-                f"rank(s) {corpses} into the new communicator",
-                [self._dead[w] for w in corpses] + [rec],
+                f"rank(s) {[d['rank'] for d in deaths]} into the new "
+                "communicator",
+                deaths + [rec],
             )
-        # rendezvous completeness: every protocol participant that is
-        # neither dead nor exited must have contributed -- a rank that
-        # died *during* the gate wait is excluded by its rank_dead record
-        expected = self._seen_ranks - set(self._dead) - self._exited
-        missing = sorted(expected - contributors)
+        # rendezvous completeness: every protocol participant (a rank with
+        # a role) that is neither dead nor exited must have contributed --
+        # a rank that died *during* the gate wait has its rank_dead record;
+        # one waiting in Fenix_Finalize has not exited (PROTOCOLS.md §1)
+        missing = sorted(
+            w for w, st in self.state.ranks.items()
+            if st.role is not None and st.alive and not st.exited
+            and w not in contributors)
         if missing:
             self.violate(
                 "incomplete-rendezvous",

@@ -1,20 +1,24 @@
 """Protocol-state reconstruction: every rank's state at a simulated time.
 
-Drives the same record stream as the monitors, but instead of checking
-invariants it *keeps* the state: liveness, Fenix role and generation,
-repair-gate occupancy, last VeloC checkpoint/restore, last IMR store.
-``python -m repro.monitor state --at <t>`` renders the result, answering
-"what was everyone doing at time t" without reading the raw trace.
+The one fold of per-rank protocol state -- liveness, exit, Fenix role and
+generation, spare activation, communicator membership, repair-gate
+occupancy, last VeloC checkpoint/restore, last IMR store, open failures.
+The monitors, live's series, ``monitor explain`` and the Chrome exporter
+read it instead of keeping their own.  ``python -m repro.monitor state
+--at <t>`` renders it: "what was everyone doing at time t".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceListener, TraceRecord
 from repro.vocabulary import (
     ATTEMPT_WORLD,
+    CRASH_KIND,
+    KILL_KINDS,
+    RECOVERY_DONE_KINDS,
     REPAIR_DONE_KINDS,
     RESILIENT_COMM,
     parse_source,
@@ -27,15 +31,27 @@ class RankState:
     """One world rank's reconstructed protocol state."""
 
     world_rank: int
-    alive: bool = True
+    #: the rank's ``rank_dead`` record (None: it is alive)
+    dead: Optional[TraceRecord] = None
     exited: bool = False
     role: Optional[str] = None
     generation: int = 0
+    #: the latest ``spare_activated`` record that gave this spare a slot
+    activated: Optional[TraceRecord] = None
     #: waiting at the repair gate (arrived, repair not yet finalized)
     at_gate: bool = False
     last_checkpoint: Optional[int] = None
     last_recover: Optional[str] = None  # "v3 (scratch)"
     last_imr_store: Optional[int] = None
+
+    @property
+    def alive(self) -> bool:
+        return self.dead is None
+
+    @property
+    def spare(self) -> bool:
+        """An idle spare: alive, SPARE, and not activated into a slot."""
+        return self.alive and self.role == "SPARE" and self.activated is None
 
     def describe(self) -> str:
         if not self.alive:
@@ -49,67 +65,101 @@ class RankState:
         return status
 
 
-class ProtocolStateTracker:
-    """Replays records up to a cutoff time into per-rank states."""
+class ProtocolStateTracker(TraceListener):
+    """Folds records into per-rank states."""
+
+    #: what :class:`MonitorSuite` feeds it; any other record of a rank
+    #: only makes the rank known to :attr:`ranks`
+    KINDS = frozenset({"comm_create", "rank_dead", "rank_exit",
+                       "gate_arrive", "role", "spare_activated",
+                       "checkpoint", "imr_store"}
+                      ).union(KILL_KINDS, RECOVERY_DONE_KINDS,
+                              REPAIR_DONE_KINDS)
 
     def __init__(self) -> None:
+        #: the kill of each failure no data recovery closed yet (a crash
+        #: joins an open one); they outlive a world, as a fail-restart
+        #: job recovers by relaunching
+        self.failures: List[TraceRecord] = []
         self.begin_world()
 
     def begin_world(self) -> None:
-        """Everything kept here is scoped to one MPI world (the rule of
-        :meth:`repro.monitor.base.Monitor.begin_world`): a relaunch's
-        ranks are new processes that earned none of it."""
+        """Everything else kept here is scoped to one MPI world (the rule
+        of :meth:`repro.monitor.base.ProtocolMonitor.begin_world`): a
+        relaunch's ranks are new processes that earned none of it."""
         self.ranks: Dict[int, RankState] = {}
         self.generation = 0
+        #: communicator name -> its world-rank members
+        self.comms: Dict[str, Sequence[int]] = {}
+        #: the members of the attempt world: every process of the launch
+        self.world: Sequence[int] = ()
         #: slot -> world rank map of the current resilient communicator
-        self._members: Sequence[int] = ()
+        self.slots: Sequence[int] = ()
 
     def _rank(self, rank: int) -> RankState:
-        return self.ranks.setdefault(rank, RankState(rank))
+        st = self.ranks.get(rank)
+        if st is None:  # (setdefault would build a state per record)
+            st = self.ranks[rank] = RankState(rank)
+        return st
+
+    def dead(self, ranks: Iterable[int]) -> List[TraceRecord]:
+        """The ``rank_dead`` records of those of ``ranks`` that died."""
+        found = map(self.ranks.get, ranks)
+        return [st.dead for st in found
+                if st is not None and st.dead is not None]
 
     def feed(self, rec: TraceRecord) -> None:
+        """Fold one record; a record missing a field read here, or holding
+        one of the wrong type, comes from outside and is skipped."""
         kind = rec.kind
-        if kind == "comm_create":
-            if rec.source.startswith(RESILIENT_COMM):
-                self._members = rec["members"]
-            elif ATTEMPT_WORLD in rec.source:  # the world of a (re)launch
-                self.begin_world()
-        elif kind == "rank_dead":
-            self._rank(rec["rank"]).alive = False
-        elif kind == "rank_exit":
-            self._rank(rec["rank"]).exited = True
-        elif kind == "gate_arrive" and rec.source == "fenix":
-            self._rank(rec["rank"]).at_gate = True
-        elif kind == "role" and rec.source == "fenix":
-            st = self._rank(rec["rank"])
-            st.role = rec["role"]
-            st.generation = rec["generation"]
-            st.at_gate = False
-        elif kind in REPAIR_DONE_KINDS and rec.source == "fenix":
-            self.generation = rec["generation"]
-            for st in self.ranks.values():
-                st.at_gate = False
-        else:
-            layer, n = parse_source(rec.source)
-            if n is None or not layer:
-                return
-            st = self._rank(world_rank(rec.source, rec.fields, self._members))
-            if layer == "veloc" and kind == "checkpoint":
-                st.last_checkpoint = int(rec["version"])
-            elif layer == "veloc" and kind == "recover":
-                st.last_recover = (
-                    f"v{int(rec['version'])} ({rec.fields.get('tier', '?')})"
-                )
-            elif layer == "imr" and kind == "imr_store":
-                st.last_imr_store = int(rec["version"])
-
-    def replay(self, records: Iterable[TraceRecord],
-               at: Optional[float] = None) -> "ProtocolStateTracker":
-        for rec in records:
-            if at is not None and rec.time > at:
-                break
-            self.feed(rec)
-        return self
+        if kind in RECOVERY_DONE_KINDS:
+            self.failures = []
+        try:
+            if kind in KILL_KINDS:
+                if kind != CRASH_KIND or not self.failures:
+                    self.failures.append(rec)
+            elif kind == "comm_create":
+                members = rec["members"]
+                if rec.source.startswith(RESILIENT_COMM):
+                    self.slots = members
+                elif ATTEMPT_WORLD in rec.source:  # a (re)launch
+                    self.begin_world()
+                    self.world = members
+                self.comms[rec.source] = members
+            elif kind == "rank_dead":
+                st = self._rank(rec["rank"])
+                if st.dead is None:
+                    st.dead = rec
+            elif kind == "rank_exit":
+                self._rank(rec["rank"]).exited = True
+            elif kind == "spare_activated":
+                self._rank(rec["spare"]).activated = rec
+            elif kind == "gate_arrive" and rec.source == "fenix":
+                self._rank(rec["rank"]).at_gate = True
+            elif kind == "role" and rec.source == "fenix":
+                role, generation = rec["role"], rec["generation"]
+                st = self._rank(rec["rank"])
+                st.role, st.generation, st.at_gate = role, generation, False
+            elif kind in REPAIR_DONE_KINDS and rec.source == "fenix":
+                self.generation = rec["generation"]
+                for st in self.ranks.values():
+                    st.at_gate = False
+            else:
+                layer, n = parse_source(rec.source)
+                if n is None or not layer:
+                    return
+                st = self._rank(world_rank(rec.source, rec.fields,
+                                           self.slots))
+                if layer == "veloc" and kind == "checkpoint":
+                    st.last_checkpoint = int(rec["version"])
+                elif layer == "veloc" and kind == "recover":
+                    st.last_recover = (
+                        f"v{int(rec['version'])} "
+                        f"({rec.fields.get('tier', '?')})")
+                elif layer == "imr" and kind == "imr_store":
+                    st.last_imr_store = int(rec["version"])
+        except (KeyError, TypeError, ValueError):
+            pass
 
 
 def render_state(tracker: ProtocolStateTracker,

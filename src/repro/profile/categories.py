@@ -56,7 +56,6 @@ _EXACT = {
     "imr.restore": (VELOC_RECOVER, 80),
     "kr.restore": (KR_RESTORE, 70),
     "veloc.checkpoint": (CHECKPOINT_COPY, 60),
-    "veloc.flush_wait": (CHECKPOINT_COPY, 59),
     "imr.store": (CHECKPOINT_COPY, 58),
     "kr.commit": (CHECKPOINT_COPY, 58),
     "fenix.repair": (FENIX_REPAIR, 45),

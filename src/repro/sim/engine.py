@@ -493,19 +493,6 @@ class Engine:
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
         self._failures[proc] = exc
 
-    def consume_failure(self, proc: Process) -> Optional[BaseException]:
-        """Mark ``proc``'s failure as handled (e.g. an expected rank death).
-
-        Returns the exception if one was recorded, else None.  O(1):
-        failures are keyed by process (insertion-ordered, so the oldest
-        unhandled failure is still the one reported by :meth:`run`).
-        """
-        return self._failures.pop(proc, None)
-
-    @property
-    def unhandled_failures(self) -> list[tuple[Process, BaseException]]:
-        return list(self._failures.items())
-
     def close(self) -> None:
         """End of the job this engine ran: drop what still points back at
         the engine -- the timeout pool, the telemetry hook (whose tracer

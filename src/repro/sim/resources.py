@@ -57,10 +57,6 @@ class BandwidthPipe:
         """Pure service time for ``nbytes`` (excludes queueing)."""
         return self.latency + float(nbytes) / self.bandwidth
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of time the pipe has been busy up to ``horizon``
         (defaults to the current simulated time)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.vocabulary import RESILIENT_COMM, parse_source, world_rank
+from repro.vocabulary import parse_source, world_rank
 
 #: event phases this exporter emits (the subset the validator accepts)
 PHASES = {"X", "i", "M"}
@@ -107,14 +107,15 @@ def chrome_trace_events(telemetry: Any, trace: Any = None) -> List[Dict]:
             },
         ))
     if trace is not None:
-        members: Sequence[int] = ()  # slot -> world rank, as of ``tr``
+        # (imported here: the simulator this module serves imports it)
+        from repro.monitor.state import ProtocolStateTracker
+
+        state = ProtocolStateTracker()  # its slot map, as of ``tr``
         for tr in trace:
-            if (tr.kind == "comm_create"
-                    and tr.source.startswith(RESILIENT_COMM)):
-                members = tr.fields["members"]
+            state.feed(tr)
             raw.append((
                 tr.time,
-                track_for_source(tr.source, tr.fields, members),
+                track_for_source(tr.source, tr.fields, state.slots),
                 {
                     "name": tr.kind,
                     "cat": "trace",

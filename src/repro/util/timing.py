@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 #: bucket names used across the harness (mirrors the paper's legends)
 APP_COMPUTE = "app_compute"
@@ -60,10 +60,6 @@ class TimeAccount:
             yield
         finally:
             self._labels.pop()
-
-    @property
-    def active_label(self) -> Optional[str]:
-        return self._labels[-1] if self._labels else None
 
     def total(self) -> float:
         return sum(self.buckets.values())

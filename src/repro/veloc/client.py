@@ -23,7 +23,7 @@ query runs over the communicator VeloC was initialized with.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
@@ -233,19 +233,6 @@ class VeloCClient:
         same version took its place)."""
         if self._flushes.get(version) is done:
             del self._flushes[version]
-
-    def flush_pending(self) -> List[int]:
-        """Versions whose PFS flush has not completed yet."""
-        return sorted(self._flushes)
-
-    def wait_flushes(self) -> Generator[Event, Any, None]:
-        """Block until every queued flush has persisted."""
-        pending = list(self._flushes.values())
-        if pending:
-            tel = self.ctx.engine.telemetry
-            with tel.span(f"veloc.rank{self.veloc_rank}", "veloc.flush_wait",
-                          pending=len(pending), wrank=self.ctx.rank):
-                yield self.ctx.engine.all_of(pending)
 
     # -- version queries --------------------------------------------------------------
 

@@ -127,6 +127,18 @@ def test_deleted_commands_and_flags_are_usage_errors(argv, capsys):
     assert exit_.value.code == EXIT_BAD_INPUT
 
 
+def test_check_kill_rank_and_failure_seed_are_a_usage_error(capsys):
+    """Two failure plans: the exponential one would silently replace the
+    kill while the report's spec still named it."""
+    rc = main(["check", "--kill-rank", "2", "--failure-seed", "8",
+               "--mtbf", "6"])
+    assert rc == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "--kill-rank" in line and "--failure-seed" in line
+
+
 def test_check_unknown_strategy_is_bad_input(capsys):
     rc = main(["check", "--strategy", "nope"])
     assert rc == EXIT_BAD_INPUT

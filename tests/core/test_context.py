@@ -10,6 +10,7 @@ from repro.mpi import World
 from repro.util.errors import ConfigError
 from repro.veloc import VeloCService
 from tests.fenix.conftest import fenix_cluster
+from tests.veloc.conftest import wait_flushes
 
 
 def run_kr(n_ranks, body, backend="veloc", filter=None, scope="all", n_spares=0,
@@ -91,7 +92,7 @@ class TestCheckpointExecute:
                 yield from kr.checkpoint("loop", i, lambda: v.fill(i))
             # old scratch versions are GC'd; wait for the async PFS
             # flushes so every taken checkpoint is visible
-            yield from kr.backend.client.wait_flushes()
+            yield from wait_flushes(kr.backend.client)
             return sorted(kr.backend.local_versions())
 
         results, _ = run_kr(1, body, filter=every_nth(4))

@@ -106,10 +106,10 @@ class TestDiscoveryMemoization:
 
         reg = ViewRegistry()
         g0 = registry_generation()
-        v = View("x", shape=(2,), registry=reg)
+        View("x", shape=(2,), registry=reg)
         assert registry_generation() > g0
         g1 = registry_generation()
-        reg.unregister(v)
+        reg.clear()
         assert registry_generation() > g1
 
 

@@ -9,6 +9,7 @@ from repro.kokkos import KokkosRuntime
 from repro.mpi import SUM, CommHandle, World
 from repro.sim import Cluster, ClusterSpec, NetworkSpec, NodeSpec
 from repro.veloc import VeloCService
+from tests.veloc.conftest import wait_flushes
 
 
 def make_stack(n_ranks):
@@ -81,7 +82,7 @@ class TestSplitCheckpointing:
             rt = KokkosRuntime()
             v = rt.view("x", shape=(1,))
             yield from kr.checkpoint("loop", 0, lambda: v.fill(float(rank)))
-            yield from kr.backend.client.wait_flushes()
+            yield from wait_flushes(kr.backend.client)
             seen[rank] = kr.backend.client._key(0)
 
         for r in range(2):

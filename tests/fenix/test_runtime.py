@@ -190,7 +190,9 @@ class TestCallbacks:
 
         world = World(cluster, 4)
         system = FenixSystem(world, n_spares=1)
-        system.spawn_all(main, failure_plan=plan)
+        for r in range(4):
+            world.spawn(r, system.run(world.context(r), main),
+                        failure_plan=plan)
         cluster.engine.run()
         world.raise_job_errors()
         initial = [c for c in calls if c[1] is Role.INITIAL]

@@ -319,7 +319,8 @@ def test_spare_exhaustion_reaches_a_hand_built_job_as_itself():
             plan.check(handle.ctx.rank, i)
             yield from handle.allreduce(0)
 
-    system.spawn_all(main, failure_plan=plan)
+    for r in range(3):
+        world.spawn(r, system.run(world.context(r), main), failure_plan=plan)
     world.engine.run()
     assert world.dead == {0, 1, 2}
     assert [type(exc) for _, exc in world.errors] == [SpareExhaustionError] * 2

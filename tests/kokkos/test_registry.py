@@ -18,12 +18,6 @@ class TestRegistryBasics:
         assert rt.registry.find("positions") is v
         assert rt.registry.find("missing") is None
 
-    def test_unregister(self, rt):
-        v = rt.view("temp", shape=(2,))
-        rt.registry.unregister(v)
-        assert rt.registry.find("temp") is None
-        rt.registry.unregister(v)  # idempotent
-
     def test_len_and_iter(self, rt):
         rt.view("a", shape=(1,))
         rt.view("b", shape=(1,))

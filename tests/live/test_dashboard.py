@@ -9,7 +9,6 @@ from repro.live.dashboard import (
 )
 from repro.live.rules import Alert
 from repro.live.series import TimeSeriesAggregator
-from repro.monitor.state import ProtocolStateTracker
 from repro.sim.trace import Trace
 
 
@@ -71,9 +70,8 @@ def test_campaign_frame_renders():
 
 def test_trace_frame_renders_lanes_series_and_alerts():
     tr = Trace(enabled=True)
-    agg, tracker = TimeSeriesAggregator(), ProtocolStateTracker()
+    agg = TimeSeriesAggregator()
     agg.attach(tr)
-    tr.subscribe(tracker.feed)
     tr.emit(0.0, "app.attempt1", "comm_create", members=[0, 1, 2, 3])
     tr.emit(0.1, "fenix", "role", rank=3, role="SPARE", generation=0)
     tr.emit(1.0, "veloc.rank0", "checkpoint", seconds=0.1, version=1)
@@ -85,7 +83,7 @@ def test_trace_frame_renders_lanes_series_and_alerts():
     alert = Alert(rule="tight", metric="kill_to_restore_s",
                   severity="critical", time=4.5, value=0.5,
                   threshold=0.001, op="<=", agg="p99")
-    frame = render_trace_frame(agg, tracker, alerts=[alert],
+    frame = render_trace_frame(agg, alerts=[alert],
                                meta={"dropped": 3})
     assert "records=8" in frame
     assert "open recoveries=1" in frame
@@ -99,4 +97,4 @@ def test_trace_frame_renders_lanes_series_and_alerts():
     assert "alerts (1):" in frame and "tight" in frame
     assert all(len(line) <= 78 for line in frame.splitlines())
     # alert-free frames say so explicitly
-    assert "alerts: none" in render_trace_frame(agg, tracker)
+    assert "alerts: none" in render_trace_frame(agg)

@@ -114,10 +114,10 @@ class TestAggregator:
         agg = TimeSeriesAggregator()
         kill = records((4.0, "app.attempt1", "rank_killed", {"rank": 2}))
         agg.replay(kill)
-        assert agg.open_recoveries == 1
+        assert len(agg.state.failures) == 1
         agg.replay(records(
             (4.5, "veloc.rank2", "recover", {"version": 10})))
-        assert agg.open_recoveries == 0
+        assert agg.state.failures == []
         assert agg.series["kill_to_restore_s"].latest() == \
             pytest.approx(0.5)
 
@@ -141,6 +141,21 @@ class TestAggregator:
         ranks = ProtocolStateTracker().replay(stream).ranks
         assert ranks[3].role == "RECOVERED" and ranks[3].alive
         assert not ranks[1].alive
+
+    def test_a_dead_spare_is_no_spare(self):
+        """Spare 4 is killed before any repair: the spare pool is empty,
+        as the tracker the gauge reads says."""
+        from repro.cli import build_job
+        from repro.sim.failures import TimedFailure
+
+        agg = TimeSeriesAggregator()
+        build_job("heatdis", "fenix_kr_veloc", 4, 30, 10, spares=1)(
+            plan=TimedFailure([(4, 4.0)]), trace_sink=agg)
+        assert agg.series["spare_ranks"].latest() == 0.0
+        assert agg.series["spare_ranks"].total_count == 2  # role, death
+        assert agg.series["alive_ranks"].latest() == 4.0
+        spare = agg.state.ranks[4]
+        assert spare.role == "SPARE" and not spare.alive
 
     def test_dropped_records_series_follows_the_trace(self):
         tr = Trace(enabled=True, max_records=4)

@@ -11,6 +11,7 @@ from repro.apps.minimd import MiniMDConfig
 from repro.experiments.common import paper_env
 from repro.harness.runner import run_heatdis_job, run_minimd_job
 from repro.monitor import MonitorSuite, standard_monitors
+from repro.monitor.state import ProtocolStateTracker
 from repro.sim.failures import IterationFailure
 
 RANKS = 4
@@ -19,9 +20,15 @@ N_ITERS = 30
 
 
 def feed_every_monitor_every_record(records):
-    """The suite before it dispatched by kind: the oracle for ``check``."""
+    """The suite before it dispatched by kind: the oracle for ``check``.
+    The monitors read a shared tracker, fed each record first, as the
+    suite does."""
+    state = ProtocolStateTracker()
     monitors = standard_monitors()
+    for mon in monitors:
+        mon.state = state
     for rec in records:
+        state.feed(rec)
         for mon in monitors:
             mon.feed(rec)
     violations = []

@@ -5,6 +5,7 @@ from repro.cli import build_job
 from repro.monitor import MonitorSuite
 from repro.monitor.state import ProtocolStateTracker
 from repro.sim.failures import IterationFailure
+from repro.sim.trace import TraceRecord
 
 
 def relaunched(spares, kills):
@@ -37,3 +38,20 @@ def test_a_world_that_never_repaired_is_at_generation_zero():
     assert tracker.generation == 0
     assert {st.last_recover for st in tracker.ranks.values()} == {"v10 (pfs)"}
     assert {st.last_checkpoint for st in tracker.ranks.values()} == {20}
+
+
+def test_a_record_missing_a_field_is_skipped_whole():
+    """Records from outside may lack a field the fold reads: the tracker
+    skips them rather than raise, and applies none of a half-read one."""
+    tracker = ProtocolStateTracker()
+    for kind, fields in [("rank_dead", {}), ("rank_exit", {}),
+                         ("comm_create", {}), ("spare_activated", {}),
+                         ("role", {"rank": 1, "role": "SPARE"}),
+                         ("repair", {})]:
+        source = "fenix" if kind in ("role", "repair") else "job.attempt1"
+        tracker.feed(TraceRecord(1.0, source, kind, fields))
+    tracker.feed(TraceRecord(1.0, "veloc.rank2", "checkpoint",
+                             {"version": "v?"}))
+    assert tracker.world == () and tracker.generation == 0
+    assert all(st.alive and st.role is None and st.last_checkpoint is None
+               for st in tracker.ranks.values())

@@ -1,10 +1,9 @@
-"""Engine edge cases: resumed runs, failure consumption, combinator order."""
+"""Engine edge cases: resumed runs, combinator order."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Engine
-from repro.util.errors import SimulationError
 
 
 class TestResumedRuns:
@@ -33,25 +32,6 @@ class TestResumedRuns:
         eng.process(proc())
         eng.run(until=2.0)
         assert eng.now == 2.0
-
-
-class TestFailureConsumption:
-    def test_consume_failure_clears_record(self):
-        eng = Engine()
-
-        def bad():
-            yield eng.timeout(1.0)
-            raise ValueError("x")
-
-        proc = eng.process(bad())
-        try:
-            eng.run()
-        except SimulationError:
-            pass
-        # record remains until consumed
-        assert eng.consume_failure(proc) is not None
-        assert eng.consume_failure(proc) is None
-        assert not eng.unhandled_failures
 
 
 class TestCombinatorEdges:

@@ -105,7 +105,7 @@ def test_a_cancelled_hold_pipes():
         eng.call_later(0.5, lambda _: waiting.kill())
         eng.call_later(0.6, lambda _: holding.kill())
         eng.run()
-        return (eng.now, first.in_use, second.in_use, first.queue_length)
+        return (eng.now, first.in_use, second.in_use, len(first._waiters))
 
     # the killed hold's own timer still fires at 1.0, and does nothing
     assert assert_acyclic(scenario) == (1.0, 0, 0, 0)

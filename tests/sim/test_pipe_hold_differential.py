@@ -97,7 +97,7 @@ class Machine:
 
     def state(self):
         return (self.log, self.eng.now, self.eng._seq, [
-            (p.busy_time, p.bytes_moved, p.in_use, p.queue_length)
+            (p.busy_time, p.bytes_moved, p.in_use, len(p._waiters))
             for p in self.pipes])
 
 

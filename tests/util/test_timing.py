@@ -58,13 +58,15 @@ class TestLabels:
         with pytest.raises(RuntimeError):
             with acct.label("x"):
                 raise RuntimeError
-        assert acct.active_label is None
+        acct.charge("compute", 1.0)
+        assert acct.get("x") == 0.0 and acct.get(APP_COMPUTE) == 1.0
 
     def test_active_label(self):
         acct = TimeAccount()
-        assert acct.active_label is None
         with acct.label("a"):
-            assert acct.active_label == "a"
+            acct.charge("compute", 1.0)
+        acct.charge("compute", 2.0)
+        assert acct.get("a") == 1.0 and acct.get(APP_COMPUTE) == 2.0
 
 
 class TestMerge:
@@ -99,11 +101,11 @@ class TestRecomputeNesting:
         with acct.label(RECOMPUTE):
             with acct.label(CHECKPOINT_FUNCTION):
                 acct.charge("compute", 1.0)
-            assert acct.active_label == RECOMPUTE
             acct.charge("compute", 3.0)
-        assert acct.active_label is None
+        acct.charge("compute", 4.0)
         assert acct.get(RECOMPUTE) == 3.0
         assert acct.get(CHECKPOINT_FUNCTION) == 1.0
+        assert acct.get(APP_COMPUTE) == 4.0
 
     def test_recompute_restored_after_inner_exception(self):
         acct = TimeAccount()
@@ -111,8 +113,10 @@ class TestRecomputeNesting:
             with pytest.raises(RuntimeError):
                 with acct.label("force_compute"):
                     raise RuntimeError
-            assert acct.active_label == RECOMPUTE
-        assert acct.active_label is None
+            acct.charge("compute", 1.0)
+        acct.charge("compute", 2.0)
+        assert acct.get("force_compute") == 0.0
+        assert acct.get(RECOMPUTE) == 1.0 and acct.get(APP_COMPUTE) == 2.0
 
     def test_reentrant_recompute_label(self):
         acct = TimeAccount()

@@ -49,3 +49,16 @@ def run_veloc_ranks(n_ranks, body, mode="single", n_nodes=None, config=None,
     cluster.engine.run()
     world.raise_job_errors()
     return results, cluster
+
+
+def flush_pending(client):
+    """Versions whose PFS flush ``client`` queued has not completed yet."""
+    return sorted(client._flushes)
+
+
+def wait_flushes(client):
+    """Block a rank until every flush ``client`` queued has persisted (no
+    rank of the stack waits so: a restore waits for the one it reads)."""
+    pending = list(client._flushes.values())
+    if pending:
+        yield client.ctx.engine.all_of(pending)

@@ -7,6 +7,7 @@ from repro.kokkos import KokkosRuntime
 from repro.mpi import World
 from repro.sim import Cluster, ClusterSpec, NetworkSpec, NodeSpec, PFSSpec
 from repro.veloc import VeloCClient, VeloCConfig, VeloCService
+from tests.veloc.conftest import wait_flushes
 
 
 def bb_cluster(n_nodes=2, bb_bw=500.0, pfs_bw=50.0):
@@ -50,7 +51,7 @@ class TestTwoStageFlush:
             v = rt.view("x", data=np.arange(4.0), modeled_nbytes=1000.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             bb_has = client.cluster.burst_buffer.exists(client._key(0))
             pfs_at_flush = client.cluster.pfs.exists(client._key(0))
             return (bb_has, pfs_at_flush)
@@ -66,7 +67,7 @@ class TestTwoStageFlush:
             v = rt.view("x", shape=(4,), modeled_nbytes=1000.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             return h.engine.now
 
         with_bb, _ = run_bb(body, use_bb=True)
@@ -79,7 +80,7 @@ class TestTwoStageFlush:
             v = rt.view("x", data=np.arange(6.0), modeled_nbytes=600.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()
             v.fill(0.0)
             yield from client.recover(0)
@@ -95,7 +96,7 @@ class TestTwoStageFlush:
             v = rt.view("x", shape=(2,), modeled_nbytes=100.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()
             return sorted(client.local_versions())
 
@@ -112,7 +113,7 @@ class TestTierOrdering:
             v = rt.view("x", shape=(4,), modeled_nbytes=5000.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             # let the drain to PFS complete too
             yield from h.ctx.sleep(1000.0)
             client.ctx.node.wipe()
@@ -139,7 +140,7 @@ class TestTierOrdering:
             v = rt.view("x", shape=(2,), modeled_nbytes=100.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             return client.cluster.pfs.exists(client._key(0))
 
         results, _ = run_bb(body, use_bb=True, cluster=cluster)

@@ -9,7 +9,12 @@ from repro.util.errors import ConfigError
 from repro.util.timing import CHECKPOINT_FUNCTION, DATA_RECOVERY
 from repro.veloc import VeloCClient, VeloCConfig, VeloCService
 from repro.veloc.client import VeloCError
-from tests.veloc.conftest import run_veloc_ranks, veloc_cluster
+from tests.veloc.conftest import (
+    flush_pending,
+    run_veloc_ranks,
+    veloc_cluster,
+    wait_flushes,
+)
 
 
 class TestProtect:
@@ -103,7 +108,7 @@ class TestCheckpointRecover:
             v = rt.view("x", data=np.arange(8.0))
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()  # lose scratch
             v.fill(0.0)
             yield from client.recover(0)
@@ -117,7 +122,7 @@ class TestCheckpointRecover:
             v = rt.view("x", data=np.ones(4))
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()
             yield from client.recover(0)
             return client._key(0) in client.ctx.node.scratch
@@ -147,8 +152,8 @@ class TestAsyncFlush:
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
             t_after_ckpt = h.engine.now
-            pending = client.flush_pending()
-            yield from client.wait_flushes()
+            pending = flush_pending(client)
+            yield from wait_flushes(client)
             t_after_flush = h.engine.now
             return (t_after_ckpt, pending, t_after_flush)
 
@@ -178,7 +183,7 @@ class TestAsyncFlush:
             client.mem_protect(0, v)
             for version in range(4):
                 yield from client.checkpoint(version)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()
             return sorted(client.local_versions())
 
@@ -241,9 +246,9 @@ class TestFlushBookkeeping:
         def body(client, h, rt):
             client.mem_protect(0, rt.view("x", data=np.arange(8.0)))
             yield from client.checkpoint(0)
-            pending = client.flush_pending()
-            yield from client.wait_flushes()
-            return pending, client.flush_pending()
+            pending = flush_pending(client)
+            yield from wait_flushes(client)
+            return pending, flush_pending(client)
 
         results, _ = run_veloc_ranks(1, body)
         assert results[0] == ([0], [])

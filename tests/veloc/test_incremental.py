@@ -14,7 +14,7 @@ from repro.kokkos import KokkosRuntime
 from repro.util.errors import ConfigError
 from repro.veloc import VeloCConfig
 from repro.veloc.snapshot import ChunkedSnapshot, payload_array, snapshot_view
-from tests.veloc.conftest import run_veloc_ranks
+from tests.veloc.conftest import run_veloc_ranks, wait_flushes
 
 
 @pytest.fixture
@@ -370,7 +370,7 @@ class TestFlush:
             yield from client.checkpoint(0)
             v.load_data(content)  # the same bytes, all dirty
             yield from client.checkpoint(1)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             server = client.service.server_for(client.ctx.node)
             return dict(client.stats), server.bytes_flushed
 
@@ -388,7 +388,7 @@ class TestFlush:
             yield from client.checkpoint(0)
             v[5] = 2.0  # one of 16 chunks dirty: a 1/16 flush
             yield from client.checkpoint(1)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             client.ctx.node.wipe()
             t0 = h.ctx.engine.now
             yield from client.recover(1)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.kokkos import KokkosRuntime
-from tests.veloc.conftest import run_veloc_ranks
+from tests.veloc.conftest import run_veloc_ranks, wait_flushes
 
 arrays = st.one_of(
     hnp.arrays(
@@ -65,7 +65,7 @@ def test_pfs_roundtrip_after_scratch_loss(seed, shape):
         v = rt.view("payload", data=data.copy())
         client.mem_protect(0, v)
         yield from client.checkpoint(0)
-        yield from client.wait_flushes()
+        yield from wait_flushes(client)
         client.ctx.node.wipe()
         v.data[...] = -1
         yield from client.recover(0)

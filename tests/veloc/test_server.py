@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.veloc import VeloCService
-from tests.veloc.conftest import run_veloc_ranks, veloc_cluster
+from tests.veloc.conftest import run_veloc_ranks, veloc_cluster, wait_flushes
 
 
 class TestServerLifecycle:
@@ -82,7 +82,7 @@ class TestCongestion:
             v.fill(float(h.rank) + 1.0)
             client.mem_protect(0, v)
             yield from client.checkpoint(0)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             return h.engine.now
 
         results, _ = run_veloc_ranks(2, body, n_nodes=1, pfs_bw=1e8)

@@ -20,7 +20,7 @@ from repro.kokkos import KokkosRuntime
 from repro.veloc import VeloCConfig
 from repro.veloc import client as client_module
 from repro.veloc.snapshot import snapshot_view
-from tests.veloc.conftest import run_veloc_ranks
+from tests.veloc.conftest import run_veloc_ranks, wait_flushes
 from tests.veloc.reference_snapshot import reference_snapshot_view
 
 COLS = 16          # 128 B per float64 row
@@ -147,7 +147,7 @@ class TestClientAfterRecover:
             yield from client.checkpoint(0)
             v[5] = -1.0
             yield from client.checkpoint(1)
-            yield from client.wait_flushes()
+            yield from wait_flushes(client)
             v.fill(0.0)  # scrub, then restore the latest version
             yield from client.recover(1)
             before = dict(client.stats)
