@@ -3,11 +3,11 @@ determinism auditing (the sixth observability layer).
 
 Every cell of this reproduction is bit-deterministic by construction:
 the same (cluster seed, failure-plan seed) must replay the same recovery
-protocol, record for record.  The aggregate tooling (``telemetry diff``,
-``profile diff``, ``report diff``) compares *numbers* with tolerances; a
-structural regression -- a gate arriving before the revoke, a checkpoint
-version restored from the wrong epoch -- shows up there only as "the
-totals moved".  :mod:`repro.align` compares *structure*:
+protocol, record for record.  The budget gate (``report diff``)
+compares *numbers* within a budget; a structural regression -- a gate
+arriving before the revoke, a checkpoint version restored from the
+wrong epoch -- shows up there only as "the totals moved".
+:mod:`repro.align` compares *structure*:
 
 - :mod:`repro.align.keying` names every protocol-relevant record by a
   canonical logical key ``(wrank, kind, epoch, occurrence)`` that is

@@ -18,7 +18,7 @@ Usage (repository root, ``PYTHONPATH=src``)::
 Traces to diff are recorded by ``python -m repro.monitor check ...
 --save-trace run.trace.jsonl``.
 
-Exit codes follow :mod:`repro.report.compare`: 0 aligned / zero
+Exit codes follow :mod:`repro.cli`: 0 aligned / zero
 divergences, 1 divergences found, 2 usage or load errors.
 """
 

@@ -5,7 +5,8 @@ declares its rows in ``add_commands(parser)`` and binds each to its
 function with ``set_defaults(run=fn)``.  What surrounds a command is here:
 
 - :func:`main` parses, dispatches and keeps the exit contract
-  (:data:`EXIT_OK` / :data:`EXIT_REGRESSION` / :data:`EXIT_BAD_INPUT`);
+  (:data:`EXIT_OK` / :data:`EXIT_REGRESSION` / :data:`EXIT_BAD_INPUT`,
+  the last with one line on stderr, a usage error's too);
   ``python -m repro.<tool> ...`` is the same call with the tool already
   chosen (``main = partial(cli.main, tool=...)``);
 - :func:`open_input` / :func:`load_json`: the readers under the
@@ -33,7 +34,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import IO, Any, Callable, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 #: what a command returns: clean / a finding (violations, alerts,
 #: divergences, a metric past its budget) / usage and load errors
@@ -45,7 +46,7 @@ EXIT_BAD_INPUT = 2
 #: rows; this table is all the front door knows before it imports one)
 TOOLS: Dict[str, str] = {
     "experiments": "Regenerate the paper's evaluation figures.",
-    "telemetry": "Run, export, and compare instrumented experiments.",
+    "telemetry": "Run and export instrumented experiments.",
     "monitor": "Check, reconstruct, and explain resilience-protocol "
                "traces.",
     "profile": "Per-layer cost attribution over the telemetry stream.",
@@ -53,8 +54,18 @@ TOOLS: Dict[str, str] = {
             "streams.",
     "align": "Cross-run trace alignment, first-divergence root-causing, "
              "and determinism auditing.",
-    "report": "Cross-run campaign scorecards and HTML reports.",
+    "report": "Cross-run campaign scorecards, HTML reports, and the "
+              "budget gate over saved run documents.",
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage error, like every other bad input, is one
+    line on stderr and exit 2 (subparsers are made of the same class)."""
+
+    def error(self, message: str) -> NoReturn:
+        usage = " ".join(self.format_usage().split())
+        self.exit(EXIT_BAD_INPUT, f"{usage} -- error: {message}\n")
 
 
 def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
@@ -66,7 +77,7 @@ def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
     prog = "python -m repro." if tool else "python -m repro "
     try:
         if tool is None:
-            top = argparse.ArgumentParser(
+            top = _Parser(
                 prog="python -m repro",
                 description="One front door for the tools; `python -m "
                             "repro <tool> --help` lists a tool's commands.",
@@ -78,8 +89,7 @@ def main(argv: Optional[List[str]] = None, tool: Optional[str] = None) -> int:
                              help="the tool's command and its arguments")
             chosen = top.parse_args(argv)
             tool, argv = chosen.tool, chosen.args
-        parser = argparse.ArgumentParser(prog=prog + tool,
-                                         description=TOOLS[tool])
+        parser = _Parser(prog=prog + tool, description=TOOLS[tool])
         _tool_module(tool).add_commands(parser)
         args = parser.parse_args(argv)
         code = args.run(args)

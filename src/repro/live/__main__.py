@@ -13,7 +13,7 @@ Usage (repository root, ``PYTHONPATH=src``)::
     # evaluate an SLO rules file against a recorded trace
     python -m repro.live check run.trace.jsonl --rules examples/slo_rules.json
 
-Exit codes follow :mod:`repro.report.compare`: 0 clean, 1 SLO alerts
+Exit codes follow :mod:`repro.cli`: 0 clean, 1 SLO alerts
 fired (``check``), 2 usage/load errors.
 """
 

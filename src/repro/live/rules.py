@@ -35,7 +35,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.live.series import AGGREGATIONS, STANDARD_SERIES, TimeSeriesAggregator
+from repro.live.series import AGGREGATIONS, TimeSeriesAggregator
 from repro.sim.trace import Trace, TraceListener, TraceRecord
 from repro.util.errors import ConfigError
 

@@ -207,7 +207,6 @@ class TimeSeriesAggregator(TraceListener):
             # tracker closes them
             for kill in state.failures:
                 self.series["kill_to_restore_s"].observe(t, t - kill.time, rec)
-        world = state.world
         state.feed(rec)
 
         if kind == "flush_submit":
@@ -233,10 +232,7 @@ class TimeSeriesAggregator(TraceListener):
                 if st.role == "SPARE":  # a spare left the pool
                     self._observe_spares(t, rec)
         elif kind == "comm_create" and ATTEMPT_WORLD in rec.source:
-            # a (re)launch: every rank of it is alive; one that sizes the
-            # world anew is observed once more, as the new size
-            if len(state.world) > len(world):
-                self._observe_alive(t, rec)
+            # a (re)launch: every rank of it is alive
             self._observe_alive(t, rec)
         elif kind == "spare_activated" or (
                 kind == "role" and rec.fields.get("role") == "SPARE"):

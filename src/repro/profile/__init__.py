@@ -7,9 +7,9 @@ Two consumers of one span stream:
 - :mod:`repro.profile.flamegraph` -- folded-stack export for
   speedscope / flamegraph.pl.
 
-``python -m repro.profile`` wraps both plus a ledger-diff regression
-mode for CI overhead budgets.  A recovery's kill -> re-entry path is
-:mod:`repro.monitor.explain`'s.
+``python -m repro.profile`` wraps both; two saved ledgers are gated
+per category by ``python -m repro.report diff``.  A recovery's kill ->
+re-entry path is :mod:`repro.monitor.explain`'s.
 """
 
 from repro.profile.categories import CATEGORIES

@@ -6,14 +6,13 @@ Usage (repository root, ``PYTHONPATH=src``)::
         --ranks 4 --kill-rank 2 --json ledger.json
     python -m repro.profile flamegraph --strategy fenix_kr_veloc \
         --ranks 4 --kill-rank 2 --out profile.folded
-    python -m repro.profile diff baseline.json current.json --budget 0.05
 
 ``report`` runs one instrumented experiment and prints the exact
 per-rank time ledger (categories sum to makespan -- enforced, not
 claimed).  It exits non-zero when the trace ring buffer dropped records
 (the attribution would silently miss work) unless ``--allow-drops`` is
-given.  ``diff`` compares two ledger JSON files against a relative
-per-category budget -- the CI overhead-regression mode.
+given.  Two ledger JSON files are compared per category by
+``python -m repro.report diff``, the one budget gate.
 """
 
 from __future__ import annotations
@@ -24,18 +23,9 @@ import sys
 from functools import partial
 
 from repro import cli
-from repro.cli import add_job_args, job_from_args, load_json
-from repro.profile.categories import CATEGORIES
+from repro.cli import add_job_args, job_from_args
 from repro.profile.flamegraph import write_folded
 from repro.profile.ledger import ConservationError, build_ledger, format_ledger
-from repro.report.compare import (
-    add_budget_flag,
-    budget_verdict,
-    compare_scalars,
-    format_deltas,
-    over_budget,
-)
-from repro.util.errors import ConfigError
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -68,18 +58,6 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
     _add_run_args(fg)
     fg.add_argument("--out", default="profile.folded",
                     help="output path for the folded stacks")
-
-    diff = sub.add_parser("diff",
-                          help="compare two ledger JSON files per category")
-    diff.set_defaults(run=_diff)
-    diff.add_argument("baseline")
-    diff.add_argument("current")
-    add_budget_flag(diff, 0.05,
-                    "max relative growth per category before "
-                    "failing (default 0.05 = 5%%)")
-    diff.add_argument("--abs-floor", type=float, default=1e-3,
-                      help="ignore categories smaller than this many "
-                           "seconds in both ledgers")
 
 
 def _execute_run(args: argparse.Namespace):
@@ -126,32 +104,6 @@ def _flamegraph(args: argparse.Namespace) -> int:
           f"simulated ({report.app}/{report.strategy}) -- load it at "
           "https://www.speedscope.app or feed it to flamegraph.pl")
     return 0
-
-
-def _load_mean(path: str) -> dict:
-    mean = load_json(path).get("mean")
-    if not isinstance(mean, dict):
-        raise ConfigError(
-            f"cannot load {path}: not a ledger JSON (missing 'mean')")
-    return mean
-
-
-def _diff(args: argparse.Namespace) -> int:
-    base = _load_mean(args.baseline)
-    cur = _load_mean(args.current)
-    deltas = compare_scalars(
-        {c: float(base.get(c, 0.0)) for c in CATEGORIES},
-        {c: float(cur.get(c, 0.0)) for c in CATEGORIES},
-        keys=CATEGORIES,
-    )
-    failing = over_budget(deltas, args.budget, mode="growth",
-                          abs_floor=args.abs_floor)
-    for line in format_deltas(deltas, failing, mode="growth",
-                              value_format="{:.6f}"):
-        print(line)
-    code, verdict = budget_verdict(failing, args.budget, what="category")
-    print(verdict, file=sys.stderr if failing else sys.stdout)
-    return code
 
 
 main = partial(cli.main, tool="profile")

@@ -163,13 +163,13 @@ class ProfileLedger:
 
 
 def _collect(telemetry: Any) -> Tuple[
-    Dict[int, List[_Interval]], Dict[int, List[float]], List[float]
+    Dict[int, List[_Interval]], Dict[int, List[float]]
 ]:
     """Group tracer records by world rank.
 
-    Returns ``(intervals, marks, deaths)``: attributable intervals and
-    bare timestamp marks (instants / span edges that only extend the
-    rank's observed makespan) per rank, plus all rank-death times.
+    Returns ``(intervals, marks)``: attributable intervals and bare
+    timestamp marks (instants / span edges that only extend the rank's
+    observed makespan) per rank.
     """
     tracer = telemetry.tracer
     end_of_time = 0.0
@@ -216,8 +216,6 @@ def _collect(telemetry: Any) -> Tuple[
             cut = max((t for t in deaths if rec.start < t <= end),
                       default=None)
             if cut is None:
-                # deaths list may still be partial (instants scan saw
-                # them all already, so this is the no-death case)
                 intervals.setdefault(rank, []).append(iv)
                 continue
             if cut > rec.start:
@@ -228,7 +226,7 @@ def _collect(telemetry: Any) -> Tuple[
                           order))
             continue
         intervals.setdefault(rank, []).append(iv)
-    return intervals, marks, deaths
+    return intervals, marks
 
 
 def _sweep(rank: int, items: List[_Interval],
@@ -294,7 +292,7 @@ def build_ledger(
     """
     if telemetry is None or not getattr(telemetry, "enabled", False):
         raise ValueError("build_ledger needs an enabled Telemetry instance")
-    intervals, marks, _deaths = _collect(telemetry)
+    intervals, marks = _collect(telemetry)
     ranks: Dict[int, RankLedger] = {}
     for rank in sorted(marks):
         times = marks[rank]

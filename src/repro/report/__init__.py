@@ -14,24 +14,22 @@ lens over a whole campaign:
 - :mod:`repro.report.html` -- the self-contained HTML report (inline
   CSS/SVG, embedded recovery walks and flame stacks, zero external
   assets);
-- :mod:`repro.report.compare` -- the one comparison helper every diff
-  CLI (telemetry / profile / report) routes through: shared
-  ``--budget``/``--tolerance`` flags and exit codes;
+- :mod:`repro.report.compare` -- the one budget gate: it recognises a
+  saved scorecard, campaign ledger, profile ledger or telemetry metrics
+  document, and judges two of a kind with one arithmetic;
 - ``python -m repro.report`` -- run a seeded campaign, render the
-  report, print the scorecard, or gate two ledgers in CI.
+  report, print the scorecard, or gate two run documents in CI.
 """
 
 from repro.report.compare import (
-    EXIT_BAD_INPUT,
-    EXIT_OK,
-    EXIT_REGRESSION,
+    KINDS,
     Delta,
-    add_budget_flag,
+    Kind,
     budget_verdict,
-    compare_scalars,
+    diff_rows,
     format_deltas,
-    over_budget,
-    relative_change,
+    read_document,
+    relative_move,
 )
 from repro.report.html import render_html
 from repro.report.ledger import (
@@ -42,7 +40,6 @@ from repro.report.ledger import (
     flag_anomalies,
     flatten_scorecard,
     format_scorecard,
-    scorecard_regressions,
 )
 from repro.report.stats import bootstrap_ci, summarize
 
@@ -53,19 +50,16 @@ __all__ = [
     "build_scorecard",
     "flatten_scorecard",
     "format_scorecard",
-    "scorecard_regressions",
     "flag_anomalies",
     "render_html",
     "bootstrap_ci",
     "summarize",
+    "KINDS",
+    "Kind",
     "Delta",
-    "relative_change",
-    "compare_scalars",
-    "over_budget",
+    "read_document",
+    "relative_move",
+    "diff_rows",
     "format_deltas",
     "budget_verdict",
-    "add_budget_flag",
-    "EXIT_OK",
-    "EXIT_REGRESSION",
-    "EXIT_BAD_INPUT",
 ]

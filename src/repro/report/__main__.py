@@ -1,4 +1,5 @@
-"""Campaign report CLI: run, render, score, and gate campaigns.
+"""Campaign report CLI: run, render and score campaigns, and gate any
+saved run document against a baseline.
 
 Usage (repository root, ``PYTHONPATH=src``)::
 
@@ -11,10 +12,12 @@ Usage (repository root, ``PYTHONPATH=src``)::
     python -m repro.report render report-out/campaign.json --out r.html
     python -m repro.report scorecard report-out/campaign.json
 
-    # CI gate: exit 1 when a tracked scorecard metric regresses past
-    # the budget (baseline/current are ledger or scorecard JSON)
+    # the one budget gate: exit 1 when a row of a saved run document
+    # (scorecard, campaign ledger, profile ledger, metrics.json) moved
+    # past the budget in its bad direction
     python -m repro.report diff results/campaign_baseline.json \
         report-out/scorecard.json --budget 0.10
+    python -m repro.report diff base/metrics.json cur/metrics.json
 
 ``run`` with no subcommand is the default.  The HTML report is fully
 self-contained (inline CSS/SVG, embedded recovery walks and flame
@@ -29,14 +32,15 @@ import json
 import os
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import List
 
 from repro import cli
 from repro.cli import EXIT_OK, add_sweep_args, load_json, sweep_from_args
 from repro.report.compare import (
-    add_budget_flag,
     budget_verdict,
+    diff_rows,
     format_deltas,
+    read_document,
 )
 from repro.report.html import render_html
 from repro.report.ledger import (
@@ -44,14 +48,8 @@ from repro.report.ledger import (
     build_scorecard,
     flag_anomalies,
     format_scorecard,
-    scorecard_regressions,
 )
 from repro.util.errors import ConfigError
-
-#: default relative budget for the scorecard diff gate: simulated
-#: metrics are deterministic, so 10% headroom only forgives intentional
-#: small model adjustments, not behavior changes
-DEFAULT_DIFF_BUDGET = 0.10
 
 
 def _int_list(text: str) -> List[int]:
@@ -110,36 +108,26 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
     score.add_argument("--json", default=None,
                        help="also write the scorecard JSON here")
 
-    diff = sub.add_parser("diff",
-                          help="gate a scorecard against a baseline")
+    diff = sub.add_parser("diff", help="gate a saved run document "
+                                       "against a baseline of its kind")
     diff.set_defaults(run=_diff)
-    diff.add_argument("baseline", help="ledger or scorecard JSON")
-    diff.add_argument("current", help="ledger or scorecard JSON")
-    add_budget_flag(diff, DEFAULT_DIFF_BUDGET,
-                    "max relative move in a tracked metric's bad "
-                    "direction before failing (default 0.10 = 10%%)")
+    diff.add_argument("baseline", help="scorecard, campaign ledger, "
+                                       "profile ledger or metrics JSON")
+    diff.add_argument("current", help="a document of the same kind")
+    diff.add_argument("--budget", type=float, default=None, metavar="REL",
+                      help="max relative move of a row in its bad "
+                           "direction before failing (default by kind: "
+                           "scorecard 0.10, profile ledger 0.05, "
+                           "metrics 0)")
 
 
-def _load_ledger(path: str, doc: Optional[dict] = None) -> CampaignLedger:
-    """The campaign ledger in ``path`` (``doc``: its JSON, when the
-    caller has read it already)."""
+def _load_ledger(path: str) -> CampaignLedger:
+    """The campaign ledger in ``path``."""
     try:
-        return CampaignLedger.from_dict(
-            load_json(path) if doc is None else doc)
+        return CampaignLedger.from_dict(load_json(path))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"cannot load {path}: not a usable ledger: {exc}") from exc
-
-
-def _load_scorecard(path: str) -> dict:
-    """Read a scorecard from a scorecard JSON or a ledger JSON."""
-    doc = load_json(path)
-    if "strategies" in doc:
-        return doc
-    if "runs" in doc:
-        return build_scorecard(_load_ledger(path, doc))
-    raise ConfigError(
-        f"cannot load {path}: neither a scorecard nor a campaign ledger")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -221,15 +209,18 @@ def _scorecard(args: argparse.Namespace) -> int:
 
 
 def _diff(args: argparse.Namespace) -> int:
-    base = _load_scorecard(args.baseline)
-    cur = _load_scorecard(args.current)
-    rows, failing = scorecard_regressions(base, cur, args.budget)
-    for line in format_deltas(rows, failing, mode="growth",
-                              value_format="{:.4g}"):
+    kind, base = read_document(args.baseline)
+    other, cur = read_document(args.current)
+    if other is not kind:
+        raise ConfigError(
+            f"cannot compare {args.baseline} ({kind.name}) with "
+            f"{args.current} ({other.name})")
+    budget = kind.budget if args.budget is None else args.budget
+    rows = diff_rows(kind, base, cur, budget)
+    for line in format_deltas(rows):
         print(line)
-    code, verdict = budget_verdict(failing, args.budget,
-                                   what="scorecard metric")
-    print(verdict, file=sys.stderr if failing else sys.stdout)
+    code, verdict = budget_verdict(rows, budget, kind)
+    print(verdict, file=sys.stderr if code else sys.stdout)
     return code
 
 

@@ -40,10 +40,9 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.report import stats
-from repro.report.compare import Delta
 from repro.util.schema import stamp, warn_on_mismatch
 
 #: ledger / scorecard JSON schema version
@@ -337,40 +336,6 @@ def metric_direction(flat_name: str) -> str:
         if f".{metric}." in flat_name:
             return direction
     return "up"
-
-
-def scorecard_regressions(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    budget: float,
-) -> Tuple[List[Delta], List[Delta]]:
-    """(all rows, failing rows) between two scorecards.
-
-    A row regresses when it moves in its metric's bad direction by more
-    than ``budget`` (relative).  Rows only in one scorecard are
-    structural failures -- a strategy or metric silently vanishing must
-    not pass CI.
-    """
-    fb = flatten_scorecard(baseline)
-    fc = flatten_scorecard(current)
-    rows: List[Delta] = []
-    failing: List[Delta] = []
-    for name in sorted(set(fb) | set(fc)):
-        d = Delta(name, fb.get(name), fc.get(name))
-        rows.append(d)
-        if d.structural:
-            failing.append(d)
-            continue
-        base, cur = d.baseline, d.current
-        if metric_direction(name) == "down":
-            base, cur = -base, -cur  # a drop becomes growth
-        if base == 0.0:
-            regressed = cur > 0.0
-        else:
-            regressed = (cur - base) / abs(base) > budget
-        if regressed:
-            failing.append(d)
-    return rows, failing
 
 
 # -- anomaly flagging ---------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 #: default seed for the bootstrap resampler (fixed: scorecards must be
 #: reproducible so `repro.report diff` can gate on them)

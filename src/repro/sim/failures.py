@@ -11,7 +11,6 @@ exercise failures *inside* MPI operations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np

@@ -11,9 +11,10 @@ package makes the reproduction's runs inspectable the same way:
   layers instrument against; :data:`NULL_TELEMETRY` is the zero-cost
   disabled default every cluster starts with.
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (open in
-  Perfetto or chrome://tracing), metrics JSON, schema validation, diffs.
+  Perfetto or chrome://tracing), metrics JSON, schema validation.
 - ``python -m repro.telemetry`` -- run an experiment with telemetry on,
-  export/validate traces, diff metrics between runs.
+  export and validate traces.  Two runs' ``metrics.json`` are compared
+  by ``python -m repro.report diff``, the one budget gate.
 
 See docs/OBSERVABILITY.md for the hook points in each layer.
 """
@@ -21,7 +22,6 @@ See docs/OBSERVABILITY.md for the hook points in each layer.
 from repro.telemetry.collector import NULL_TELEMETRY, Telemetry
 from repro.telemetry.export import (
     chrome_trace_events,
-    diff_metrics,
     metrics_to_dict,
     to_chrome_trace,
     track_for_source,
@@ -47,6 +47,5 @@ __all__ = [
     "validate_chrome_trace",
     "metrics_to_dict",
     "write_metrics",
-    "diff_metrics",
     "track_for_source",
 ]

@@ -5,13 +5,13 @@ Usage (repository root, ``PYTHONPATH=src``)::
     python -m repro.telemetry run --app heatdis --strategy fenix_veloc \
         --ranks 4 --kill-rank 2 --out /tmp/run1
     python -m repro.telemetry validate /tmp/run1/trace.json
-    python -m repro.telemetry diff /tmp/run1/metrics.json /tmp/run2/metrics.json
 
 ``run`` executes one named experiment with telemetry enabled, writes
 ``trace.json`` (Chrome trace-event format -- load it at https://ui.perfetto.dev
 or chrome://tracing) and ``metrics.json`` into ``--out``, validates the
 exported trace, and prints a metrics digest.  A failure's walk from
-kill to re-entry is ``python -m repro.monitor explain``'s.
+kill to re-entry is ``python -m repro.monitor explain``'s; two runs'
+``metrics.json`` are compared by ``python -m repro.report diff``.
 """
 
 from __future__ import annotations
@@ -23,16 +23,8 @@ from functools import partial
 
 from repro import cli
 from repro.cli import add_job_args, job_from_args, load_json
-from repro.report.compare import (
-    Delta,
-    add_budget_flag,
-    budget_verdict,
-    format_deltas,
-    over_budget,
-)
 from repro.telemetry.collector import Telemetry
 from repro.telemetry.export import (
-    diff_metrics,
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics,
@@ -54,15 +46,6 @@ def add_commands(parser: argparse.ArgumentParser) -> None:
                          help="validate an exported trace-event JSON file")
     val.set_defaults(run=_validate)
     val.add_argument("trace", help="path to trace.json")
-
-    diff = sub.add_parser("diff", help="compare two metrics.json files")
-    diff.set_defaults(run=_diff)
-    diff.add_argument("a")
-    diff.add_argument("b")
-    add_budget_flag(diff, 0.0,
-                    "relative tolerance (0.05 = within 5%%); exits "
-                    "non-zero when any metric differs by more "
-                    "(default 0: any difference fails)")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -117,22 +100,6 @@ def _validate(args: argparse.Namespace) -> int:
     n = len(doc.get("traceEvents", []))
     print(f"{args.trace}: valid ({n} events)")
     return 0
-
-
-def _diff(args: argparse.Namespace) -> int:
-    rows = diff_metrics(load_json(args.a), load_json(args.b))
-    if not rows:
-        print("metrics identical")
-        return 0
-    # symmetric mode: telemetry diffs care about drift in either
-    # direction, unlike the profile CLI's growth-only overhead budget
-    deltas = [Delta(name, va, vb) for name, va, vb in rows]
-    failing = over_budget(deltas, args.budget, mode="symmetric")
-    for line in format_deltas(deltas, failing, mode="symmetric"):
-        print(line)
-    code, verdict = budget_verdict(failing, args.budget, what="metric")
-    print(verdict, file=sys.stderr if failing else sys.stdout)
-    return code
 
 
 main = partial(cli.main, tool="telemetry")

@@ -247,32 +247,3 @@ def write_metrics(path: str, telemetry: Any,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
     return doc
-
-
-def diff_metrics(a: Dict, b: Dict) -> List[Tuple[str, Optional[float], Optional[float]]]:
-    """Compare two metrics documents' *merged* scalar values.
-
-    Returns ``(metric, value_a, value_b)`` rows for every counter total,
-    gauge high-water mark, and histogram count/total that differs
-    (``None`` marks a metric absent on one side).
-    """
-
-    def scalars(doc: Dict) -> Dict[str, float]:
-        merged = doc.get("merged", doc)
-        out: Dict[str, float] = {}
-        for name, v in merged.get("counters", {}).items():
-            out[f"counter:{name}"] = v
-        for name, g in merged.get("gauges", {}).items():
-            out[f"gauge:{name}.high"] = g["high"]
-        for name, h in merged.get("histograms", {}).items():
-            out[f"histogram:{name}.count"] = h["count"]
-            out[f"histogram:{name}.total"] = h["total"]
-        return out
-
-    sa, sb = scalars(a), scalars(b)
-    rows = []
-    for key in sorted(set(sa) | set(sb)):
-        va, vb = sa.get(key), sb.get(key)
-        if va != vb:
-            rows.append((key, va, vb))
-    return rows

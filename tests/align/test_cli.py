@@ -6,8 +6,8 @@ import pytest
 
 from repro.align import ALIGN_SCHEMA
 from repro.align.__main__ import main
+from repro.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
 from repro.monitor.trace_io import write_trace
-from repro.report.compare import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
 
 
 @pytest.fixture(scope="module")

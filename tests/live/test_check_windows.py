@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.cli import EXIT_OK, EXIT_REGRESSION
 from repro.live.__main__ import main
 from repro.monitor.trace_io import write_trace
-from repro.report.compare import EXIT_OK, EXIT_REGRESSION
 from repro.sim.trace import Trace
 
 RULES = "examples/slo_rules.json"

@@ -157,6 +157,17 @@ class TestAggregator:
         spare = agg.state.ranks[4]
         assert spare.role == "SPARE" and not spare.alive
 
+    def test_a_launch_is_one_alive_sample(self):
+        """A clean 4+1-rank job launches one world: alive_ranks is
+        observed once, with all five ranks."""
+        from repro.cli import build_job
+
+        agg = TimeSeriesAggregator()
+        build_job("heatdis", "fenix_kr_veloc", 4, 20, 10, spares=1,
+                  seed=1)(trace_sink=agg)
+        (sample,) = agg.series["alive_ranks"].samples
+        assert sample == (pytest.approx(3.1), 5.0)
+
     def test_dropped_records_series_follows_the_trace(self):
         tr = Trace(enabled=True, max_records=4)
         agg = TimeSeriesAggregator(trace=tr)

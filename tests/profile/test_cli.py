@@ -1,4 +1,4 @@
-"""python -m repro.profile: all three subcommands, drop/budget exits."""
+"""python -m repro.profile: both subcommands, drop exits."""
 
 import json
 
@@ -40,35 +40,3 @@ class TestFlamegraph:
         lines = out.read_text().splitlines()
         assert lines
         assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
-
-
-class TestDiff:
-    def _ledger(self, path, mean):
-        base = {c: 0.0 for c in ("compute", "app_mpi_wait", "idle")}
-        base.update(mean)
-        path.write_text(json.dumps({"schema": 1, "mean": base,
-                                    "mean_makespan": sum(base.values())}))
-        return str(path)
-
-    def test_within_budget(self, tmp_path, capsys):
-        a = self._ledger(tmp_path / "a.json", {"compute": 1.00})
-        b = self._ledger(tmp_path / "b.json", {"compute": 1.02})
-        assert main(["diff", a, b, "--budget", "0.05"]) == 0
-        assert "within" in capsys.readouterr().out
-
-    def test_over_budget_fails(self, tmp_path, capsys):
-        a = self._ledger(tmp_path / "a.json", {"compute": 1.00})
-        b = self._ledger(tmp_path / "b.json", {"compute": 1.10})
-        assert main(["diff", a, b, "--budget", "0.05"]) == 1
-        captured = capsys.readouterr()
-        assert "OVER-BUDGET" in captured.out
-
-    def test_small_categories_ignored(self, tmp_path):
-        a = self._ledger(tmp_path / "a.json", {"idle": 1e-6})
-        b = self._ledger(tmp_path / "b.json", {"idle": 5e-4})
-        assert main(["diff", a, b, "--budget", "0.05"]) == 0
-
-    def test_bad_file_exits_two(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.json")
-        good = self._ledger(tmp_path / "a.json", {"compute": 1.0})
-        assert main(["diff", missing, good]) == 2

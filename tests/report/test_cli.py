@@ -2,7 +2,9 @@
 
 One small seeded campaign (module-scoped) feeds every subcommand test;
 the run itself doubles as the acceptance check that the live-progress
-JSONL reconciles exactly with the ledger.
+JSONL reconciles exactly with the ledger.  ``diff`` is the one budget
+gate, so it is also held to the cases of the metrics and profile-ledger
+gates it replaced.
 """
 
 import json
@@ -10,9 +12,10 @@ import re
 
 import pytest
 
+from repro.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
 from repro.report.__main__ import main
-from repro.report.compare import EXIT_BAD_INPUT, EXIT_OK, EXIT_REGRESSION
 from repro.report.ledger import CampaignLedger
+from repro.telemetry import Telemetry, write_metrics
 
 RUN_ARGS = ["run", "--seeds", "2,3", "--ranks", "4", "--iters", "24",
             "--max-failures", "2", "--jobs", "2", "--no-exemplars",
@@ -122,10 +125,89 @@ class TestDiff:
         assert "kr_veloc.recovery_latency_s.mean" in captured.out
         assert "OVER-BUDGET" in captured.out
 
-    def test_tolerance_alias_accepted(self, campaign):
+    def test_tolerance_is_refused(self, campaign, capsys):
         sc = str(campaign / "scorecard.json")
-        assert main(["diff", sc, sc, "--tolerance", "0.10"]) == EXIT_OK
+        with pytest.raises(SystemExit) as exit_:
+            main(["diff", sc, sc, "--tolerance", "0.10"])
+        assert exit_.value.code == EXIT_BAD_INPUT
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_unreadable_input_exits_two(self, campaign, tmp_path):
         assert main(["diff", str(tmp_path / "missing.json"),
                      str(campaign / "scorecard.json")]) == EXIT_BAD_INPUT
+
+
+def metrics(**counters):
+    return {"merged": {"counters": counters, "gauges": {},
+                       "histograms": {}}}
+
+
+def ledger(**mean):
+    base = {c: 0.0 for c in ("compute", "app_mpi_wait", "idle")}
+    base.update(mean)
+    return {"schema": 1, "mean": base, "mean_makespan": sum(base.values())}
+
+
+def write_exported_metrics(path):
+    """A ``metrics.json`` as ``telemetry run`` writes it."""
+    tel = Telemetry(enabled=True)
+    tel.inc("mpi.messages", 12)
+    tel.set_gauge("veloc.backlog", 3.0)
+    tel.observe("veloc.checkpoint_s", 0.25)
+    write_metrics(str(path), tel, run_info={"strategy": "fenix_veloc"})
+
+
+#: case -> (baseline, current, extra argv, exit code, texts on stdout);
+#: the ``metrics-*`` cases were ``telemetry diff``'s, ``ledger-*``
+#: ``profile diff``'s, and each keeps the exit code it had there
+DIFF_CASES = {
+    "metrics-identical": (
+        metrics(x=1.0), metrics(x=1.0), [], EXIT_OK, ["within"]),
+    "metrics-differing-fails-at-default-budget": (
+        metrics(x=1.0), metrics(x=2.0, y=5.0), [], EXIT_REGRESSION,
+        ["counter:x", "absent -> 5", "OVER-BUDGET"]),
+    "metrics-within-budget": (
+        metrics(x=100.0), metrics(x=104.0), ["--budget", "0.05"], EXIT_OK,
+        ["telemetry metrics: all rows within the 0.05 budget"]),
+    "metrics-beyond-budget": (
+        metrics(x=100.0), metrics(x=120.0), ["--budget", "0.05"],
+        EXIT_REGRESSION, ["OVER-BUDGET"]),
+    "metrics-absent-always-fails": (
+        metrics(x=1.0, gone=3.0), metrics(x=1.0), ["--budget", "0.5"],
+        EXIT_REGRESSION, ["3 -> absent"]),
+    "ledger-within-budget": (
+        ledger(compute=1.00), ledger(compute=1.02), ["--budget", "0.05"],
+        EXIT_OK, ["within"]),
+    "ledger-over-budget": (
+        ledger(compute=1.00), ledger(compute=1.10), ["--budget", "0.05"],
+        EXIT_REGRESSION, ["OVER-BUDGET"]),
+    "ledger-small-categories-ignored": (
+        ledger(idle=1e-6), ledger(idle=5e-4), ["--budget", "0.05"],
+        EXIT_OK, []),
+    "ledger-bad-file": (
+        None, ledger(compute=1.0), [], EXIT_BAD_INPUT, []),
+    "metrics-json-pair": (
+        "metrics.json", "metrics.json", [], EXIT_OK, ["within"]),
+    "mixed-kinds": (
+        ledger(compute=1.0), metrics(x=1.0), [], EXIT_BAD_INPUT, []),
+}
+
+
+@pytest.mark.parametrize("case", DIFF_CASES)
+def test_diff_exit_code(case, tmp_path, capsys):
+    base, cur, extra, code, texts = DIFF_CASES[case]
+    paths = []
+    for side, doc in (("base", base), ("cur", cur)):
+        path = tmp_path / f"{side}.json"  # doc None: a missing file
+        if doc == "metrics.json":
+            write_exported_metrics(path)
+        elif doc is not None:
+            path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    assert main(["diff", *paths, *extra]) == code
+    captured = capsys.readouterr()
+    for text in texts:
+        assert text in captured.out
+    if code == EXIT_BAD_INPUT:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.report.compare import SCORECARD, diff_rows
 from repro.report.ledger import (
     BENCH_ANCHOR,
     BENCH_ANCHOR_RANK_ITERS,
@@ -13,7 +14,6 @@ from repro.report.ledger import (
     flatten_scorecard,
     format_scorecard,
     metric_direction,
-    scorecard_regressions,
 )
 
 
@@ -118,6 +118,13 @@ class TestScorecard:
         assert "kr_veloc" in text and "[" in text
 
 
+def regressions(base, cur, budget):
+    """The scorecard rows the budget gate fails."""
+    rows = diff_rows(SCORECARD, flatten_scorecard(base),
+                     flatten_scorecard(cur), budget)
+    return [d for d in rows if d.over]
+
+
 class TestRegressions:
     def test_direction_up_and_down(self):
         assert metric_direction("s.overhead_pct.mean") == "up"
@@ -125,31 +132,31 @@ class TestRegressions:
 
     def test_no_change_passes(self):
         sc = build_scorecard(make_ledger())
-        rows, failing = scorecard_regressions(sc, sc, budget=0.0)
-        assert rows and failing == []
+        assert flatten_scorecard(sc)
+        assert diff_rows(SCORECARD, flatten_scorecard(sc),
+                         flatten_scorecard(sc), 0.0) == []
 
     def test_worse_overhead_fails(self):
         base = build_scorecard(make_ledger())
         cur = build_scorecard(make_ledger(walls=(30.0, 33.0, 31.0)))
-        _rows, failing = scorecard_regressions(base, cur, budget=0.10)
+        failing = regressions(base, cur, budget=0.10)
         assert any("overhead_pct" in d.name for d in failing)
 
     def test_efficiency_drop_fails_despite_down_direction(self):
         base = build_scorecard(make_ledger())
         cur = build_scorecard(make_ledger(walls=(40.0, 44.0, 42.0)))
-        _rows, failing = scorecard_regressions(base, cur, budget=0.10)
+        failing = regressions(base, cur, budget=0.10)
         assert any("efficiency" in d.name for d in failing)
 
     def test_improvement_passes(self):
         base = build_scorecard(make_ledger())
         cur = build_scorecard(make_ledger(walls=(15.0, 16.0, 15.5)))
-        _rows, failing = scorecard_regressions(base, cur, budget=0.05)
-        assert failing == []
+        assert regressions(base, cur, budget=0.05) == []
 
     def test_vanished_strategy_is_structural(self):
         base = build_scorecard(make_ledger())
         empty = build_scorecard(CampaignLedger())
-        _rows, failing = scorecard_regressions(base, empty, budget=99.0)
+        failing = regressions(base, empty, budget=99.0)
         assert failing and all(d.structural for d in failing)
 
 

@@ -4,11 +4,11 @@ import json
 
 from repro.monitor.explain import explain_failure
 from repro.monitor.trace_io import trace_meta
+from repro.report.compare import METRICS, diff_rows
 from repro.sim.trace import Trace
 from repro.telemetry.collector import Telemetry
 from repro.telemetry.export import (
     chrome_trace_events,
-    diff_metrics,
     metrics_to_dict,
     to_chrome_trace,
     track_for_source,
@@ -144,25 +144,32 @@ class TestValidator:
         assert any("scope" in e for e in validate_chrome_trace(doc))
 
 
+def metrics_diff(a, b):
+    """The budget gate's rows between two exported metrics documents."""
+    return diff_rows(METRICS, METRICS.rows(metrics_to_dict(a)),
+                     METRICS.rows(metrics_to_dict(b)), 0.0)
+
+
 class TestMetricsExport:
+    """What ``metrics_to_dict`` writes is what ``report diff`` reads."""
+
     def test_diff_detects_changes(self):
         a = Telemetry(enabled=True)
         b = Telemetry(enabled=True)
         a.inc("x", 1)
         b.inc("x", 2)
         b.set_gauge("g", 5)
-        rows = diff_metrics(metrics_to_dict(a), metrics_to_dict(b))
-        keys = [r[0] for r in rows]
+        rows = metrics_diff(a, b)
+        keys = [d.name for d in rows]
         assert "counter:x" in keys
         assert "gauge:g.high" in keys
-        absent = next(r for r in rows if r[0] == "gauge:g.high")
-        assert absent[1] is None and absent[2] == 5.0
+        absent = next(d for d in rows if d.name == "gauge:g.high")
+        assert absent.baseline is None and absent.current == 5.0
 
     def test_diff_identical_is_empty(self):
         a = Telemetry(enabled=True)
         a.inc("x", 1)
-        doc = metrics_to_dict(a)
-        assert diff_metrics(doc, doc) == []
+        assert metrics_diff(a, a) == []
 
 
 class TestDroppedAnnotations:
