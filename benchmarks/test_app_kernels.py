@@ -19,9 +19,9 @@ import timeit
 import numpy as np
 import pytest
 
-from benchmarks.conftest import FIG6_PFS
 from repro.apps import MiniMDConfig
 from repro.apps.minimd import MiniMDState
+from repro.experiments import SCALES
 from repro.experiments.fig6_minimd import N_STEPS, run_fig6_cell
 from repro.kokkos import KokkosRuntime
 from tests.apps.reference_minimd import reference_compute_forces
@@ -67,7 +67,8 @@ def test_minimd_fig6_job_8r(benchmark):
     plus everything the resilience stack does around it."""
     cell = benchmark.pedantic(
         run_fig6_cell, args=("fenix_kr_veloc", N_RANKS),
-        kwargs=dict(with_failure=False, pfs_servers=FIG6_PFS),
+        kwargs=dict(with_failure=False,
+                    pfs_servers=SCALES["default"].fig6_pfs),
         rounds=5, iterations=1, warmup_rounds=1)
     assert cell.clean.attempts == 1
     assert all(out["steps"] == N_STEPS

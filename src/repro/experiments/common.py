@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import ExperimentEnv, JobCosts, RunReport
 from repro.parallel import (
@@ -25,6 +25,32 @@ from repro.sim import ClusterSpec, NetworkSpec, NodeSpec, PFSSpec
 from repro.util.units import GiB, MiB
 
 
+@dataclass(frozen=True)
+class Scale:
+    """One row of :data:`SCALES`: the Figure 5 and Figure 6 sweeps' sizes
+    and the directory ``python -m repro experiments`` writes tables to."""
+
+    fig5_ranks: int
+    fig5_pfs: int
+    fig5_weak_nodes: Tuple[int, ...]
+    fig6_ranks: Tuple[int, ...]
+    fig6_pfs: int
+    results: str
+
+
+#: the one scale switch of the figures.  ``default`` keeps the paper's
+#: 16 : 1 node : PFS-server ratio (the Lustre contention the figures rest
+#: on) at a quarter of its Heatdis ranks; ``paper`` (``--full-scale``) is
+#: Section VI's node counts on a 4-server partition
+SCALES: Dict[str, Scale] = {
+    "default": Scale(fig5_ranks=16, fig5_pfs=1, fig5_weak_nodes=(4, 8, 16),
+                     fig6_ranks=(4, 8, 16), fig6_pfs=1, results="results"),
+    "paper": Scale(fig5_ranks=64, fig5_pfs=4, fig5_weak_nodes=(4, 16, 64),
+                   fig6_ranks=(8, 27, 64), fig6_pfs=4,
+                   results="results/full_scale"),
+}
+
+
 def paper_env(
     n_nodes: int,
     n_spares: int = 1,
@@ -35,9 +61,10 @@ def paper_env(
     """The reproduction's stand-in for the paper's test platform.
 
     ``pfs_servers`` sets the Lustre I/O-server count (4 for the paper's
-    64-node runs).  Reduced-scale tests pass a proportionally smaller
+    64-node runs).  Reduced-scale runs pass a proportionally smaller
     value so the node : PFS bandwidth ratio -- which the congestion
-    effects depend on -- matches the full-scale configuration.
+    effects depend on -- matches the full-scale configuration
+    (:data:`SCALES` holds the figures' two rows).
     ``veloc_incremental`` selects the checkpoint data path (the ablation
     driver turns it off for the full-copy arm).
     """
@@ -112,20 +139,19 @@ def paired_specs(
     ckpt_interval: int,
     env: ExperimentEnv,
     fail_after_ckpt: int,
-    victim: int = 1,
     with_failure: bool = True,
 ) -> List[CellSpec]:
     """The ``clean`` spec of one figure cell and, unless the strategy is
     ``none`` (nothing to recover with), its ``failed`` twin: the paper's
-    protocol, one rank killed 95% of the way from checkpoint
+    protocol, rank 1 killed 95% of the way from checkpoint
     ``fail_after_ckpt`` to the next."""
     clean = CellSpec(app=app, strategy=strategy, n_ranks=n_ranks,
                      config=config, ckpt_interval=ckpt_interval, env=env,
                      plan=PlanSpec.none(), label="clean")
     if not with_failure or strategy == "none":
         return [clean]
-    kill = PlanSpec.between_checkpoints(victim, ckpt_interval,
-                                        fail_after_ckpt, fraction=0.95)
+    kill = PlanSpec.between_checkpoints(1, ckpt_interval, fail_after_ckpt,
+                                        fraction=0.95)
     return [clean, dataclasses.replace(clean, plan=kill, label="failed")]
 
 

@@ -78,6 +78,12 @@ class _MPICallCounter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _resilience_lines(lines: List[str]) -> int:
+    """How many of ``lines`` name a resilience marker."""
+    return sum(any(marker in ln for marker in RESILIENCE_MARKERS)
+               for ln in lines)
+
+
 def _analyze_module(mod) -> ModuleStats:
     source = inspect.getsource(mod)
     tree = ast.parse(source)
@@ -87,15 +93,11 @@ def _analyze_module(mod) -> ModuleStats:
         ln for ln in source.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    resilience = [
-        ln for ln in lines
-        if any(marker in ln for marker in RESILIENCE_MARKERS)
-    ]
     return ModuleStats(
         module=mod.__name__.rsplit(".", 1)[-1],
         mpi_call_sites=counter.count,
         total_lines=len(lines),
-        resilience_lines=len(resilience),
+        resilience_lines=_resilience_lines(lines),
     )
 
 
@@ -128,15 +130,13 @@ def integration_line_counts() -> Dict[str, int]:
             if ln.strip() and not ln.strip().startswith("#")
             and '"""' not in ln
         ]
-        resilience = [
-            ln for ln in lines
-            if any(marker in ln for marker in RESILIENCE_MARKERS)
-        ]
-        out[name] = len(resilience)
+        out[name] = _resilience_lines(lines)
     return out
 
 
 def format_complexity(report: ComplexityReport) -> str:
+    """``results/complexity.txt``: the call-site census, the integration
+    line counts and the paper's figures beside them."""
     lines = [
         "Section VI-E analogue: integration complexity over this repo",
         f"  MPI call sites across app modules: {report.total_mpi_call_sites} "
@@ -149,4 +149,13 @@ def format_complexity(report: ComplexityReport) -> str:
             f"  {m.module:<16} mpi_sites={m.mpi_call_sites:<3} "
             f"lines={m.total_lines:<4} resilience_lines={m.resilience_lines}"
         )
+    lines += ["", "Integration line counts:"]
+    for name, n in sorted(integration_line_counts().items()):
+        lines.append(f"  {name:<16} {n} resilience lines")
+    lines += [
+        "",
+        "Paper reference: MiniMD has 148 MPI call sites in 15 of 20+ files;",
+        "Fenix integration needed <20 added lines in a single file, and the",
+        "view census (61 views: 39/3/19) needed inspecting only a handful.",
+    ]
     return "\n".join(lines)

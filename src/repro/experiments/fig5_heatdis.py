@@ -15,11 +15,12 @@ category accounting plus the ``time mpirun`` wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.apps import HeatdisConfig
 from repro.experiments.common import (
     PairedCell,
+    Scale,
     paired_specs,
     paper_env,
     run_paired_cells,
@@ -46,7 +47,6 @@ FAIL_AFTER_CKPT = 4
 WORK_MULTIPLIER = 2000.0
 
 DATA_SIZES = ["16MB", "64MB", "256MB", "1GB"]
-WEAK_SCALING_NODES = [4, 16, 64]
 
 
 @dataclass
@@ -74,14 +74,13 @@ def _cell_specs(
     data_bytes: float,
     n_ranks: int,
     with_failure: bool,
-    victim: int,
     pfs_servers: int,
 ) -> List[CellSpec]:
     """The clean (and, when applicable, failing) specs of one figure cell."""
     return paired_specs(
         "heatdis", strategy, n_ranks, _heat_cfg(data_bytes), CKPT_INTERVAL,
         paper_env(n_nodes=n_ranks + 1, pfs_servers=pfs_servers),
-        FAIL_AFTER_CKPT, victim=victim, with_failure=with_failure,
+        FAIL_AFTER_CKPT, with_failure=with_failure,
     )
 
 
@@ -90,53 +89,37 @@ def run_fig5_cell(
     data_bytes: "float | str",
     n_ranks: int,
     with_failure: bool = True,
-    victim: int = 1,
     pfs_servers: int = 4,
 ) -> Fig5Cell:
     """Run one Figure-5 cell (a clean run and optionally a failing run)."""
     data_bytes = parse_size(data_bytes)
     return run_paired_cells(
         Fig5Cell, [(strategy, data_bytes, n_ranks)],
-        lambda *key: _cell_specs(*key, with_failure, victim, pfs_servers),
+        lambda *key: _cell_specs(*key, with_failure, pfs_servers),
     )[0]
 
 
-def run_fig5_data_scaling(
-    n_ranks: int = 64,
-    sizes: Optional[List[str]] = None,
-    strategies: Optional[List[str]] = None,
-    with_failure: bool = True,
+def run_fig5(
+    scale: Scale,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
     progress: Optional[CampaignProgress] = None,
-) -> List[Fig5Cell]:
-    """The left panel: data scaling at fixed node count."""
-    keys = [(strategy, parse_size(size), n_ranks)
-            for size in sizes or DATA_SIZES
-            for strategy in strategies or FIG5_STRATEGIES]
-    return run_paired_cells(
-        Fig5Cell, keys,
-        lambda *key: _cell_specs(*key, with_failure, victim=1, pfs_servers=4),
-        jobs=jobs, cache=cache, progress=progress)
+) -> Tuple[List[Fig5Cell], List[Fig5Cell]]:
+    """Both panels at one row of the scale table: data scaling at
+    ``scale.fig5_ranks``, then weak scaling at 1 GB per node over
+    ``scale.fig5_weak_nodes`` (its largest column is the left panel's
+    largest, which a cache serves from the first sweep)."""
+    def sweep(keys):
+        return run_paired_cells(
+            Fig5Cell, keys,
+            lambda *key: _cell_specs(*key, True, scale.fig5_pfs),
+            jobs=jobs, cache=cache, progress=progress)
 
-
-def run_fig5_weak_scaling(
-    data_size: str = "1GB",
-    nodes: Optional[List[int]] = None,
-    strategies: Optional[List[str]] = None,
-    with_failure: bool = True,
-    jobs: int = 1,
-    cache: Optional[RunCache] = None,
-    progress: Optional[CampaignProgress] = None,
-) -> List[Fig5Cell]:
-    """The right panel: node weak scaling at 1 GB per node."""
-    keys = [(strategy, parse_size(data_size), n)
-            for n in nodes or WEAK_SCALING_NODES
-            for strategy in strategies or FIG5_STRATEGIES]
-    return run_paired_cells(
-        Fig5Cell, keys,
-        lambda *key: _cell_specs(*key, with_failure, victim=1, pfs_servers=4),
-        jobs=jobs, cache=cache, progress=progress)
+    return (sweep([(strategy, parse_size(size), scale.fig5_ranks)
+                   for size in DATA_SIZES for strategy in FIG5_STRATEGIES]),
+            sweep([(strategy, parse_size("1GB"), n)
+                   for n in scale.fig5_weak_nodes
+                   for strategy in FIG5_STRATEGIES]))
 
 
 def format_fig5(cells: List[Fig5Cell], title: str = "Figure 5") -> str:

@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.apps import MiniMDConfig
 from repro.experiments.common import (
     PairedCell,
+    Scale,
     paired_specs,
     paper_env,
     run_paired_cells,
@@ -29,7 +30,6 @@ N_STEPS = 60
 CKPT_INTERVAL = 9
 FAIL_AFTER_CKPT = 4
 WORK_MULTIPLIER = 600.0
-RANK_COUNTS = [8, 27, 64]
 #: MiniMD reads inputs and builds large structures at startup: a much
 #: bigger init than Heatdis, which is the point of the comparison
 MINIMD_APP_INIT = 4.0
@@ -68,12 +68,11 @@ def _cell_specs(
     n_ranks: int,
     with_failure: bool,
     jitter: float,
-    victim: int,
     pfs_servers: int,
 ) -> List[CellSpec]:
     return paired_specs(
         "minimd", strategy, n_ranks, _md_cfg(n_ranks, jitter), CKPT_INTERVAL,
-        _md_env(n_ranks, pfs_servers), FAIL_AFTER_CKPT, victim=victim,
+        _md_env(n_ranks, pfs_servers), FAIL_AFTER_CKPT,
         with_failure=with_failure,
     )
 
@@ -83,7 +82,6 @@ def run_fig6_cell(
     n_ranks: int,
     with_failure: bool = True,
     jitter: float = 0.05,
-    victim: int = 1,
     pfs_servers: int = 4,
 ) -> Fig6Cell:
     """One (strategy, rank count) cell of Figure 6.
@@ -94,27 +92,22 @@ def run_fig6_cell(
     """
     return run_paired_cells(
         Fig6Cell, [(strategy, n_ranks)],
-        lambda *key: _cell_specs(*key, with_failure, jitter, victim,
-                                 pfs_servers),
+        lambda *key: _cell_specs(*key, with_failure, jitter, pfs_servers),
     )[0]
 
 
 def run_fig6_weak_scaling(
-    ranks: Optional[List[int]] = None,
-    strategies: Optional[List[str]] = None,
-    with_failure: bool = True,
-    jitter: float = 0.05,
+    scale: Scale,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
     progress: Optional[CampaignProgress] = None,
 ) -> List[Fig6Cell]:
+    """Figure 6 over the scale row's rank counts and PFS servers."""
     keys = [(strategy, n)
-            for n in ranks or RANK_COUNTS
-            for strategy in strategies or FIG6_STRATEGIES]
+            for n in scale.fig6_ranks for strategy in FIG6_STRATEGIES]
     return run_paired_cells(
         Fig6Cell, keys,
-        lambda *key: _cell_specs(*key, with_failure, jitter, victim=1,
-                                 pfs_servers=4),
+        lambda *key: _cell_specs(*key, True, 0.05, scale.fig6_pfs),
         jobs=jobs, cache=cache, progress=progress)
 
 

@@ -24,7 +24,6 @@ class Fig7Row:
     sim_size: int
     counts: Dict[str, int]
     fractions: Dict[str, float]
-    bytes_by_class: Dict[str, float]
     dominant_view_fraction: float  # of the checkpointed bytes
 
 
@@ -36,7 +35,6 @@ def _census_row(size: int) -> Fig7Row:
     runtime = KokkosRuntime()
     state = MiniMDState(runtime, cfg, comm_rank=0, comm_size=2)
     census = runtime.registry.census(state.all_views())
-    sizes_by_class = census.bytes_by_class()
     ckpt_sizes = sorted(
         (v.modeled_nbytes for v in census.checkpointed), reverse=True
     )
@@ -48,7 +46,6 @@ def _census_row(size: int) -> Fig7Row:
             "skipped": len(census.skipped),
         },
         fractions=census.fractions_by_class(),
-        bytes_by_class=sizes_by_class,
         dominant_view_fraction=(
             ckpt_sizes[0] / sum(ckpt_sizes) if ckpt_sizes else 0.0
         ),
@@ -64,7 +61,8 @@ def run_fig7_census(
                         progress=progress)
 
 
-def format_fig7(rows: List[Fig7Row], title: str = "Figure 7") -> str:
+def format_fig7(rows: List[Fig7Row],
+                title: str = "Figure 7: MiniMD view census") -> str:
     lines = [title, "size^3  checkpointed  alias  skipped  (counts)  "
                     "%ckpt  %alias  %skip  dominant%"]
     for row in rows:

@@ -15,20 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cli import build_job
+from repro.experiments.fig5_heatdis import FIG5_STRATEGIES
 from repro.harness.strategies import STRATEGIES
 from repro.profile.categories import CATEGORIES
 from repro.telemetry import Telemetry
 from repro.util.units import format_table
 
-#: strategies rows appear in (the Figure-5 order)
-DEFAULT_STRATEGIES = (
-    "none",
-    "veloc",
-    "kr_veloc",
-    "fenix_veloc",
-    "fenix_kr_veloc",
-    "fenix_kr_imr",
-)
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ def run_overhead_attribution(
     ckpt_interval: int = 10,
     modeled_bytes: float = 16e6,
     kill_rank: Optional[int] = 2,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
+    strategies: Sequence[str] = FIG5_STRATEGIES,
     seed: int = 20220906,
 ) -> List[OverheadRow]:
     """Profile each strategy on the same seeded single-failure scenario.

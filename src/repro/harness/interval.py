@@ -1,8 +1,9 @@
 """Optimal checkpoint-interval estimators (Young / Daly).
 
-The checkpoint-interval ablation (``benchmarks/test_ablations.py``) sweeps
-the recompute-vs-overhead trade-off empirically; these closed forms give
-the classical first-order optima for comparison:
+The checkpoint-interval ablation (``python -m repro experiments
+ablation``, :mod:`repro.experiments.ablations`) sweeps the
+recompute-vs-overhead trade-off empirically; these closed forms give the
+classical first-order optima for comparison:
 
 - Young's approximation:  ``sqrt(2 * C * M)``
 - Daly's higher-order fit: ``sqrt(2*C*M) * [1 + sqrt(C/(2*M))/3 + C/(9*M)] - C``

@@ -8,7 +8,7 @@ failure is *bit-identical* between ``incremental=True`` and
 import numpy as np
 import pytest
 
-from repro.experiments.ablation_checkpoint import (
+from repro.experiments.ablations import (
     _arm_specs,
     format_ablation,
     run_checkpoint_ablation,

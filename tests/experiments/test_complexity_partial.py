@@ -1,8 +1,9 @@
-"""Complexity (Section VI-E) and partial-rollback (VI-D2) driver tests."""
+"""Complexity (Section VI-E) driver tests and the partial-rollback (VI-D2)
+claims on the committed comparison."""
 
 import pytest
 
-from repro.experiments import analyze_complexity, run_partial_rollback_comparison
+from repro.experiments import analyze_complexity, claims
 from repro.experiments.complexity import format_complexity, integration_line_counts
 
 
@@ -32,20 +33,14 @@ class TestComplexity:
 
 
 class TestPartialRollback:
+    """Claim 19 on the committed 8-rank comparison."""
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_partial_rollback_comparison(n_ranks=4)
+    def result(self, figures):
+        return figures.evidence("partial")
 
     def test_both_recover_and_converge(self, result):
-        assert result.clean_iterations > 0
-        assert result.full_iterations >= result.clean_iterations
-        # partial rollback may converge in FEWER counted iterations: the
-        # survivors' kept data is ahead of the rolled-back counter
-        assert result.partial_iterations <= result.full_iterations
-        assert result.partial_iterations > result.clean_iterations // 2
+        assert claims.claim_19_keeping_survivor_data_speeds_recovery(result)
 
     def test_partial_rollback_speedup(self, result):
-        """Claim 8: 'a nearly 2x speedup of recovery from just keeping
-        the in-progress data on surviving ranks'."""
-        assert result.partial_recovery_cost < result.full_recovery_cost
-        assert result.speedup > 1.4
+        assert claims.claim_19_keeping_survivor_data_speeds_recovery(result)

@@ -1,142 +1,66 @@
-"""Figure-5 driver tests: shape claims at reduced scale (fast)."""
+"""Figure 5's claims on the committed default-scale cells (the ones
+``python -m repro experiments fig5`` tabulates into ``results/``), one
+test per claim of :mod:`repro.experiments.claims`; and the exactness of
+recovery, which reads per-rank grids that no table holds."""
 
+import numpy as np
 import pytest
 
-from repro.experiments import run_fig5_cell
-from repro.experiments.fig5_heatdis import format_fig5
-
-
-N_RANKS = 8  # reduced from the paper's 64 for test speed
-PFS_SERVERS = 1  # scaled with the rank count to keep the paper's ratio
+from repro.experiments import SCALES, claims, run_fig5_cell
 
 
 @pytest.fixture(scope="module")
-def cells():
-    """One bundle of cells reused by all shape assertions."""
-    out = {}
-    for size in ("16MB", "1GB"):
-        out[("none", size)] = run_fig5_cell(
-            "none", size, N_RANKS, with_failure=False, pfs_servers=PFS_SERVERS
-        )
-        for strategy in ("veloc", "kr_veloc", "fenix_kr_veloc", "fenix_kr_imr"):
-            out[(strategy, size)] = run_fig5_cell(
-                strategy, size, N_RANKS, pfs_servers=PFS_SERVERS
-            )
-    return out
-
-
-def overhead(cells, strategy, size):
-    return (
-        cells[(strategy, size)].clean.wall_time
-        - cells[("none", size)].clean.wall_time
-    )
+def cells(figures):
+    return figures.evidence("fig5")
 
 
 class TestOverheadClaims:
     def test_kr_adds_negligible_overhead_over_manual_veloc(self, cells):
-        """Claim 1: KR as a VeloC manager costs ~nothing."""
-        for size in ("16MB", "1GB"):
-            manual = cells[("veloc", size)].clean.wall_time
-            managed = cells[("kr_veloc", size)].clean.wall_time
-            assert managed == pytest.approx(manual, rel=0.02)
+        assert claims.claim_1_kr_manages_veloc_for_free(cells)
 
     def test_fenix_adds_negligible_overhead(self, cells):
-        """Claim 2a: adding Fenix costs ~nothing without failures."""
-        for size in ("16MB", "1GB"):
-            without = cells[("kr_veloc", size)].clean.wall_time
-            with_fenix = cells[("fenix_kr_veloc", size)].clean.wall_time
-            assert with_fenix == pytest.approx(without, rel=0.02)
+        assert claims.claim_2_fenix_adds_nothing_to_a_clean_run(cells)
 
     def test_veloc_checkpoint_function_stays_cheap(self, cells):
-        """Claim 3: VeloC's sync cost is a memcpy; it does not blow up
-        with data size the way the payload does (64x data -> ~64x memcpy,
-        still tiny in absolute terms)."""
-        small = cells[("fenix_kr_veloc", "16MB")].clean
-        large = cells[("fenix_kr_veloc", "1GB")].clean
-        assert large.category("checkpoint_function") < 0.1
-        assert small.category("checkpoint_function") < 0.01
+        assert claims.claim_4_veloc_cost_is_congestion_not_the_call(cells)
 
     def test_veloc_cost_surfaces_as_app_mpi(self, cells):
-        """Claim 3: the real VeloC cost is congestion, not the checkpoint
-        call -- the App-MPI increase dwarfs the checkpoint-function time."""
-        none_mpi = cells[("none", "1GB")].clean.category("app_mpi")
-        veloc = cells[("fenix_kr_veloc", "1GB")].clean
-        congestion = veloc.category("app_mpi") - none_mpi
-        assert congestion > 0
-        assert congestion > veloc.category("checkpoint_function")
+        assert claims.claim_4_veloc_cost_is_congestion_not_the_call(cells)
 
     def test_imr_checkpoint_scales_with_size(self, cells):
-        """Claim 4: IMR's checkpoint function cost is linear in size."""
-        small = cells[("fenix_kr_imr", "16MB")].clean.category(
-            "checkpoint_function")
-        large = cells[("fenix_kr_imr", "1GB")].clean.category(
-            "checkpoint_function")
-        assert large > small * 20
+        assert claims.claim_6_imr_checkpoint_scales_with_size(cells)
 
     def test_imr_beats_veloc_at_small_sizes(self, cells):
-        """Claim 4: IMR outperforms disk-based at low data sizes."""
-        assert overhead(cells, "fenix_kr_imr", "16MB") < overhead(
-            cells, "fenix_kr_veloc", "16MB"
-        )
+        assert claims.claim_7_imr_beats_veloc_at_small_sizes(cells)
 
     def test_imr_checkpoint_scales_worse_than_veloc(self, cells):
-        """Claim 4: '[IMR's checkpoint function] scales worse against data
-        size than VeloC-based checkpointing' (VeloC's sync part is just a
-        memory copy; IMR also pays the buddy transfer)."""
-
-        def ckpt_growth(strategy):
-            return (
-                cells[(strategy, "1GB")].clean.category("checkpoint_function")
-                - cells[(strategy, "16MB")].clean.category("checkpoint_function")
-            )
-
-        assert ckpt_growth("fenix_kr_imr") > 3 * ckpt_growth("fenix_kr_veloc")
+        assert claims.claim_6_imr_checkpoint_scales_with_size(cells)
 
 
 class TestFailureClaims:
     def test_fenix_cuts_failure_cost(self, cells):
-        """Claim 2b: online repair beats relaunch, savings in Other."""
-        for size in ("16MB", "1GB"):
-            fenix = cells[("fenix_kr_veloc", size)]
-            relaunch = cells[("kr_veloc", size)]
-            assert fenix.failure_cost < relaunch.failure_cost
-            fenix_other = fenix.failed.other - fenix.clean.other
-            relaunch_other = relaunch.failed.other - relaunch.clean.other
-            assert fenix_other < relaunch_other
+        assert claims.claim_3_fenix_cuts_failure_cost_in_other(cells)
 
     def test_recovery_cost_scales_with_data(self, cells):
-        """Claim 5: data-recovery time follows recovered bytes."""
-        small = cells[("fenix_kr_veloc", "16MB")].failed.category(
-            "data_recovery")
-        large = cells[("fenix_kr_veloc", "1GB")].failed.category(
-            "data_recovery")
-        assert large > small
+        assert claims.claim_9_recovery_follows_data_not_backend(cells)
 
     def test_recovery_similar_between_backends(self, cells):
-        """Claim 5: VeloC and IMR recover at similar cost."""
-        veloc = cells[("fenix_kr_veloc", "1GB")].failed.category(
-            "data_recovery")
-        imr = cells[("fenix_kr_imr", "1GB")].failed.category("data_recovery")
-        assert imr == pytest.approx(veloc, rel=1.0)  # same magnitude
+        assert claims.claim_9_recovery_follows_data_not_backend(cells)
 
     def test_recompute_dominates_recovery(self, cells):
-        """'The bulk of the cost of recovery is in recomputing'."""
-        failed = cells[("fenix_kr_veloc", "1GB")].failed
-        assert failed.category("recompute") > failed.category("data_recovery")
+        assert claims.claim_10_recompute_dominates_recovery(cells)
 
 
 class TestDriver:
     def test_cells_complete_and_format(self, cells):
-        table = format_fig5([c for c in cells.values()])
-        assert "fenix_kr_veloc" in table
-        assert "1.0GiB" in table or "953" in table  # 1GB rendered
+        """Six strategies at four sizes and at three node counts."""
+        assert (len(cells.data), len(cells.weak)) == (24, 18)
 
-    def test_failure_runs_recover_correct_state(self, cells):
-        import numpy as np
-
-        clean = cells[("fenix_kr_veloc", "16MB")].clean
-        failed = cells[("fenix_kr_veloc", "16MB")].failed
-        for r in range(N_RANKS):
+    def test_failure_runs_recover_correct_state(self):
+        scale = SCALES["default"]
+        cell = run_fig5_cell("fenix_kr_veloc", "16MB", scale.fig5_ranks,
+                             pfs_servers=scale.fig5_pfs)
+        for r in range(scale.fig5_ranks):
             np.testing.assert_array_equal(
-                clean.results[r]["grid"], failed.results[r]["grid"]
+                cell.clean.results[r]["grid"], cell.failed.results[r]["grid"]
             )

@@ -85,8 +85,9 @@ TABLE = [
         ["diff", "{metrics}", "{bad}"], case="metrics"),
     Row("report", ["diff", "{ledger}", "{ledger}"],
         ["diff", "{ledger}", "{bad}"], case="ledger"),
-    # served from the cache the fixture primed: both spellings are warm
-    *(Row("experiments", [what, "--ranks", "3", "--cache-dir", "{cache}"])
+    # served from the cache the session's figures primed: both spellings
+    # are warm (and write their tables under the tmp working directory)
+    *(Row("experiments", [what, "--cache-dir", "{cache}"])
       for what in ("fig5", "ablation", "fig6", "fig7", "partial",
                    "complexity", "overhead", "campaign", "all")),
 ]
@@ -100,7 +101,7 @@ def quietly(argv):
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, figures):
     """What the offline commands read, written by the run commands."""
     tmp = tmp_path_factory.mktemp("front-door")
     names = dict(
@@ -108,15 +109,13 @@ def files(tmp_path_factory):
         metrics=tmp / "tel/metrics.json", trace=tmp / "run.trace.jsonl",
         ledger=tmp / "ledger.json", campaign=tmp / "report/campaign.json",
         scorecard=tmp / "report/scorecard.json",
-        progress=tmp / "report/progress.jsonl", cache=tmp / "cache",
+        progress=tmp / "report/progress.jsonl", cache=figures.results / "cache",
         rules=ROOT / "examples/slo_rules.json")
     names = {k: str(v) for k, v in names.items()}
     quietly(["telemetry", "run", *KILL, "--out", f"{tmp}/tel"])
     quietly(["monitor", "check", *KILL, "--save-trace", names["trace"]])
     quietly(["profile", "report", *KILL, "--json", names["ledger"]])
     quietly(["report", "run", *CAMPAIGN, "--out", f"{tmp}/report"])
-    quietly(["experiments", "all", "--ranks", "3",
-             "--cache-dir", names["cache"]])
     return names
 
 
@@ -128,7 +127,8 @@ def fill(argv, files, **extra):
 
 
 @pytest.mark.parametrize("row", TABLE, ids=lambda row: row.id)
-def test_both_spellings_agree(row, files, capsys):
+def test_both_spellings_agree(row, files, capsys, monkeypatch):
+    monkeypatch.chdir(files["tmp"])
     argv = fill(row.argv, files)
     dotted = importlib.import_module(f"repro.{row.tool}.__main__").main
     outcomes = []
@@ -139,6 +139,17 @@ def test_both_spellings_agree(row, files, capsys):
     assert outcomes[0] == outcomes[1]
     code, out, err = outcomes[0]
     assert code == 0 and (out or err)
+
+
+def test_experiments_all_writes_the_committed_tables(figures):
+    """One ``experiments all`` at the committed scale rewrites every
+    default-scale table under ``results/`` byte for byte: a table that
+    moves fails here, not only in CI's figures job."""
+    written = sorted(figures.results.glob("*.txt"))
+    committed = sorted((ROOT / "results").glob("*.txt"))
+    assert [p.name for p in written] == [p.name for p in committed]
+    for mine, golden in zip(written, committed):
+        assert mine.read_bytes() == golden.read_bytes(), golden.name
 
 
 @pytest.mark.parametrize("tool", sorted(cli.TOOLS))
@@ -240,8 +251,8 @@ def test_a_reader_that_went_away_is_a_quiet_exit_0(tool, files):
         proc = subprocess.run(
             [sys.executable, "-m", f"repro.{tool}",
              *fill(PRINTS[tool], files)],
-            stdout=write_end, stderr=subprocess.PIPE, env=ENV, cwd=ROOT,
-            timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=ENV,
+            cwd=files["tmp"], timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
